@@ -5,15 +5,33 @@ generated by k L(t) + H(t). A solve applies sum_j c_j U(k_j, T) u0 for the
 terms of a SamplingPlan, unwinds any spectral shift by exp(c T), and compares
 against the oracle solution of du/dt = -A(t) u.
 
-Time ordering is discretized by the midpoint rule: n equal steps, each
-applying exp(-i dt (k L + H)) with the pair evaluated at the step midpoint.
-For constant schedules the factors commute and the product collapses to a
-single exponential, which is evaluated exactly (one eigendecomposition), so
-the result is independent of n_steps to roundoff.
+Every weighted sum of unitaries (lchs_apply, residual_lemma_check, and
+propagate_unitary as a one-term sum) goes through one routine that streams
+the terms in chunks: a chunk is propagated and reduced into the running
+total before the next one starts, so memory stays O(chunk * dim) however
+large the plan. It takes one of two paths.
+
+* Shared eigenbasis. For a constant schedule whose L and H commute, one
+  eigendecomposition of a generic combination of L and H diagonalizes both,
+  certified by the roundoff-level residual of V^dagger L V and V^dagger H V.
+  The sum is then V (sum_j c_j exp(-i (k_j lam + mu) T) * V^dagger u0): one
+  row of exponentials per term instead of one eigendecomposition.
+* Batched eigh. Otherwise each chunk of abscissae is propagated by stacked
+  eigendecompositions of k L + H. Time ordering is discretized by the
+  midpoint rule: n equal steps, each applying exp(-i dt (k L + H)) with the
+  pair evaluated at the step midpoint (all midpoint pairs are evaluated once,
+  up front). For constant schedules the factors commute and the product
+  collapses to a single exact exponential, so the result is independent of
+  n_steps to roundoff.
+
+Within a chunk the terms are reduced by one pairwise numpy sum; the chunk
+partials are added in ascending plan order with compensated summation. The
+result is deterministic, so reports are bit-stable for a fixed plan.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -35,11 +53,26 @@ from .linalg import (
 )
 from .sampling import SamplingPlan, gauss_legendre
 
-# chunk size (in matrix entries) for batched eigendecompositions
+_log = logging.getLogger(__name__)
+
+# chunk size (in matrix entries) for batched eigendecompositions; the
+# weighted sum streams its terms in chunks of budget / dim^2
 _BATCH_ENTRY_BUDGET = 4_000_000
+
+# weight of H in the generic combination L/||L|| + _MIX H/||H|| whose
+# eigenbasis is tried as a shared one; an irrational value makes accidental
+# degeneracies of the combination unlikely
+_MIX = 0.6180339887498949
+
+# the basis counts as shared when the off-diagonal residuals of L and H stay
+# below this many units of dim * machine eps, relative to their norms
+_SHARED_BASIS_ULPS = 64
 
 ORACLE_TOL = 1e-10
 ORACLE_STEP_CAP = 1 << 20
+
+# solve doubles an auto-chosen step count at most this many times
+STEP_DOUBLING_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -125,52 +158,122 @@ class SolveReport:
         }
 
 
-def _apply_batch_constant(pair: HermitianPair, ks: np.ndarray, T: float, u0: np.ndarray) -> np.ndarray:
-    """exp(-i (k L + H) T) u0 for every k in ks, via stacked eigendecompositions."""
-    dim = pair.dim
-    if dim == 1:
-        phases = np.exp(-1j * (ks * pair.L[0, 0].real + pair.H[0, 0].real) * T)
-        return (phases * u0[0])[:, None]
-    chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
-    out = np.empty((len(ks), dim), dtype=complex)
-    for start in range(0, len(ks), chunk):
-        kc = ks[start : start + chunk]
-        G = kc[:, None, None] * pair.L[None, :, :] + pair.H[None, :, :]
-        w, V = np.linalg.eigh(G)
-        amp = np.einsum("nji,j->ni", V.conj(), u0)
-        amp *= np.exp(-1j * w * T)
-        out[start : start + chunk] = np.einsum("nij,nj->ni", V, amp)
-    return out
+def _shared_eigenbasis(pair: HermitianPair):
+    """An orthonormal V that diagonalizes both L and H, or None.
 
-
-def _apply_batch_stepped(
-    schedule: TimeSchedule, ks: np.ndarray, T: float, n_steps: int, u0: np.ndarray
-) -> np.ndarray:
-    """Midpoint-rule time-ordered product for every k in ks.
-
-    The pair at each step midpoint is shared across abscissae, so each step
-    is one batched eigendecomposition over the k axis.
+    V is the eigenbasis of the generic combination L/||L|| + _MIX H/||H||,
+    and it is accepted only if the off-diagonal parts of V^dagger L V and
+    V^dagger H V are at roundoff level relative to ||L|| and ||H||
+    (Frobenius norms). A non-commuting pair fails that certificate, and so
+    does a commuting pair whose combination happens to be degenerate, since
+    eigh then returns an arbitrary basis of the degenerate subspace.
+    Returns (V, lam, mu) with the diagonals lam of L and mu of H in V.
     """
-    dim = schedule.dim
+    norm_L, norm_H = np.linalg.norm(pair.L), np.linalg.norm(pair.H)
+    G = pair.L / norm_L if norm_L > 0 else np.zeros_like(pair.L)
+    if norm_H > 0:
+        G = G + (_MIX / norm_H) * pair.H
+    _, V = np.linalg.eigh(G)
+    tol = _SHARED_BASIS_ULPS * pair.dim * np.finfo(float).eps
+    diagonals = []
+    for M, norm in ((pair.L, norm_L), (pair.H, norm_H)):
+        D = V.conj().T @ M @ V
+        d = np.diagonal(D).real.copy()
+        np.fill_diagonal(D, 0.0)
+        if np.linalg.norm(D) > tol * norm:
+            return None
+        diagonals.append(d)
+    return V, diagonals[0], diagonals[1]
+
+
+def _midpoint_pairs(schedule: TimeSchedule, T: float, n_steps: int) -> list:
+    """The pair of every midpoint step, evaluated once before any propagation;
+    a constant schedule is one exact step over [0, T]."""
+    if schedule.kind == "constant":
+        return [schedule.pairs[0]]
     dt = T / n_steps
-    vecs = np.broadcast_to(u0, (len(ks), dim)).copy()
-    chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
+    pairs = []
     for j in range(n_steps):
         t_mid = (j + 0.5) * dt
         try:
-            pair = schedule.pair_at(t_mid)
+            pairs.append(schedule.pair_at(t_mid))
         except Exception as exc:
             raise PropagationError(
                 f"schedule evaluation failed at t = {t_mid}", t=t_mid
             ) from exc
-        for start in range(0, len(ks), chunk):
-            kc = ks[start : start + chunk]
-            G = kc[:, None, None] * pair.L[None, :, :] + pair.H[None, :, :]
-            w, V = np.linalg.eigh(G)
-            amp = np.einsum("nji,nj->ni", V.conj(), vecs[start : start + chunk])
-            amp *= np.exp(-1j * w * dt)
-            vecs[start : start + chunk] = np.einsum("nij,nj->ni", V, amp)
-    return vecs
+    return pairs
+
+
+def _propagate_chunk(pairs: list, ks: np.ndarray, dt: float, u0: np.ndarray) -> np.ndarray:
+    """Midpoint-rule product of exp(-i dt (k L + H)) over the pairs, applied
+    to u0 for every k in ks, one batched eigendecomposition per pair.
+    Returns the propagated vectors as the columns of a (dim, len(ks)) array."""
+    vecs = np.broadcast_to(u0, (len(ks), len(u0)))
+    for pair in pairs:
+        G = ks[:, None, None] * pair.L[None, :, :] + pair.H[None, :, :]
+        w, V = np.linalg.eigh(G)
+        amp = np.einsum("nji,nj->ni", V.conj(), vecs)
+        amp *= np.exp(-1j * w * dt)
+        vecs = np.einsum("nij,nj->ni", V, amp)
+    return np.ascontiguousarray(vecs.T)
+
+
+def _weighted_unitary_sum(
+    schedule: TimeSchedule,
+    ks: np.ndarray,
+    weights: np.ndarray,
+    T: float,
+    n_steps: int,
+    u0: np.ndarray,
+) -> np.ndarray:
+    """sum_j weights[j] U(ks[j], T) u0, streamed over chunks of terms.
+
+    Each chunk is propagated and reduced into the running total before the
+    next one starts, so memory is O(chunk * dim) for any number of terms.
+    Within a chunk the reduction is one pairwise numpy sum over the terms;
+    chunk partials are added in ascending order with compensation. Every
+    step is deterministic, so a fixed input gives the same bytes each call.
+    """
+    dim = schedule.dim
+    steps = 0
+    if T == 0.0:
+        path, rows = "identity", 1
+
+        def columns(kc):
+            return np.ones((1, len(kc)), dtype=complex)
+    elif schedule.kind == "constant" and (basis := _shared_eigenbasis(schedule.pairs[0])):
+        path, rows = "shared-eigenbasis", dim
+        V, lam, mu = basis
+
+        def columns(kc):
+            return np.exp(-1j * T * (lam[:, None] * kc[None, :] + mu[:, None]))
+    else:
+        path, rows = "batched-eigh", dim
+        pairs = _midpoint_pairs(schedule, T, n_steps)
+        steps = len(pairs)
+
+        def columns(kc):
+            return _propagate_chunk(pairs, kc, T / steps, u0)
+
+    chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
+    total = np.zeros(rows, dtype=complex)
+    comp = np.zeros_like(total)
+    for start in range(0, len(ks), chunk):
+        cols = columns(ks[start : start + chunk])
+        cols *= weights[start : start + chunk]
+        term = cols.sum(axis=1) - comp
+        tmp = total + term
+        comp = (tmp - total) - term
+        total = tmp
+    _log.debug(
+        "weighted unitary sum: path=%s terms=%d chunks=%d steps=%d",
+        path, len(ks), -(-len(ks) // chunk), steps,
+    )
+    if path == "identity":
+        return total[0] * u0
+    if path == "shared-eigenbasis":
+        return V @ (total * (V.conj().T @ u0))
+    return total
 
 
 def propagate_unitary(p: ProblemInstance, k: float, T: float, n_steps: int = 1) -> np.ndarray:
@@ -183,25 +286,9 @@ def propagate_unitary(p: ProblemInstance, k: float, T: float, n_steps: int = 1) 
         raise RangeError(f"n_steps must be >= 1, got {n_steps}")
     if not np.isfinite(k):
         raise RangeError(f"k must be finite, got {k}")
-    if T == 0.0:
-        return p.u0.copy()
-    ks = np.array([float(k)])
-    if p.schedule.kind == "constant":
-        return _apply_batch_constant(p.schedule.pairs[0], ks, T, p.u0)[0]
-    return _apply_batch_stepped(p.schedule, ks, T, n_steps, p.u0)[0]
-
-
-def _kahan_weighted_sum(vectors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] * vectors[j] in ascending index order with compensated
-    summation, for bit-stable reductions."""
-    s = np.zeros(vectors.shape[1], dtype=complex)
-    comp = np.zeros_like(s)
-    for j in range(vectors.shape[0]):
-        term = coeffs[j] * vectors[j] - comp
-        tmp = s + term
-        comp = (tmp - s) - term
-        s = tmp
-    return s
+    return _weighted_unitary_sum(
+        p.schedule, np.array([float(k)]), np.ones(1), T, n_steps, p.u0
+    )
 
 
 def lchs_apply(
@@ -209,24 +296,18 @@ def lchs_apply(
 ) -> np.ndarray:
     """Evaluate sum_j c_j U(k_j, T) u0 and unwind the spectral shift.
 
-    Terms are reduced in ascending plan order with compensated summation. If
-    the instance records a shift c > 0 the result is multiplied by exp(c T).
+    The terms are streamed in ascending plan order and reduced
+    deterministically (see _weighted_unitary_sum). If the instance records a
+    shift c > 0 the result is multiplied by exp(c T).
     """
     plan.validate()
     p.require_gate()
-    if T == 0.0:
-        total = complex(_kahan_weighted_sum(np.ones((plan.size, 1), dtype=complex), plan.c)[0])
-        return total * p.u0
     try:
-        if p.schedule.kind == "constant":
-            vecs = _apply_batch_constant(p.schedule.pairs[0], plan.k, T, p.u0)
-        else:
-            vecs = _apply_batch_stepped(p.schedule, plan.k, T, n_steps, p.u0)
+        out = _weighted_unitary_sum(p.schedule, plan.k, plan.c, T, n_steps, p.u0)
     except PropagationError:
         raise
     except Exception as exc:
         raise PropagationError(f"propagation failed: {exc}") from exc
-    out = _kahan_weighted_sum(vecs, plan.c)
     if p.shift > 0:
         out = out * np.exp(p.shift * T)
     return out
@@ -332,11 +413,7 @@ def residual_lemma_check(
     ks = (left[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
     wts = np.broadcast_to(0.5 * h * w, (2 * M, Q)).ravel()
     fvals = np.asarray(kernel_f(kernel, ks), dtype=complex)
-    if p.schedule.kind == "constant":
-        vecs = _apply_batch_constant(p.schedule.pairs[0], ks, T, p.u0)
-    else:
-        vecs = _apply_batch_stepped(p.schedule, ks, T, n_steps, p.u0)
-    total = _kahan_weighted_sum(vecs, wts * fvals)
+    total = _weighted_unitary_sum(p.schedule, ks, wts * fvals, T, n_steps, p.u0)
     return float(np.linalg.norm(total))
 
 
@@ -360,6 +437,8 @@ def solve(
     norm-weighted heuristic (or 1 for constant schedules, where stepping is
     exact), the count is doubled until the estimate moves by at most
     step_tol relative (default: a third of the plan's accuracy target).
+    ConvergenceError is raised, with the last relative move, if that takes
+    more than STEP_DOUBLING_CAP doublings.
     """
     p.require_gate()
     if step_tol is None:
@@ -375,7 +454,7 @@ def solve(
         n = n_steps if n_steps is not None else _auto_steps_initial(p, plan, T)
         u_lchs = lchs_apply(p, plan, T, n)
         if n_steps is None:
-            for _ in range(16):
+            for _ in range(STEP_DOUBLING_CAP):
                 u_next = lchs_apply(p, plan, T, 2 * n)
                 n *= 2
                 delta = np.linalg.norm(u_next - u_lchs) / max(
@@ -384,6 +463,12 @@ def solve(
                 u_lchs = u_next
                 if delta <= step_tol:
                     break
+            else:
+                raise ConvergenceError(
+                    f"step doubling did not reach step_tol = {step_tol:.3e} within "
+                    f"{STEP_DOUBLING_CAP} doublings ({n} steps)",
+                    last_delta=delta,
+                )
         timings["lchs_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,13 +1,20 @@
+import logging
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import lchs.evolve as ev
 from lchs import (
+    ConvergenceError,
     PreconditionError,
     ProblemInstance,
     RangeError,
     TimeSchedule,
     hermitian_split,
     lchs_apply,
+    mc_plan,
     oracle_solve,
     plan_from_accuracy,
     propagate_unitary,
@@ -16,6 +23,7 @@ from lchs import (
     spectral_shift,
 )
 from lchs.evolve import _oracle_stepping
+from lchs.harness import build_problem
 from lchs.linalg import HermitianPair
 
 from conftest import random_hermitian, random_unitary
@@ -347,3 +355,167 @@ class TestSolve:
             rep = solve(p, plan, T)
             worst = max(worst, rep.rel_error)
         assert worst <= 1e-3
+
+    def test_step_doubling_cap_raises_with_delta(self, beta_kernel, monkeypatch):
+        # midpoint stepping of a smooth rule is second order, so one doubling
+        # cannot meet a step_tol at roundoff level; running out of doublings
+        # must surface as a convergence error carrying the last relative move
+        # instead of returning the unconverged estimate
+        def rule(t):
+            return hermitian_split(np.array([[1.5 + 0.5 * np.sin(3.0 * t)]], dtype=complex))
+
+        sched = TimeSchedule.from_rule(rule, 1.0)
+        p = ProblemInstance(schedule=sched, dim=1, u0=np.array([1.0 + 0j]), lambda0=1.0)
+        plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 2.0)
+        monkeypatch.setattr(ev, "STEP_DOUBLING_CAP", 1)
+        with pytest.raises(ConvergenceError, match="step doubling") as err:
+            solve(p, plan, 1.0, step_tol=1e-14)
+        assert err.value.last_delta > 1e-14
+
+
+def commuting_instance(rng, lam, mu):
+    """L = U diag(lam) U^dagger, H = U diag(mu) U^dagger for a random U."""
+    U = random_unitary(rng, len(lam))
+    L = (U * np.asarray(lam, dtype=float)) @ U.conj().T
+    H = (U * np.asarray(mu, dtype=float)) @ U.conj().T
+    pair = hermitian_split(L + 1j * H)
+    u0 = rng.standard_normal(len(lam)) + 1j * rng.standard_normal(len(lam))
+    return ProblemInstance.from_pair(pair, u0 / np.linalg.norm(u0))
+
+
+def paths_agree(p, plan, T, monkeypatch, tol):
+    """lchs_apply as chosen from the input vs with the shared-eigenbasis path
+    disabled, so that every term takes batched eigh."""
+    fast = lchs_apply(p, plan, T)
+    with monkeypatch.context() as m:
+        m.setattr(ev, "_shared_eigenbasis", lambda pair: None)
+        slow = lchs_apply(p, plan, T)
+    assert np.linalg.norm(fast - slow) <= tol * np.linalg.norm(p.u0)
+    return fast
+
+
+class TestSharedEigenbasis:
+    @pytest.mark.parametrize("name, T", [("parabolic1d", 1.0 / 256.0), ("blackhole", 1.0)])
+    def test_matches_batched_eigh_on_default_builders(self, name, T, beta_kernel, monkeypatch):
+        p = build_problem(name, {})
+        assert ev._shared_eigenbasis(p.schedule.pairs[0]) is not None
+        plan = plan_from_accuracy(beta_kernel, 1e-4, T, p.meta["normL"])
+        paths_agree(p, plan, T, monkeypatch, 1e-12)
+
+    def test_rotated_pair_with_degenerate_L(self, beta_kernel, monkeypatch):
+        # L has two doubly degenerate eigenvalues; H splits both, so only the
+        # combination fixes the shared basis
+        rng = np.random.default_rng(31)
+        p = commuting_instance(rng, [0.5, 1.0, 1.0, 2.0, 2.0, 3.0], [0.3, -1.0, 0.7, 0.2, -0.4, 1.1])
+        assert ev._shared_eigenbasis(p.schedule.pairs[0]) is not None
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, 3.0)
+        out = paths_agree(p, plan, 1.0, monkeypatch, 1e-12)
+        assert np.linalg.norm(out - oracle_solve(p, 1.0)) <= 1e-4
+
+    @pytest.mark.parametrize("name", ["cap", "mm1"])
+    def test_non_commuting_builders_fail_the_certificate(self, name):
+        assert ev._shared_eigenbasis(build_problem(name, {}).schedule.pairs[0]) is None
+
+    def test_non_commuting_falls_back(self, beta_kernel, monkeypatch):
+        p = build_problem("mm1", {})
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 0.25, p.meta["normL"])
+        out = paths_agree(p, plan, 0.25, monkeypatch, 0.0)
+        assert np.linalg.norm(out - oracle_solve(p, 0.25)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    def test_degenerate_combination_falls_back(self, beta_kernel, monkeypatch):
+        # commuting pair with lam/|lam| + _MIX mu/|mu| equal on the first two
+        # eigenvectors: eigh may return any basis of that plane, which does
+        # not diagonalize L, so the certificate must reject it
+        lam = np.array([1.0, 2.0, 3.0])
+        a = (lam[1] - lam[0]) / (np.linalg.norm(lam) * ev._MIX)
+        mu = np.array([a, 0.0, np.sqrt(1.0 - a * a)])
+        p = commuting_instance(np.random.default_rng(5), lam, mu)
+        assert ev._shared_eigenbasis(p.schedule.pairs[0]) is None
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, 3.0)
+        out = paths_agree(p, plan, 1.0, monkeypatch, 0.0)
+        assert np.linalg.norm(out - oracle_solve(p, 1.0)) <= 1e-4
+
+    def test_one_debug_record_per_sum(self, beta_kernel, caplog, monkeypatch):
+        monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 4000)
+        caplog.set_level(logging.DEBUG, logger="lchs.evolve")
+        for name, path in (("blackhole", "shared-eigenbasis"), ("lindblad", "batched-eigh")):
+            p = build_problem(name, {})
+            plan = plan_from_accuracy(beta_kernel, 1e-3, 0.25, p.meta["normL"])
+            caplog.clear()
+            lchs_apply(p, plan, 0.25)
+            chunks = -(-plan.size // (4000 // p.dim**2))
+            assert [r.getMessage() for r in caplog.records] == [
+                f"weighted unitary sum: path={path} terms={plan.size} chunks={chunks} "
+                f"steps={0 if path == 'shared-eigenbasis' else 1}"
+            ]
+
+
+class TestStreamedReduction:
+    # 32,000 entries: chunks of 2,000 terms at dim 4, so the plans below
+    # span several chunks without making the test heavy
+    BUDGET = 32_000
+
+    @staticmethod
+    def dim4_instance(commuting):
+        if commuting:
+            return commuting_instance(np.random.default_rng(2), [0.5, 1.0, 1.5, 2.0], [1.0, -0.5, 0.25, 2.0])
+        return build_problem("lindblad", {})
+
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_peak_memory_independent_of_plan_size(self, commuting, beta_kernel, monkeypatch):
+        monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", self.BUDGET)
+        p = self.dim4_instance(commuting)
+        plans = [mc_plan(beta_kernel, 44.25, ns, 1) for ns in (8_000, 32_000)]
+        lchs_apply(p, plans[0], 0.25)  # warm-up
+        peaks = []
+        for plan in plans:
+            tracemalloc.start()
+            try:
+                lchs_apply(p, plan, 0.25)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_reduction_matches_fsum(self, commuting, beta_kernel, monkeypatch):
+        monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", self.BUDGET)
+        p = self.dim4_instance(commuting)
+        pair = p.schedule.pairs[0]
+        T = 0.25
+        plan = mc_plan(beta_kernel, 44.25, 10_000, 4)
+        w, V = np.linalg.eigh(plan.k[:, None, None] * pair.L + pair.H)
+        amp = np.einsum("nji,j->ni", V.conj(), p.u0) * np.exp(-1j * w * T)
+        terms = plan.c[:, None] * np.einsum("nij,nj->ni", V, amp)
+        ref = np.array([
+            complex(math.fsum(terms[:, i].real), math.fsum(terms[:, i].imag))
+            for i in range(p.dim)
+        ])
+        out = lchs_apply(p, plan, T) * np.exp(-p.shift * T)
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_chunked_sum_is_bit_stable(self, commuting, beta_kernel, monkeypatch):
+        monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", self.BUDGET)
+        p = self.dim4_instance(commuting)
+        plan = mc_plan(beta_kernel, 44.25, 20_000, 9)
+        first = lchs_apply(p, plan, 0.25).tobytes()
+        for _ in range(3):
+            assert lchs_apply(p, plan, 0.25).tobytes() == first
+
+    def test_stepped_chunks_match_one_chunk(self, beta_kernel, monkeypatch):
+        base = random_hermitian(np.random.default_rng(6), 3, scale=1.0)
+
+        def rule(t):
+            return HermitianPair(
+                L=(1.0 + 0.5 * t) * np.eye(3, dtype=complex), H=np.cos(3.0 * t) * base,
+                shift=0.0, lambda0=1.0,
+            )
+
+        sched = TimeSchedule.from_rule(rule, 1.0)
+        p = ProblemInstance(schedule=sched, dim=3, u0=np.array([1.0, 0.5j, -0.25]), lambda0=1.0)
+        plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 1.5)
+        whole = lchs_apply(p, plan, 1.0, n_steps=6)
+        monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 9 * 500)
+        chunked = lchs_apply(p, plan, 1.0, n_steps=6)
+        assert np.linalg.norm(whole - chunked) <= 1e-14 * np.linalg.norm(whole)
