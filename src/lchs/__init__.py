@@ -31,7 +31,6 @@ from .linalg import (
     matrix_exponential,
     min_hermitian_eigenvalue,
     spectral_shift,
-    unitary_step,
 )
 from .kernels import (
     KernelSpec,
@@ -81,7 +80,7 @@ __all__ = [
     "DomainError", "FitError", "HermiticityError", "LchsError",
     "PreconditionError", "PropagationError", "QuadratureError", "RangeError",
     "HermitianPair", "TimeSchedule", "hermitian_split", "matrix_exponential",
-    "min_hermitian_eigenvalue", "spectral_shift", "unitary_step",
+    "min_hermitian_eigenvalue", "spectral_shift",
     "KernelSpec", "TruncationChoice", "check_normalization",
     "choose_truncation", "eval_kernel", "make_kernel", "tail_mass", "weight_g",
     "SamplingPlan", "composite_plan", "gauss_legendre", "mc_plan",

@@ -5,24 +5,29 @@ generated by k L(t) + H(t). A solve applies sum_j c_j U(k_j, T) u0 for the
 terms of a SamplingPlan, unwinds any spectral shift by exp(c T), and compares
 against the oracle solution of du/dt = -A(t) u.
 
+Every schedule is propagated as one list of (pair, duration) spans, each
+span exponentiated exactly:
+
+* constant: one span (pair, T);
+* piecewise: its own spans clipped to [0, T], the last pair extending past
+  the final breakpoint, so the result is exact for any T;
+* callback: n_steps equal slices, each with the pair sampled at its
+  midpoint (the midpoint rule). The slice count is the only discretization
+  left, and solve refines it by doubling.
+
 Every weighted sum of unitaries (lchs_apply, residual_lemma_check, and
 propagate_unitary as a one-term sum) goes through one routine that streams
 the terms in chunks: a chunk is propagated and reduced into the running
 total before the next one starts, so memory stays O(chunk * dim) however
 large the plan. It takes one of two paths.
 
-* Shared eigenbasis. For a constant schedule whose L and H commute, one
+* Shared eigenbasis. For a single span whose L and H commute, one
   eigendecomposition of a generic combination of L and H diagonalizes both,
   certified by the roundoff-level residual of V^dagger L V and V^dagger H V.
   The sum is then V (sum_j c_j exp(-i (k_j lam + mu) T) * V^dagger u0): one
   row of exponentials per term instead of one eigendecomposition.
-* Batched eigh. Otherwise each chunk of abscissae is propagated by stacked
-  eigendecompositions of k L + H. Time ordering is discretized by the
-  midpoint rule: n equal steps, each applying exp(-i dt (k L + H)) with the
-  pair evaluated at the step midpoint (all midpoint pairs are evaluated once,
-  up front). For constant schedules the factors commute and the product
-  collapses to a single exact exponential, so the result is independent of
-  n_steps to roundoff.
+* Batched eigh. Otherwise each chunk of abscissae is propagated span by
+  span, by stacked eigendecompositions of k L + H.
 
 Within a chunk the terms are reduced by one pairwise numpy sum; the chunk
 partials are added in ascending plan order with compensated summation. The
@@ -45,13 +50,8 @@ from .errors import (
     RangeError,
 )
 from .kernels import KernelSpec, kernel_f
-from .linalg import (
-    HermitianPair,
-    TimeSchedule,
-    matrix_exponential,
-    spectral_norm_estimate,
-)
-from .sampling import SamplingPlan, gauss_legendre
+from .linalg import HermitianPair, TimeSchedule, matrix_exponential
+from .sampling import SamplingPlan, _composite_nodes
 
 _log = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ _SHARED_BASIS_ULPS = 64
 ORACLE_TOL = 1e-10
 ORACLE_STEP_CAP = 1 << 20
 
-# solve doubles an auto-chosen step count at most this many times
+# solve doubles the slice count of a callback schedule at most this many times
 STEP_DOUBLING_CAP = 16
 
 
@@ -186,47 +186,57 @@ def _shared_eigenbasis(pair: HermitianPair):
     return V, diagonals[0], diagonals[1]
 
 
-def _midpoint_pairs(schedule: TimeSchedule, T: float, n_steps: int) -> list:
-    """The pair of every midpoint step, evaluated once before any propagation;
-    a constant schedule is one exact step over [0, T]."""
+def _spans(schedule: TimeSchedule, T: float, n_slices: int) -> list:
+    """The schedule on [0, T] as (pair, duration) spans, each propagated
+    exactly; empty for T = 0.
+
+    Constant: one span. Piecewise: its own spans clipped to [0, T], the last
+    pair extending past the final breakpoint. Callback: n_slices equal
+    slices, each with the pair evaluated at its midpoint; a failing rule
+    raises PropagationError carrying the time.
+    """
+    if not T >= 0.0:
+        raise RangeError(f"T must be nonnegative, got {T}")
+    if T == 0.0:
+        return []
     if schedule.kind == "constant":
-        return [schedule.pairs[0]]
-    dt = T / n_steps
-    pairs = []
-    for j in range(n_steps):
+        return [(schedule.pairs[0], T)]
+    if schedule.kind == "piecewise":
+        ends = np.minimum(np.append(schedule.breakpoints[1:-1], np.inf), T)
+        starts = np.minimum(schedule.breakpoints[:-1], T)
+        return [(pair, float(b - a)) for pair, a, b in zip(schedule.pairs, starts, ends) if b > a]
+    dt = T / n_slices
+    spans = []
+    for j in range(n_slices):
         t_mid = (j + 0.5) * dt
         try:
-            pairs.append(schedule.pair_at(t_mid))
+            spans.append((schedule.pair_at(t_mid), dt))
         except Exception as exc:
             raise PropagationError(
                 f"schedule evaluation failed at t = {t_mid}", t=t_mid
             ) from exc
-    return pairs
+    return spans
 
 
-def _propagate_chunk(pairs: list, ks: np.ndarray, dt: float, u0: np.ndarray) -> np.ndarray:
-    """Midpoint-rule product of exp(-i dt (k L + H)) over the pairs, applied
-    to u0 for every k in ks, one batched eigendecomposition per pair.
-    Returns the propagated vectors as the columns of a (dim, len(ks)) array."""
+def _propagate_chunk(spans: list, ks: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Product of exp(-i dt (k L + H)) over the spans, applied to u0 for every
+    k in ks, one batched eigendecomposition per span. Returns the propagated
+    vectors as the columns of a (dim, len(ks)) array."""
     vecs = np.broadcast_to(u0, (len(ks), len(u0)))
-    for pair in pairs:
-        G = ks[:, None, None] * pair.L[None, :, :] + pair.H[None, :, :]
-        w, V = np.linalg.eigh(G)
-        amp = np.einsum("nji,nj->ni", V.conj(), vecs)
+    for pair, dt in spans:
+        w, V = np.linalg.eigh(ks[:, None, None] * pair.L[None, :, :] + pair.H[None, :, :])
+        # conj(V^T conj(v)) = V^dagger v without a conjugated copy of V
+        amp = np.einsum("nji,nj->ni", V, vecs.conj()).conj()
         amp *= np.exp(-1j * w * dt)
         vecs = np.einsum("nij,nj->ni", V, amp)
     return np.ascontiguousarray(vecs.T)
 
 
 def _weighted_unitary_sum(
-    schedule: TimeSchedule,
-    ks: np.ndarray,
-    weights: np.ndarray,
-    T: float,
-    n_steps: int,
-    u0: np.ndarray,
+    spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
 ) -> np.ndarray:
-    """sum_j weights[j] U(ks[j], T) u0, streamed over chunks of terms.
+    """sum_j weights[j] U(ks[j]) u0 over the spans, streamed over chunks of
+    terms.
 
     Each chunk is propagated and reduced into the running total before the
     next one starts, so memory is O(chunk * dim) for any number of terms.
@@ -234,26 +244,26 @@ def _weighted_unitary_sum(
     chunk partials are added in ascending order with compensation. Every
     step is deterministic, so a fixed input gives the same bytes each call.
     """
-    dim = schedule.dim
+    dim = len(u0)
     steps = 0
-    if T == 0.0:
+    if not spans:
         path, rows = "identity", 1
 
         def columns(kc):
             return np.ones((1, len(kc)), dtype=complex)
-    elif schedule.kind == "constant" and (basis := _shared_eigenbasis(schedule.pairs[0])):
+    elif len(spans) == 1 and (basis := _shared_eigenbasis(spans[0][0])):
         path, rows = "shared-eigenbasis", dim
         V, lam, mu = basis
+        T = spans[0][1]
 
         def columns(kc):
             return np.exp(-1j * T * (lam[:, None] * kc[None, :] + mu[:, None]))
     else:
         path, rows = "batched-eigh", dim
-        pairs = _midpoint_pairs(schedule, T, n_steps)
-        steps = len(pairs)
+        steps = len(spans)
 
         def columns(kc):
-            return _propagate_chunk(pairs, kc, T / steps, u0)
+            return _propagate_chunk(spans, kc, u0)
 
     chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
     total = np.zeros(rows, dtype=complex)
@@ -279,15 +289,15 @@ def _weighted_unitary_sum(
 def propagate_unitary(p: ProblemInstance, k: float, T: float, n_steps: int = 1) -> np.ndarray:
     """U(k, T) u0: the time-ordered unitary for generator k L(t) + H(t).
 
-    Midpoint-rule discretization with n_steps factors; exact (independent of
-    n_steps) for constant schedules.
+    Exact for constant and piecewise schedules; a callback schedule is
+    sampled on n_steps midpoint slices.
     """
     if n_steps < 1:
         raise RangeError(f"n_steps must be >= 1, got {n_steps}")
     if not np.isfinite(k):
         raise RangeError(f"k must be finite, got {k}")
     return _weighted_unitary_sum(
-        p.schedule, np.array([float(k)]), np.ones(1), T, n_steps, p.u0
+        _spans(p.schedule, T, n_steps), np.array([float(k)]), np.ones(1), p.u0
     )
 
 
@@ -296,14 +306,17 @@ def lchs_apply(
 ) -> np.ndarray:
     """Evaluate sum_j c_j U(k_j, T) u0 and unwind the spectral shift.
 
-    The terms are streamed in ascending plan order and reduced
-    deterministically (see _weighted_unitary_sum). If the instance records a
-    shift c > 0 the result is multiplied by exp(c T).
+    n_steps is the slice count of a callback schedule; constant and
+    piecewise schedules are propagated exactly and ignore it. The terms are
+    streamed in ascending plan order and reduced deterministically (see
+    _weighted_unitary_sum). If the instance records a shift c > 0 the result
+    is multiplied by exp(c T).
     """
     plan.validate()
     p.require_gate()
+    spans = _spans(p.schedule, T, n_steps)
     try:
-        out = _weighted_unitary_sum(p.schedule, plan.k, plan.c, T, n_steps, p.u0)
+        out = _weighted_unitary_sum(spans, plan.k, plan.c, p.u0)
     except PropagationError:
         raise
     except Exception as exc:
@@ -313,50 +326,29 @@ def lchs_apply(
     return out
 
 
-def _oracle_matrix(p: ProblemInstance, t: float) -> np.ndarray:
-    """Original (unshifted) generator A(t) = (L(t) - shift I) + i H(t)."""
-    pair = p.schedule.pair_at(t)
+def _oracle_matrix(p: ProblemInstance, pair: HermitianPair) -> np.ndarray:
+    """Original (unshifted) generator (L - shift I) + i H of one pair."""
     return pair.L - p.shift * np.eye(p.dim) + 1j * pair.H
 
 
-def _rk4(A_of, t0: float, t1: float, u: np.ndarray, n: int) -> np.ndarray:
-    dt = (t1 - t0) / n
-    for j in range(n):
-        t = t0 + j * dt
-        A1 = A_of(t)
-        A2 = A_of(t + 0.5 * dt)
-        A4 = A_of(t + dt)
-        k1 = -(A1 @ u)
-        k2 = -(A2 @ (u + 0.5 * dt * k1))
-        k3 = -(A2 @ (u + 0.5 * dt * k2))
-        k4 = -(A4 @ (u + dt * k3))
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u
-
-
 def _oracle_stepping(p: ProblemInstance, T: float) -> np.ndarray:
-    """Classical fourth-order stepping with step doubling to ORACLE_TOL.
+    """Classical fourth-order stepping on [0, T] with step doubling to
+    ORACLE_TOL, evaluating the schedule at every stage time."""
 
-    For piecewise schedules the steps are aligned with the breakpoints, and
-    each span uses its own constant generator (evaluated at the span
-    midpoint), so the stage evaluations never straddle a discontinuity.
-    """
-    if p.schedule.kind == "piecewise":
-        bp = np.asarray(p.schedule.breakpoints, dtype=float)
-        bp = np.clip(bp, 0.0, T)
-        edges = np.unique(np.concatenate([bp, [0.0, T]]))
-    else:
-        edges = np.array([0.0, T])
-    spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    def A_of(t):
+        return _oracle_matrix(p, p.schedule.pair_at(t))
 
-    def run(n_per_span: int) -> np.ndarray:
+    def run(n: int) -> np.ndarray:
         u = p.u0.copy()
-        for a, b in spans:
-            if p.schedule.kind == "piecewise":
-                A_span = _oracle_matrix(p, 0.5 * (a + b))
-                u = _rk4(lambda t: A_span, a, b, u, n_per_span)
-            else:
-                u = _rk4(lambda t: _oracle_matrix(p, t), a, b, u, n_per_span)
+        dt = T / n
+        for j in range(n):
+            t = j * dt
+            A1, A2, A4 = A_of(t), A_of(t + 0.5 * dt), A_of(t + dt)
+            k1 = -(A1 @ u)
+            k2 = -(A2 @ (u + 0.5 * dt * k1))
+            k3 = -(A2 @ (u + 0.5 * dt * k2))
+            k4 = -(A4 @ (u + dt * k3))
+            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return u
 
     n = 8
@@ -367,9 +359,9 @@ def _oracle_stepping(p: ProblemInstance, T: float) -> np.ndarray:
         delta = np.linalg.norm(cur - prev) / max(np.linalg.norm(cur), 1e-300)
         if delta <= ORACLE_TOL:
             return cur
-        if n * len(spans) > ORACLE_STEP_CAP:
+        if n > ORACLE_STEP_CAP:
             raise ConvergenceError(
-                f"oracle stepping hit the cap at {n} steps/span", last_delta=delta
+                f"oracle stepping hit the cap at {n} steps", last_delta=delta
             )
         prev = cur
 
@@ -377,15 +369,16 @@ def _oracle_stepping(p: ProblemInstance, T: float) -> np.ndarray:
 def oracle_solve(p: ProblemInstance, T: float) -> np.ndarray:
     """Ground-truth solution of du/dt = -A(t) u at time T.
 
-    Constant schedules use the matrix exponential of the original (unshifted)
-    generator; time-dependent ones use fourth-order stepping with doubling.
+    Constant and piecewise schedules use the product of matrix exponentials
+    of the original (unshifted) generator over their spans; callback ones
+    use fourth-order stepping with doubling.
     """
-    if T == 0.0:
-        return p.u0.copy()
-    if p.schedule.kind == "constant":
-        A = _oracle_matrix(p, 0.0)
-        return matrix_exponential(-A * T) @ p.u0
-    return _oracle_stepping(p, T)
+    if p.schedule.kind == "callback" and T != 0.0:
+        return _oracle_stepping(p, T)
+    u = p.u0.copy()
+    for pair, dt in _spans(p.schedule, T, 1):
+        u = matrix_exponential(-_oracle_matrix(p, pair) * dt) @ u
+    return u
 
 
 def residual_lemma_check(
@@ -407,21 +400,10 @@ def residual_lemma_check(
     p.require_gate()
     if T <= 0:
         raise RangeError(f"T must be positive for the residual check, got {T}")
-    x, w = gauss_legendre(Q)
-    h = K / M
-    left = h * np.arange(-M, M)
-    ks = (left[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
-    wts = np.broadcast_to(0.5 * h * w, (2 * M, Q)).ravel()
+    ks, wts = _composite_nodes(K, M, Q)
     fvals = np.asarray(kernel_f(kernel, ks), dtype=complex)
-    total = _weighted_unitary_sum(p.schedule, ks, wts * fvals, T, n_steps, p.u0)
+    total = _weighted_unitary_sum(_spans(p.schedule, T, n_steps), ks, wts * fvals, p.u0)
     return float(np.linalg.norm(total))
-
-
-def _auto_steps_initial(p: ProblemInstance, plan: SamplingPlan, T: float) -> int:
-    """Step-count heuristic: phase error grows with |k_max| ||L|| T."""
-    k_max = float(np.max(np.abs(plan.k))) if plan.size else 0.0
-    normL = spectral_norm_estimate(p.schedule.pair_at(0.0).L)
-    return max(1, int(np.ceil(1.0 + k_max * normL * T)))
 
 
 def solve(
@@ -433,10 +415,11 @@ def solve(
 ) -> SolveReport:
     """Run the weighted-unitary estimate against the oracle and report.
 
-    When n_steps is not given it is auto-chosen: starting from a
-    norm-weighted heuristic (or 1 for constant schedules, where stepping is
-    exact), the count is doubled until the estimate moves by at most
-    step_tol relative (default: a third of the plan's accuracy target).
+    Constant and piecewise schedules are propagated exactly, one span each,
+    and propagator_steps is the span count. A callback schedule is sampled
+    on n_steps midpoint slices; when n_steps is not given the count starts
+    at 1 and is doubled until the estimate moves by at most step_tol
+    relative (default: a third of the plan's accuracy target).
     ConvergenceError is raised, with the last relative move, if that takes
     more than STEP_DOUBLING_CAP doublings.
     """
@@ -446,12 +429,11 @@ def solve(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    if T == 0.0 or p.schedule.kind == "constant":
-        n = 1
-        u_lchs = lchs_apply(p, plan, T, n)
-        timings["lchs_s"] = time.perf_counter() - t0
+    if p.schedule.kind != "callback" or T == 0.0:
+        n = max(1, len(_spans(p.schedule, T, 1)))
+        u_lchs = lchs_apply(p, plan, T)
     else:
-        n = n_steps if n_steps is not None else _auto_steps_initial(p, plan, T)
+        n = n_steps if n_steps is not None else 1
         u_lchs = lchs_apply(p, plan, T, n)
         if n_steps is None:
             for _ in range(STEP_DOUBLING_CAP):
@@ -466,10 +448,10 @@ def solve(
             else:
                 raise ConvergenceError(
                     f"step doubling did not reach step_tol = {step_tol:.3e} within "
-                    f"{STEP_DOUBLING_CAP} doublings ({n} steps)",
+                    f"{STEP_DOUBLING_CAP} doublings ({n} slices)",
                     last_delta=delta,
                 )
-        timings["lchs_s"] = time.perf_counter() - t0
+    timings["lchs_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     u_oracle = oracle_solve(p, T)

@@ -532,15 +532,8 @@ def run_convergence(
         )
         return make_plan(sub, problem, kernel)
 
-    def _steps_for(plan: SamplingPlan) -> int:
-        if problem.schedule.kind == "constant":
-            return 1
-        k_max = float(np.max(np.abs(plan.k)))
-        normL = problem.meta.get("normL", 1.0)
-        return max(8, int(np.ceil(4 * (1.0 + k_max * normL * cfg.T))))
-
     def rel_error_for(plan: SamplingPlan) -> float:
-        u = lchs_apply(problem, plan, cfg.T, n_steps=_steps_for(plan))
+        u = lchs_apply(problem, plan, cfg.T)
         return float(np.linalg.norm(u - u_ref) / ref_norm)
 
     result = SweepResult(axis=axis)

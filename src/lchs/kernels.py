@@ -190,6 +190,27 @@ def _normalization_window(family: str, beta: float | None) -> float:
         return K_MAX
 
 
+def _half_integral(spec: KernelSpec, K: float) -> tuple[float, float]:
+    """Integral of Re g over [0, K] and its error estimate. Im(g) is odd for
+    both families, so twice the value is the integral over [-K, K]."""
+    return scipy.integrate.quad(
+        lambda k: weight_g(spec, k).real, 0.0, K, limit=800, epsabs=1e-15, epsrel=1e-13,
+    )
+
+
+def _normalization_residual(spec: KernelSpec, K_star: float) -> float:
+    """Certified residual |integral of g over R - 1| for the beta family:
+    adaptive quadrature on [-K_star, K_star] plus the certified tail bound."""
+    val, err = _half_integral(spec, K_star)
+    residual = abs(2.0 * val - 1.0) + 2.0 * err + tail_mass(spec, K_star)
+    if err > 1e-9:
+        raise QuadratureError(
+            f"normalization quadrature did not converge (error estimate {err:.3e})",
+            achieved=residual,
+        )
+    return residual
+
+
 def check_normalization(spec: KernelSpec) -> float:
     """Certified residual |integral of g over R - 1|.
 
@@ -199,32 +220,11 @@ def check_normalization(spec: KernelSpec) -> float:
     """
     if spec.family == "cauchy":
         K_star = 1.0e4
-        val, err = scipy.integrate.quad(
-            lambda k: weight_g(spec, k).real, 0.0, K_star,
-            limit=800, epsabs=1e-15, epsrel=1e-13,
-        )
+        val, err = _half_integral(spec, K_star)
         # g > 0 here, so the closed-form tail mass is the tail integral itself
         total = 2.0 * val + tail_mass(spec, K_star)
         return abs(total - 1.0) + 2.0 * err
-    K_star = _normalization_window(spec.family, spec.beta)
-    # Im(g) is odd for both families, so the integral is the even real part.
-    val, err = scipy.integrate.quad(
-        lambda k: weight_g(spec, k).real,
-        0.0,
-        K_star,
-        limit=800,
-        epsabs=1e-15,
-        epsrel=1e-13,
-    )
-    total = 2.0 * val
-    tail = tail_mass(spec, K_star)
-    residual = abs(total - 1.0) + 2.0 * err + tail
-    if err > 1e-9:
-        raise QuadratureError(
-            f"normalization quadrature did not converge (error estimate {err:.3e})",
-            achieved=residual,
-        )
-    return residual
+    return _normalization_residual(spec, _normalization_window(spec.family, spec.beta))
 
 
 def make_kernel(family: str = DEFAULT_FAMILY, beta: float | None = None) -> KernelSpec:
@@ -240,17 +240,9 @@ def make_kernel(family: str = DEFAULT_FAMILY, beta: float | None = None) -> Kern
         return KernelSpec(family="cauchy", beta=None, normalization_correction=1.0)
     raw = KernelSpec(family=family, beta=beta, normalization_correction=1.0)
     K_star = _normalization_window(family, beta)
-    val, err = scipy.integrate.quad(
-        lambda k: weight_g(raw, k).real,
-        0.0,
-        K_star,
-        limit=800,
-        epsabs=1e-15,
-        epsrel=1e-13,
-    )
-    integral = 2.0 * val
-    spec = KernelSpec(family=family, beta=beta, normalization_correction=1.0 / integral)
-    residual = check_normalization(spec)
+    val, _ = _half_integral(raw, K_star)
+    spec = KernelSpec(family=family, beta=beta, normalization_correction=1.0 / (2.0 * val))
+    residual = _normalization_residual(spec, K_star)
     if residual > 1e-10:
         raise QuadratureError(
             f"kernel normalization residual {residual:.3e} exceeds 1e-10 "

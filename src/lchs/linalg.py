@@ -2,8 +2,7 @@
 
 Everything here operates on finite dense matrices: Cartesian splitting of a
 generator A = L + iH into Hermitian parts, certified spectral lower bounds,
-spectral shifting A -> A + cI, matrix exponentials, and single unitary steps
-exp(-i G dt) v for Hermitian G.
+spectral shifting A -> A + cI, and matrix exponentials.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ from .errors import DimensionError, HermiticityError, RangeError
 
 # Max-norm tolerance on ||M - M^dagger|| for inputs declared Hermitian.
 HERMITICITY_TOL = 1e-12
-
-# Below this dimension unitary steps use an eigendecomposition, which keeps
-# them unitary to roundoff; above it we fall back to expm.
-EIG_STEP_MAX_DIM = 512
 
 
 def as_square_matrix(A) -> np.ndarray:
@@ -67,14 +62,6 @@ class HermitianPair:
     def dim(self) -> int:
         return self.L.shape[0]
 
-    def matrix(self) -> np.ndarray:
-        """The (shifted) generator L + iH."""
-        return self.L + 1j * self.H
-
-    def original_matrix(self) -> np.ndarray:
-        """The generator before shifting: (L - shift*I) + iH."""
-        return self.L - self.shift * np.eye(self.dim) + 1j * self.H
-
 
 def hermitian_split(A) -> HermitianPair:
     """Split A into L = (A + A^dagger)/2 and H = (A - A^dagger)/(2i).
@@ -99,24 +86,28 @@ def min_hermitian_eigenvalue(L) -> float:
     return float(np.linalg.eigvalsh(L)[0])
 
 
+def shift_pair(pair: HermitianPair, c: float) -> HermitianPair:
+    """The pair with c*I added to L; the recorded shift grows by c and
+    lambda0 is recomputed from the shifted matrix, not assumed."""
+    L_new = pair.L + c * np.eye(pair.dim)
+    return HermitianPair(
+        L=L_new, H=pair.H, shift=pair.shift + c, lambda0=min_hermitian_eigenvalue(L_new)
+    )
+
+
 def spectral_shift(pair: HermitianPair, lambda0_target: float) -> tuple[HermitianPair, float]:
     """Shift L by c*I so its spectrum is bounded below by lambda0_target.
 
     c = max(0, lambda0_target - min_eig(L)); the caller recovers the original
-    solution via u(T) = exp(c*T) * u_shifted(T). The returned pair's lambda0
-    is recomputed from the shifted matrix, not assumed.
+    solution via u(T) = exp(c*T) * u_shifted(T).
     """
     if not lambda0_target > 0:
         raise RangeError(f"lambda0_target must be positive, got {lambda0_target}")
     lam = min_hermitian_eigenvalue(pair.L)
     c = max(0.0, lambda0_target - lam)
     if c == 0.0:
-        shifted = HermitianPair(L=pair.L, H=pair.H, shift=pair.shift, lambda0=lam)
-        return shifted, 0.0
-    L_new = pair.L + c * np.eye(pair.dim)
-    lam_new = min_hermitian_eigenvalue(L_new)
-    shifted = HermitianPair(L=L_new, H=pair.H, shift=pair.shift + c, lambda0=lam_new)
-    return shifted, c
+        return HermitianPair(L=pair.L, H=pair.H, shift=pair.shift, lambda0=lam), 0.0
+    return shift_pair(pair, c), c
 
 
 def matrix_exponential(M) -> np.ndarray:
@@ -133,44 +124,6 @@ def matrix_exponential(M) -> np.ndarray:
             f"matrix exponential overflowed (||M||_max = {np.max(np.abs(M)):.3e})"
         )
     return E
-
-
-def unitary_step(G, dt: float, v) -> np.ndarray:
-    """Apply exp(-i G dt) to v for Hermitian G.
-
-    Uses an eigendecomposition for dim <= EIG_STEP_MAX_DIM (norm-preserving to
-    roundoff), scaling-and-squaring beyond that.
-    """
-    if not np.isfinite(dt):
-        raise RangeError(f"dt must be finite, got {dt}")
-    G = _check_hermitian(G, "G")
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (G.shape[0],):
-        raise DimensionError(f"vector shape {v.shape} incompatible with dim {G.shape[0]}")
-    if dt == 0.0:
-        return v.copy()
-    if G.shape[0] <= EIG_STEP_MAX_DIM:
-        w, V = np.linalg.eigh(G)
-        return V @ (np.exp(-1j * w * dt) * (V.conj().T @ v))
-    return matrix_exponential(-1j * dt * G) @ v
-
-
-def spectral_norm_estimate(M, iters: int = 30, seed: int = 7) -> float:
-    """Power-iteration estimate of the spectral norm ||M||_2."""
-    M = as_square_matrix(M)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    Mh = M.conj().T
-    est = 0.0
-    for _ in range(iters):
-        w = Mh @ (M @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        est = np.sqrt(nw)
-    return float(est)
 
 
 @dataclass(frozen=True)
@@ -246,24 +199,3 @@ class TimeSchedule:
             idx = min(max(idx, 0), len(self.pairs) - 1)
             return self.pairs[idx]
         return self.rule(t)
-
-    def shifted(self, c: float) -> "TimeSchedule":
-        """Uniformly shift every pair's L by c*I, recertifying lambda0."""
-        if c == 0.0:
-            return self
-
-        def shift_pair(p: HermitianPair) -> HermitianPair:
-            L_new = p.L + c * np.eye(p.dim)
-            return HermitianPair(
-                L=L_new, H=p.H, shift=p.shift + c,
-                lambda0=min_hermitian_eigenvalue(L_new),
-            )
-
-        if self.kind == "constant":
-            return TimeSchedule.constant(shift_pair(self.pairs[0]), self.T)
-        if self.kind == "piecewise":
-            return TimeSchedule.piecewise(self.breakpoints, [shift_pair(p) for p in self.pairs])
-        base_rule = self.rule
-        return TimeSchedule.from_rule(
-            lambda t: shift_pair(base_rule(t)), self.T, n_check=len(self.sample_times)
-        )

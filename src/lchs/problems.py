@@ -28,6 +28,7 @@ from .linalg import (
     TimeSchedule,
     hermitian_split,
     min_hermitian_eigenvalue,
+    shift_pair,
 )
 
 DEFAULT_LAMBDA0 = 0.1
@@ -53,16 +54,7 @@ def _finalize(
     c = max(0.0, lambda0_target - lam_min)
     if c > 0.0:
         # one uniform shift across the whole schedule, recertified per pair
-        shifted = []
-        for p in pairs:
-            L_new = p.L + c * np.eye(p.dim)
-            shifted.append(
-                HermitianPair(
-                    L=L_new, H=p.H, shift=p.shift + c,
-                    lambda0=min_hermitian_eigenvalue(L_new),
-                )
-            )
-        pairs = shifted
+        pairs = [shift_pair(p, c) for p in pairs]
     if len(pairs) == 1:
         schedule = TimeSchedule.constant(pairs[0], math.inf)
     else:

@@ -145,9 +145,9 @@ class SamplingPlan:
         return SamplingPlan.from_dict(json.loads(s))
 
 
-def composite_plan(kernel: KernelSpec, K: float, M: int, Q: int) -> SamplingPlan:
-    """Composite Gauss-Legendre plan: [-K, K] split into 2M width-h = K/M
-    subintervals, a Q-node rule mapped onto each, coefficients w * g(k)."""
+def _composite_nodes(K: float, M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae (ascending) and weights of the composite Q-node
+    Gauss-Legendre rule on [-K, K] with 2M subintervals of width h = K/M."""
     if K <= 0:
         raise RangeError(f"K must be positive, got {K}")
     if M < 1:
@@ -157,6 +157,13 @@ def composite_plan(kernel: KernelSpec, K: float, M: int, Q: int) -> SamplingPlan
     left = h * np.arange(-M, M)  # subinterval left endpoints, ascending
     k = (left[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
     wts = np.broadcast_to(0.5 * h * w, (2 * M, Q)).ravel()
+    return k, wts
+
+
+def composite_plan(kernel: KernelSpec, K: float, M: int, Q: int) -> SamplingPlan:
+    """Composite Gauss-Legendre plan: [-K, K] split into 2M width-h = K/M
+    subintervals, a Q-node rule mapped onto each, coefficients w * g(k)."""
+    k, wts = _composite_nodes(K, M, Q)
     c = wts * np.asarray(weight_g(kernel, k), dtype=complex)
     plan = SamplingPlan(
         method="gaussian", k=k, c=c, K=float(K), kernel=kernel, meta={"M": M, "Q": Q}

@@ -102,6 +102,15 @@ class TestPropagateUnitary:
         with pytest.raises(RangeError):
             propagate_unitary(scalar_instance(), 1.0, 1.0, n_steps=0)
 
+    def test_negative_t_rejected(self):
+        # clipping a piecewise schedule to [0, T] would leave no span at all
+        p1, p2 = (hermitian_split(np.array([[v]], dtype=complex)) for v in (1.0, 2.0))
+        sched = TimeSchedule.piecewise([0.0, 0.5, 1.0], [p1, p2])
+        p = ProblemInstance(schedule=sched, dim=1, u0=np.array([1.0 + 0j]), lambda0=1.0)
+        for inst in (p, scalar_instance()):
+            with pytest.raises(RangeError):
+                propagate_unitary(inst, 1.0, -0.5)
+
 
 class TestLchsApply:
     def test_identity_at_t_zero(self, beta_kernel):
@@ -519,3 +528,107 @@ class TestStreamedReduction:
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 9 * 500)
         chunked = lchs_apply(p, plan, 1.0, n_steps=6)
         assert np.linalg.norm(whole - chunked) <= 1e-14 * np.linalg.norm(whole)
+
+
+def expm_product(spans, k=None):
+    """Reference propagation with scipy: the product of exp(-dt A) over the
+    (pair, dt) spans, A = L + iH, or A = i (k L + H) when k is given."""
+    import scipy.linalg
+
+    def gen(pair):
+        return pair.L + 1j * pair.H if k is None else 1j * (k * pair.L + pair.H)
+
+    out = np.eye(spans[0][0].dim, dtype=complex)
+    for pair, dt in spans:
+        out = scipy.linalg.expm(-dt * gen(pair)) @ out
+    return out
+
+
+def gated_pairs(seed, n, dim=4):
+    rng = np.random.default_rng(seed)
+    return [random_gated_instance(rng, dim).schedule.pairs[0] for _ in range(n)]
+
+
+class TestSpanPropagation:
+    """Piecewise schedules are propagated exactly, span by span."""
+
+    @staticmethod
+    def two_span_instance():
+        # one breakpoint at t = 0.3, away from any midpoint of a uniform grid
+        pairs = gated_pairs(41, 2)
+        sched = TimeSchedule.piecewise([0.0, 0.3, 1.0], pairs)
+        u0 = np.array([1.0, -0.5j, 0.25, 0.75 + 0.5j])
+        p = ProblemInstance(schedule=sched, dim=4, u0=u0, lambda0=sched.lambda0)
+        normL = max(float(np.max(np.linalg.eigvalsh(q.L))) for q in pairs)
+        return p, pairs, normL
+
+    def test_two_span_apply_matches_expm_product(self, beta_kernel):
+        p, (p1, p2), normL = self.two_span_instance()
+        eps = 1e-3
+        plan = plan_from_accuracy(beta_kernel, eps, 1.0, normL)
+        out = lchs_apply(p, plan, 1.0)
+        ref = expm_product([(p1, 0.3), (p2, 0.7)]) @ p.u0
+        assert np.linalg.norm(out - ref) <= eps * np.linalg.norm(p.u0)
+
+    def test_two_span_solve_meets_eps_in_two_spans(self, beta_kernel):
+        p, _, normL = self.two_span_instance()
+        eps = 1e-3
+        plan = plan_from_accuracy(beta_kernel, eps, 1.0, normL)
+        rep = solve(p, plan, 1.0)
+        assert rep.propagator_steps == 2
+        assert rep.abs_error <= eps * np.linalg.norm(p.u0)
+
+    def test_parabolic_time_slices_match_one_slice(self, beta_kernel):
+        # constant coefficients: both slices carry the same pair, so two exact
+        # spans must reproduce the single constant span to roundoff
+        T = 1.0 / 256.0
+        one = build_problem("parabolic1d", {"T": T})
+        two = build_problem("parabolic1d", {"T": T, "time_slices": 2})
+        assert two.schedule.kind == "piecewise"
+        plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
+        rep = solve(two, plan, T)
+        assert rep.propagator_steps == 2
+        u_one = lchs_apply(one, plan, T)
+        assert np.linalg.norm(rep.u_lchs - u_one) <= 1e-12 * np.linalg.norm(one.u0)
+
+    @pytest.mark.parametrize("T, spans", [
+        (0.35, ((0, 0.2), (1, 0.15))),                 # T inside the second span
+        (1.3, ((0, 0.2), (1, 0.3), (2, 0.8))),         # last pair extends past 0.9
+    ])
+    def test_clipping(self, T, spans):
+        pairs = gated_pairs(43, 3)
+        sched = TimeSchedule.piecewise([0.0, 0.2, 0.5, 0.9], pairs)
+        u0 = np.array([0.5, 1.0j, -0.25, 1.0])
+        p = ProblemInstance(schedule=sched, dim=4, u0=u0, lambda0=sched.lambda0)
+        ref_spans = [(pairs[i], dt) for i, dt in spans]
+        k = 2.7
+        U = propagate_unitary(p, k, T)
+        ref = expm_product(ref_spans, k) @ u0
+        assert np.linalg.norm(U - ref) <= 1e-12 * np.linalg.norm(u0)
+        ref = expm_product(ref_spans) @ u0
+        assert np.linalg.norm(oracle_solve(p, T) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_callback_equals_piecewise_of_midpoint_samples(self, beta_kernel):
+        base = random_hermitian(np.random.default_rng(7), 3, scale=1.0)
+
+        def rule(t):
+            return HermitianPair(
+                L=(1.0 + 0.5 * t) * np.eye(3, dtype=complex) + 0.1 * t * base,
+                H=np.cos(3.0 * t) * base, shift=0.0, lambda0=0.8,
+            )
+
+        n, T = 8, 1.0
+        u0 = np.array([1.0, 0.5j, -0.25])
+        callback = ProblemInstance(
+            schedule=TimeSchedule.from_rule(rule, T), dim=3, u0=u0, lambda0=0.8
+        )
+        bp = np.linspace(0.0, T, n + 1)
+        piecewise = ProblemInstance(
+            schedule=TimeSchedule.piecewise(bp, [rule(t) for t in 0.5 * (bp[:-1] + bp[1:])]),
+            dim=3, u0=u0, lambda0=0.8,
+        )
+        plan = plan_from_accuracy(beta_kernel, 1e-3, T, 1.6)
+        assert (
+            lchs_apply(callback, plan, T, n_steps=n).tobytes()
+            == lchs_apply(piecewise, plan, T).tobytes()
+        )

@@ -79,6 +79,19 @@ class TestNormalization:
         spec = make_kernel("beta", beta)
         assert check_normalization(spec) <= 1e-10
 
+    def test_one_window_per_make_kernel(self, monkeypatch):
+        # the window scan is the costly part of construction; it runs once and
+        # serves both the correction and the residual check of the result
+        import lchs.kernels as kernels
+
+        calls = []
+        window = kernels._normalization_window
+        monkeypatch.setattr(
+            kernels, "_normalization_window", lambda *a: calls.append(a) or window(*a)
+        )
+        make_kernel("beta", 0.75)
+        assert calls == [("beta", 0.75)]
+
     def test_independent_rule_cross_check(self, beta_kernel):
         # composite Gauss-Legendre (different node family from the adaptive
         # quadrature used at construction) must agree on the integral

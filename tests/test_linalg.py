@@ -4,15 +4,16 @@ import pytest
 from lchs import (
     DimensionError,
     HermiticityError,
+    ProblemInstance,
     RangeError,
     TimeSchedule,
     hermitian_split,
     matrix_exponential,
     min_hermitian_eigenvalue,
+    propagate_unitary,
     spectral_shift,
-    unitary_step,
 )
-from lchs.linalg import HermitianPair, spectral_norm_estimate
+from lchs.linalg import HermitianPair, shift_pair
 
 from conftest import random_hermitian, random_unitary
 
@@ -142,6 +143,13 @@ class TestSpectralShift:
         with pytest.raises(RangeError):
             spectral_shift(pair, 0.0)
 
+    def test_shift_pair_recertifies(self):
+        p = hermitian_split(np.diag([-1.0, 2.0]))
+        s = shift_pair(shift_pair(p, 1.0), 0.5)
+        assert s.lambda0 == pytest.approx(0.5, abs=1e-12)
+        assert s.shift == pytest.approx(1.5)
+        assert np.array_equal(s.H, p.H)
+
 
 class TestMatrixExponential:
     def test_zero(self):
@@ -179,6 +187,14 @@ class TestMatrixExponential:
             matrix_exponential(np.diag([1e5, 1e5]))
 
 
+def unitary_step(G, dt, v):
+    """exp(-i G dt) v through the package's one propagator: propagate_unitary
+    at k = 0 for the pair L = 0, H = G."""
+    G = np.asarray(G, dtype=complex)
+    pair = HermitianPair(L=np.zeros_like(G), H=G)
+    return propagate_unitary(ProblemInstance.from_pair(pair, v), 0.0, dt)
+
+
 class TestUnitaryStep:
     def test_dt_zero(self):
         v = np.array([1.0 + 2j, 3.0])
@@ -206,8 +222,7 @@ class TestUnitaryStep:
             assert abs(np.linalg.norm(out) - nv) <= 1e-10 * nv
 
     def test_large_dim_path(self):
-        # above the eigendecomposition cutoff the expm path must still be
-        # accurate and norm preserving
+        # a large dimension must still be accurate and norm preserving
         rng = np.random.default_rng(23)
         dim = 520
         d = rng.uniform(-2.0, 2.0, dim)
@@ -215,21 +230,6 @@ class TestUnitaryStep:
         out = unitary_step(np.diag(d), 0.7, v)
         ref = np.exp(-1j * d * 0.7) * v
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) <= 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(HermiticityError):
-            unitary_step(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, np.array([1.0, 0.0]))
-
-
-class TestSpectralNormEstimate:
-    def test_matches_exact(self):
-        # used only as a step-count heuristic; modest accuracy is enough
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        exact = np.linalg.norm(A, 2)
-        est = spectral_norm_estimate(A)
-        assert est == pytest.approx(exact, rel=1e-3)
-        assert est <= exact * (1 + 1e-12)
 
 
 class TestTimeSchedule:
@@ -248,12 +248,6 @@ class TestTimeSchedule:
             TimeSchedule.piecewise([0.0, 0.5, 0.5], [p, p])
         with pytest.raises(RangeError):
             TimeSchedule.piecewise([0.1, 0.5], [p])
-
-    def test_shifted_recertifies(self):
-        p = hermitian_split(np.diag([-1.0, 2.0]))
-        s = TimeSchedule.constant(p, 1.0).shifted(1.5)
-        assert s.pairs[0].lambda0 == pytest.approx(0.5, abs=1e-12)
-        assert s.pairs[0].shift == pytest.approx(1.5)
 
     def test_callback_sampled(self):
         def rule(t):
