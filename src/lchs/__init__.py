@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DimensionError,
-    DomainError,
     FitError,
     HermiticityError,
     LchsError,
@@ -37,7 +36,6 @@ from .kernels import (
     TruncationChoice,
     check_normalization,
     choose_truncation,
-    eval_kernel,
     make_kernel,
     tail_mass,
     weight_g,
@@ -77,12 +75,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BuildError", "ConfigError", "ConvergenceError", "DimensionError",
-    "DomainError", "FitError", "HermiticityError", "LchsError",
+    "FitError", "HermiticityError", "LchsError",
     "PreconditionError", "PropagationError", "QuadratureError", "RangeError",
     "HermitianPair", "TimeSchedule", "hermitian_split", "matrix_exponential",
     "min_hermitian_eigenvalue", "spectral_shift",
     "KernelSpec", "TruncationChoice", "check_normalization",
-    "choose_truncation", "eval_kernel", "make_kernel", "tail_mass", "weight_g",
+    "choose_truncation", "make_kernel", "tail_mass", "weight_g",
     "SamplingPlan", "composite_plan", "gauss_legendre", "mc_plan",
     "mc_size_from_accuracy", "plan_from_accuracy",
     "ProblemInstance", "SolveReport", "lchs_apply", "oracle_solve",

@@ -18,10 +18,6 @@ class RangeError(LchsError):
     """A parameter or result is outside the supported range."""
 
 
-class DomainError(LchsError):
-    """Evaluation requested outside the function's domain of validity."""
-
-
 class QuadratureError(LchsError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
@@ -33,10 +29,9 @@ class QuadratureError(LchsError):
 class PropagationError(LchsError):
     """A unitary propagation step failed."""
 
-    def __init__(self, message, t=None, term_index=None):
+    def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
-        self.term_index = term_index
 
 
 class ConvergenceError(LchsError):

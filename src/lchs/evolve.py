@@ -5,6 +5,12 @@ generated by k L(t) + H(t). A solve applies sum_j c_j U(k_j, T) u0 for the
 terms of a SamplingPlan, unwinds any spectral shift by exp(c T), and compares
 against the oracle solution of du/dt = -A(t) u.
 
+A ProblemInstance holds only a schedule and an initial vector. Its dim,
+shift and lambda0 are read from the schedule's pairs, so the shift that is
+unwound, and removed again for the oracle, is always the shift the pairs
+record, and the positivity gate lambda0 > 0 always tests the computed
+spectrum of the stored L.
+
 Every schedule is propagated as one list of (pair, duration) spans, each
 span exponentiated exactly:
 
@@ -77,22 +83,20 @@ STEP_DOUBLING_CAP = 16
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A concrete finite problem: schedule of (L, H) pairs, initial vector,
-    and the spectral-shift record needed to unwind the solution.
+    """A concrete finite problem: a schedule of (L, H) pairs and an initial
+    vector.
 
-    `shift` is the scalar already added to every L in the schedule and
-    `lambda0` the certified post-shift lower bound. The positivity gate
-    lambda0 > 0 is enforced where the unitary-combination identity is used
-    (lchs_apply, solve, residual_lemma_check), not at construction, so that
-    bare propagation remains available for any Hermitian pair.
+    dim, shift (the scalar already added to every L in the schedule) and
+    lambda0 (the certified post-shift lower bound) are read from the
+    schedule. The positivity gate lambda0 > 0 is enforced where the
+    unitary-combination identity is used (lchs_apply, solve,
+    residual_lemma_check), not at construction, so that bare propagation
+    remains available for any Hermitian pair.
     """
 
     schedule: TimeSchedule
-    dim: int
     u0: np.ndarray
     label: str = ""
-    shift: float = 0.0
-    lambda0: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -102,20 +106,22 @@ class ProblemInstance:
             raise DimensionError(f"u0 shape {u0.shape} != (dim,) = ({self.dim},)")
         if not np.linalg.norm(u0) > 0:
             raise RangeError("u0 must be nonzero")
-        if self.schedule.dim != self.dim:
-            raise DimensionError("schedule dimension != problem dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.schedule.dim
+
+    @property
+    def shift(self) -> float:
+        return self.schedule.shift
+
+    @property
+    def lambda0(self) -> float:
+        return self.schedule.lambda0
 
     @staticmethod
-    def from_pair(pair: HermitianPair, u0, T: float = 1.0, label: str = "") -> "ProblemInstance":
-        u0 = np.asarray(u0, dtype=complex)
-        return ProblemInstance(
-            schedule=TimeSchedule.constant(pair, T),
-            dim=pair.dim,
-            u0=u0,
-            label=label,
-            shift=pair.shift,
-            lambda0=pair.lambda0,
-        )
+    def from_pair(pair: HermitianPair, u0, label: str = "") -> "ProblemInstance":
+        return ProblemInstance(schedule=TimeSchedule.constant(pair), u0=u0, label=label)
 
     def require_gate(self) -> None:
         if not self.lambda0 > 0:
@@ -192,8 +198,9 @@ def _spans(schedule: TimeSchedule, T: float, n_slices: int) -> list:
 
     Constant: one span. Piecewise: its own spans clipped to [0, T], the last
     pair extending past the final breakpoint. Callback: n_slices equal
-    slices, each with the pair evaluated at its midpoint; a failing rule
-    raises PropagationError carrying the time.
+    slices, each with the pair evaluated at its midpoint; a failing rule, or
+    one whose pair records a shift other than the schedule's, raises
+    PropagationError carrying the time.
     """
     if not T >= 0.0:
         raise RangeError(f"T must be nonnegative, got {T}")
@@ -210,11 +217,17 @@ def _spans(schedule: TimeSchedule, T: float, n_slices: int) -> list:
     for j in range(n_slices):
         t_mid = (j + 0.5) * dt
         try:
-            spans.append((schedule.pair_at(t_mid), dt))
+            pair = schedule.pair_at(t_mid)
         except Exception as exc:
             raise PropagationError(
                 f"schedule evaluation failed at t = {t_mid}", t=t_mid
             ) from exc
+        if pair.shift != schedule.shift:
+            raise PropagationError(
+                f"rule returned shift {pair.shift} at t = {t_mid}, "
+                f"schedule records {schedule.shift}", t=t_mid,
+            )
+        spans.append((pair, dt))
     return spans
 
 
@@ -309,8 +322,8 @@ def lchs_apply(
     n_steps is the slice count of a callback schedule; constant and
     piecewise schedules are propagated exactly and ignore it. The terms are
     streamed in ascending plan order and reduced deterministically (see
-    _weighted_unitary_sum). If the instance records a shift c > 0 the result
-    is multiplied by exp(c T).
+    _weighted_unitary_sum). If the pairs record a shift c > 0 the result is
+    multiplied by exp(c T).
     """
     plan.validate()
     p.require_gate()
@@ -326,9 +339,9 @@ def lchs_apply(
     return out
 
 
-def _oracle_matrix(p: ProblemInstance, pair: HermitianPair) -> np.ndarray:
+def _oracle_matrix(pair: HermitianPair) -> np.ndarray:
     """Original (unshifted) generator (L - shift I) + i H of one pair."""
-    return pair.L - p.shift * np.eye(p.dim) + 1j * pair.H
+    return pair.L - pair.shift * np.eye(pair.dim) + 1j * pair.H
 
 
 def _oracle_stepping(p: ProblemInstance, T: float) -> np.ndarray:
@@ -336,7 +349,7 @@ def _oracle_stepping(p: ProblemInstance, T: float) -> np.ndarray:
     ORACLE_TOL, evaluating the schedule at every stage time."""
 
     def A_of(t):
-        return _oracle_matrix(p, p.schedule.pair_at(t))
+        return _oracle_matrix(p.schedule.pair_at(t))
 
     def run(n: int) -> np.ndarray:
         u = p.u0.copy()
@@ -377,7 +390,7 @@ def oracle_solve(p: ProblemInstance, T: float) -> np.ndarray:
         return _oracle_stepping(p, T)
     u = p.u0.copy()
     for pair, dt in _spans(p.schedule, T, 1):
-        u = matrix_exponential(-_oracle_matrix(p, pair) * dt) @ u
+        u = matrix_exponential(-_oracle_matrix(pair) * dt) @ u
     return u
 
 

@@ -262,8 +262,18 @@ def _parse_vi(spec) -> object:
     return lambda x: fn(x, 0.0)
 
 
-def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
-    """Instantiate a named problem from a JSON-style parameter block."""
+def build_problem(name: str, params: dict | None = None, T: float = 1.0) -> ProblemInstance:
+    """Instantiate a named problem from a JSON-style parameter block.
+
+    T is the horizon the run integrates to; time-sliced builders place their
+    breakpoints on [0, T]. The horizon is the config's top-level T only, so a
+    parameter block that sets its own T is rejected.
+    """
+    if "T" in (params or {}):
+        raise ConfigError(
+            "config invalid at /problem/params/T: the horizon is the top-level T only",
+            pointer="/problem/params/T",
+        )
     p = dict(DEFAULT_PARAMS[name]) if name in DEFAULT_PARAMS else {}
     p.update(params or {})
     if name == "parabolic1d":
@@ -275,7 +285,7 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
         )
         return build_parabolic_1d(
             pc,
-            T=float(p.get("T", 1.0)),
+            T=T,
             time_slices=int(p.get("time_slices", 1)),
             lambda0_target=float(p.get("lambda0_target", 0.1)),
         )
@@ -320,10 +330,6 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
     if name == "blackhole":
         return build_blackhole(_parse_matrix(p["H"]), float(p["gamma"]))
     raise BuildError(f"unknown problem {name!r}")
-
-
-def make_kernel_from_config(cfg: RunConfig) -> KernelSpec:
-    return make_kernel(cfg.kernel_family, cfg.kernel_beta)
 
 
 def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> SamplingPlan:
@@ -379,8 +385,8 @@ def run_solve(cfg: RunConfig) -> SolveReport:
     Writes report.json (deterministic), timing.json (wall clock), and
     optionally plan.csv with the (k, |c|) table.
     """
-    problem = build_problem(cfg.problem_name, cfg.problem_params)
-    kernel = make_kernel_from_config(cfg)
+    problem = build_problem(cfg.problem_name, cfg.problem_params, cfg.T)
+    kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     plan = make_plan(cfg, problem, kernel)
     report = solve(problem, plan, cfg.T)
     if cfg.output:
@@ -512,8 +518,8 @@ def run_convergence(
             f"axis {axis} needs explicit plan parameters in accuracy", "/accuracy"
         )
 
-    problem = build_problem(cfg.problem_name, cfg.problem_params)
-    kernel = make_kernel_from_config(cfg)
+    problem = build_problem(cfg.problem_name, cfg.problem_params, cfg.T)
+    kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     u_ref = oracle_solve(problem, cfg.T)
     ref_norm = np.linalg.norm(u_ref)
 

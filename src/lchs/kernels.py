@@ -20,7 +20,7 @@ import numpy as np
 import scipy.integrate
 from scipy.special import gammaincc, gamma
 
-from .errors import DomainError, QuadratureError, RangeError
+from .errors import QuadratureError, RangeError
 
 FAMILIES = ("cauchy", "beta")
 
@@ -62,18 +62,6 @@ class KernelSpec:
         if self.family == "beta":
             if self.beta is None or not (0.0 < self.beta < 1.0):
                 raise RangeError(f"beta must lie in (0, 1), got {self.beta}")
-
-
-def eval_kernel(spec: KernelSpec, z) -> complex:
-    """f(z), including the normalization correction.
-
-    Only defined on the closed lower half-plane Im(z) <= 0, the region where
-    the kernel is analytic/continuous.
-    """
-    z = complex(z)
-    if z.imag > 0:
-        raise DomainError(f"kernel not defined for Im(z) > 0 (got z = {z})")
-    return complex(spec.normalization_correction * _raw_kernel(spec.family, spec.beta, z))
 
 
 def kernel_f(spec: KernelSpec, k):

@@ -3,11 +3,17 @@
 Everything here operates on finite dense matrices: Cartesian splitting of a
 generator A = L + iH into Hermitian parts, certified spectral lower bounds,
 spectral shifting A -> A + cI, and matrix exponentials.
+
+A HermitianPair is the only place that stores its spectral certificate: it
+records the shift c already added to L and computes lambda0, the smallest
+eigenvalue of the stored L, when it is constructed. A TimeSchedule requires
+all its pairs to share one dimension and one shift, and derives dim, shift
+and lambda0 from them; nothing downstream copies these values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -16,6 +22,9 @@ from .errors import DimensionError, HermiticityError, RangeError
 
 # Max-norm tolerance on ||M - M^dagger|| for inputs declared Hermitian.
 HERMITICITY_TOL = 1e-12
+
+# number of evenly spaced times on [0, T] at which from_rule probes a rule
+RULE_PROBES = 9
 
 
 def as_square_matrix(A) -> np.ndarray:
@@ -48,15 +57,18 @@ class HermitianPair:
     """Cartesian decomposition A = L + iH with a recorded spectral shift.
 
     `shift` is the scalar c >= 0 already added to L (so L here represents
-    L_original + c*I), and `lambda0` is a certified lower bound on the
-    spectrum of the stored L, computed by an eigensolver rather than trusted
-    from the caller.
+    L_original + c*I). `lambda0`, the smallest eigenvalue of the stored L, is
+    not an argument: it is computed at construction, which also rejects a
+    non-Hermitian L with HermiticityError.
     """
 
     L: np.ndarray
     H: np.ndarray
     shift: float = 0.0
-    lambda0: float = 0.0
+    lambda0: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lambda0", min_hermitian_eigenvalue(self.L))
 
     @property
     def dim(self) -> int:
@@ -67,14 +79,13 @@ def hermitian_split(A) -> HermitianPair:
     """Split A into L = (A + A^dagger)/2 and H = (A - A^dagger)/(2i).
 
     Both parts are exactly Hermitian in floating point. The returned pair
-    carries shift = 0 and a freshly computed smallest eigenvalue of L.
+    carries shift = 0.
     """
     A = as_square_matrix(A)
     Ah = A.conj().T
     L = 0.5 * (A + Ah)
     H = 0.5j * (Ah - A)  # = (A - A^dagger) / (2i)
-    lam = min_hermitian_eigenvalue(L)
-    return HermitianPair(L=L, H=H, shift=0.0, lambda0=lam)
+    return HermitianPair(L=L, H=H)
 
 
 def min_hermitian_eigenvalue(L) -> float:
@@ -87,12 +98,9 @@ def min_hermitian_eigenvalue(L) -> float:
 
 
 def shift_pair(pair: HermitianPair, c: float) -> HermitianPair:
-    """The pair with c*I added to L; the recorded shift grows by c and
-    lambda0 is recomputed from the shifted matrix, not assumed."""
-    L_new = pair.L + c * np.eye(pair.dim)
-    return HermitianPair(
-        L=L_new, H=pair.H, shift=pair.shift + c, lambda0=min_hermitian_eigenvalue(L_new)
-    )
+    """The pair with c*I added to L; the recorded shift grows by c and the
+    new pair recertifies lambda0 from the shifted matrix."""
+    return HermitianPair(L=pair.L + c * np.eye(pair.dim), H=pair.H, shift=pair.shift + c)
 
 
 def spectral_shift(pair: HermitianPair, lambda0_target: float) -> tuple[HermitianPair, float]:
@@ -103,10 +111,9 @@ def spectral_shift(pair: HermitianPair, lambda0_target: float) -> tuple[Hermitia
     """
     if not lambda0_target > 0:
         raise RangeError(f"lambda0_target must be positive, got {lambda0_target}")
-    lam = min_hermitian_eigenvalue(pair.L)
-    c = max(0.0, lambda0_target - lam)
+    c = max(0.0, lambda0_target - pair.lambda0)
     if c == 0.0:
-        return HermitianPair(L=pair.L, H=pair.H, shift=pair.shift, lambda0=lam), 0.0
+        return pair, 0.0
     return shift_pair(pair, c), c
 
 
@@ -128,25 +135,23 @@ def matrix_exponential(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSchedule:
-    """Time dependence of the generator on [0, T].
+    """Time dependence of the generator.
 
     kind is one of "constant", "piecewise", "callback". Constant schedules
     carry a single HermitianPair; piecewise ones carry strictly ascending
-    breakpoints [0, ..., T] with one pair per interval; callback schedules
-    evaluate a rule t -> HermitianPair and are certified by sampling.
+    breakpoints starting at 0 with one pair per interval; callback schedules
+    evaluate a rule t -> HermitianPair and carry the pairs it returned at
+    RULE_PROBES probe times. All pairs share one dimension and one shift.
     """
 
     kind: str
-    T: float
     pairs: tuple = ()
     breakpoints: np.ndarray | None = None
     rule: object = None
-    # times at which callback schedules were validated/certified
-    sample_times: np.ndarray | None = None
 
     @staticmethod
-    def constant(pair: HermitianPair, T: float) -> "TimeSchedule":
-        return TimeSchedule(kind="constant", T=float(T), pairs=(pair,))
+    def constant(pair: HermitianPair) -> "TimeSchedule":
+        return TimeSchedule(kind="constant", pairs=(pair,))
 
     @staticmethod
     def piecewise(breakpoints, pairs) -> "TimeSchedule":
@@ -157,22 +162,16 @@ class TimeSchedule:
             raise RangeError("breakpoints must be strictly ascending")
         if bp[0] != 0.0:
             raise RangeError("first breakpoint must be 0")
-        dims = {p.dim for p in pairs}
-        if len(dims) != 1:
-            raise DimensionError("all pairs must share one dimension")
-        return TimeSchedule(kind="piecewise", T=float(bp[-1]), pairs=tuple(pairs), breakpoints=bp)
+        _check_uniform(pairs, "pairs")
+        return TimeSchedule(kind="piecewise", pairs=tuple(pairs), breakpoints=bp)
 
     @staticmethod
-    def from_rule(rule, T: float, n_check: int = 9) -> "TimeSchedule":
-        """Callback-sampled schedule; validates the rule at n_check times."""
-        ts = np.linspace(0.0, T, n_check)
-        probes = tuple(rule(t) for t in ts)
-        dims = {p.dim for p in probes}
-        if len(dims) != 1:
-            raise DimensionError("rule returns pairs of varying dimension")
-        return TimeSchedule(
-            kind="callback", T=float(T), pairs=probes, rule=rule, sample_times=ts
-        )
+    def from_rule(rule, T: float) -> "TimeSchedule":
+        """Callback-sampled schedule; probes the rule at RULE_PROBES evenly
+        spaced times on [0, T]."""
+        probes = tuple(rule(t) for t in np.linspace(0.0, T, RULE_PROBES))
+        _check_uniform(probes, "rule returns pairs")
+        return TimeSchedule(kind="callback", pairs=probes, rule=rule)
 
     @property
     def dim(self) -> int:
@@ -187,7 +186,7 @@ class TimeSchedule:
         """Certified lower bound on the spectrum of L(t) over the schedule.
 
         For callback schedules this is a sampled certificate (min over the
-        validation times), not a continuum guarantee.
+        probe times), not a continuum guarantee.
         """
         return min(p.lambda0 for p in self.pairs)
 
@@ -199,3 +198,11 @@ class TimeSchedule:
             idx = min(max(idx, 0), len(self.pairs) - 1)
             return self.pairs[idx]
         return self.rule(t)
+
+
+def _check_uniform(pairs, what: str) -> None:
+    """Raise unless the pairs share one dimension and one recorded shift."""
+    if len({p.dim for p in pairs}) != 1:
+        raise DimensionError(f"{what} of varying dimension")
+    if len({p.shift for p in pairs}) != 1:
+        raise RangeError(f"{what} with different shifts")

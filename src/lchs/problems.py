@@ -23,13 +23,7 @@ import numpy as np
 
 from .errors import BuildError, DimensionError, HermiticityError, RangeError
 from .evolve import ProblemInstance
-from .linalg import (
-    HermitianPair,
-    TimeSchedule,
-    hermitian_split,
-    min_hermitian_eigenvalue,
-    shift_pair,
-)
+from .linalg import HermitianPair, TimeSchedule, hermitian_split, shift_pair
 
 DEFAULT_LAMBDA0 = 0.1
 
@@ -50,27 +44,17 @@ def _finalize(
 ) -> ProblemInstance:
     """Shift a (possibly piecewise) family of pairs to the target bound and
     wrap everything as a ProblemInstance."""
-    lam_min = min(p.lambda0 for p in pairs)
-    c = max(0.0, lambda0_target - lam_min)
+    c = max(0.0, lambda0_target - min(p.lambda0 for p in pairs))
     if c > 0.0:
         # one uniform shift across the whole schedule, recertified per pair
         pairs = [shift_pair(p, c) for p in pairs]
     if len(pairs) == 1:
-        schedule = TimeSchedule.constant(pairs[0], math.inf)
+        schedule = TimeSchedule.constant(pairs[0])
     else:
         schedule = TimeSchedule.piecewise(breakpoints, pairs)
     meta = dict(meta)
     meta["normL"] = max(_hermitian_norm(p.L) for p in pairs)
-    meta["normH"] = max(_hermitian_norm(p.H) for p in pairs)
-    return ProblemInstance(
-        schedule=schedule,
-        dim=pairs[0].dim,
-        u0=u0,
-        label=label,
-        shift=c,
-        lambda0=min(p.lambda0 for p in pairs),
-        meta=meta,
-    )
+    return ProblemInstance(schedule=schedule, u0=u0, label=label, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +109,7 @@ def _parabolic_pair(pc: ParabolicCoefficients, t: float) -> HermitianPair:
         H[r, r + 1] = -1j * coupling
         H[r + 1, r] = 1j * coupling
 
-    return HermitianPair(L=L, H=H, shift=0.0, lambda0=min_hermitian_eigenvalue(L))
+    return HermitianPair(L=L, H=H)
 
 
 def build_parabolic_1d(
@@ -207,17 +191,11 @@ def _queue_instance(qp: QueueParams, label: str, lambda0_target: float, u0) -> P
     if u0 is None:
         u0 = np.zeros(qp.n_trunc, dtype=complex)
         u0[qp.n_trunc // 2] = 1.0
-    row_sums = Q.sum(axis=1)
-    inst = _finalize(
+    return _finalize(
         [pair], None, np.asarray(u0, dtype=complex),
         label=label, lambda0_target=lambda0_target,
-        meta={
-            "builder": label.split("(")[0],
-            "row_sums": row_sums,
-            "mass_leak_rate": float(np.abs(row_sums).sum()),
-        },
+        meta={"builder": label.split("(")[0]},
     )
-    return inst
 
 
 def build_mm1(
@@ -307,7 +285,7 @@ def build_cap_schrodinger(
     def pair_at(t: float) -> HermitianPair:
         vr = np.array([cp.V_R(x, t) for x in nodes], dtype=float)
         H = kin + np.diag(vr / cp.hbar)
-        return HermitianPair(L=L, H=H, shift=0.0, lambda0=float(np.min(-vi / cp.hbar)))
+        return HermitianPair(L=L, H=H)
 
     if u0 is None:
         pk = dict(packet or {})
@@ -424,19 +402,11 @@ def build_blackhole(H, gamma: float, u0=None) -> ProblemInstance:
     pair = hermitian_split(A)
     if u0 is None:
         u0 = np.ones(n, dtype=complex) / np.sqrt(n)
-    schedule = TimeSchedule.constant(pair, math.inf)
     return ProblemInstance(
-        schedule=schedule,
-        dim=n,
-        u0=np.asarray(u0, dtype=complex),
+        schedule=TimeSchedule.constant(pair),
+        u0=u0,
         label=f"blackhole(n={n},gamma={gamma:g})",
-        shift=0.0,
-        lambda0=pair.lambda0,
-        meta={
-            "builder": "blackhole",
-            "normL": float(gamma),
-            "normH": _hermitian_norm(pair.H),
-        },
+        meta={"builder": "blackhole", "normL": float(gamma)},
     )
 
 
@@ -481,25 +451,3 @@ def absorbing_layer(depth: float, x_lo: float, x_hi: float) -> object:
         return 0.0
 
     return v
-
-
-# canonical demonstration instances, one per builder
-def default_instances() -> dict:
-    heat = ParabolicCoefficients(
-        a=lambda x, t: 1.0, b=lambda x, t: 0.0, c=lambda x, t: 0.0, N_grid=17
-    )
-    cap = CapPotentials(
-        V_R=lambda x, t: 0.0,
-        V_I=absorbing_layer(5.0, 0.7, 0.9),
-        hbar=1.0,
-        N_grid=65,
-    )
-    rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # excited state
-    return {
-        "parabolic1d": build_parabolic_1d(heat),
-        "mm1": build_mm1(QueueParams(1.0, 2.0, 1, 16)),
-        "mmc": build_mmc(QueueParams(1.0, 1.0, 2, 16)),
-        "cap": build_cap_schrodinger(cap),
-        "lindblad": build_lindblad(amplitude_damping_spec(1.0), rho0=rho0),
-        "blackhole": build_blackhole(np.diag([1.0, -1.0]), 0.5),
-    }

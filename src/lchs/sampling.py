@@ -177,8 +177,7 @@ def quadrature_order(K: float, eps: float) -> int:
 
     Matches the 2^(-2Q) local error decay with the subinterval budget held a
     couple of powers of 4 below eps/K; the constant in that local bound is
-    taken as <= 10, which is conservative but not certified. Override via the
-    Q argument of plan_from_accuracy if a problem proves it too loose.
+    taken as <= 10, which is conservative but not certified.
     """
     return int(math.ceil(math.log2(K / eps) / 2.0)) + 2
 
@@ -188,7 +187,6 @@ def plan_from_accuracy(
     eps: float,
     T: float,
     normL: float,
-    Q: int | None = None,
 ) -> SamplingPlan:
     """Size and build a Gaussian plan for target accuracy eps.
 
@@ -209,8 +207,7 @@ def plan_from_accuracy(
     K = trunc.K
     h = min(K, 1.0 / (math.e * max(T * normL, 1.0)))
     M = int(math.ceil(K / h))
-    Q = quadrature_order(K, eps) if Q is None else Q
-    plan = composite_plan(kernel, K, M, Q)
+    plan = composite_plan(kernel, K, M, quadrature_order(K, eps))
     plan.meta.update(
         {"eps": eps, "T": T, "normL": normL, "tail_bound": float(trunc.epsilon_tail)}
     )

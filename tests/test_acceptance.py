@@ -24,13 +24,8 @@ from lchs import (
     solve,
     spectral_shift,
 )
-from lchs.harness import RunConfig, fit_scaling, run_convergence
-from lchs.problems import (
-    amplitude_damping_spec,
-    build_lindblad,
-    default_instances,
-    unvec_density,
-)
+from lchs.harness import DEFAULT_PARAMS, RunConfig, build_problem, fit_scaling, run_convergence
+from lchs.problems import amplitude_damping_spec, build_lindblad, unvec_density
 
 from conftest import random_unitary
 
@@ -52,7 +47,8 @@ def scalar_instance():
 def test_01_identity_reproduction(beta_kernel):
     """T = 0 must reproduce the initial vector for every builder default."""
     worst = 0.0
-    for name, inst in default_instances().items():
+    for name in DEFAULT_PARAMS:
+        inst = build_problem(name, {})
         plan = plan_from_accuracy(beta_kernel, 1e-4, 0.0, inst.meta["normL"])
         u = lchs_apply(inst, plan, 0.0)
         rel = np.linalg.norm(u - inst.u0) / np.linalg.norm(inst.u0)
@@ -69,8 +65,7 @@ def test_02_scalar_decay(beta_kernel):
 
 
 def test_03_blackhole_closed_form(beta_kernel):
-    insts = default_instances()
-    p = insts["blackhole"]
+    p = build_problem("blackhole", {})
     H = np.diag([1.0, -1.0])
     plan = plan_from_accuracy(beta_kernel, 1e-5, 1.0, p.meta["normL"])
     u = lchs_apply(p, plan, 1.0)

@@ -10,6 +10,7 @@ from lchs import (
     ConvergenceError,
     PreconditionError,
     ProblemInstance,
+    PropagationError,
     RangeError,
     TimeSchedule,
     hermitian_split,
@@ -24,7 +25,7 @@ from lchs import (
 )
 from lchs.evolve import _oracle_stepping
 from lchs.harness import build_problem
-from lchs.linalg import HermitianPair
+from lchs.linalg import HermitianPair, shift_pair
 
 from conftest import random_hermitian, random_unitary
 
@@ -50,7 +51,7 @@ class TestPropagateUnitary:
         rng = np.random.default_rng(0)
         L = random_hermitian(rng, 2, scale=3.0)
         H = np.diag([1.0, 2.0]).astype(complex)
-        pair = HermitianPair(L=L, H=H, lambda0=0.0)
+        pair = HermitianPair(L=L, H=H)
         u0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
         p = ProblemInstance.from_pair(pair, u0)
         out = propagate_unitary(p, 0.0, 1.0)
@@ -70,11 +71,10 @@ class TestPropagateUnitary:
                 L=np.zeros((1, 1), dtype=complex),
                 H=np.array([[t]], dtype=complex),
                 shift=0.0,
-                lambda0=0.0,
             )
 
         sched = TimeSchedule.from_rule(rule, 1.0)
-        p = ProblemInstance(schedule=sched, dim=1, u0=np.array([1.0 + 0j]))
+        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
         out = propagate_unitary(p, 0.0, 1.0, n_steps=2)
         assert out[0] == pytest.approx(np.exp(-0.5j), abs=1e-12)
 
@@ -106,7 +106,7 @@ class TestPropagateUnitary:
         # clipping a piecewise schedule to [0, T] would leave no span at all
         p1, p2 = (hermitian_split(np.array([[v]], dtype=complex)) for v in (1.0, 2.0))
         sched = TimeSchedule.piecewise([0.0, 0.5, 1.0], [p1, p2])
-        p = ProblemInstance(schedule=sched, dim=1, u0=np.array([1.0 + 0j]), lambda0=1.0)
+        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
         for inst in (p, scalar_instance()):
             with pytest.raises(RangeError):
                 propagate_unitary(inst, 1.0, -0.5)
@@ -139,7 +139,7 @@ class TestLchsApply:
         # [L, H] = 0: the result must match exp(-LT) exp(-iHT) u0
         L = np.diag([0.5, 1.5])
         H = np.diag([2.0, -1.0])
-        pair = HermitianPair(L=L.astype(complex), H=H.astype(complex), lambda0=0.5)
+        pair = HermitianPair(L=L.astype(complex), H=H.astype(complex))
         u0 = np.array([0.6, 0.8], dtype=complex)
         p = ProblemInstance.from_pair(pair, u0)
         plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, 1.5)
@@ -160,7 +160,7 @@ class TestLchsApply:
         p_direct = random_gated_instance(rng, 4, lam_lo=0.5, lam_hi=1.0)
         pair = p_direct.schedule.pairs[0]
         shifted, c = spectral_shift(
-            HermitianPair(L=pair.L - 0.0 * np.eye(4), H=pair.H, lambda0=pair.lambda0),
+            HermitianPair(L=pair.L - 0.0 * np.eye(4), H=pair.H),
             1.5,
         )
         assert c > 0
@@ -183,7 +183,7 @@ class TestOracle:
         rng = np.random.default_rng(1)
         H = random_hermitian(rng, 4, scale=2.0)
         pair = HermitianPair(
-            L=0.3 * np.eye(4, dtype=complex), H=H, shift=0.0, lambda0=0.3
+            L=0.3 * np.eye(4, dtype=complex), H=H, shift=0.0
         )
         u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         p = ProblemInstance.from_pair(pair, u0)
@@ -198,7 +198,6 @@ class TestOracle:
             L=np.array([[lam + c]], dtype=complex),
             H=np.zeros((1, 1), dtype=complex),
             shift=c,
-            lambda0=lam + c,
         )
         p = ProblemInstance.from_pair(pair, np.array([1.0 + 0j]))
         out = oracle_solve(p, 1.0)
@@ -218,7 +217,7 @@ class TestOracle:
         p2 = hermitian_split(np.array([[2.0 + 1j]], dtype=complex))
         sched = TimeSchedule.piecewise([0.0, 0.4, 1.0], [p1, p2])
         p = ProblemInstance(
-            schedule=sched, dim=1, u0=np.array([1.0 + 0j]), lambda0=1.0
+            schedule=sched, u0=np.array([1.0 + 0j])
         )
         out = oracle_solve(p, 1.0)
         expected = np.exp(-(2.0 + 1j) * 0.6) * np.exp(-0.4)
@@ -240,7 +239,7 @@ class TestOracle:
             return hermitian_split(np.array([[val]], dtype=complex))
 
         sched = TimeSchedule.from_rule(rule, 1.0)
-        p = ProblemInstance(schedule=sched, dim=1, u0=np.array([1.0 + 0j]), lambda0=1.0)
+        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
         monkeypatch.setattr(ev, "ORACLE_STEP_CAP", 64)
         with pytest.raises(ConvergenceError) as err:
             oracle_solve(p, 1.0)
@@ -255,7 +254,7 @@ class TestPropagationErrors:
             return hermitian_split(np.array([[1.0]], dtype=complex))
 
         sched = TimeSchedule.from_rule(rule, 0.4)
-        p = ProblemInstance(schedule=sched, dim=1, u0=np.array([1.0 + 0j]), lambda0=1.0)
+        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
         from lchs import PropagationError
 
         with pytest.raises(PropagationError) as err:
@@ -340,13 +339,13 @@ class TestSolve:
         def rule(t):
             H = np.cos(2.0 * t) * base
             return HermitianPair(
-                L=np.eye(3, dtype=complex), H=H.astype(complex), shift=0.0, lambda0=1.0
+                L=np.eye(3, dtype=complex), H=H.astype(complex), shift=0.0
             )
 
         sched = TimeSchedule.from_rule(rule, 1.0)
         u0 = np.array([1.0, 0.5j, -0.25], dtype=complex)
         u0 /= np.linalg.norm(u0)
-        p = ProblemInstance(schedule=sched, dim=3, u0=u0, lambda0=1.0)
+        p = ProblemInstance(schedule=sched, u0=u0)
         plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 1.0)
         rep = solve(p, plan, 1.0)
         assert rep.rel_error <= 1e-3
@@ -374,7 +373,7 @@ class TestSolve:
             return hermitian_split(np.array([[1.5 + 0.5 * np.sin(3.0 * t)]], dtype=complex))
 
         sched = TimeSchedule.from_rule(rule, 1.0)
-        p = ProblemInstance(schedule=sched, dim=1, u0=np.array([1.0 + 0j]), lambda0=1.0)
+        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
         plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 2.0)
         monkeypatch.setattr(ev, "STEP_DOUBLING_CAP", 1)
         with pytest.raises(ConvergenceError, match="step doubling") as err:
@@ -518,11 +517,11 @@ class TestStreamedReduction:
         def rule(t):
             return HermitianPair(
                 L=(1.0 + 0.5 * t) * np.eye(3, dtype=complex), H=np.cos(3.0 * t) * base,
-                shift=0.0, lambda0=1.0,
+                shift=0.0,
             )
 
         sched = TimeSchedule.from_rule(rule, 1.0)
-        p = ProblemInstance(schedule=sched, dim=3, u0=np.array([1.0, 0.5j, -0.25]), lambda0=1.0)
+        p = ProblemInstance(schedule=sched, u0=np.array([1.0, 0.5j, -0.25]))
         plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 1.5)
         whole = lchs_apply(p, plan, 1.0, n_steps=6)
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 9 * 500)
@@ -558,7 +557,7 @@ class TestSpanPropagation:
         pairs = gated_pairs(41, 2)
         sched = TimeSchedule.piecewise([0.0, 0.3, 1.0], pairs)
         u0 = np.array([1.0, -0.5j, 0.25, 0.75 + 0.5j])
-        p = ProblemInstance(schedule=sched, dim=4, u0=u0, lambda0=sched.lambda0)
+        p = ProblemInstance(schedule=sched, u0=u0)
         normL = max(float(np.max(np.linalg.eigvalsh(q.L))) for q in pairs)
         return p, pairs, normL
 
@@ -582,8 +581,8 @@ class TestSpanPropagation:
         # constant coefficients: both slices carry the same pair, so two exact
         # spans must reproduce the single constant span to roundoff
         T = 1.0 / 256.0
-        one = build_problem("parabolic1d", {"T": T})
-        two = build_problem("parabolic1d", {"T": T, "time_slices": 2})
+        one = build_problem("parabolic1d", {}, T)
+        two = build_problem("parabolic1d", {"time_slices": 2}, T)
         assert two.schedule.kind == "piecewise"
         plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
         rep = solve(two, plan, T)
@@ -599,7 +598,7 @@ class TestSpanPropagation:
         pairs = gated_pairs(43, 3)
         sched = TimeSchedule.piecewise([0.0, 0.2, 0.5, 0.9], pairs)
         u0 = np.array([0.5, 1.0j, -0.25, 1.0])
-        p = ProblemInstance(schedule=sched, dim=4, u0=u0, lambda0=sched.lambda0)
+        p = ProblemInstance(schedule=sched, u0=u0)
         ref_spans = [(pairs[i], dt) for i, dt in spans]
         k = 2.7
         U = propagate_unitary(p, k, T)
@@ -614,21 +613,77 @@ class TestSpanPropagation:
         def rule(t):
             return HermitianPair(
                 L=(1.0 + 0.5 * t) * np.eye(3, dtype=complex) + 0.1 * t * base,
-                H=np.cos(3.0 * t) * base, shift=0.0, lambda0=0.8,
+                H=np.cos(3.0 * t) * base, shift=0.0,
             )
 
         n, T = 8, 1.0
         u0 = np.array([1.0, 0.5j, -0.25])
         callback = ProblemInstance(
-            schedule=TimeSchedule.from_rule(rule, T), dim=3, u0=u0, lambda0=0.8
+            schedule=TimeSchedule.from_rule(rule, T), u0=u0
         )
         bp = np.linspace(0.0, T, n + 1)
         piecewise = ProblemInstance(
             schedule=TimeSchedule.piecewise(bp, [rule(t) for t in 0.5 * (bp[:-1] + bp[1:])]),
-            dim=3, u0=u0, lambda0=0.8,
+            u0=u0,
         )
         plan = plan_from_accuracy(beta_kernel, 1e-3, T, 1.6)
         assert (
             lchs_apply(callback, plan, T, n_steps=n).tobytes()
             == lchs_apply(piecewise, plan, T).tobytes()
         )
+
+
+class TestCertificateFromPairs:
+    """dim, shift and lambda0 of an instance are read from its pairs."""
+
+    def test_certificate_not_an_instance_argument(self):
+        pair = hermitian_split(np.array([[1.0]], dtype=complex))
+        for key, value in (("lambda0", 1.0), ("shift", 0.0), ("dim", 1)):
+            with pytest.raises(TypeError):
+                ProblemInstance(
+                    schedule=TimeSchedule.constant(pair), u0=np.array([1.0 + 0j]), **{key: value}
+                )
+
+    def test_negative_pair_fails_gate(self, beta_kernel):
+        pair = hermitian_split(np.array([[-0.5 + 0.3j]]))
+        p = ProblemInstance.from_pair(pair, np.array([1.0 + 0j]))
+        assert p.lambda0 == -0.5
+        plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 1.0)
+        with pytest.raises(PreconditionError):
+            lchs_apply(p, plan, 1.0)
+        with pytest.raises(PreconditionError):
+            solve(p, plan, 1.0)
+
+    def test_shift_read_from_pairs(self, beta_kernel):
+        # the instance is given no shift: unwinding and the oracle must both
+        # use the 1.0 that shift_pair recorded on the pair
+        import scipy.linalg
+
+        rng = np.random.default_rng(31)
+        base = random_gated_instance(rng, 4).schedule.pairs[0]
+        shifted = shift_pair(base, 1.0)
+        u0 = np.array([1.0, -0.5j, 0.25, 0.75 + 0.5j])
+        p = ProblemInstance(schedule=TimeSchedule.constant(shifted), u0=u0)
+        assert p.shift == 1.0
+        T, eps = 1.0, 1e-4
+        normL = float(np.max(np.linalg.eigvalsh(shifted.L)))
+        rep = solve(p, plan_from_accuracy(beta_kernel, eps, T, normL), T)
+        ref = scipy.linalg.expm(-(shifted.L - np.eye(4) + 1j * shifted.H) * T) @ u0
+        assert rep.shift_unwound
+        assert np.linalg.norm(rep.u_oracle - ref) <= 1e-12 * np.linalg.norm(u0)
+        assert np.linalg.norm(rep.u_lchs - ref) <= eps * np.linalg.norm(u0)
+
+    def test_rule_shift_change_raises(self):
+        # the probes on [0, 1] agree on shift 0; the slice sampled at t = 1.5
+        # records shift 1, which the unwinding could not honour
+        base = hermitian_split(np.diag([1.0, 2.0]))
+
+        def rule(t):
+            return base if t <= 1.0 else shift_pair(base, 1.0)
+
+        p = ProblemInstance(
+            schedule=TimeSchedule.from_rule(rule, 1.0), u0=np.array([1.0, 0.0j])
+        )
+        with pytest.raises(PropagationError, match="shift") as err:
+            propagate_unitary(p, 0.0, 2.0, n_steps=2)
+        assert err.value.t == 1.5

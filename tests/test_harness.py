@@ -93,6 +93,25 @@ class TestBuildProblem:
         )
         assert np.max(np.abs(inst.schedule.pairs[0].H)) > 0
 
+    def test_time_slices_span_the_horizon(self):
+        inst = build_problem("parabolic1d", {"time_slices": 2}, T=1.0 / 256.0)
+        assert np.array_equal(inst.schedule.breakpoints, [0.0, 1.0 / 512.0, 1.0 / 256.0])
+
+    def test_run_solve_slices_over_config_T(self):
+        cfg = RunConfig.from_dict(base_config(
+            problem={"name": "parabolic1d", "params": {"time_slices": 2}},
+            accuracy={"eps": 1e-3}, T=1.0 / 256.0,
+        ))
+        assert run_solve(cfg).propagator_steps == 2
+
+    def test_params_T_rejected(self, tmp_path, capsys):
+        cfg = base_config(problem={"name": "parabolic1d", "params": {"T": 0.5}})
+        with pytest.raises(ConfigError) as err:
+            run_solve(RunConfig.from_dict(cfg))
+        assert err.value.pointer == "/problem/params/T"
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "params/T" in capsys.readouterr().err
+
 
 class TestFitScaling:
     def test_exact_power_law(self):

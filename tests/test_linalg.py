@@ -104,11 +104,28 @@ class TestMinEigenvalue:
             min_hermitian_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestPairCertificate:
+    """A pair computes its own lambda0; the caller cannot set it."""
+
+    def test_lambda0_not_an_argument(self):
+        with pytest.raises(TypeError):
+            HermitianPair(L=np.eye(2), H=np.zeros((2, 2)), lambda0=1.0)
+
+    def test_lambda0_computed_at_construction(self):
+        pair = HermitianPair(L=np.diag([-0.5, 2.0]).astype(complex), H=np.zeros((2, 2)))
+        assert pair.lambda0 == -0.5
+
+    def test_non_hermitian_L_rejected(self):
+        with pytest.raises(HermiticityError):
+            HermitianPair(L=np.array([[1.0, 1.0], [0.0, 1.0]]), H=np.zeros((2, 2)))
+
+
 class TestSpectralShift:
     def test_already_positive(self):
         pair = hermitian_split(np.diag([1.0, 2.0]))
         shifted, c = spectral_shift(pair, 0.5)
         assert c == 0.0
+        assert shifted is pair
         assert shifted.lambda0 == pytest.approx(1.0)
 
     def test_negative_diag(self):
@@ -242,6 +259,19 @@ class TestTimeSchedule:
         assert s.pair_at(1.0).L[0, 0] == 2.0
         assert s.lambda0 == pytest.approx(1.0)
 
+    def test_pairs_must_share_shift(self):
+        p = hermitian_split(np.diag([1.0, 2.0]))
+        q = shift_pair(p, 1.0)
+        with pytest.raises(RangeError, match="shifts"):
+            TimeSchedule.piecewise([0.0, 0.5, 1.0], [p, q])
+        s = TimeSchedule.piecewise([0.0, 0.5, 1.0], [shift_pair(p, 1.0), q])
+        assert s.shift == 1.0
+
+    def test_rule_pairs_must_share_shift(self):
+        p = hermitian_split(np.diag([1.0, 2.0]))
+        with pytest.raises(RangeError, match="shifts"):
+            TimeSchedule.from_rule(lambda t: shift_pair(p, t), 1.0)
+
     def test_breakpoints_must_ascend(self):
         p = hermitian_split(np.diag([1.0]))
         with pytest.raises(RangeError):
@@ -255,9 +285,8 @@ class TestTimeSchedule:
                 L=np.array([[1.0 + t]], dtype=complex),
                 H=np.zeros((1, 1), dtype=complex),
                 shift=0.0,
-                lambda0=1.0 + t,
             )
 
-        s = TimeSchedule.from_rule(rule, 2.0, n_check=5)
+        s = TimeSchedule.from_rule(rule, 2.0)
         assert s.pair_at(0.5).L[0, 0] == pytest.approx(1.5)
         assert s.lambda0 == pytest.approx(1.0)

@@ -21,10 +21,10 @@ from lchs import (
     plan_from_accuracy,
     solve,
 )
+from lchs.harness import DEFAULT_PARAMS, build_problem
 from lchs.problems import (
     absorbing_layer,
     amplitude_damping_spec,
-    default_instances,
     gaussian_packet,
     lindblad_superoperator,
     preset_callable,
@@ -378,7 +378,8 @@ class TestHelpers:
         assert np.linalg.norm(psi) == pytest.approx(1.0)
 
     def test_default_instances_gated(self):
-        for name, inst in default_instances().items():
+        for name in DEFAULT_PARAMS:
+            inst = build_problem(name, {})
             assert inst.lambda0 > 0, name
             assert np.linalg.norm(inst.u0) > 0
             assert inst.meta["normL"] > 0

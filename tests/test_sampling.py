@@ -123,10 +123,6 @@ class TestPlanFromAccuracy:
         plan = plan_from_accuracy(beta_kernel, 1e-4, 0.01, 0.5)
         assert abs(np.sum(plan.c) - 1.0) <= 1e-4
 
-    def test_q_override(self, beta_kernel):
-        plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 1.0, Q=5)
-        assert plan.meta["Q"] == 5
-
     def test_quadrature_order_formula(self):
         assert quadrature_order(64.0, 1e-4) == int(np.ceil(np.log2(64.0 / 1e-4) / 2)) + 2
 
