@@ -25,15 +25,25 @@ Every weighted sum of unitaries (lchs_apply, residual_lemma_check, and
 propagate_unitary as a one-term sum) goes through one routine that streams
 the terms in chunks: a chunk is propagated and reduced into the running
 total before the next one starts, so memory stays O(chunk * dim) however
-large the plan. It takes one of two paths.
+large the plan. It takes one of three paths, chosen once per sum from the
+spans, in this order.
 
 * Shared eigenbasis. For a single span whose L and H commute, one
   eigendecomposition of a generic combination of L and H diagonalizes both,
   certified by the roundoff-level residual of V^dagger L V and V^dagger H V.
   The sum is then V (sum_j c_j exp(-i (k_j lam + mu) T) * V^dagger u0): one
   row of exponentials per term instead of one eigendecomposition.
-* Batched eigh. Otherwise each chunk of abscissae is propagated span by
-  span, by stacked eigendecompositions of k L + H.
+* Tridiagonal. When every span's L and H are zero outside the tridiagonal
+  band (nearest-neighbour operators: the PDE and queue builders), k L + H is
+  made real by a diagonal phase similarity and decomposed in real
+  arithmetic. With e_j = k L[j, j+1] + H[j, j+1], D = diag(d), d_0 = 1 and
+  d_{j+1} = d_j conj(e_j) / |e_j| (1 where e_j = 0), D^dagger (k L + H) D is
+  real symmetric tridiagonal with diagonal Re(k L_jj + H_jj) and
+  off-diagonal |e_j|. LAPACK dstevd gives its eigenpairs (W, V) term by
+  term, and the span acts as D V exp(-i dt W) V^T D^dagger. Only the band
+  of L and H is read; HermitianPair has checked both matrices are Hermitian.
+* Batched eigh. Any other schedule is propagated span by span, by stacked
+  complex eigendecompositions of k L + H.
 
 Within a chunk the terms are reduced by one pairwise numpy sum; the chunk
 partials are added in ascending plan order with compensated summation. The
@@ -47,6 +57,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     ConvergenceError,
@@ -231,17 +242,59 @@ def _spans(schedule: TimeSchedule, T: float, n_slices: int) -> list:
     return spans
 
 
-def _propagate_chunk(spans: list, ks: np.ndarray, u0: np.ndarray) -> np.ndarray:
+def _is_tridiagonal(spans: list) -> bool:
+    """True when every span's L and H vanish outside the tridiagonal band."""
+    return all(
+        not (np.any(np.triu(M, 2)) or np.any(np.tril(M, -2)))
+        for pair, _ in spans for M in (pair.L, pair.H)
+    )
+
+
+def _eigh_dense(pair: HermitianPair, ks: np.ndarray):
+    """Stacked eigendecompositions of k L + H for every k in ks: (W, V, None)."""
+    W, V = np.linalg.eigh(ks[:, None, None] * pair.L[None, :, :] + pair.H[None, :, :])
+    return W, V, None
+
+
+def _eigh_tridiagonal(pair: HermitianPair, ks: np.ndarray):
+    """(W, V, d) with k L + H = D V diag(W) V^T D^dagger, D = diag(d), for
+    every k in ks, with V real: the phase similarity D makes k L + H real
+    symmetric tridiagonal, and dstevd decomposes it term by term. Only the
+    band of L and H is read. Raises PropagationError if dstevd fails."""
+    n, dim = len(ks), pair.dim
+    diag = ks[:, None] * pair.L.diagonal().real + pair.H.diagonal().real
+    e = ks[:, None] * np.diagonal(pair.L, 1) + np.diagonal(pair.H, 1)
+    # dstevd takes max(dim - 1, 1) off-diagonal entries; for dim 1 the pad is unused
+    off = np.zeros((n, max(dim - 1, 1)))
+    off[:, : dim - 1] = np.abs(e)
+    phase = np.divide(e.conj(), off[:, : dim - 1], out=np.ones_like(e), where=e != 0)
+    d = np.concatenate([np.ones((n, 1), dtype=complex), np.cumprod(phase, axis=1)], axis=1)
+    W = np.empty((n, dim))
+    V = np.empty((n, dim, dim))
+    for i in range(n):
+        W[i], V[i], info = lapack.dstevd(diag[i], off[i])
+        if info != 0:
+            raise PropagationError(f"dstevd failed with info = {info} at k = {ks[i]}")
+    return W, V, d
+
+
+def _propagate_chunk(spans: list, ks: np.ndarray, u0: np.ndarray, eig) -> np.ndarray:
     """Product of exp(-i dt (k L + H)) over the spans, applied to u0 for every
-    k in ks, one batched eigendecomposition per span. Returns the propagated
-    vectors as the columns of a (dim, len(ks)) array."""
+    k in ks. eig(pair, ks) gives eigenvalues W, eigenvectors V and phases d
+    (None when there are none) with k L + H = D V diag(W) V^dagger D^dagger,
+    D = diag(d), per k. Returns the propagated vectors as the columns of a
+    (dim, len(ks)) array."""
     vecs = np.broadcast_to(u0, (len(ks), len(u0)))
     for pair, dt in spans:
-        w, V = np.linalg.eigh(ks[:, None, None] * pair.L[None, :, :] + pair.H[None, :, :])
+        W, V, d = eig(pair, ks)
+        if d is not None:
+            vecs = d.conj() * vecs
         # conj(V^T conj(v)) = V^dagger v without a conjugated copy of V
         amp = np.einsum("nji,nj->ni", V, vecs.conj()).conj()
-        amp *= np.exp(-1j * w * dt)
+        amp *= np.exp(-1j * W * dt)
         vecs = np.einsum("nij,nj->ni", V, amp)
+        if d is not None:
+            vecs = d * vecs
     return np.ascontiguousarray(vecs.T)
 
 
@@ -272,11 +325,13 @@ def _weighted_unitary_sum(
         def columns(kc):
             return np.exp(-1j * T * (lam[:, None] * kc[None, :] + mu[:, None]))
     else:
-        path, rows = "batched-eigh", dim
+        tridiagonal = _is_tridiagonal(spans)
+        path, rows = ("tridiagonal" if tridiagonal else "batched-eigh"), dim
+        eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
         steps = len(spans)
 
         def columns(kc):
-            return _propagate_chunk(spans, kc, u0)
+            return _propagate_chunk(spans, kc, u0, eig)
 
     chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
     total = np.zeros(rows, dtype=complex)

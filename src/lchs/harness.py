@@ -306,6 +306,8 @@ def build_problem(name: str, params: dict | None = None, T: float = 1.0) -> Prob
         )
         return build_cap_schrodinger(
             cp,
+            T=T,
+            time_slices=int(p.get("time_slices", 1)),
             lambda0_target=float(p.get("lambda0_target", 0.1)),
             packet=p.get("packet"),
         )

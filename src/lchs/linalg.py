@@ -58,8 +58,8 @@ class HermitianPair:
 
     `shift` is the scalar c >= 0 already added to L (so L here represents
     L_original + c*I). `lambda0`, the smallest eigenvalue of the stored L, is
-    not an argument: it is computed at construction, which also rejects a
-    non-Hermitian L with HermiticityError.
+    not an argument: it is computed at construction. Construction rejects a
+    non-Hermitian L or H with HermiticityError; both are stored as given.
     """
 
     L: np.ndarray
@@ -68,6 +68,7 @@ class HermitianPair:
     lambda0: float = field(init=False)
 
     def __post_init__(self):
+        _check_hermitian(self.H, "H")
         object.__setattr__(self, "lambda0", min_hermitian_eigenvalue(self.L))
 
     @property

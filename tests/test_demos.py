@@ -1,6 +1,6 @@
-"""Smoke test: the quick demos run to completion as scripts.
+"""Smoke test: the demos below run to completion as scripts.
 
-Demos 03 and 04 are left out; they take 10-20 s each.
+03 and 04 are the slowest, about 9 and 6 s on two cores.
 """
 
 import os
@@ -13,7 +13,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize(
-    "script", ["01_scalar_decay.py", "07_monte_carlo_sampling.py", "08_vanishing_residual.py"]
+    "script",
+    [
+        "01_scalar_decay.py",
+        "03_queue_transient.py",
+        "04_absorbing_wavepacket.py",
+        "07_monte_carlo_sampling.py",
+        "08_vanishing_residual.py",
+    ],
 )
 def test_demo_exits_zero(script):
     env = dict(os.environ)

@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -391,12 +392,15 @@ def commuting_instance(rng, lam, mu):
     return ProblemInstance.from_pair(pair, u0 / np.linalg.norm(u0))
 
 
-def paths_agree(p, plan, T, monkeypatch, tol):
-    """lchs_apply as chosen from the input vs with the shared-eigenbasis path
-    disabled, so that every term takes batched eigh."""
+def paths_agree(p, plan, T, monkeypatch, tol, test="_shared_eigenbasis"):
+    """lchs_apply as chosen from the input vs with one path test stubbed to
+    decline. Declining _shared_eigenbasis sends the sum to the next path that
+    applies (tridiagonal for banded pairs, else batched eigh); declining
+    _is_tridiagonal sends a banded non-commuting pair to batched eigh."""
+    decline = {"_shared_eigenbasis": None, "_is_tridiagonal": False}[test]
     fast = lchs_apply(p, plan, T)
     with monkeypatch.context() as m:
-        m.setattr(ev, "_shared_eigenbasis", lambda pair: None)
+        m.setattr(ev, test, lambda arg: decline)
         slow = lchs_apply(p, plan, T)
     assert np.linalg.norm(fast - slow) <= tol * np.linalg.norm(p.u0)
     return fast
@@ -446,7 +450,10 @@ class TestSharedEigenbasis:
     def test_one_debug_record_per_sum(self, beta_kernel, caplog, monkeypatch):
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 4000)
         caplog.set_level(logging.DEBUG, logger="lchs.evolve")
-        for name, path in (("blackhole", "shared-eigenbasis"), ("lindblad", "batched-eigh")):
+        for name, path in (
+            ("blackhole", "shared-eigenbasis"), ("lindblad", "batched-eigh"),
+            ("cap", "tridiagonal"), ("mm1", "tridiagonal"),
+        ):
             p = build_problem(name, {})
             plan = plan_from_accuracy(beta_kernel, 1e-3, 0.25, p.meta["normL"])
             caplog.clear()
@@ -456,6 +463,125 @@ class TestSharedEigenbasis:
                 f"weighted unitary sum: path={path} terms={plan.size} chunks={chunks} "
                 f"steps={0 if path == 'shared-eigenbasis' else 1}"
             ]
+
+
+def hermitian_band(diag, sup):
+    """Hermitian tridiagonal matrix with the given diagonal and superdiagonal."""
+    return np.diag(np.asarray(diag, dtype=complex)) + np.diag(sup, 1) + np.diag(np.conj(sup), -1)
+
+
+def random_band(rng, n, lo, hi):
+    """n complex numbers with moduli in [lo, hi] and uniform phases."""
+    return rng.uniform(lo, hi, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+def tridiagonal_instance(rng, dim, vanish=None):
+    """Non-commuting pair with complex Hermitian tridiagonal L and H. L's
+    diagonal in [1, 2] dominates its off-diagonal (moduli <= 0.4), so
+    lambda0 >= 0.2. vanish = (j, k) sets H[j, j+1] = -k L[j, j+1], so that
+    e_j = k L[j, j+1] + H[j, j+1] is exactly zero at that k."""
+    l_sup = random_band(rng, dim - 1, 0.1, 0.4)
+    h_sup = random_band(rng, dim - 1, 0.2, 1.0)
+    if vanish is not None:
+        j, k = vanish
+        h_sup[j] = -k * l_sup[j]
+    L = hermitian_band(rng.uniform(1.0, 2.0, dim), l_sup)
+    H = hermitian_band(rng.uniform(-1.0, 1.0, dim), h_sup)
+    u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return ProblemInstance.from_pair(HermitianPair(L=L, H=H), u0 / np.linalg.norm(u0))
+
+
+def logged_path(p, plan, T, caplog):
+    """The path named by the debug record of one lchs_apply."""
+    caplog.set_level(logging.DEBUG, logger="lchs.evolve")
+    caplog.clear()
+    lchs_apply(p, plan, T)
+    (record,) = caplog.records
+    return record.getMessage().split("path=")[1].split()[0]
+
+
+class TestTridiagonalPath:
+    """Banded pairs are decomposed in real arithmetic after a phase
+    similarity; the reference is batched eigh on the same plan."""
+
+    T = 0.25
+
+    @pytest.mark.parametrize("name", ["cap", "mm1", "mmc"])
+    def test_matches_batched_eigh_on_default_builders(self, name, beta_kernel, monkeypatch, caplog):
+        p = build_problem(name, {})
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
+        assert logged_path(p, plan, self.T, caplog) == "tridiagonal"
+        paths_agree(p, plan, self.T, monkeypatch, 1e-12, test="_is_tridiagonal")
+
+    def test_off_diagonal_vanishing_at_a_plan_node(self, beta_kernel, monkeypatch, caplog):
+        # at the plan node k*, e_2 is exactly zero and its phase falls back to 1
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, 2.8)
+        k_star = plan.k[plan.size // 3]
+        p = tridiagonal_instance(np.random.default_rng(11), 6, vanish=(2, k_star))
+        pair = p.schedule.pairs[0]
+        assert k_star * pair.L[2, 3] + pair.H[2, 3] == 0
+        assert logged_path(p, plan, self.T, caplog) == "tridiagonal"
+        out = paths_agree(p, plan, self.T, monkeypatch, 1e-12, test="_is_tridiagonal")
+        assert np.linalg.norm(out - oracle_solve(p, self.T)) <= 1e-4
+
+    def test_identically_zero_off_diagonal(self, beta_kernel, monkeypatch, caplog):
+        # L[j, j+1] = H[j, j+1] = 0: the band splits into two coupled blocks
+        p = tridiagonal_instance(np.random.default_rng(12), 6)
+        L, H = (M.copy() for M in (p.schedule.pairs[0].L, p.schedule.pairs[0].H))
+        for M in (L, H):
+            M[2, 3] = M[3, 2] = 0.0
+        p = ProblemInstance.from_pair(HermitianPair(L=L, H=H), p.u0)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, 2.8)
+        assert logged_path(p, plan, self.T, caplog) == "tridiagonal"
+        out = paths_agree(p, plan, self.T, monkeypatch, 1e-12, test="_is_tridiagonal")
+        assert np.linalg.norm(out - oracle_solve(p, self.T)) <= 1e-4
+
+    def test_dense_pairs_take_batched_eigh(self, beta_kernel, caplog):
+        dense = random_gated_instance(np.random.default_rng(13), 5)  # ||L|| <= 1.2
+        for p in (build_problem("lindblad", {}), dense):
+            plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta.get("normL", 1.2))
+            assert logged_path(p, plan, self.T, caplog) == "batched-eigh"
+
+    @staticmethod
+    def two_span_instance(pairs):
+        u0 = np.array([1.0, 0.5j, -0.25, 0.75])
+        return ProblemInstance(schedule=TimeSchedule.piecewise([0.0, 0.1, 1.0], pairs), u0=u0)
+
+    @staticmethod
+    def tridiagonal_pairs(*seeds):
+        return [tridiagonal_instance(np.random.default_rng(s), 4).schedule.pairs[0] for s in seeds]
+
+    def test_one_dense_span_sends_every_span_to_batched_eigh(self, beta_kernel, caplog):
+        tri1, tri2 = self.tridiagonal_pairs(14, 15)
+        dense = random_gated_instance(np.random.default_rng(16), 4).schedule.pairs[0]
+        plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, 2.8)
+        for pairs, path in (((tri1, tri2), "tridiagonal"), ((tri1, dense), "batched-eigh")):
+            assert logged_path(self.two_span_instance(pairs), plan, self.T, caplog) == path
+
+    def test_spans_match_expm_product(self):
+        pairs = self.tridiagonal_pairs(14, 15)
+        p = self.two_span_instance(pairs)
+        k = 2.7
+        ref = expm_product([(pairs[0], 0.1), (pairs[1], self.T - 0.1)], k) @ p.u0
+        assert np.linalg.norm(propagate_unitary(p, k, self.T) - ref) <= 1e-12 * np.linalg.norm(p.u0)
+
+    def test_repeated_calls_are_bit_stable(self, beta_kernel, monkeypatch):
+        monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 256 * 100)  # chunks of 100 terms
+        p = build_problem("mm1", {})
+        plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
+        first = lchs_apply(p, plan, self.T).tobytes()
+        for _ in range(3):
+            assert lchs_apply(p, plan, self.T).tobytes() == first
+
+    def test_dstevd_failure_raises(self, beta_kernel, monkeypatch):
+        def failing(d, e):
+            return d, np.eye(len(d)), 3
+
+        monkeypatch.setattr(ev, "lapack", types.SimpleNamespace(dstevd=failing))
+        p = build_problem("mm1", {})
+        plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
+        with pytest.raises(PropagationError, match="dstevd failed with info = 3"):
+            lchs_apply(p, plan, self.T)
 
 
 class TestStreamedReduction:
@@ -469,10 +595,8 @@ class TestStreamedReduction:
             return commuting_instance(np.random.default_rng(2), [0.5, 1.0, 1.5, 2.0], [1.0, -0.5, 0.25, 2.0])
         return build_problem("lindblad", {})
 
-    @pytest.mark.parametrize("commuting", [False, True])
-    def test_peak_memory_independent_of_plan_size(self, commuting, beta_kernel, monkeypatch):
+    def assert_peak_independent_of_plan_size(self, p, beta_kernel, monkeypatch):
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", self.BUDGET)
-        p = self.dim4_instance(commuting)
         plans = [mc_plan(beta_kernel, 44.25, ns, 1) for ns in (8_000, 32_000)]
         lchs_apply(p, plans[0], 0.25)  # warm-up
         peaks = []
@@ -484,6 +608,16 @@ class TestStreamedReduction:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_peak_memory_independent_of_plan_size(self, commuting, beta_kernel, monkeypatch):
+        p = self.dim4_instance(commuting)
+        self.assert_peak_independent_of_plan_size(p, beta_kernel, monkeypatch)
+
+    def test_peak_memory_independent_of_plan_size_tridiagonal(self, beta_kernel, monkeypatch):
+        p = tridiagonal_instance(np.random.default_rng(8), 4)
+        assert not ev._shared_eigenbasis(p.schedule.pairs[0])
+        self.assert_peak_independent_of_plan_size(p, beta_kernel, monkeypatch)
 
     @pytest.mark.parametrize("commuting", [False, True])
     def test_reduction_matches_fsum(self, commuting, beta_kernel, monkeypatch):
@@ -576,6 +710,18 @@ class TestSpanPropagation:
         rep = solve(p, plan, 1.0)
         assert rep.propagator_steps == 2
         assert rep.abs_error <= eps * np.linalg.norm(p.u0)
+
+    def test_cap_time_slices_match_one_slice(self, beta_kernel):
+        # cap with time_slices: one pair per slice, both tridiagonal, so the
+        # two exact spans go through the tridiagonal path
+        T = 0.5
+        one = build_problem("cap", {}, T)
+        two = build_problem("cap", {"time_slices": 2}, T)
+        assert two.schedule.kind == "piecewise"
+        assert len(ev._spans(two.schedule, T, 1)) == 2
+        plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
+        diff = lchs_apply(two, plan, T) - lchs_apply(one, plan, T)
+        assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(one.u0)
 
     def test_parabolic_time_slices_match_one_slice(self, beta_kernel):
         # constant coefficients: both slices carry the same pair, so two exact

@@ -119,6 +119,12 @@ class TestPairCertificate:
         with pytest.raises(HermiticityError):
             HermitianPair(L=np.array([[1.0, 1.0], [0.0, 1.0]]), H=np.zeros((2, 2)))
 
+    def test_non_hermitian_H_rejected(self):
+        # propagation reads one triangle of H, so a non-Hermitian H would be
+        # propagated silently wrong
+        with pytest.raises(HermiticityError):
+            HermitianPair(L=np.eye(2), H=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
 
 class TestSpectralShift:
     def test_already_positive(self):
