@@ -20,9 +20,10 @@ problem = ProblemInstance.from_pair(pair, np.array([1.0 + 0j]), label="scalar")
 print(f"generator split: L = {pair.L[0,0].real:g}, H = {pair.H[0,0].real:g}, "
       f"lambda0 = {pair.lambda0:g}")
 
+# The weight g(k) = f(k) / (1 - ik) integrates to 2 pi f(-i) = 1 exactly (residue
+# theorem), so building the kernel takes no quadrature.
 kernel = make_kernel("beta", 0.75)
-print(f"kernel: beta family, normalization correction "
-      f"{kernel.normalization_correction:.15f}")
+print(f"kernel: beta family, beta = {kernel.beta:g}, integral of g = 2 pi f(-i) = 1")
 
 T = 1.0
 exact = np.exp(-T)

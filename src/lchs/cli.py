@@ -71,7 +71,6 @@ def _cmd_validate_kernel(args) -> int:
     spec = make_kernel(args.family, args.beta)
     residual = check_normalization(spec)
     print(f"family={spec.family} beta={spec.beta}")
-    print(f"normalization correction = {spec.normalization_correction!r}")
     print(f"normalization residual   = {residual:.3e}  (must be <= 1e-10)")
     grid = np.logspace(0, 6, 13)
     decay_sup = float(np.max(grid * np.abs(kernel_f(spec, grid))))

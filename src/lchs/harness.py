@@ -242,6 +242,17 @@ DEFAULT_PARAMS = {
     "blackhole": {"H": {"diag": [1.0, -1.0]}, "gamma": 0.5},
 }
 
+# Every key each builder reads from a params block; build_problem rejects the
+# rest, so a misspelt parameter cannot silently fall back to its default.
+_PARAM_KEYS = {
+    "parabolic1d": {"a", "b", "c", "N_grid", "time_slices", "lambda0_target"},
+    "mm1": {"lambda_rate", "mu_rate", "n_trunc", "lambda0_target"},
+    "mmc": {"lambda_rate", "mu_rate", "servers", "n_trunc", "lambda0_target"},
+    "cap": {"V_R", "V_I", "hbar", "N_grid", "domain", "time_slices", "lambda0_target", "packet"},
+    "lindblad": {"preset", "gamma", "H", "jumps", "rho0", "lambda0_target"},
+    "blackhole": {"H", "gamma"},
+}
+
 
 def _parse_matrix(spec) -> np.ndarray:
     if isinstance(spec, dict) and "diag" in spec:
@@ -266,15 +277,20 @@ def build_problem(name: str, params: dict | None = None, T: float = 1.0) -> Prob
     """Instantiate a named problem from a JSON-style parameter block.
 
     T is the horizon the run integrates to; time-sliced builders place their
-    breakpoints on [0, T]. The horizon is the config's top-level T only, so a
-    parameter block that sets its own T is rejected.
+    breakpoints on [0, T]. A key the builder does not read raises ConfigError
+    with pointer /problem/params/<key>; so does T, since the horizon is the
+    config's top-level T only.
     """
-    if "T" in (params or {}):
+    if name not in DEFAULT_PARAMS:
+        raise BuildError(f"unknown problem {name!r}")
+    unknown = sorted(set(params or {}) - _PARAM_KEYS[name])
+    if unknown:
         raise ConfigError(
-            "config invalid at /problem/params/T: the horizon is the top-level T only",
-            pointer="/problem/params/T",
+            f"config invalid at /problem/params/{unknown[0]}: {name} has no parameter "
+            f"{unknown[0]!r} (it reads {', '.join(sorted(_PARAM_KEYS[name]))})",
+            pointer=f"/problem/params/{unknown[0]}",
         )
-    p = dict(DEFAULT_PARAMS[name]) if name in DEFAULT_PARAMS else {}
+    p = dict(DEFAULT_PARAMS[name])
     p.update(params or {})
     if name == "parabolic1d":
         pc = ParabolicCoefficients(
@@ -329,9 +345,8 @@ def build_problem(name: str, params: dict | None = None, T: float = 1.0) -> Prob
         else:
             rho = _parse_matrix(rho0)
         return build_lindblad(spec, rho0=rho, lambda0_target=float(p.get("lambda0_target", 0.1)))
-    if name == "blackhole":
-        return build_blackhole(_parse_matrix(p["H"]), float(p["gamma"]))
-    raise BuildError(f"unknown problem {name!r}")
+    # name == "blackhole"
+    return build_blackhole(_parse_matrix(p["H"]), float(p["gamma"]))
 
 
 def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> SamplingPlan:

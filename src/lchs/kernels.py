@@ -5,11 +5,16 @@ Two kernel families are provided:
   cauchy:      f(z) = 1 / (pi (1 + iz))
   beta (0<b<1): f(z) = exp(2^b - (1 + iz)^b) / (2 pi)
 
-Both are analytic in the lower half-plane, decay along the real axis, and are
-normalized so that the derived weight g(k) = f(k) / (1 - ik) integrates to 1
-over the real line. The nominal beta-family constant is treated as
-approximate: a numeric correction factor, computed at construction, pins the
-normalization to machine precision.
+Both are analytic in the closed lower half-plane (the cauchy pole and the beta
+branch point sit at z = i) and decay there, so the derived weight
+g(k) = f(k) / (1 - ik) is normalized exactly, with no numerical factor: closing
+the real line through the lower half-plane picks up only the pole of
+1 / (1 - ik) at k = -i, and the residue theorem gives
+
+  integral of g over R = 2 pi f(-i) = 1,
+
+because f(-i) = 1 / (2 pi) for both families (An, Liu & Lin, PRL 131, 150603,
+2023). check_normalization verifies the identity by quadrature.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ DEFAULT_FAMILY = "beta"
 DEFAULT_BETA = 0.75
 
 
-def _raw_kernel(family: str, beta: float | None, z):
-    """Kernel f(z) without the normalization correction.
+def _f(family: str, beta: float | None, z):
+    """Kernel f(z), vectorized.
 
     The beta family is evaluated as a single exp of a complex argument so that
     decay underflows to zero instead of overflowing an intermediate.
@@ -46,15 +51,15 @@ def _raw_kernel(family: str, beta: float | None, z):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A chosen kernel family plus its numeric normalization correction.
+    """A kernel family and, for the beta family, its exponent.
 
-    Use make_kernel() to construct; that computes normalization_correction so
-    that |integral of g - 1| <= 1e-10 holds (verified at construction).
+    The spec needs no normalization factor: for both families
+    integral of g = 2 pi f(-i) = 1 by the residue theorem (see the module
+    docstring), since f is analytic and decays in the lower half-plane.
     """
 
     family: str
     beta: float | None = None
-    normalization_correction: float = 1.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -65,9 +70,8 @@ class KernelSpec:
 
 
 def kernel_f(spec: KernelSpec, k):
-    """f(k) on the real axis, vectorized (correction included)."""
-    k = np.asarray(k, dtype=float)
-    out = spec.normalization_correction * _raw_kernel(spec.family, spec.beta, k)
+    """f(k) on the real axis, vectorized."""
+    out = _f(spec.family, spec.beta, np.asarray(k, dtype=float))
     return out if out.ndim else complex(out)
 
 
@@ -78,18 +82,14 @@ def weight_g(spec: KernelSpec, k):
     g(k) = 1 / (pi (1 + k^2)).
     """
     k = np.asarray(k, dtype=float)
-    f = spec.normalization_correction * _raw_kernel(spec.family, spec.beta, k)
-    out = f / (1.0 - 1j * k)
+    out = _f(spec.family, spec.beta, k) / (1.0 - 1j * k)
     return out if out.ndim else complex(out)
 
 
 def _abs_g(spec: KernelSpec, k):
     """|g(k)| for real k (vectorized)."""
     k = np.asarray(k, dtype=float)
-    f = np.abs(spec.normalization_correction) * np.abs(
-        _raw_kernel(spec.family, spec.beta, k)
-    )
-    return f / np.sqrt(1.0 + k * k)
+    return np.abs(_f(spec.family, spec.beta, k)) / np.sqrt(1.0 + k * k)
 
 
 def _beta_tail_remainder(spec: KernelSpec, K: float) -> float:
@@ -101,7 +101,7 @@ def _beta_tail_remainder(spec: KernelSpec, K: float) -> float:
     """
     b = spec.beta
     a = np.cos(b * np.pi / 2.0)
-    C = abs(spec.normalization_correction) * np.exp(2.0**b) / (2.0 * np.pi)
+    C = np.exp(2.0**b) / (2.0 * np.pi)
     s = 1.0 / b
     env_integral = s * a ** (-s) * gammaincc(s, a * K**b) * gamma(s)
     return 2.0 * C / np.sqrt(1.0 + K * K) * env_integral
@@ -116,9 +116,7 @@ def tail_mass(spec: KernelSpec, K: float) -> float:
     if K <= 0:
         raise RangeError(f"K must be positive, got {K}")
     if spec.family == "cauchy":
-        return abs(spec.normalization_correction) * (2.0 / np.pi) * (
-            np.pi / 2.0 - np.arctan(K)
-        )
+        return (2.0 / np.pi) * (np.pi / 2.0 - np.arctan(K))
     K_cut = max(4.0 * K, K + 200.0)
     main, _ = scipy.integrate.quad(
         lambda k: _abs_g(spec, k), K, K_cut, limit=400, epsabs=1e-16, epsrel=1e-12
@@ -138,58 +136,66 @@ def choose_truncation(spec: KernelSpec, eps_tail: float) -> TruncationChoice:
     """Smallest window half-width (to ~3 significant digits) with certified
     tail mass <= eps_tail.
 
-    Scans a geometric grid K = 2^j and refines by bisection. Raises RangeError
-    with a pointer to the beta family when K would exceed K_MAX.
+    Brackets the answer on the geometric grid K = 2^j (capped at K_MAX) and
+    refines by bisection. tail_mass is non-increasing in K, so the first
+    certified grid point is found by binary search over the grid. Raises
+    RangeError with a pointer to the beta family when K would exceed K_MAX.
     """
     if not (0.0 < eps_tail < 1.0):
         raise RangeError(f"eps_tail must lie in (0, 1), got {eps_tail}")
-    lo = None
-    hi = None
     grid = [2.0**j for j in range(-20, 21) if 2.0**j < K_MAX] + [K_MAX]
-    for K in grid:
-        if tail_mass(spec, K) <= eps_tail:
-            hi = K
-            break
-        lo = K
-    if hi is None:
+    # invariant: grid[i_lo] is uncertified (i_lo = -1: none below the grid)
+    # and grid[i_hi] is certified (i_hi = len(grid): none on the grid)
+    i_lo, i_hi = -1, len(grid)
+    hi_mass = None
+    while i_hi - i_lo > 1:
+        i_mid = (i_lo + i_hi) // 2
+        mass = tail_mass(spec, grid[i_mid])
+        if mass <= eps_tail:
+            i_hi, hi_mass = i_mid, mass
+        else:
+            i_lo = i_mid
+    if i_hi == len(grid):
         raise RangeError(
             f"truncation window exceeds {K_MAX:.0e} for eps_tail = {eps_tail:.3e}; "
             "consider the beta kernel family, whose tails decay faster"
         )
-    if lo is None:
-        # already certified at the smallest grid point
-        return TruncationChoice(K=hi, epsilon_tail=tail_mass(spec, hi))
-    while (hi - lo) / hi > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if tail_mass(spec, mid) <= eps_tail:
-            hi = mid
-        else:
-            lo = mid
-    return TruncationChoice(K=hi, epsilon_tail=tail_mass(spec, hi))
+    hi = grid[i_hi]
+    if i_lo >= 0:  # otherwise already certified at the smallest grid point
+        lo = grid[i_lo]
+        while (hi - lo) / hi > 1e-3:
+            mid = 0.5 * (lo + hi)
+            mass = tail_mass(spec, mid)
+            if mass <= eps_tail:
+                hi, hi_mass = mid, mass
+            else:
+                lo = mid
+    return TruncationChoice(K=hi, epsilon_tail=hi_mass)
 
 
-def _normalization_window(family: str, beta: float | None) -> float:
-    """Half-width over which the normalization integral is evaluated, chosen
-    so the neglected tail is ~1e-13 (capped at K_MAX)."""
-    probe = KernelSpec(family=family, beta=beta, normalization_correction=1.0)
-    try:
-        return choose_truncation(probe, 1e-13).K
-    except RangeError:
-        return K_MAX
+def check_normalization(spec: KernelSpec) -> float:
+    """Certified residual |integral of g over R - 1|, a numerical check of the
+    residue identity integral of g = 2 pi f(-i) = 1.
 
-
-def _half_integral(spec: KernelSpec, K: float) -> tuple[float, float]:
-    """Integral of Re g over [0, K] and its error estimate. Im(g) is odd for
-    both families, so twice the value is the integral over [-K, K]."""
-    return scipy.integrate.quad(
-        lambda k: weight_g(spec, k).real, 0.0, K, limit=800, epsabs=1e-15, epsrel=1e-13,
+    Adaptive quadrature of Re g on [0, K*] (Im g is odd for both families, so
+    twice the value is the integral over [-K*, K*]) plus the tail. For cauchy
+    the tail value is exact (arctangent), so only the quadrature error enters
+    the residual; for beta the certified tail bound is added, with K* sized
+    for ~1e-13 (capped at K_MAX).
+    """
+    if spec.family == "cauchy":
+        K_star = 1.0e4
+    else:
+        try:
+            K_star = choose_truncation(spec, 1e-13).K
+        except RangeError:
+            K_star = K_MAX
+    val, err = scipy.integrate.quad(
+        lambda k: weight_g(spec, k).real, 0.0, K_star, limit=800, epsabs=1e-15, epsrel=1e-13,
     )
-
-
-def _normalization_residual(spec: KernelSpec, K_star: float) -> float:
-    """Certified residual |integral of g over R - 1| for the beta family:
-    adaptive quadrature on [-K_star, K_star] plus the certified tail bound."""
-    val, err = _half_integral(spec, K_star)
+    if spec.family == "cauchy":
+        # g > 0 here, so the closed-form tail mass is the tail integral itself
+        return abs(2.0 * val + tail_mass(spec, K_star) - 1.0) + 2.0 * err
     residual = abs(2.0 * val - 1.0) + 2.0 * err + tail_mass(spec, K_star)
     if err > 1e-9:
         raise QuadratureError(
@@ -199,42 +205,9 @@ def _normalization_residual(spec: KernelSpec, K_star: float) -> float:
     return residual
 
 
-def check_normalization(spec: KernelSpec) -> float:
-    """Certified residual |integral of g over R - 1|.
-
-    Adaptive quadrature on [-K*, K*] plus the tail. For cauchy the tail value
-    is exact (arctangent), so only the quadrature error enters the residual;
-    for beta the certified tail bound is added, with K* sized for ~1e-13.
-    """
-    if spec.family == "cauchy":
-        K_star = 1.0e4
-        val, err = _half_integral(spec, K_star)
-        # g > 0 here, so the closed-form tail mass is the tail integral itself
-        total = 2.0 * val + tail_mass(spec, K_star)
-        return abs(total - 1.0) + 2.0 * err
-    return _normalization_residual(spec, _normalization_window(spec.family, spec.beta))
-
-
 def make_kernel(family: str = DEFAULT_FAMILY, beta: float | None = None) -> KernelSpec:
-    """Construct a KernelSpec with its normalization pinned numerically.
-
-    The cauchy family is exactly normalized (arctangent integral), so its
-    correction is 1. For the beta family the correction is 1/I where I is the
-    numerically evaluated weight integral.
-    """
+    """Construct a KernelSpec; beta defaults to DEFAULT_BETA for the beta
+    family. No quadrature runs: the weight integral is exactly 1."""
     if family == "beta" and beta is None:
         beta = DEFAULT_BETA
-    if family == "cauchy":
-        return KernelSpec(family="cauchy", beta=None, normalization_correction=1.0)
-    raw = KernelSpec(family=family, beta=beta, normalization_correction=1.0)
-    K_star = _normalization_window(family, beta)
-    val, _ = _half_integral(raw, K_star)
-    spec = KernelSpec(family=family, beta=beta, normalization_correction=1.0 / (2.0 * val))
-    residual = _normalization_residual(spec, K_star)
-    if residual > 1e-10:
-        raise QuadratureError(
-            f"kernel normalization residual {residual:.3e} exceeds 1e-10 "
-            f"for family={family} beta={beta}",
-            achieved=residual,
-        )
-    return spec
+    return KernelSpec(family=family, beta=beta if family == "beta" else None)

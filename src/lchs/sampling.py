@@ -99,7 +99,6 @@ class SamplingPlan:
         kernel = {"family": self.kernel.family}
         if self.kernel.family == "beta":
             kernel["beta"] = self.kernel.beta
-        kernel["normalization_correction"] = self.kernel.normalization_correction
         out = {
             "schema_version": 1,
             "method": self.method,
@@ -124,11 +123,16 @@ class SamplingPlan:
     @staticmethod
     def from_dict(d: dict) -> "SamplingPlan":
         kd = d["kernel"]
-        kernel = KernelSpec(
-            family=kd["family"],
-            beta=kd.get("beta"),
-            normalization_correction=kd.get("normalization_correction", 1.0),
-        )
+        # Older documents carry the numerical normalization factor once stored
+        # on KernelSpec; every value make_kernel wrote lies within 1e-10 of 1,
+        # and any other value describes a different kernel.
+        correction = kd.get("normalization_correction", 1.0)
+        if not abs(correction - 1.0) <= 1e-10:
+            raise RangeError(
+                f"plan kernel has normalization_correction {correction!r}; "
+                "lchs kernels integrate to exactly 1"
+            )
+        kernel = KernelSpec(family=kd["family"], beta=kd.get("beta"))
         terms = d["terms"]
         k = np.array([t["k"] for t in terms], dtype=float)
         c = np.array([t["c_re"] + 1j * t["c_im"] for t in terms], dtype=complex)

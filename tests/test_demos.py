@@ -1,6 +1,7 @@
-"""Smoke test: the demos below run to completion as scripts.
+"""Smoke test: every demo runs to completion as a script.
 
-03 and 04 are the slowest, about 9 and 6 s on two cores.
+03 and 04 are the slowest, about 9 and 6 s on two cores; the others take
+about 2 s each on one thread.
 """
 
 import os
@@ -16,8 +17,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "script",
     [
         "01_scalar_decay.py",
+        "02_heat_equation.py",
         "03_queue_transient.py",
         "04_absorbing_wavepacket.py",
+        "05_open_system_decay.py",
+        "06_damped_hamiltonian.py",
         "07_monte_carlo_sampling.py",
         "08_vanishing_residual.py",
     ],

@@ -112,6 +112,21 @@ class TestBuildProblem:
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert "params/T" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(DEFAULT_PARAMS))
+    def test_unknown_param_rejected(self, name):
+        with pytest.raises(ConfigError) as err:
+            build_problem(name, {**DEFAULT_PARAMS[name], "N_gird": 9})
+        assert err.value.pointer == "/problem/params/N_gird"
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_PARAMS))
+    def test_default_params_accepted(self, name):
+        assert build_problem(name, DEFAULT_PARAMS[name]).lambda0 > 0
+
+    def test_unknown_param_exit_code(self, tmp_path, capsys):
+        cfg = base_config(problem={"name": "mm1", "params": {"n_truc": 8}})
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "/problem/params/n_truc" in capsys.readouterr().err
+
 
 class TestFitScaling:
     def test_exact_power_law(self):

@@ -10,7 +10,7 @@ from lchs import (
     tail_mass,
     weight_g,
 )
-from lchs.kernels import kernel_f
+from lchs.kernels import K_MAX, kernel_f
 from lchs.sampling import composite_plan
 
 
@@ -24,9 +24,6 @@ class TestEvalKernel:
         # 1/(pi (1 + i)) = (1 - i) / (2 pi)
         val = kernel_f(cauchy_kernel, 1.0)
         assert val == pytest.approx((1.0 - 1j) / (2.0 * np.pi), rel=1e-14)
-
-    def test_cauchy_correction_is_exact_one(self, cauchy_kernel):
-        assert cauchy_kernel.normalization_correction == 1.0
 
     def test_beta_half_at_zero(self, beta_half_kernel):
         # closed form exp(sqrt(2)) / (2 pi e), checked against independent
@@ -69,19 +66,6 @@ class TestNormalization:
         spec = make_kernel("beta", beta)
         assert check_normalization(spec) <= 1e-10
 
-    def test_one_window_per_make_kernel(self, monkeypatch):
-        # the window scan is the costly part of construction; it runs once and
-        # serves both the correction and the residual check of the result
-        import lchs.kernels as kernels
-
-        calls = []
-        window = kernels._normalization_window
-        monkeypatch.setattr(
-            kernels, "_normalization_window", lambda *a: calls.append(a) or window(*a)
-        )
-        make_kernel("beta", 0.75)
-        assert calls == [("beta", 0.75)]
-
     def test_independent_rule_cross_check(self, beta_kernel):
         # composite Gauss-Legendre (different node family from the adaptive
         # quadrature used at construction) must agree on the integral
@@ -90,10 +74,30 @@ class TestNormalization:
         total = complex(np.sum(plan.c))
         assert abs(total - 1.0) <= 1e-8
 
-    def test_correction_is_multiplicative(self, beta_half_kernel):
-        raw = kernel_f(beta_half_kernel, 1.7) / beta_half_kernel.normalization_correction
-        from lchs.kernels import _raw_kernel
-        assert raw == pytest.approx(complex(_raw_kernel("beta", 0.5, 1.7)), rel=1e-14)
+
+class TestMakeKernel:
+    @pytest.mark.parametrize(
+        "family, beta",
+        [("cauchy", None), ("beta", 0.25), ("beta", 0.5), ("beta", 0.75), ("beta", 0.9)],
+    )
+    def test_no_quadrature(self, monkeypatch, family, beta):
+        # the weight integral is 2 pi f(-i) = 1 by the residue theorem, so
+        # construction never integrates
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_kernel called scipy.integrate.quad")
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        spec = make_kernel(family, beta)
+        assert (spec.family, spec.beta) == (family, beta)
+
+    def test_f_at_pole_of_weight(self):
+        # the residue identity rests on f(-i) = 1 / (2 pi) for both families
+        from lchs.kernels import _f
+
+        for family, beta in (("cauchy", None), ("beta", 0.3), ("beta", 0.75)):
+            assert complex(_f(family, beta, -1j)) == pytest.approx(
+                1.0 / (2.0 * np.pi), rel=1e-15
+            )
 
 
 class TestDecay:
@@ -147,6 +151,63 @@ class TestTruncation:
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(RangeError):
                 choose_truncation(beta_kernel, bad)
+
+
+def _linear_scan_truncation(spec, eps_tail):
+    """Reference: the grid bracket found by scanning K = 2^j upward, then the
+    same bisection as choose_truncation."""
+    lo = hi = None
+    grid = [2.0**j for j in range(-20, 21) if 2.0**j < K_MAX] + [K_MAX]
+    for K in grid:
+        if tail_mass(spec, K) <= eps_tail:
+            hi = K
+            break
+        lo = K
+    if hi is None:
+        raise RangeError("window exceeds K_MAX")
+    if lo is not None:
+        while (hi - lo) / hi > 1e-3:
+            mid = 0.5 * (lo + hi)
+            if tail_mass(spec, mid) <= eps_tail:
+                hi = mid
+            else:
+                lo = mid
+    return hi, tail_mass(spec, hi)
+
+
+class TestTruncationSearch:
+    """The bracketed search against the linear grid scan it replaced."""
+
+    @pytest.mark.parametrize("family, beta", [
+        ("cauchy", None), ("beta", 0.25), ("beta", 0.5), ("beta", 0.75), ("beta", 0.9),
+    ])
+    @pytest.mark.parametrize("eps_tail", [
+        0.5, 0.1, 1e-2, 1e-3, 1e-4 / 3, 1e-4, 1e-6, 1e-8, 1e-11, 1.0 - 1e-7,
+    ])
+    def test_matches_linear_scan(self, family, beta, eps_tail):
+        spec = make_kernel(family, beta)
+        try:
+            expected = _linear_scan_truncation(spec, eps_tail)
+        except RangeError:
+            with pytest.raises(RangeError, match="beta"):
+                choose_truncation(spec, eps_tail)
+            return
+        t = choose_truncation(spec, eps_tail)
+        assert (t.K, t.epsilon_tail) == expected
+
+    def test_smallest_grid_point(self, cauchy_kernel):
+        t = choose_truncation(cauchy_kernel, 1.0 - 1e-7)
+        assert t.K == 2.0**-20
+        assert t.epsilon_tail <= 1.0 - 1e-7
+
+    def test_tail_mass_call_count(self, monkeypatch, beta_kernel):
+        import lchs.kernels as kernels
+
+        calls = []
+        tail = kernels.tail_mass
+        monkeypatch.setattr(kernels, "tail_mass", lambda s, K: calls.append(K) or tail(s, K))
+        choose_truncation(beta_kernel, 1e-4 / 3)
+        assert len(calls) <= 16  # 37 with the linear grid scan
 
 
 class TestTailMass:

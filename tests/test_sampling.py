@@ -207,6 +207,25 @@ class TestSerialization:
         assert np.array_equal(back.k, plan.k)
         assert np.array_equal(back.c, plan.c)
         assert back.to_json() == plan.to_json()
+        assert back.kernel == plan.kernel
+        assert "normalization_correction" not in plan.to_dict()["kernel"]
+
+    @pytest.mark.parametrize("correction", [1.0, 1.0 - 3.2e-14, 1.0 + 1.6e-14, 1.0 - 9e-11])
+    def test_old_correction_dropped(self, beta_kernel, correction):
+        # documents written while KernelSpec stored a numerical factor
+        plan = composite_plan(beta_kernel, 4.0, 6, 5)
+        d = plan.to_dict()
+        d["kernel"]["normalization_correction"] = correction
+        back = SamplingPlan.from_dict(d)
+        assert back.kernel == beta_kernel
+        assert back.to_json() == plan.to_json()
+
+    @pytest.mark.parametrize("correction", [1.0 + 2e-10, 0.5, float("nan")])
+    def test_other_correction_rejected(self, beta_kernel, correction):
+        d = composite_plan(beta_kernel, 4.0, 6, 5).to_dict()
+        d["kernel"]["normalization_correction"] = correction
+        with pytest.raises(RangeError, match="normalization_correction"):
+            SamplingPlan.from_dict(d)
 
     def test_mc_round_trip(self, beta_kernel):
         plan = mc_plan(beta_kernel, 2.0, 32, 5)
