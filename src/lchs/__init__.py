@@ -13,7 +13,6 @@ direct-integration oracle.
 from .errors import (
     BuildError,
     ConfigError,
-    ConvergenceError,
     DimensionError,
     FitError,
     HermiticityError,
@@ -53,7 +52,6 @@ from .evolve import (
     SolveReport,
     lchs_apply,
     oracle_solve,
-    propagate_unitary,
     residual_lemma_check,
     solve,
 )
@@ -74,7 +72,7 @@ from .harness import RunConfig, SweepResult, fit_scaling, run_convergence, run_s
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuildError", "ConfigError", "ConvergenceError", "DimensionError",
+    "BuildError", "ConfigError", "DimensionError",
     "FitError", "HermiticityError", "LchsError",
     "PreconditionError", "PropagationError", "QuadratureError", "RangeError",
     "HermitianPair", "TimeSchedule", "hermitian_split", "matrix_exponential",
@@ -84,7 +82,7 @@ __all__ = [
     "SamplingPlan", "composite_plan", "gauss_legendre", "mc_plan",
     "mc_size_from_accuracy", "plan_from_accuracy",
     "ProblemInstance", "SolveReport", "lchs_apply", "oracle_solve",
-    "propagate_unitary", "residual_lemma_check", "solve",
+    "residual_lemma_check", "solve",
     "CapPotentials", "LindbladSpec", "ParabolicCoefficients", "QueueParams",
     "build_blackhole", "build_cap_schrodinger", "build_lindblad",
     "build_mm1", "build_mmc", "build_parabolic_1d",

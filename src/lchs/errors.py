@@ -29,18 +29,6 @@ class QuadratureError(LchsError):
 class PropagationError(LchsError):
     """A unitary propagation step failed."""
 
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
-
-class ConvergenceError(LchsError):
-    """Iterative refinement hit its step cap before converging."""
-
-    def __init__(self, message, last_delta=None):
-        super().__init__(message)
-        self.last_delta = last_delta
-
 
 class BuildError(LchsError):
     """A problem builder received inconsistent physical parameters."""

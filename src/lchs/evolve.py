@@ -11,21 +11,15 @@ unwound, and removed again for the oracle, is always the shift the pairs
 record, and the positivity gate lambda0 > 0 always tests the computed
 spectrum of the stored L.
 
-Every schedule is propagated as one list of (pair, duration) spans, each
-span exponentiated exactly:
+Every schedule is piecewise constant and is propagated as one list of
+(pair, duration) spans, each span exponentiated exactly: its own spans
+clipped to [0, T], the last pair extending past the final breakpoint, so the
+result is exact for any T. A constant schedule is the single span (pair, T).
 
-* constant: one span (pair, T);
-* piecewise: its own spans clipped to [0, T], the last pair extending past
-  the final breakpoint, so the result is exact for any T;
-* callback: n_steps equal slices, each with the pair sampled at its
-  midpoint (the midpoint rule). The slice count is the only discretization
-  left, and solve refines it by doubling.
-
-Every weighted sum of unitaries (lchs_apply, residual_lemma_check, and
-propagate_unitary as a one-term sum) goes through one routine that streams
-the terms in chunks: a chunk is propagated and reduced into the running
-total before the next one starts, so memory stays O(chunk * dim) however
-large the plan. It takes one of three paths, chosen once per sum from the
+Every weighted sum of unitaries (lchs_apply and residual_lemma_check) goes
+through one routine that streams the terms in chunks: a chunk is propagated
+and reduced into the running total before the next one starts, so memory
+stays O(chunk * dim) however large the plan. It takes one of three paths, chosen once per sum from the
 spans, in this order.
 
 * Shared eigenbasis. For a single span whose L and H commute, one
@@ -59,13 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    PreconditionError,
-    PropagationError,
-    RangeError,
-)
+from .errors import DimensionError, PreconditionError, PropagationError, RangeError
 from .kernels import KernelSpec, kernel_f
 from .linalg import HermitianPair, TimeSchedule, matrix_exponential
 from .sampling import SamplingPlan, _composite_nodes
@@ -85,12 +73,6 @@ _MIX = 0.6180339887498949
 # below this many units of dim * machine eps, relative to their norms
 _SHARED_BASIS_ULPS = 64
 
-ORACLE_TOL = 1e-10
-ORACLE_STEP_CAP = 1 << 20
-
-# solve doubles the slice count of a callback schedule at most this many times
-STEP_DOUBLING_CAP = 16
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -101,7 +83,7 @@ class ProblemInstance:
     lambda0 (the certified post-shift lower bound) are read from the
     schedule. The positivity gate lambda0 > 0 is enforced where the
     unitary-combination identity is used (lchs_apply, solve,
-    residual_lemma_check), not at construction, so that bare propagation
+    residual_lemma_check), not at construction, so that oracle_solve
     remains available for any Hermitian pair.
     """
 
@@ -203,43 +185,19 @@ def _shared_eigenbasis(pair: HermitianPair):
     return V, diagonals[0], diagonals[1]
 
 
-def _spans(schedule: TimeSchedule, T: float, n_slices: int) -> list:
+def _spans(schedule: TimeSchedule, T: float) -> list:
     """The schedule on [0, T] as (pair, duration) spans, each propagated
-    exactly; empty for T = 0.
-
-    Constant: one span. Piecewise: its own spans clipped to [0, T], the last
-    pair extending past the final breakpoint. Callback: n_slices equal
-    slices, each with the pair evaluated at its midpoint; a failing rule, or
-    one whose pair records a shift other than the schedule's, raises
-    PropagationError carrying the time.
+    exactly; empty for T = 0. These are its own spans clipped to [0, T], the
+    last pair extending past the final breakpoint, so a constant schedule
+    gives the single span (pair, T).
     """
     if not T >= 0.0:
         raise RangeError(f"T must be nonnegative, got {T}")
     if T == 0.0:
         return []
-    if schedule.kind == "constant":
-        return [(schedule.pairs[0], T)]
-    if schedule.kind == "piecewise":
-        ends = np.minimum(np.append(schedule.breakpoints[1:-1], np.inf), T)
-        starts = np.minimum(schedule.breakpoints[:-1], T)
-        return [(pair, float(b - a)) for pair, a, b in zip(schedule.pairs, starts, ends) if b > a]
-    dt = T / n_slices
-    spans = []
-    for j in range(n_slices):
-        t_mid = (j + 0.5) * dt
-        try:
-            pair = schedule.pair_at(t_mid)
-        except Exception as exc:
-            raise PropagationError(
-                f"schedule evaluation failed at t = {t_mid}", t=t_mid
-            ) from exc
-        if pair.shift != schedule.shift:
-            raise PropagationError(
-                f"rule returned shift {pair.shift} at t = {t_mid}, "
-                f"schedule records {schedule.shift}", t=t_mid,
-            )
-        spans.append((pair, dt))
-    return spans
+    ends = np.minimum(np.append(schedule.breakpoints[1:-1], np.inf), T)
+    starts = np.minimum(schedule.breakpoints[:-1], T)
+    return [(pair, float(b - a)) for pair, a, b in zip(schedule.pairs, starts, ends) if b > a]
 
 
 def _is_tridiagonal(spans: list) -> bool:
@@ -354,35 +312,17 @@ def _weighted_unitary_sum(
     return total
 
 
-def propagate_unitary(p: ProblemInstance, k: float, T: float, n_steps: int = 1) -> np.ndarray:
-    """U(k, T) u0: the time-ordered unitary for generator k L(t) + H(t).
-
-    Exact for constant and piecewise schedules; a callback schedule is
-    sampled on n_steps midpoint slices.
-    """
-    if n_steps < 1:
-        raise RangeError(f"n_steps must be >= 1, got {n_steps}")
-    if not np.isfinite(k):
-        raise RangeError(f"k must be finite, got {k}")
-    return _weighted_unitary_sum(
-        _spans(p.schedule, T, n_steps), np.array([float(k)]), np.ones(1), p.u0
-    )
-
-
-def lchs_apply(
-    p: ProblemInstance, plan: SamplingPlan, T: float, n_steps: int = 1
-) -> np.ndarray:
+def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:
     """Evaluate sum_j c_j U(k_j, T) u0 and unwind the spectral shift.
 
-    n_steps is the slice count of a callback schedule; constant and
-    piecewise schedules are propagated exactly and ignore it. The terms are
-    streamed in ascending plan order and reduced deterministically (see
+    The schedule is propagated exactly, span by span. The terms are streamed
+    in ascending plan order and reduced deterministically (see
     _weighted_unitary_sum). If the pairs record a shift c > 0 the result is
     multiplied by exp(c T).
     """
     plan.validate()
     p.require_gate()
-    spans = _spans(p.schedule, T, n_steps)
+    spans = _spans(p.schedule, T)
     try:
         out = _weighted_unitary_sum(spans, plan.k, plan.c, p.u0)
     except PropagationError:
@@ -399,52 +339,13 @@ def _oracle_matrix(pair: HermitianPair) -> np.ndarray:
     return pair.L - pair.shift * np.eye(pair.dim) + 1j * pair.H
 
 
-def _oracle_stepping(p: ProblemInstance, T: float) -> np.ndarray:
-    """Classical fourth-order stepping on [0, T] with step doubling to
-    ORACLE_TOL, evaluating the schedule at every stage time."""
-
-    def A_of(t):
-        return _oracle_matrix(p.schedule.pair_at(t))
-
-    def run(n: int) -> np.ndarray:
-        u = p.u0.copy()
-        dt = T / n
-        for j in range(n):
-            t = j * dt
-            A1, A2, A4 = A_of(t), A_of(t + 0.5 * dt), A_of(t + dt)
-            k1 = -(A1 @ u)
-            k2 = -(A2 @ (u + 0.5 * dt * k1))
-            k3 = -(A2 @ (u + 0.5 * dt * k2))
-            k4 = -(A4 @ (u + dt * k3))
-            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return u
-
-    n = 8
-    prev = run(n)
-    while True:
-        n *= 2
-        cur = run(n)
-        delta = np.linalg.norm(cur - prev) / max(np.linalg.norm(cur), 1e-300)
-        if delta <= ORACLE_TOL:
-            return cur
-        if n > ORACLE_STEP_CAP:
-            raise ConvergenceError(
-                f"oracle stepping hit the cap at {n} steps", last_delta=delta
-            )
-        prev = cur
-
-
 def oracle_solve(p: ProblemInstance, T: float) -> np.ndarray:
-    """Ground-truth solution of du/dt = -A(t) u at time T.
-
-    Constant and piecewise schedules use the product of matrix exponentials
-    of the original (unshifted) generator over their spans; callback ones
-    use fourth-order stepping with doubling.
+    """Ground-truth solution of du/dt = -A(t) u at time T: the product of
+    matrix exponentials of the original (unshifted) generator over the
+    schedule's spans.
     """
-    if p.schedule.kind == "callback" and T != 0.0:
-        return _oracle_stepping(p, T)
     u = p.u0.copy()
-    for pair, dt in _spans(p.schedule, T, 1):
+    for pair, dt in _spans(p.schedule, T):
         u = matrix_exponential(-_oracle_matrix(pair) * dt) @ u
     return u
 
@@ -456,7 +357,6 @@ def residual_lemma_check(
     K: float,
     M: int,
     Q: int,
-    n_steps: int = 1,
 ) -> float:
     """Norm of the f-weighted unitary sum, which tends to zero as the window
     and rule are refined.
@@ -470,55 +370,22 @@ def residual_lemma_check(
         raise RangeError(f"T must be positive for the residual check, got {T}")
     ks, wts = _composite_nodes(K, M, Q)
     fvals = np.asarray(kernel_f(kernel, ks), dtype=complex)
-    total = _weighted_unitary_sum(_spans(p.schedule, T, n_steps), ks, wts * fvals, p.u0)
+    total = _weighted_unitary_sum(_spans(p.schedule, T), ks, wts * fvals, p.u0)
     return float(np.linalg.norm(total))
 
 
-def solve(
-    p: ProblemInstance,
-    plan: SamplingPlan,
-    T: float,
-    n_steps: int | None = None,
-    step_tol: float | None = None,
-) -> SolveReport:
+def solve(p: ProblemInstance, plan: SamplingPlan, T: float) -> SolveReport:
     """Run the weighted-unitary estimate against the oracle and report.
 
-    Constant and piecewise schedules are propagated exactly, one span each,
-    and propagator_steps is the span count. A callback schedule is sampled
-    on n_steps midpoint slices; when n_steps is not given the count starts
-    at 1 and is doubled until the estimate moves by at most step_tol
-    relative (default: a third of the plan's accuracy target).
-    ConvergenceError is raised, with the last relative move, if that takes
-    more than STEP_DOUBLING_CAP doublings.
+    The schedule is propagated exactly, one span at a time, and
+    propagator_steps is the span count (at least 1).
     """
     p.require_gate()
-    if step_tol is None:
-        step_tol = plan.meta.get("eps", 1e-6) / 3.0
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    if p.schedule.kind != "callback" or T == 0.0:
-        n = max(1, len(_spans(p.schedule, T, 1)))
-        u_lchs = lchs_apply(p, plan, T)
-    else:
-        n = n_steps if n_steps is not None else 1
-        u_lchs = lchs_apply(p, plan, T, n)
-        if n_steps is None:
-            for _ in range(STEP_DOUBLING_CAP):
-                u_next = lchs_apply(p, plan, T, 2 * n)
-                n *= 2
-                delta = np.linalg.norm(u_next - u_lchs) / max(
-                    np.linalg.norm(u_next), 1e-300
-                )
-                u_lchs = u_next
-                if delta <= step_tol:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"step doubling did not reach step_tol = {step_tol:.3e} within "
-                    f"{STEP_DOUBLING_CAP} doublings ({n} slices)",
-                    last_delta=delta,
-                )
+    n = max(1, len(_spans(p.schedule, T)))
+    u_lchs = lchs_apply(p, plan, T)
     timings["lchs_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

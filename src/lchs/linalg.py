@@ -23,9 +23,6 @@ from .errors import DimensionError, HermiticityError, RangeError
 # Max-norm tolerance on ||M - M^dagger|| for inputs declared Hermitian.
 HERMITICITY_TOL = 1e-12
 
-# number of evenly spaced times on [0, T] at which from_rule probes a rule
-RULE_PROBES = 9
-
 
 def as_square_matrix(A) -> np.ndarray:
     """Validate and return A as a square complex ndarray with finite entries."""
@@ -136,23 +133,20 @@ def matrix_exponential(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSchedule:
-    """Time dependence of the generator.
+    """Piecewise-constant time dependence of the generator.
 
-    kind is one of "constant", "piecewise", "callback". Constant schedules
-    carry a single HermitianPair; piecewise ones carry strictly ascending
-    breakpoints starting at 0 with one pair per interval; callback schedules
-    evaluate a rule t -> HermitianPair and carry the pairs it returned at
-    RULE_PROBES probe times. All pairs share one dimension and one shift.
+    Strictly ascending breakpoints start at 0, with one HermitianPair per
+    interval; the last pair extends past the final breakpoint. A constant
+    schedule is one pair on [0, inf). All pairs share one dimension and one
+    shift.
     """
 
-    kind: str
-    pairs: tuple = ()
-    breakpoints: np.ndarray | None = None
-    rule: object = None
+    pairs: tuple
+    breakpoints: np.ndarray
 
     @staticmethod
     def constant(pair: HermitianPair) -> "TimeSchedule":
-        return TimeSchedule(kind="constant", pairs=(pair,))
+        return TimeSchedule.piecewise([0.0, np.inf], [pair])
 
     @staticmethod
     def piecewise(breakpoints, pairs) -> "TimeSchedule":
@@ -164,15 +158,7 @@ class TimeSchedule:
         if bp[0] != 0.0:
             raise RangeError("first breakpoint must be 0")
         _check_uniform(pairs, "pairs")
-        return TimeSchedule(kind="piecewise", pairs=tuple(pairs), breakpoints=bp)
-
-    @staticmethod
-    def from_rule(rule, T: float) -> "TimeSchedule":
-        """Callback-sampled schedule; probes the rule at RULE_PROBES evenly
-        spaced times on [0, T]."""
-        probes = tuple(rule(t) for t in np.linspace(0.0, T, RULE_PROBES))
-        _check_uniform(probes, "rule returns pairs")
-        return TimeSchedule(kind="callback", pairs=probes, rule=rule)
+        return TimeSchedule(pairs=tuple(pairs), breakpoints=bp)
 
     @property
     def dim(self) -> int:
@@ -184,21 +170,13 @@ class TimeSchedule:
 
     @property
     def lambda0(self) -> float:
-        """Certified lower bound on the spectrum of L(t) over the schedule.
-
-        For callback schedules this is a sampled certificate (min over the
-        probe times), not a continuum guarantee.
-        """
+        """Certified lower bound on the spectrum of L(t) over the schedule."""
         return min(p.lambda0 for p in self.pairs)
 
     def pair_at(self, t: float) -> HermitianPair:
-        if self.kind == "constant":
-            return self.pairs[0]
-        if self.kind == "piecewise":
-            idx = int(np.searchsorted(self.breakpoints, t, side="right") - 1)
-            idx = min(max(idx, 0), len(self.pairs) - 1)
-            return self.pairs[idx]
-        return self.rule(t)
+        idx = int(np.searchsorted(self.breakpoints, t, side="right") - 1)
+        idx = min(max(idx, 0), len(self.pairs) - 1)
+        return self.pairs[idx]
 
 
 def _check_uniform(pairs, what: str) -> None:

@@ -57,6 +57,17 @@ def _finalize(
     return ProblemInstance(schedule=schedule, u0=u0, label=label, meta=meta)
 
 
+def _time_slices(pair_at, T: float, time_slices: int):
+    """Pairs and breakpoints of a piecewise-constant schedule: time_slices
+    equal intervals of [0, T], each pair sampled at its interval midpoint.
+    A single slice is the pair at t = 0 and needs no breakpoints."""
+    if time_slices == 1:
+        return [pair_at(0.0)], None
+    breakpoints = np.linspace(0.0, T, time_slices + 1)
+    mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
+    return [pair_at(t) for t in mids], breakpoints
+
+
 # ---------------------------------------------------------------------------
 # parabolic PDE in one dimension, homogeneous Dirichlet on [0, 1]
 # ---------------------------------------------------------------------------
@@ -129,13 +140,7 @@ def build_parabolic_1d(
     nodes = h * np.arange(1, pc.N_grid - 1)
     if u0 is None:
         u0 = np.sin(np.pi * nodes).astype(complex)
-    if time_slices == 1:
-        pairs = [_parabolic_pair(pc, 0.0)]
-        breakpoints = None
-    else:
-        breakpoints = np.linspace(0.0, T, time_slices + 1)
-        mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
-        pairs = [_parabolic_pair(pc, t) for t in mids]
+    pairs, breakpoints = _time_slices(lambda t: _parabolic_pair(pc, t), T, time_slices)
     return _finalize(
         pairs, breakpoints, np.asarray(u0, dtype=complex),
         label=f"parabolic1d(N_grid={pc.N_grid})",
@@ -294,13 +299,7 @@ def build_cap_schrodinger(
         p0 = pk.get("p0", 0.0)
         u0 = gaussian_packet(nodes, x0, sigma, p0, cp.hbar)
 
-    if time_slices == 1:
-        pairs = [pair_at(0.0)]
-        breakpoints = None
-    else:
-        breakpoints = np.linspace(0.0, T, time_slices + 1)
-        mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
-        pairs = [pair_at(t) for t in mids]
+    pairs, breakpoints = _time_slices(pair_at, T, time_slices)
     return _finalize(
         pairs, breakpoints, np.asarray(u0, dtype=complex),
         label=f"cap(N_grid={cp.N_grid},hbar={cp.hbar:g})",

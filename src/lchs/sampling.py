@@ -194,8 +194,9 @@ def plan_from_accuracy(
 ) -> SamplingPlan:
     """Size and build a Gaussian plan for target accuracy eps.
 
-    The error budget is split in thirds: truncation tail, quadrature, and
-    propagator stepping. The window comes from choose_truncation(eps / 3);
+    The error budget is split in thirds: truncation tail and quadrature get
+    one each, and the third is unspent, because every schedule is propagated
+    exactly. The window comes from choose_truncation(eps / 3);
     the subinterval width follows the step rule h = 1 / (e T ||L||), capped
     at 1/e so the unit-scale structure of g is always resolved even when
     T ||L|| < 1 (the step rule alone degenerates there); Q from

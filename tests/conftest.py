@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lchs import make_kernel
+from lchs import evolve, make_kernel
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,10 @@ def random_unitary(rng, dim):
     W = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(W)
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+
+
+def propagate(p, k, T):
+    """U(k, T) u0 for an instance: the package's weighted unitary sum with
+    the single term k and weight 1."""
+    spans = evolve._spans(p.schedule, T)
+    return evolve._weighted_unitary_sum(spans, np.array([float(k)]), np.ones(1), p.u0)

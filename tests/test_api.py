@@ -1,0 +1,35 @@
+"""Every public name is used by the package itself, a demo or the benchmark,
+so the public API holds no function that only tests call."""
+
+import ast
+import functools
+from pathlib import Path
+
+import pytest
+
+import lchs
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def referenced_names() -> frozenset[str]:
+    """Identifiers read as an ast.Name or ast.Attribute anywhere in src/lchs
+    (except __init__.py), demos/ and benchmarks/. A def or class statement
+    and an import bind a name without producing either node, so a name's own
+    definition or re-export does not count as a use."""
+    files = [f for f in (ROOT / "src" / "lchs").glob("*.py") if f.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("name", sorted(set(lchs.__all__) - {"__version__"}))
+def test_public_name_is_used_outside_tests(name):
+    assert name in referenced_names(), f"{name} is public but only tests use it"

@@ -8,27 +8,26 @@ import pytest
 
 import lchs.evolve as ev
 from lchs import (
-    ConvergenceError,
+    ParabolicCoefficients,
     PreconditionError,
     ProblemInstance,
     PropagationError,
     RangeError,
     TimeSchedule,
+    build_parabolic_1d,
     hermitian_split,
     lchs_apply,
     mc_plan,
     oracle_solve,
     plan_from_accuracy,
-    propagate_unitary,
     residual_lemma_check,
     solve,
     spectral_shift,
 )
-from lchs.evolve import _oracle_stepping
 from lchs.harness import build_problem
 from lchs.linalg import HermitianPair, shift_pair
 
-from conftest import random_hermitian, random_unitary
+from conftest import propagate, random_hermitian, random_unitary
 
 
 def scalar_instance(value=1.0):
@@ -55,36 +54,14 @@ class TestPropagateUnitary:
         pair = HermitianPair(L=L, H=H)
         u0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
         p = ProblemInstance.from_pair(pair, u0)
-        out = propagate_unitary(p, 0.0, 1.0)
+        out = propagate(p, 0.0, 1.0)
         expected = np.array([np.exp(-1j), np.exp(-2j)]) / np.sqrt(2.0)
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_scalar_phase(self):
         p = scalar_instance(1.0)
-        out = propagate_unitary(p, 2.0, 1.0)
+        out = propagate(p, 2.0, 1.0)
         assert out[0] == pytest.approx(np.exp(-2j), abs=1e-13)
-
-    def test_linear_time_dependence_midpoint_exact(self):
-        # H(t) = t, L = 0: scalars commute and the midpoint rule integrates
-        # linear functions exactly, so n_steps = 2 is already converged
-        def rule(t):
-            return HermitianPair(
-                L=np.zeros((1, 1), dtype=complex),
-                H=np.array([[t]], dtype=complex),
-                shift=0.0,
-            )
-
-        sched = TimeSchedule.from_rule(rule, 1.0)
-        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
-        out = propagate_unitary(p, 0.0, 1.0, n_steps=2)
-        assert out[0] == pytest.approx(np.exp(-0.5j), abs=1e-12)
-
-    def test_constant_schedule_step_independence(self):
-        rng = np.random.default_rng(4)
-        p = random_gated_instance(rng, 5)
-        a = propagate_unitary(p, 1.7, 2.0, n_steps=1)
-        b = propagate_unitary(p, 1.7, 2.0, n_steps=7)
-        assert np.linalg.norm(a - b) <= 1e-12
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(9)
@@ -92,16 +69,12 @@ class TestPropagateUnitary:
             dim = int(rng.integers(2, 12))
             p = random_gated_instance(rng, dim)
             k = rng.uniform(-30.0, 30.0)
-            out = propagate_unitary(p, k, rng.uniform(0.1, 3.0))
+            out = propagate(p, k, rng.uniform(0.1, 3.0))
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
     def test_t_zero(self):
         p = scalar_instance()
-        assert propagate_unitary(p, 3.0, 0.0)[0] == 1.0
-
-    def test_bad_steps(self):
-        with pytest.raises(RangeError):
-            propagate_unitary(scalar_instance(), 1.0, 1.0, n_steps=0)
+        assert propagate(p, 3.0, 0.0)[0] == 1.0
 
     def test_negative_t_rejected(self):
         # clipping a piecewise schedule to [0, T] would leave no span at all
@@ -110,7 +83,7 @@ class TestPropagateUnitary:
         p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
         for inst in (p, scalar_instance()):
             with pytest.raises(RangeError):
-                propagate_unitary(inst, 1.0, -0.5)
+                propagate(inst, 1.0, -0.5)
 
 
 class TestLchsApply:
@@ -204,14 +177,6 @@ class TestOracle:
         out = oracle_solve(p, 1.0)
         assert out[0] == pytest.approx(np.exp(-lam), rel=1e-12)
 
-    def test_stepping_agrees_with_expm(self):
-        rng = np.random.default_rng(12)
-        for dim in (2, 8, 24):
-            p = random_gated_instance(rng, dim)
-            direct = oracle_solve(p, 1.0)
-            stepped = _oracle_stepping(p, 1.0)
-            assert np.linalg.norm(direct - stepped) / np.linalg.norm(direct) <= 1e-8
-
     def test_piecewise_aligned_stepping(self):
         # piecewise-constant schedule: product of interval exponentials
         p1 = hermitian_split(np.array([[1.0]], dtype=complex))
@@ -227,41 +192,6 @@ class TestOracle:
     def test_t_zero(self):
         p = scalar_instance()
         assert oracle_solve(p, 0.0)[0] == 1.0
-
-    def test_step_cap_raises_with_delta(self, monkeypatch):
-        # a discontinuous callback rule defeats fourth-order convergence, so
-        # a tightened cap must surface as a convergence error with the last
-        # observed delta attached
-        import lchs.evolve as ev
-        from lchs import ConvergenceError
-
-        def rule(t):
-            val = 1.0 if np.sin(1000.0 * t) > 0 else 2.0
-            return hermitian_split(np.array([[val]], dtype=complex))
-
-        sched = TimeSchedule.from_rule(rule, 1.0)
-        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
-        monkeypatch.setattr(ev, "ORACLE_STEP_CAP", 64)
-        with pytest.raises(ConvergenceError) as err:
-            oracle_solve(p, 1.0)
-        assert err.value.last_delta > 0
-
-
-class TestPropagationErrors:
-    def test_failed_schedule_carries_time(self):
-        def rule(t):
-            if t > 0.5:
-                raise ValueError("coefficient table exhausted")
-            return hermitian_split(np.array([[1.0]], dtype=complex))
-
-        sched = TimeSchedule.from_rule(rule, 0.4)
-        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
-        from lchs import PropagationError
-
-        with pytest.raises(PropagationError) as err:
-            propagate_unitary(p, 0.0, 1.0, n_steps=4)
-        assert err.value.t is not None and err.value.t > 0.5
-
 
 class TestResidualLemma:
     def test_scalar_cauchy_tends_to_zero(self, cauchy_kernel):
@@ -333,25 +263,6 @@ class TestSolve:
         assert d["u_lchs"][0] == pytest.approx(np.exp(-1.0), rel=1e-3)
         assert d["rel_error"] >= 0.0
 
-    def test_time_dependent_step_refinement(self, beta_kernel):
-        # oscillating Hermitian part forces actual midpoint stepping
-        base = random_hermitian(np.random.default_rng(3), 3, scale=1.0)
-
-        def rule(t):
-            H = np.cos(2.0 * t) * base
-            return HermitianPair(
-                L=np.eye(3, dtype=complex), H=H.astype(complex), shift=0.0
-            )
-
-        sched = TimeSchedule.from_rule(rule, 1.0)
-        u0 = np.array([1.0, 0.5j, -0.25], dtype=complex)
-        u0 /= np.linalg.norm(u0)
-        p = ProblemInstance(schedule=sched, u0=u0)
-        plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 1.0)
-        rep = solve(p, plan, 1.0)
-        assert rep.rel_error <= 1e-3
-        assert rep.propagator_steps > 1
-
     def test_oracle_agreement_ensemble(self, beta_kernel):
         rng = np.random.default_rng(77)
         worst = 0.0
@@ -364,23 +275,6 @@ class TestSolve:
             rep = solve(p, plan, T)
             worst = max(worst, rep.rel_error)
         assert worst <= 1e-3
-
-    def test_step_doubling_cap_raises_with_delta(self, beta_kernel, monkeypatch):
-        # midpoint stepping of a smooth rule is second order, so one doubling
-        # cannot meet a step_tol at roundoff level; running out of doublings
-        # must surface as a convergence error carrying the last relative move
-        # instead of returning the unconverged estimate
-        def rule(t):
-            return hermitian_split(np.array([[1.5 + 0.5 * np.sin(3.0 * t)]], dtype=complex))
-
-        sched = TimeSchedule.from_rule(rule, 1.0)
-        p = ProblemInstance(schedule=sched, u0=np.array([1.0 + 0j]))
-        plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 2.0)
-        monkeypatch.setattr(ev, "STEP_DOUBLING_CAP", 1)
-        with pytest.raises(ConvergenceError, match="step doubling") as err:
-            solve(p, plan, 1.0, step_tol=1e-14)
-        assert err.value.last_delta > 1e-14
-
 
 def commuting_instance(rng, lam, mu):
     """L = U diag(lam) U^dagger, H = U diag(mu) U^dagger for a random U."""
@@ -563,7 +457,7 @@ class TestTridiagonalPath:
         p = self.two_span_instance(pairs)
         k = 2.7
         ref = expm_product([(pairs[0], 0.1), (pairs[1], self.T - 0.1)], k) @ p.u0
-        assert np.linalg.norm(propagate_unitary(p, k, self.T) - ref) <= 1e-12 * np.linalg.norm(p.u0)
+        assert np.linalg.norm(propagate(p, k, self.T) - ref) <= 1e-12 * np.linalg.norm(p.u0)
 
     def test_repeated_calls_are_bit_stable(self, beta_kernel, monkeypatch):
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 256 * 100)  # chunks of 100 terms
@@ -654,12 +548,14 @@ class TestStreamedReduction:
                 shift=0.0,
             )
 
-        sched = TimeSchedule.from_rule(rule, 1.0)
+        # six slices of [0, 1], each carrying the rule sampled at its midpoint
+        bp = np.linspace(0.0, 1.0, 7)
+        sched = TimeSchedule.piecewise(bp, [rule(t) for t in 0.5 * (bp[:-1] + bp[1:])])
         p = ProblemInstance(schedule=sched, u0=np.array([1.0, 0.5j, -0.25]))
         plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 1.5)
-        whole = lchs_apply(p, plan, 1.0, n_steps=6)
+        whole = lchs_apply(p, plan, 1.0)
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 9 * 500)
-        chunked = lchs_apply(p, plan, 1.0, n_steps=6)
+        chunked = lchs_apply(p, plan, 1.0)
         assert np.linalg.norm(whole - chunked) <= 1e-14 * np.linalg.norm(whole)
 
 
@@ -695,6 +591,11 @@ class TestSpanPropagation:
         normL = max(float(np.max(np.linalg.eigvalsh(q.L))) for q in pairs)
         return p, pairs, normL
 
+    def test_constant_schedule_is_one_span(self):
+        pair = gated_pairs(42, 1)[0]
+        assert ev._spans(TimeSchedule.constant(pair), 0.3) == [(pair, 0.3)]
+        assert ev._spans(TimeSchedule.constant(pair), 0.0) == []
+
     def test_two_span_apply_matches_expm_product(self, beta_kernel):
         p, (p1, p2), normL = self.two_span_instance()
         eps = 1e-3
@@ -717,8 +618,8 @@ class TestSpanPropagation:
         T = 0.5
         one = build_problem("cap", {}, T)
         two = build_problem("cap", {"time_slices": 2}, T)
-        assert two.schedule.kind == "piecewise"
-        assert len(ev._spans(two.schedule, T, 1)) == 2
+        assert len(two.schedule.pairs) == 2
+        assert len(ev._spans(two.schedule, T)) == 2
         plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
         diff = lchs_apply(two, plan, T) - lchs_apply(one, plan, T)
         assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(one.u0)
@@ -729,7 +630,7 @@ class TestSpanPropagation:
         T = 1.0 / 256.0
         one = build_problem("parabolic1d", {}, T)
         two = build_problem("parabolic1d", {"time_slices": 2}, T)
-        assert two.schedule.kind == "piecewise"
+        assert len(two.schedule.pairs) == 2
         plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
         rep = solve(two, plan, T)
         assert rep.propagator_steps == 2
@@ -747,36 +648,45 @@ class TestSpanPropagation:
         p = ProblemInstance(schedule=sched, u0=u0)
         ref_spans = [(pairs[i], dt) for i, dt in spans]
         k = 2.7
-        U = propagate_unitary(p, k, T)
+        U = propagate(p, k, T)
         ref = expm_product(ref_spans, k) @ u0
         assert np.linalg.norm(U - ref) <= 1e-12 * np.linalg.norm(u0)
         ref = expm_product(ref_spans) @ u0
         assert np.linalg.norm(oracle_solve(p, T) - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_callback_equals_piecewise_of_midpoint_samples(self, beta_kernel):
-        base = random_hermitian(np.random.default_rng(7), 3, scale=1.0)
+class TestTimeSlicing:
+    """Midpoint slicing of a time-dependent generator converges at second
+    order, and each sliced schedule is still solved to eps."""
 
-        def rule(t):
-            return HermitianPair(
-                L=(1.0 + 0.5 * t) * np.eye(3, dtype=complex) + 0.1 * t * base,
-                H=np.cos(3.0 * t) * base, shift=0.0,
-            )
+    T = 1.0 / 64.0
 
-        n, T = 8, 1.0
-        u0 = np.array([1.0, 0.5j, -0.25])
-        callback = ProblemInstance(
-            schedule=TimeSchedule.from_rule(rule, T), u0=u0
+    def build(self, slices):
+        # a(x, t) depends on x and t and b(x, t) != 0, so the slices do not
+        # commute and the slicing error is well above roundoff
+        w = 2.0 * np.pi / self.T
+        pc = ParabolicCoefficients(
+            a=lambda x, t: 1.0 + 0.5 * x * np.sin(w * t),
+            b=lambda x, t: 4.0 * np.cos(w * t),
+            c=lambda x, t: 0.0,
+            N_grid=9,
         )
-        bp = np.linspace(0.0, T, n + 1)
-        piecewise = ProblemInstance(
-            schedule=TimeSchedule.piecewise(bp, [rule(t) for t in 0.5 * (bp[:-1] + bp[1:])]),
-            u0=u0,
-        )
-        plan = plan_from_accuracy(beta_kernel, 1e-3, T, 1.6)
-        assert (
-            lchs_apply(callback, plan, T, n_steps=n).tobytes()
-            == lchs_apply(piecewise, plan, T).tobytes()
-        )
+        x = np.arange(1, 8) / 8.0
+        return build_parabolic_1d(pc, T=self.T, time_slices=slices, u0=x * (1.0 - x) * np.exp(x))
+
+    def test_second_order_slicing_and_lchs_within_eps(self, beta_kernel):
+        ref = oracle_solve(self.build(256), self.T)
+        eps = 1e-3
+        errors = []
+        for slices in (2, 4, 8, 16):
+            p = self.build(slices)
+            assert len(ev._spans(p.schedule, self.T)) == slices
+            u_oracle = oracle_solve(p, self.T)
+            errors.append(np.linalg.norm(u_oracle - ref) / np.linalg.norm(p.u0))
+            plan = plan_from_accuracy(beta_kernel, eps, self.T, p.meta["normL"])
+            u_lchs = lchs_apply(p, plan, self.T)
+            assert np.linalg.norm(u_lchs - u_oracle) <= eps * np.linalg.norm(p.u0)
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(3.0 <= r <= 5.0 for r in ratios), (errors, ratios)
 
 
 class TestCertificateFromPairs:
@@ -818,18 +728,3 @@ class TestCertificateFromPairs:
         assert rep.shift_unwound
         assert np.linalg.norm(rep.u_oracle - ref) <= 1e-12 * np.linalg.norm(u0)
         assert np.linalg.norm(rep.u_lchs - ref) <= eps * np.linalg.norm(u0)
-
-    def test_rule_shift_change_raises(self):
-        # the probes on [0, 1] agree on shift 0; the slice sampled at t = 1.5
-        # records shift 1, which the unwinding could not honour
-        base = hermitian_split(np.diag([1.0, 2.0]))
-
-        def rule(t):
-            return base if t <= 1.0 else shift_pair(base, 1.0)
-
-        p = ProblemInstance(
-            schedule=TimeSchedule.from_rule(rule, 1.0), u0=np.array([1.0, 0.0j])
-        )
-        with pytest.raises(PropagationError, match="shift") as err:
-            propagate_unitary(p, 0.0, 2.0, n_steps=2)
-        assert err.value.t == 1.5

@@ -10,12 +10,11 @@ from lchs import (
     hermitian_split,
     matrix_exponential,
     min_hermitian_eigenvalue,
-    propagate_unitary,
     spectral_shift,
 )
 from lchs.linalg import HermitianPair, shift_pair
 
-from conftest import random_hermitian, random_unitary
+from conftest import propagate, random_hermitian, random_unitary
 
 
 def mm1_generator(lam, mu, n):
@@ -211,11 +210,11 @@ class TestMatrixExponential:
 
 
 def unitary_step(G, dt, v):
-    """exp(-i G dt) v through the package's one propagator: propagate_unitary
-    at k = 0 for the pair L = 0, H = G."""
+    """exp(-i G dt) v through the package's one propagator: the one-term
+    weighted unitary sum at k = 0 for the pair L = 0, H = G."""
     G = np.asarray(G, dtype=complex)
     pair = HermitianPair(L=np.zeros_like(G), H=G)
-    return propagate_unitary(ProblemInstance.from_pair(pair, v), 0.0, dt)
+    return propagate(ProblemInstance.from_pair(pair, v), 0.0, dt)
 
 
 class TestUnitaryStep:
@@ -273,11 +272,6 @@ class TestTimeSchedule:
         s = TimeSchedule.piecewise([0.0, 0.5, 1.0], [shift_pair(p, 1.0), q])
         assert s.shift == 1.0
 
-    def test_rule_pairs_must_share_shift(self):
-        p = hermitian_split(np.diag([1.0, 2.0]))
-        with pytest.raises(RangeError, match="shifts"):
-            TimeSchedule.from_rule(lambda t: shift_pair(p, t), 1.0)
-
     def test_breakpoints_must_ascend(self):
         p = hermitian_split(np.diag([1.0]))
         with pytest.raises(RangeError):
@@ -285,14 +279,9 @@ class TestTimeSchedule:
         with pytest.raises(RangeError):
             TimeSchedule.piecewise([0.1, 0.5], [p])
 
-    def test_callback_sampled(self):
-        def rule(t):
-            return HermitianPair(
-                L=np.array([[1.0 + t]], dtype=complex),
-                H=np.zeros((1, 1), dtype=complex),
-                shift=0.0,
-            )
-
-        s = TimeSchedule.from_rule(rule, 2.0)
-        assert s.pair_at(0.5).L[0, 0] == pytest.approx(1.5)
-        assert s.lambda0 == pytest.approx(1.0)
+    def test_constant_is_one_pair_on_half_line(self):
+        p = hermitian_split(np.diag([1.0, 2.0]))
+        s = TimeSchedule.constant(p)
+        assert s.pairs == (p,)
+        assert s.breakpoints.tolist() == [0.0, np.inf]
+        assert s.pair_at(0.0) is p and s.pair_at(1e6) is p

@@ -109,7 +109,6 @@ class TestParabolic:
             a=lambda x, t: 1.0 + t, b=zero, c=zero, N_grid=9
         )
         inst = build_parabolic_1d(pc, T=1.0, time_slices=4)
-        assert inst.schedule.kind == "piecewise"
         assert len(inst.schedule.pairs) == 4
         # coefficients sampled at interval midpoints: a = 1.125 on the first
         first = inst.schedule.pairs[0].L[0, 0].real
