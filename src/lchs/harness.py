@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import jsonschema
 import numpy as np
@@ -45,6 +46,8 @@ from .sampling import (
     mc_size_from_accuracy,
     plan_from_accuracy,
 )
+
+_log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "LCHS_WORKERS"
@@ -510,14 +513,39 @@ def worker_count() -> int:
 SWEEP_AXES = ("Q", "M", "Ns", "K", "eps")
 
 
+def _extends(plan: SamplingPlan, prev: SamplingPlan) -> bool:
+    """True when plan's first prev.size terms are prev's draws: the same
+    window, seed and generator, and bit-identical abscissae. The Philox
+    stream is counter-based, so this holds along an Ns axis and fails when K
+    changes."""
+    return (
+        plan.K == prev.K
+        and plan.size >= prev.size
+        and all(plan.meta.get(key) == prev.meta.get(key) for key in ("seed", "generator"))
+        and np.array_equal(plan.k[: prev.size], prev.k)
+    )
+
+
 def run_convergence(
     cfg: RunConfig, axis: str, values, mc_seeds: int = 20
 ) -> SweepResult:
     """One solve per axis value against a shared oracle.
 
     Monte Carlo rows run mc_seeds replicas (seed, seed+1, ...) concurrently
-    and report the mean and standard error of the relative error. Rows that
-    fail are marked with NaN errors and a status note; the sweep continues.
+    and report the mean and standard error of the relative error. Each
+    replica carries its estimate from its last good row. When the row's
+    plan extends that row's draws (same K, seed and generator, and the old
+    abscissae as its prefix, as along the Ns axis), only the new terms are
+    propagated and the carried estimate is rescaled to the new Ns; a
+    repeated value adds no terms. Ns rows therefore share their draws, their
+    propagation and their correlation, and the wall_s of a carried row is
+    its own increment and reduction. Any other row (the K and eps axes)
+    starts from its full plan. One DEBUG record on lchs.harness per Monte
+    Carlo sweep counts the terms propagated and reused.
+
+    Rows that fail are marked with NaN errors and a status note, the carried
+    estimates are dropped, and the sweep continues from the next row's full
+    plan.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -555,49 +583,72 @@ def run_convergence(
         )
         return make_plan(sub, problem, kernel)
 
-    def rel_error_for(plan: SamplingPlan) -> float:
-        u = lchs_apply(problem, plan, cfg.T)
+    def rel_error_for(u: np.ndarray) -> float:
         return float(np.linalg.norm(u - u_ref) / ref_norm)
 
+    base_seed = int(cfg.accuracy.get("seed", 0))
+
+    def replica(i: int, plan: SamplingPlan, prev):
+        """(plan, estimate, terms propagated) of replica i (seed base_seed + i)
+        in the row whose base-seed plan is plan. prev is the replica's
+        (plan, estimate) from the last good row, or None. When this row's
+        draws extend prev's, only the new terms are propagated: every
+        c_j = (2K/Ns) g(k_j), so the shared terms sum to prev's estimate
+        rescaled to this row's Ns, and the shift unwinding is a scalar."""
+        if i > 0:
+            plan = mc_plan(kernel, plan.K, plan.meta["Ns"], base_seed + i)
+        if prev is None or not _extends(plan, prev[0]):
+            return plan, lchs_apply(problem, plan, cfg.T), plan.size
+        n0 = prev[0].size
+        u = (n0 / plan.size) * prev[1]
+        if plan.size > n0:
+            u = u + lchs_apply(problem, replace(plan, k=plan.k[n0:], c=plan.c[n0:]), cfg.T)
+        return plan, u, plan.size - n0
+
+    # per replica, the (plan, estimate) of the last good Monte Carlo row
+    carried = [None] * mc_seeds
+    propagated = reused = 0
     result = SweepResult(axis=axis)
-    for value in values:
-        t0 = time.perf_counter()
-        try:
-            if cfg.method == "monte-carlo":
-                base_seed = int(cfg.accuracy.get("seed", 0))
-                proto = plan_for(value)
-
-                def one(seed: int) -> float:
-                    return rel_error_for(
-                        mc_plan(kernel, proto.K, proto.meta["Ns"], seed)
-                    )
-
-                with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-                    errs = list(pool.map(one, range(base_seed, base_seed + mc_seeds)))
-                errs = np.array(errs)
-                row = {
-                    "value": value, "N": proto.size,
-                    "rel_error": float(errs.mean()),
-                    "stderr": float(errs.std(ddof=1) / np.sqrt(len(errs))),
-                    "wall_s": time.perf_counter() - t0,
-                    "status": "ok",
-                    "replica_errors": errs.tolist(),
-                }
-            else:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        for value in values:
+            t0 = time.perf_counter()
+            try:
                 plan = plan_for(value)
-                err = rel_error_for(plan)
+                if cfg.method == "monte-carlo":
+                    states = list(pool.map(replica, range(mc_seeds), [plan] * mc_seeds, carried))
+                    carried = [(own, u) for own, u, _ in states]
+                    fresh = sum(n for _, _, n in states)
+                    propagated += fresh
+                    reused += mc_seeds * plan.size - fresh
+                    errs = np.array([rel_error_for(u) for _, u in carried])
+                    row = {
+                        "value": value, "N": plan.size,
+                        "rel_error": float(errs.mean()),
+                        "stderr": float(errs.std(ddof=1) / np.sqrt(len(errs))),
+                        "wall_s": time.perf_counter() - t0,
+                        "status": "ok",
+                        "replica_errors": errs.tolist(),
+                    }
+                else:
+                    row = {
+                        "value": value, "N": plan.size,
+                        "rel_error": rel_error_for(lchs_apply(problem, plan, cfg.T)),
+                        "stderr": 0.0, "wall_s": time.perf_counter() - t0,
+                        "status": "ok",
+                    }
+            except LchsError as exc:
+                carried = [None] * mc_seeds
                 row = {
-                    "value": value, "N": plan.size, "rel_error": err,
-                    "stderr": 0.0, "wall_s": time.perf_counter() - t0,
-                    "status": "ok",
+                    "value": value, "N": 0, "rel_error": float("nan"),
+                    "stderr": float("nan"), "wall_s": time.perf_counter() - t0,
+                    "status": f"error:{type(exc).__name__}:{exc}",
                 }
-        except LchsError as exc:
-            row = {
-                "value": value, "N": 0, "rel_error": float("nan"),
-                "stderr": float("nan"), "wall_s": time.perf_counter() - t0,
-                "status": f"error:{type(exc).__name__}:{exc}",
-            }
-        result.rows.append(row)
+            result.rows.append(row)
+    if cfg.method == "monte-carlo":
+        _log.debug(
+            "monte carlo sweep: axis=%s rows=%d replicas=%d terms propagated=%d reused=%d",
+            axis, len(values), mc_seeds, propagated, reused,
+        )
 
     good = [(r["value"], r["rel_error"]) for r in result.rows
             if r["status"] == "ok" and r["rel_error"] > 0]

@@ -87,6 +87,11 @@ class SamplingPlan:
     def validate(self) -> None:
         if self.size == 0:
             raise RangeError("plan has no terms")
+        if len(self.c) != self.size:
+            raise RangeError(f"plan has {self.size} abscissae but {len(self.c)} coefficients")
+        # nan > K is False, so a NaN abscissa would pass the window check
+        if not np.all(np.isfinite(self.k)):
+            raise RangeError("plan abscissae are not finite")
         if np.max(np.abs(self.k)) > self.K * (1 + 1e-12):
             raise RangeError("plan abscissae fall outside [-K, K]")
         if not np.isfinite(self.coefficient_l1()):

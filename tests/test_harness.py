@@ -1,10 +1,21 @@
 import json
+import logging
 import os
+import re
 
 import numpy as np
 import pytest
 
-from lchs import ConfigError, FitError
+from lchs import (
+    ConfigError,
+    FitError,
+    PropagationError,
+    harness,
+    lchs_apply,
+    make_kernel,
+    mc_plan,
+    oracle_solve,
+)
 from lchs.cli import EXIT_BUILD, EXIT_CONFIG, EXIT_OK, EXIT_SOLVE, main
 from lchs.harness import (
     DEFAULT_PARAMS,
@@ -261,6 +272,105 @@ class TestRunConvergence:
         for row in result.rows:
             cert = tail_mass(cauchy, float(row["value"]))
             assert cert / 3.0 <= row["rel_error"] <= 3.0 * cert
+
+
+def mc_config(problem="blackhole", K=30.0, seed=5):
+    return RunConfig.from_dict(base_config(
+        problem={"name": problem}, method="monte-carlo",
+        accuracy={"K": K, "Ns": 50, "seed": seed},
+    ))
+
+
+def propagated_terms(caplog) -> int:
+    return sum(
+        int(re.search(r"terms=(\d+)", r.getMessage()).group(1))
+        for r in caplog.records if r.name == "lchs.evolve"
+    )
+
+
+def independent_errors(cfg, Ns, seeds) -> list:
+    """Relative errors of full mc_plan solves, one per seed, without the sweep."""
+    problem = build_problem(cfg.problem_name, cfg.problem_params, cfg.T)
+    kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
+    u_ref = oracle_solve(problem, cfg.T)
+    return [
+        np.linalg.norm(
+            lchs_apply(problem, mc_plan(kernel, cfg.accuracy["K"], Ns, s), cfg.T) - u_ref
+        ) / np.linalg.norm(u_ref)
+        for s in seeds
+    ]
+
+
+class TestNestedMonteCarlo:
+    """An Ns sweep propagates each replica's draws once and carries its sum."""
+
+    @pytest.mark.parametrize("K", [1.0, 44.25])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_mc_plan_draws_nest(self, K, seed):
+        kernel = make_kernel("beta", 0.75)
+        full = mc_plan(kernel, K, 1000, seed).k
+        for n in (1, 2, 99, 500, 999):
+            assert np.array_equal(mc_plan(kernel, K, n, seed).k, full[:n])
+
+    @pytest.mark.parametrize("problem, path", [
+        ("lindblad", "batched-eigh"), ("mm1", "tridiagonal"),
+    ])
+    def test_rows_match_independent_solves(self, caplog, problem, path):
+        caplog.set_level(logging.DEBUG, logger="lchs")
+        cfg = mc_config(problem, seed=4)
+        result = run_convergence(cfg, "Ns", [50, 150, 400, 1000], mc_seeds=3)
+        paths = {re.search(r"path=(\S+)", r.getMessage()).group(1)
+                 for r in caplog.records if r.name == "lchs.evolve"}
+        assert paths == {path}
+        for row in result.rows:
+            assert row["status"] == "ok"
+            ref = independent_errors(cfg, row["value"], range(4, 7))
+            np.testing.assert_allclose(row["replica_errors"], ref, rtol=1e-12, atol=0)
+
+    def test_ns_axis_propagates_each_draw_once(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="lchs")
+        run_convergence(mc_config(), "Ns", [50, 100, 200, 400], mc_seeds=4)
+        assert propagated_terms(caplog) == 4 * 400
+        [summary] = [r.getMessage() for r in caplog.records if r.name == "lchs.harness"]
+        assert "rows=4 replicas=4 terms propagated=1600 reused=1400" in summary
+
+    def test_K_axis_starts_each_row_afresh(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="lchs")
+        result = run_convergence(mc_config(K=5.0), "K", [5.0, 10.0, 20.0, 40.0], mc_seeds=4)
+        assert [r["status"] for r in result.rows] == ["ok"] * 4
+        assert propagated_terms(caplog) == 4 * (4 * 50)
+        [summary] = [r.getMessage() for r in caplog.records if r.name == "lchs.harness"]
+        assert "terms propagated=800 reused=0" in summary
+
+    def test_repeated_value_repeats_row(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="lchs")
+        result = run_convergence(mc_config(), "Ns", [50, 100, 100, 200], mc_seeds=3)
+        assert result.rows[1]["replica_errors"] == result.rows[2]["replica_errors"]
+        assert result.rows[1]["rel_error"] == result.rows[2]["rel_error"]
+        assert propagated_terms(caplog) == 3 * 200
+
+    def test_failed_row_restarts_from_full_plan(self, caplog, monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="lchs")
+        real_apply = harness.lchs_apply
+
+        def failing_apply(problem, plan, T):
+            if plan.meta["Ns"] == 200:
+                raise PropagationError("injected failure")
+            return real_apply(problem, plan, T)
+
+        monkeypatch.setattr(harness, "lchs_apply", failing_apply)
+        cfg = mc_config(seed=2)
+        result = run_convergence(cfg, "Ns", [50, 100, 200, 400], mc_seeds=3)
+        assert [r["status"] for r in result.rows[:2]] == ["ok"] * 2
+        assert result.rows[2]["status"].startswith("error:PropagationError")
+        assert np.isnan(result.rows[2]["rel_error"])
+        assert result.rows[3]["status"] == "ok"
+        # 3 x 100 before the failure, then 3 x 400 from scratch
+        assert propagated_terms(caplog) == 3 * 100 + 3 * 400
+        np.testing.assert_allclose(
+            result.rows[3]["replica_errors"], independent_errors(cfg, 400, range(2, 5)),
+            rtol=1e-12, atol=0,
+        )
 
 
 class TestWorkerCount:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,11 +9,13 @@ from lchs import (
     RangeError,
     composite_plan,
     gauss_legendre,
+    lchs_apply,
     mc_plan,
     mc_size_from_accuracy,
     plan_from_accuracy,
     weight_g,
 )
+from lchs.harness import build_problem
 from lchs.sampling import GENERATOR_ID, SamplingPlan, quadrature_order
 
 
@@ -182,6 +185,27 @@ class TestMonteCarlo:
     def test_abscissae_in_window(self, beta_kernel):
         plan = mc_plan(beta_kernel, 3.0, 1000, 11)
         assert np.all(np.abs(plan.k) <= 3.0)
+
+
+class TestValidate:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_abscissa_rejected(self, beta_kernel, bad):
+        # NaN compares False against K, so the window check alone lets it in
+        plan = mc_plan(beta_kernel, 3.0, 8, 1)
+        k = plan.k.copy()
+        k[3] = bad
+        bad_plan = dataclasses.replace(plan, k=k)
+        with pytest.raises(RangeError, match="not finite"):
+            bad_plan.validate()
+        with pytest.raises(RangeError, match="not finite"):
+            lchs_apply(build_problem("blackhole"), bad_plan, 1.0)
+
+    @pytest.mark.parametrize("n_c", [7, 9])
+    def test_length_mismatch_rejected(self, beta_kernel, n_c):
+        plan = mc_plan(beta_kernel, 3.0, 8, 1)
+        c = np.resize(plan.c, n_c)
+        with pytest.raises(RangeError, match="8 abscissae but"):
+            dataclasses.replace(plan, c=c).validate()
 
 
 class TestMcSize:
