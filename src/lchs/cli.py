@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--axis", required=True, choices=harness.SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated ascending values")
-    p.add_argument("--seeds", type=int, default=20, help="MC replicas per value")
+    p.add_argument("--seeds", type=int, default=20,
+                   help="MC replicas per value, at least 2 (for the standard error)")
     p.set_defaults(fn=_cmd_converge)
 
     p = sub.add_parser("validate-kernel", help="kernel normalization and decay checks")

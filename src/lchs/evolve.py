@@ -19,8 +19,17 @@ result is exact for any T. A constant schedule is the single span (pair, T).
 Every weighted sum of unitaries (lchs_apply and residual_lemma_check) goes
 through one routine that streams the terms in chunks: a chunk is propagated
 and reduced into the running total before the next one starts, so memory
-stays O(chunk * dim) however large the plan. It takes one of three paths, chosen once per sum from the
-spans, in this order.
+stays O(chunk * dim) however large the plan.
+
+A single span whose L and H share a certified eigenbasis is summed whole
+(the first path below). Otherwise the indices are first split into blocks:
+the connected components of the union sparsity pattern of |L| + |H| over all
+spans. No span couples two blocks, so each block evolves on its own
+principal sub-pairs, with its own path and its own chunk of budget / d_b^2
+terms, and the entries between blocks are exactly zero. The default lindblad
+pair couples only indices 0 and 3, so it takes a 2x2 tridiagonal block and
+two 1x1 shared-eigenbasis blocks. Each block takes one of three paths, in
+this order.
 
 * Shared eigenbasis. For a single span whose L and H commute, one
   eigendecomposition of a generic combination of L and H diagonalizes both,
@@ -33,15 +42,19 @@ spans, in this order.
   arithmetic. With e_j = k L[j, j+1] + H[j, j+1], D = diag(d), d_0 = 1 and
   d_{j+1} = d_j conj(e_j) / |e_j| (1 where e_j = 0), D^dagger (k L + H) D is
   real symmetric tridiagonal with diagonal Re(k L_jj + H_jj) and
-  off-diagonal |e_j|. LAPACK dstevd gives its eigenpairs (W, V) term by
-  term, and the span acts as D V exp(-i dt W) V^T D^dagger. Only the band
-  of L and H is read; HermitianPair has checked both matrices are Hermitian.
+  off-diagonal |e_j|. Up to dim 8 one batched real eigh per chunk gives its
+  eigenpairs (W, V); above it LAPACK dstevd gives them term by term. The
+  span acts as D V exp(-i dt W) V^T D^dagger. Only the band of L and H is
+  read; HermitianPair has checked both matrices are Hermitian.
 * Batched eigh. Any other schedule is propagated span by span, by stacked
   complex eigendecompositions of k L + H.
 
 Within a chunk the terms are reduced by one pairwise numpy sum; the chunk
 partials are added in ascending plan order with compensated summation. The
-result is deterministic, so reports are bit-stable for a fixed plan.
+result is deterministic, so reports are bit-stable for a fixed plan. Each
+sum logs one DEBUG record on lchs.evolve: the path (that of the only block,
+or "split"), the plan's term count, the chunks and steps (eigendecomposed
+spans) summed over the blocks, and blocks=n with each block's size:path.
 """
 
 from __future__ import annotations
@@ -72,6 +85,18 @@ _MIX = 0.6180339887498949
 # the basis counts as shared when the off-diagonal residuals of L and H stay
 # below this many units of dim * machine eps, relative to their norms
 _SHARED_BASIS_ULPS = 64
+
+# Tridiagonal blocks up to this dim are decomposed by one batched real eigh
+# call per chunk, larger ones by one dstevd call per term. Per term, one
+# thread:
+#
+#     dim   dstevd loop   batched real eigh
+#       2     3.95 us        1.04 us
+#       4     5.9  us        2.96 us
+#       8    11.1  us        9.1  us
+#      16    21.3  us       21.6  us
+#      63   283    us      386    us
+_BATCHED_TRIDIAGONAL_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -217,16 +242,27 @@ def _eigh_dense(pair: HermitianPair, ks: np.ndarray):
 def _eigh_tridiagonal(pair: HermitianPair, ks: np.ndarray):
     """(W, V, d) with k L + H = D V diag(W) V^T D^dagger, D = diag(d), for
     every k in ks, with V real: the phase similarity D makes k L + H real
-    symmetric tridiagonal, and dstevd decomposes it term by term. Only the
-    band of L and H is read. Raises PropagationError if dstevd fails."""
+    symmetric tridiagonal. Up to _BATCHED_TRIDIAGONAL_MAX_DIM the stacked real
+    matrices are decomposed by one batched eigh call, above it by dstevd term
+    by term. Only the band of L and H is read. Raises PropagationError if the
+    decomposition fails."""
     n, dim = len(ks), pair.dim
     diag = ks[:, None] * pair.L.diagonal().real + pair.H.diagonal().real
     e = ks[:, None] * np.diagonal(pair.L, 1) + np.diagonal(pair.H, 1)
-    # dstevd takes max(dim - 1, 1) off-diagonal entries; for dim 1 the pad is unused
-    off = np.zeros((n, max(dim - 1, 1)))
-    off[:, : dim - 1] = np.abs(e)
-    phase = np.divide(e.conj(), off[:, : dim - 1], out=np.ones_like(e), where=e != 0)
+    off = np.abs(e)
+    phase = np.divide(e.conj(), off, out=np.ones_like(e), where=e != 0)
     d = np.concatenate([np.ones((n, 1), dtype=complex), np.cumprod(phase, axis=1)], axis=1)
+    if dim <= _BATCHED_TRIDIAGONAL_MAX_DIM:
+        # eigh reads only the lower triangle
+        A = np.zeros((n, dim, dim))
+        j = np.arange(dim)
+        A[:, j, j] = diag
+        A[:, j[1:], j[:-1]] = off
+        try:
+            W, V = np.linalg.eigh(A)
+        except np.linalg.LinAlgError as exc:
+            raise PropagationError(f"batched tridiagonal eigh failed: {exc}") from exc
+        return W, V, d
     W = np.empty((n, dim))
     V = np.empty((n, dim, dim))
     for i in range(n):
@@ -256,18 +292,40 @@ def _propagate_chunk(spans: list, ks: np.ndarray, u0: np.ndarray, eig) -> np.nda
     return np.ascontiguousarray(vecs.T)
 
 
-def _weighted_unitary_sum(
-    spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
-) -> np.ndarray:
-    """sum_j weights[j] U(ks[j]) u0 over the spans, streamed over chunks of
-    terms.
+def _block_labels(spans: list) -> np.ndarray:
+    """Label of every index: the smallest index of its connected component
+    under the union sparsity pattern of the spans' L and H. Indices in
+    different components are never coupled by any span, so each component
+    evolves on its own."""
+    pattern = sum(np.abs(pair.L) + np.abs(pair.H) for pair, _ in spans) != 0
+    reach = pattern | np.eye(len(pattern), dtype=bool)
+    # repeated squaring: each pass doubles the path length reach covers. A
+    # boolean matmul runs in numpy's own loop; a float one would page in BLAS
+    # code (about 0.4 MB of resident memory) for a few microseconds saved.
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    return reach.argmax(axis=1)
 
-    Each chunk is propagated and reduced into the running total before the
-    next one starts, so memory is O(chunk * dim) for any number of terms.
-    Within a chunk the reduction is one pairwise numpy sum over the terms;
-    chunk partials are added in ascending order with compensation. Every
-    step is deterministic, so a fixed input gives the same bytes each call.
-    """
+
+def _sub_block(spans: list, idx: np.ndarray):
+    """(idx, spans, basis) of the block on indices idx: the principal
+    sub-pairs of every span, and the certified shared eigenbasis of a single
+    span, or None."""
+    sub = np.ix_(idx, idx)
+    sub_spans = [
+        (HermitianPair(L=pair.L[sub], H=pair.H[sub], shift=pair.shift), dt) for pair, dt in spans
+    ]
+    return idx, sub_spans, _shared_eigenbasis(sub_spans[0][0]) if len(spans) == 1 else None
+
+
+def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, basis):
+    """sum_j weights[j] U(ks[j]) u0 over the spans of one block, streamed
+    over chunks of budget / dim^2 terms. basis is the certified shared
+    eigenbasis of the single span, or None. Returns the sum and the block's
+    path, chunk count and step count."""
     dim = len(u0)
     steps = 0
     if not spans:
@@ -275,7 +333,7 @@ def _weighted_unitary_sum(
 
         def columns(kc):
             return np.ones((1, len(kc)), dtype=complex)
-    elif len(spans) == 1 and (basis := _shared_eigenbasis(spans[0][0])):
+    elif basis is not None:
         path, rows = "shared-eigenbasis", dim
         V, lam, mu = basis
         T = spans[0][1]
@@ -301,15 +359,50 @@ def _weighted_unitary_sum(
         tmp = total + term
         comp = (tmp - total) - term
         total = tmp
-    _log.debug(
-        "weighted unitary sum: path=%s terms=%d chunks=%d steps=%d",
-        path, len(ks), -(-len(ks) // chunk), steps,
-    )
     if path == "identity":
-        return total[0] * u0
-    if path == "shared-eigenbasis":
-        return V @ (total * (V.conj().T @ u0))
-    return total
+        total = total[0] * u0
+    elif path == "shared-eigenbasis":
+        total = V @ (total * (V.conj().T @ u0))
+    return total, path, -(-len(ks) // chunk), steps
+
+
+def _weighted_unitary_sum(
+    spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
+) -> np.ndarray:
+    """sum_j weights[j] U(ks[j]) u0 over the spans, streamed over chunks of
+    terms.
+
+    A single span with a certified shared eigenbasis is summed whole.
+    Otherwise the indices are split into the connected components of the
+    spans' union sparsity pattern, and each component is summed on its own
+    principal sub-pairs, by its own path and with its own chunk size; the
+    entries between components are exactly zero. Each chunk is propagated
+    and reduced into the running total before the next one starts, so memory
+    is O(chunk * dim) for any number of terms. Within a chunk the reduction
+    is one pairwise numpy sum over the terms; chunk partials are added in
+    ascending order with compensation. Every step is deterministic, so a
+    fixed input gives the same bytes each call.
+    """
+    basis = _shared_eigenbasis(spans[0][0]) if len(spans) == 1 else None
+    labels = None if not spans or basis is not None else _block_labels(spans)
+    if labels is None or not labels.any():
+        blocks = [(slice(None), spans, basis)]
+    else:
+        firsts = np.flatnonzero(labels == np.arange(len(u0)))
+        blocks = [_sub_block(spans, np.flatnonzero(labels == first)) for first in firsts]
+    out = np.zeros(len(u0), dtype=complex)
+    records = []
+    for idx, block_spans, block_basis in blocks:
+        block_u0 = u0[idx]
+        out[idx], path, chunks, steps = _block_sum(block_spans, ks, weights, block_u0, block_basis)
+        records.append((len(block_u0), path, chunks, steps))
+    _log.debug(
+        "weighted unitary sum: path=%s terms=%d chunks=%d steps=%d blocks=%d [%s]",
+        records[0][1] if len(records) == 1 else "split", len(ks),
+        sum(r[2] for r in records), sum(r[3] for r in records), len(records),
+        " ".join(f"{size}:{path}" for size, path, _, _ in records),
+    )
+    return out
 
 
 def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:

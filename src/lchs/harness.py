@@ -531,13 +531,13 @@ def run_convergence(
 ) -> SweepResult:
     """One solve per axis value against a shared oracle.
 
-    Monte Carlo rows run mc_seeds replicas (seed, seed+1, ...) concurrently
-    and report the mean and standard error of the relative error. Each
-    replica carries its estimate from its last good row. When the row's
-    plan extends that row's draws (same K, seed and generator, and the old
-    abscissae as its prefix, as along the Ns axis), only the new terms are
-    propagated and the carried estimate is rescaled to the new Ns; a
-    repeated value adds no terms. Ns rows therefore share their draws, their
+    Monte Carlo rows run mc_seeds >= 2 replicas (seed, seed+1, ...)
+    concurrently and report the mean and standard error of the relative
+    error. Each replica carries its estimate from its last good row. When
+    the row's plan extends that row's draws (same K, seed and generator, and
+    the old abscissae as its prefix, as along the Ns axis), only the new
+    terms are propagated and the carried estimate is rescaled to the new Ns;
+    a repeated value adds no terms. Ns rows therefore share their draws, their
     propagation and their correlation, and the wall_s of a carried row is
     its own increment and reduction. Any other row (the K and eps axes)
     starts from its full plan. One DEBUG record on lchs.harness per Monte
@@ -561,6 +561,14 @@ def run_convergence(
     if axis in ("K", "M", "Q") and "eps" in cfg.accuracy:
         raise ConfigError(
             f"axis {axis} needs explicit plan parameters in accuracy", "/accuracy"
+        )
+    if axis in ("M", "Q") and cfg.method == "monte-carlo":
+        raise ConfigError(
+            f"axis {axis} needs a gaussian config with explicit {{K, M, Q}}", "/accuracy"
+        )
+    if cfg.method == "monte-carlo" and mc_seeds < 2:
+        raise ConfigError(
+            f"a monte-carlo sweep needs mc_seeds >= 2 for its standard error, got {mc_seeds}"
         )
 
     problem = build_problem(cfg.problem_name, cfg.problem_params, cfg.T)

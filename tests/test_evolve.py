@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import lchs.evolve as ev
 from lchs import (
@@ -344,18 +345,25 @@ class TestSharedEigenbasis:
     def test_one_debug_record_per_sum(self, beta_kernel, caplog, monkeypatch):
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 4000)
         caplog.set_level(logging.DEBUG, logger="lchs.evolve")
-        for name, path in (
-            ("blackhole", "shared-eigenbasis"), ("lindblad", "batched-eigh"),
-            ("cap", "tridiagonal"), ("mm1", "tridiagonal"),
+        # lindblad's L and H couple indices 0 and 3 only: a 2x2 tridiagonal
+        # block and two 1x1 blocks, each with its own chunk size
+        shared = "shared-eigenbasis"
+        for name, blocks in (
+            ("blackhole", [(2, shared)]),
+            ("lindblad", [(2, "tridiagonal"), (1, shared), (1, shared)]),
+            ("cap", [(63, "tridiagonal")]), ("mm1", [(16, "tridiagonal")]),
         ):
             p = build_problem(name, {})
             plan = plan_from_accuracy(beta_kernel, 1e-3, 0.25, p.meta["normL"])
             caplog.clear()
             lchs_apply(p, plan, 0.25)
-            chunks = -(-plan.size // (4000 // p.dim**2))
+            path = blocks[0][1] if len(blocks) == 1 else "split"
+            chunks = sum(-(-plan.size // (4000 // size**2)) for size, _ in blocks)
+            steps = sum(b != shared for _, b in blocks)
+            listed = " ".join(f"{size}:{b}" for size, b in blocks)
             assert [r.getMessage() for r in caplog.records] == [
                 f"weighted unitary sum: path={path} terms={plan.size} chunks={chunks} "
-                f"steps={0 if path == 'shared-eigenbasis' else 1}"
+                f"steps={steps} blocks={len(blocks)} [{listed}]"
             ]
 
 
@@ -419,22 +427,25 @@ class TestTridiagonalPath:
         assert np.linalg.norm(out - oracle_solve(p, self.T)) <= 1e-4
 
     def test_identically_zero_off_diagonal(self, beta_kernel, monkeypatch, caplog):
-        # L[j, j+1] = H[j, j+1] = 0: the band splits into two coupled blocks
+        # L[j, j+1] = H[j, j+1] = 0: the band splits into two coupled blocks,
+        # each propagated on its own
         p = tridiagonal_instance(np.random.default_rng(12), 6)
         L, H = (M.copy() for M in (p.schedule.pairs[0].L, p.schedule.pairs[0].H))
         for M in (L, H):
             M[2, 3] = M[3, 2] = 0.0
         p = ProblemInstance.from_pair(HermitianPair(L=L, H=H), p.u0)
         plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, 2.8)
-        assert logged_path(p, plan, self.T, caplog) == "tridiagonal"
+        assert logged_path(p, plan, self.T, caplog) == "split"
         out = paths_agree(p, plan, self.T, monkeypatch, 1e-12, test="_is_tridiagonal")
         assert np.linalg.norm(out - oracle_solve(p, self.T)) <= 1e-4
 
     def test_dense_pairs_take_batched_eigh(self, beta_kernel, caplog):
+        # lindblad's 4x4 pair couples only indices 0 and 3: it splits into a
+        # 2x2 block and two 1x1 blocks
         dense = random_gated_instance(np.random.default_rng(13), 5)  # ||L|| <= 1.2
-        for p in (build_problem("lindblad", {}), dense):
+        for p, path in ((build_problem("lindblad", {}), "split"), (dense, "batched-eigh")):
             plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta.get("normL", 1.2))
-            assert logged_path(p, plan, self.T, caplog) == "batched-eigh"
+            assert logged_path(p, plan, self.T, caplog) == path
 
     @staticmethod
     def two_span_instance(pairs):
@@ -476,6 +487,169 @@ class TestTridiagonalPath:
         plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
         with pytest.raises(PropagationError, match="dstevd failed with info = 3"):
             lchs_apply(p, plan, self.T)
+
+
+def tridiagonal_branch_calls(monkeypatch):
+    """Count the dstevd calls of the per-term tridiagonal branch."""
+    calls = []
+
+    def counting(d, e):
+        calls.append(len(d))
+        return lapack.dstevd(d, e)
+
+    monkeypatch.setattr(ev, "lapack", types.SimpleNamespace(dstevd=counting))
+    return calls
+
+
+class TestTridiagonalBranches:
+    """Small tridiagonal blocks are decomposed by one batched real eigh per
+    chunk, larger ones by dstevd term by term; both give the same sum."""
+
+    T = 0.25
+
+    @pytest.mark.parametrize("dim, vanish", [(2, False), (4, True), (8, False)])
+    def test_batched_matches_dstevd(self, dim, vanish, beta_kernel, monkeypatch, caplog):
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, 2.8)
+        k_star = plan.k[plan.size // 3]
+        p = tridiagonal_instance(
+            np.random.default_rng(30 + dim), dim, vanish=(dim // 2 - 1, k_star) if vanish else None
+        )
+        assert logged_path(p, plan, self.T, caplog) == "tridiagonal"
+        calls = tridiagonal_branch_calls(monkeypatch)
+        batched = lchs_apply(p, plan, self.T)
+        assert calls == []
+        monkeypatch.setattr(ev, "_BATCHED_TRIDIAGONAL_MAX_DIM", dim - 1)
+        looped = lchs_apply(p, plan, self.T)
+        assert calls == [dim] * plan.size
+        assert np.linalg.norm(batched - looped) <= 1e-12 * np.linalg.norm(p.u0)
+        assert np.linalg.norm(batched - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    def test_builder_dims_above_cut_off_keep_dstevd(self, beta_kernel, monkeypatch):
+        calls = tridiagonal_branch_calls(monkeypatch)
+        p = build_problem("mm1", {})
+        plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
+        lchs_apply(p, plan, self.T)
+        assert p.dim > ev._BATCHED_TRIDIAGONAL_MAX_DIM
+        assert calls == [p.dim] * plan.size
+
+    def test_batched_failure_raises(self, beta_kernel, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def failing(A):
+            if A.ndim == 3 and A.dtype == float:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        p = tridiagonal_instance(np.random.default_rng(33), 4)
+        plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, 2.8)
+        with pytest.raises(PropagationError, match="batched tridiagonal eigh failed"):
+            lchs_apply(p, plan, self.T)
+        with pytest.raises(PropagationError, match="batched tridiagonal eigh failed"):
+            residual_lemma_check(p, beta_kernel, self.T, plan.K, plan.meta["M"], plan.meta["Q"])
+
+    def test_lindblad_decomposes_nothing_larger_than_2x2(self, beta_kernel, monkeypatch):
+        dims = []
+        for name in ("_eigh_tridiagonal", "_eigh_dense"):
+            def spy(pair, ks, real=getattr(ev, name)):
+                dims.extend([pair.dim] * len(ks))
+                return real(pair, ks)
+
+            monkeypatch.setattr(ev, name, spy)
+        p = build_problem("lindblad", {})
+        plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
+        lchs_apply(p, plan, self.T)
+        assert dims == [2] * plan.size
+
+
+def one_block(spans):
+    """_block_labels stub that keeps every index in one block."""
+    return np.zeros(spans[0][0].dim, dtype=int)
+
+
+def block_diagonal_instance(rng):
+    """dim 8 with a dense 3x3 block on indices (0, 3, 6), a tridiagonal 4x4
+    block on (1, 2, 5, 7) and a 1x1 block on (4,), interleaved so that the
+    block results must be scattered back to the right entries."""
+    blocks = (
+        ([0, 3, 6], random_gated_instance(rng, 3).schedule.pairs[0]),
+        ([1, 2, 5, 7], tridiagonal_instance(rng, 4).schedule.pairs[0]),
+        ([4], HermitianPair(L=np.array([[0.7 + 0j]]), H=np.array([[-0.4 + 0j]]))),
+    )
+    L, H = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
+    for idx, pair in blocks:
+        L[np.ix_(idx, idx)] = pair.L
+        H[np.ix_(idx, idx)] = pair.H
+    u0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    return ProblemInstance.from_pair(HermitianPair(L=L, H=H), u0 / np.linalg.norm(u0))
+
+
+class TestBlockSplit:
+    """Indices that no span couples are propagated as separate blocks, each
+    by its own path."""
+
+    def test_blocks_match_unsplit_run_and_oracle(self, beta_kernel, monkeypatch, caplog):
+        p = block_diagonal_instance(np.random.default_rng(21))
+        T, eps = 0.5, 1e-4
+        normL = float(np.max(np.linalg.eigvalsh(p.schedule.pairs[0].L)))
+        plan = plan_from_accuracy(beta_kernel, eps, T, normL)
+        caplog.set_level(logging.DEBUG, logger="lchs.evolve")
+        caplog.clear()
+        split = lchs_apply(p, plan, T)
+        (record,) = caplog.records
+        assert record.getMessage().endswith(
+            "blocks=3 [3:batched-eigh 4:tridiagonal 1:shared-eigenbasis]"
+        )
+        monkeypatch.setattr(ev, "_block_labels", one_block)
+        assert logged_path(p, plan, T, caplog) == "batched-eigh"
+        whole = lchs_apply(p, plan, T)
+        assert np.linalg.norm(split - whole) <= 1e-12 * np.linalg.norm(p.u0)
+        assert np.linalg.norm(split - oracle_solve(p, T)) <= eps * np.linalg.norm(p.u0)
+
+    def test_coupling_in_one_span_keeps_one_block(self, beta_kernel, caplog):
+        first, second = (
+            tridiagonal_instance(np.random.default_rng(s), 4).schedule.pairs[0] for s in (23, 24)
+        )
+        L, H = first.L.copy(), first.H.copy()
+        for M in (L, H):
+            M[1, 2] = M[2, 1] = 0.0
+        first = HermitianPair(L=L, H=H)
+        u0 = np.array([1.0, 0.5j, -0.25, 0.75])
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, 2.8)
+        alone = ProblemInstance.from_pair(first, u0)
+        assert logged_path(alone, plan, 1.0, caplog) == "split"
+        # only the second span couples (0, 1) to (2, 3)
+        p = ProblemInstance(schedule=TimeSchedule.piecewise([0.0, 0.1, 1.0], [first, second]), u0=u0)
+        assert logged_path(p, plan, 1.0, caplog) == "tridiagonal"
+        assert caplog.records[0].getMessage().endswith("blocks=1 [4:tridiagonal]")
+        out = lchs_apply(p, plan, 1.0)
+        assert np.linalg.norm(out - oracle_solve(p, 1.0)) <= 1e-4 * np.linalg.norm(u0)
+
+    @pytest.mark.parametrize("support", [[0, 3], [1], [2]])
+    def test_unreached_entries_are_exactly_zero(self, support, beta_kernel):
+        lindblad = build_problem("lindblad", {})
+        u0 = np.zeros(4, dtype=complex)
+        u0[support] = [0.6, 0.8j][: len(support)]
+        p = ProblemInstance(schedule=lindblad.schedule, u0=u0)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 0.25, lindblad.meta["normL"])
+        out = lchs_apply(p, plan, 0.25)
+        rest = np.setdiff1d(np.arange(4), support)
+        assert np.all(out[rest] == 0)
+        assert np.all(out[support] != 0)
+        assert np.linalg.norm(out - oracle_solve(p, 0.25)) <= 1e-4
+
+    def test_residual_check_matches_unsplit_run(self, beta_kernel, monkeypatch):
+        p = build_problem("lindblad", {})
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, p.meta["normL"])
+        args = (p, beta_kernel, 1.0, plan.K, plan.meta["M"], plan.meta["Q"])
+        split = residual_lemma_check(*args)
+        monkeypatch.setattr(ev, "_block_labels", one_block)
+        assert split == pytest.approx(residual_lemma_check(*args), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["cap", "mm1", "mmc"])
+    def test_connected_builders_stay_whole(self, name):
+        p = build_problem(name, {})
+        assert not np.any(ev._block_labels(ev._spans(p.schedule, 0.25)))
 
 
 class TestStreamedReduction:

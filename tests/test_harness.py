@@ -313,7 +313,7 @@ class TestNestedMonteCarlo:
             assert np.array_equal(mc_plan(kernel, K, n, seed).k, full[:n])
 
     @pytest.mark.parametrize("problem, path", [
-        ("lindblad", "batched-eigh"), ("mm1", "tridiagonal"),
+        ("lindblad", "split"), ("mm1", "tridiagonal"),
     ])
     def test_rows_match_independent_solves(self, caplog, problem, path):
         caplog.set_level(logging.DEBUG, logger="lchs")
@@ -371,6 +371,26 @@ class TestNestedMonteCarlo:
             result.rows[3]["replica_errors"], independent_errors(cfg, 400, range(2, 5)),
             rtol=1e-12, atol=0,
         )
+
+    @pytest.mark.parametrize("axis", ["M", "Q"])
+    def test_rule_axes_rejected_up_front(self, axis, tmp_path, capsys):
+        # a {K, Ns, seed} plan has no M or Q to sweep
+        with pytest.raises(ConfigError) as err:
+            run_convergence(mc_config(), axis, [1, 2, 3, 4])
+        assert err.value.pointer == "/accuracy"
+        path = write_config(tmp_path, base_config(
+            method="monte-carlo", accuracy={"K": 30.0, "Ns": 50, "seed": 5}))
+        assert main(["converge", path, "--axis", axis, "--values", "1,2,3,4"]) == EXIT_CONFIG
+
+    @pytest.mark.filterwarnings("error")
+    def test_standard_error_needs_two_replicas(self):
+        for seeds in (0, 1):
+            with pytest.raises(ConfigError, match="mc_seeds >= 2"):
+                run_convergence(mc_config(), "Ns", [50, 100, 200, 400], mc_seeds=seeds)
+        result = run_convergence(mc_config(), "Ns", [50, 100, 200, 400], mc_seeds=2)
+        for row in result.rows:
+            assert row["status"] == "ok"
+            assert np.isfinite(row["stderr"])
 
 
 class TestWorkerCount:
