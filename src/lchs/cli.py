@@ -86,7 +86,7 @@ def _cmd_validate_kernel(args) -> int:
 
 def _cmd_lemma_check(args) -> int:
     cfg = harness.RunConfig.from_file(args.config)
-    problem = harness.build_problem(cfg.problem_name, cfg.problem_params, cfg.T)
+    problem = harness.build_problem(cfg.problem_name, cfg.problem_params)
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     eps_levels = np.logspace(-1, -args.levels, args.levels)
     print(f"instance {problem.label}, T={cfg.T}, lambda0={problem.lambda0:.4g}")

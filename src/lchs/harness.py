@@ -25,6 +25,7 @@ from .errors import BuildError, ConfigError, FitError, LchsError
 from .evolve import ProblemInstance, SolveReport, lchs_apply, oracle_solve, solve
 from .kernels import KernelSpec, choose_truncation, make_kernel
 from .problems import (
+    DEFAULT_LAMBDA0,
     CapPotentials,
     LindbladSpec,
     ParabolicCoefficients,
@@ -230,31 +231,40 @@ class RunConfig:
         return out
 
 
+# Every key each builder reads from a params block, with its default (None
+# where there is none). build_problem rejects any other key, so a misspelt
+# parameter cannot silently fall back to its default.
 DEFAULT_PARAMS = {
-    "parabolic1d": {"a": 1.0, "b": 0.0, "c": 0.0, "N_grid": 17},
-    "mm1": {"lambda_rate": 1.0, "mu_rate": 2.0, "n_trunc": 16},
-    "mmc": {"lambda_rate": 1.0, "mu_rate": 1.0, "servers": 2, "n_trunc": 16},
+    "parabolic1d": {
+        "a": 1.0, "b": 0.0, "c": 0.0, "N_grid": 17, "lambda0_target": DEFAULT_LAMBDA0,
+    },
+    "mm1": {"lambda_rate": 1.0, "mu_rate": 2.0, "n_trunc": 16, "lambda0_target": DEFAULT_LAMBDA0},
+    "mmc": {
+        "lambda_rate": 1.0, "mu_rate": 1.0, "servers": 2, "n_trunc": 16,
+        "lambda0_target": DEFAULT_LAMBDA0,
+    },
     "cap": {
         "V_R": 0.0,
         "V_I": {"layer": {"depth": 5.0, "x_lo": 0.7, "x_hi": 0.9}},
         "hbar": 1.0,
         "N_grid": 65,
         "domain": [0.0, 1.0],
+        "packet": None,
+        "lambda0_target": DEFAULT_LAMBDA0,
     },
-    "lindblad": {"preset": "amplitude-damping", "gamma": 1.0, "rho0": "excited"},
+    # either the preset (preset, gamma) or a custom spec (H, jumps)
+    "lindblad": {
+        "preset": "amplitude-damping", "gamma": 1.0, "H": None, "jumps": None,
+        "rho0": "excited", "lambda0_target": DEFAULT_LAMBDA0,
+    },
     "blackhole": {"H": {"diag": [1.0, -1.0]}, "gamma": 0.5},
 }
 
-# Every key each builder reads from a params block; build_problem rejects the
-# rest, so a misspelt parameter cannot silently fall back to its default.
-_PARAM_KEYS = {
-    "parabolic1d": {"a", "b", "c", "N_grid", "time_slices", "lambda0_target"},
-    "mm1": {"lambda_rate", "mu_rate", "n_trunc", "lambda0_target"},
-    "mmc": {"lambda_rate", "mu_rate", "servers", "n_trunc", "lambda0_target"},
-    "cap": {"V_R", "V_I", "hbar", "N_grid", "domain", "time_slices", "lambda0_target", "packet"},
-    "lindblad": {"preset", "gamma", "H", "jumps", "rho0", "lambda0_target"},
-    "blackhole": {"H", "gamma"},
-}
+
+def _param_error(key: str, why: str) -> ConfigError:
+    return ConfigError(
+        f"config invalid at /problem/params/{key}: {why}", pointer=f"/problem/params/{key}"
+    )
 
 
 def _parse_matrix(spec) -> np.ndarray:
@@ -276,25 +286,40 @@ def _parse_vi(spec) -> object:
     return lambda x: fn(x, 0.0)
 
 
-def build_problem(name: str, params: dict | None = None, T: float = 1.0) -> ProblemInstance:
+def _lindblad_spec(given: dict, p: dict) -> LindbladSpec:
+    """The custom spec when the block names H, else the named preset."""
+    if given.get("H") is not None:
+        for key in ("preset", "gamma"):
+            if given.get(key) is not None:
+                raise _param_error(key, f"lindblad takes {key!r} or 'H', not both")
+        jumps = [_parse_matrix(j) for j in p["jumps"] or []]
+        return LindbladSpec(H_sys=_parse_matrix(p["H"]), jump_ops=jumps)
+    if given.get("jumps") is not None:
+        raise _param_error("jumps", "lindblad 'jumps' needs 'H'")
+    if p["preset"] != "amplitude-damping":
+        raise _param_error("preset", f"unknown lindblad preset {p['preset']!r}")
+    return amplitude_damping_spec(float(p["gamma"]))
+
+
+def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
     """Instantiate a named problem from a JSON-style parameter block.
 
-    T is the horizon the run integrates to; time-sliced builders place their
-    breakpoints on [0, T]. A key the builder does not read raises ConfigError
-    with pointer /problem/params/<key>; so does T, since the horizon is the
-    config's top-level T only.
+    Keys missing from the block take their DEFAULT_PARAMS value. A key the
+    builder does not read raises ConfigError with pointer
+    /problem/params/<key>; so does T, since the horizon is the config's
+    top-level T only.
     """
     if name not in DEFAULT_PARAMS:
         raise BuildError(f"unknown problem {name!r}")
-    unknown = sorted(set(params or {}) - _PARAM_KEYS[name])
+    given = params or {}
+    unknown = sorted(set(given) - set(DEFAULT_PARAMS[name]))
     if unknown:
-        raise ConfigError(
-            f"config invalid at /problem/params/{unknown[0]}: {name} has no parameter "
-            f"{unknown[0]!r} (it reads {', '.join(sorted(_PARAM_KEYS[name]))})",
-            pointer=f"/problem/params/{unknown[0]}",
+        raise _param_error(
+            unknown[0],
+            f"{name} has no parameter {unknown[0]!r} "
+            f"(it reads {', '.join(sorted(DEFAULT_PARAMS[name]))})",
         )
-    p = dict(DEFAULT_PARAMS[name])
-    p.update(params or {})
+    p = {**DEFAULT_PARAMS[name], **given}
     if name == "parabolic1d":
         pc = ParabolicCoefficients(
             a=preset_callable(p["a"]),
@@ -302,44 +327,28 @@ def build_problem(name: str, params: dict | None = None, T: float = 1.0) -> Prob
             c=preset_callable(p["c"]),
             N_grid=int(p["N_grid"]),
         )
-        return build_parabolic_1d(
-            pc,
-            T=T,
-            time_slices=int(p.get("time_slices", 1)),
-            lambda0_target=float(p.get("lambda0_target", 0.1)),
-        )
+        return build_parabolic_1d(pc, lambda0_target=float(p["lambda0_target"]))
     if name == "mm1":
         qp = QueueParams(p["lambda_rate"], p["mu_rate"], 1, int(p["n_trunc"]))
-        return build_mm1(qp, lambda0_target=float(p.get("lambda0_target", 0.1)))
+        return build_mm1(qp, lambda0_target=float(p["lambda0_target"]))
     if name == "mmc":
         qp = QueueParams(p["lambda_rate"], p["mu_rate"], int(p["servers"]), int(p["n_trunc"]))
-        return build_mmc(qp, lambda0_target=float(p.get("lambda0_target", 0.1)))
+        return build_mmc(qp, lambda0_target=float(p["lambda0_target"]))
     if name == "cap":
-        vr = preset_callable(p["V_R"])
         cp = CapPotentials(
-            V_R=vr,
+            V_R=preset_callable(p["V_R"]),
             V_I=_parse_vi(p["V_I"]),
             hbar=float(p["hbar"]),
             N_grid=int(p["N_grid"]),
-            domain=tuple(p.get("domain", (0.0, 1.0))),
+            domain=tuple(p["domain"]),
         )
         return build_cap_schrodinger(
-            cp,
-            T=T,
-            time_slices=int(p.get("time_slices", 1)),
-            lambda0_target=float(p.get("lambda0_target", 0.1)),
-            packet=p.get("packet"),
+            cp, lambda0_target=float(p["lambda0_target"]), packet=p["packet"]
         )
     if name == "lindblad":
-        if p.get("preset") == "amplitude-damping":
-            spec = amplitude_damping_spec(float(p.get("gamma", 1.0)))
-            n = 2
-        else:
-            H = _parse_matrix(p["H"])
-            jumps = [_parse_matrix(j) for j in p.get("jumps", [])]
-            spec = LindbladSpec(H_sys=H, jump_ops=jumps)
-            n = H.shape[0]
-        rho0 = p.get("rho0")
+        spec = _lindblad_spec(given, p)
+        n = spec.H_sys.shape[0]
+        rho0 = p["rho0"]
         if rho0 == "excited":
             rho = np.zeros((n, n), dtype=complex)
             rho[n - 1, n - 1] = 1.0
@@ -347,7 +356,7 @@ def build_problem(name: str, params: dict | None = None, T: float = 1.0) -> Prob
             rho = None
         else:
             rho = _parse_matrix(rho0)
-        return build_lindblad(spec, rho0=rho, lambda0_target=float(p.get("lambda0_target", 0.1)))
+        return build_lindblad(spec, rho0=rho, lambda0_target=float(p["lambda0_target"]))
     # name == "blackhole"
     return build_blackhole(_parse_matrix(p["H"]), float(p["gamma"]))
 
@@ -405,7 +414,7 @@ def run_solve(cfg: RunConfig) -> SolveReport:
     Writes report.json (deterministic), timing.json (wall clock), and
     optionally plan.csv with the (k, |c|) table.
     """
-    problem = build_problem(cfg.problem_name, cfg.problem_params, cfg.T)
+    problem = build_problem(cfg.problem_name, cfg.problem_params)
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     plan = make_plan(cfg, problem, kernel)
     report = solve(problem, plan, cfg.T)
@@ -571,7 +580,7 @@ def run_convergence(
             f"a monte-carlo sweep needs mc_seeds >= 2 for its standard error, got {mc_seeds}"
         )
 
-    problem = build_problem(cfg.problem_name, cfg.problem_params, cfg.T)
+    problem = build_problem(cfg.problem_name, cfg.problem_params)
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     u_ref = oracle_solve(problem, cfg.T)
     ref_norm = np.linalg.norm(u_ref)
@@ -584,12 +593,7 @@ def run_convergence(
             acc["Ns"] = int(value)
         else:
             acc[axis] = type(acc[axis])(value)
-        sub = RunConfig(
-            problem_name=cfg.problem_name, problem_params=cfg.problem_params,
-            kernel_family=cfg.kernel_family, kernel_beta=cfg.kernel_beta,
-            method=cfg.method, accuracy=acc, T=cfg.T,
-        )
-        return make_plan(sub, problem, kernel)
+        return make_plan(replace(cfg, accuracy=acc), problem, kernel)
 
     def rel_error_for(u: np.ndarray) -> float:
         return float(np.linalg.norm(u - u_ref) / ref_norm)

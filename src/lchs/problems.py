@@ -21,9 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BuildError, DimensionError, HermiticityError, RangeError
+from .errors import BuildError, DimensionError, RangeError
 from .evolve import ProblemInstance
-from .linalg import HermitianPair, TimeSchedule, hermitian_split, shift_pair
+from .linalg import (
+    HermitianPair,
+    TimeSchedule,
+    _check_hermitian,
+    hermitian_split,
+    shift_pair,
+    spectral_shift,
+)
 
 DEFAULT_LAMBDA0 = 0.1
 
@@ -43,11 +50,15 @@ def _finalize(
     meta: dict,
 ) -> ProblemInstance:
     """Shift a (possibly piecewise) family of pairs to the target bound and
-    wrap everything as a ProblemInstance."""
-    c = max(0.0, lambda0_target - min(p.lambda0 for p in pairs))
+    wrap everything as a ProblemInstance.
+
+    The pair with the lowest bound sets the shift; spectral_shift rejects a
+    target that is not positive."""
+    lowest = min(pairs, key=lambda p: p.lambda0)
+    shifted, c = spectral_shift(lowest, lambda0_target)
     if c > 0.0:
         # one uniform shift across the whole schedule, recertified per pair
-        pairs = [shift_pair(p, c) for p in pairs]
+        pairs = [shifted if p is lowest else shift_pair(p, c) for p in pairs]
     if len(pairs) == 1:
         schedule = TimeSchedule.constant(pairs[0])
     else:
@@ -314,16 +325,14 @@ def build_cap_schrodinger(
 
 @dataclass
 class LindbladSpec:
-    """System Hamiltonian and jump operators of a GKSL generator."""
+    """System Hamiltonian and jump operators of a GKSL generator. H_sys must
+    be Hermitian to HERMITICITY_TOL and is stored symmetrized."""
 
     H_sys: np.ndarray
     jump_ops: list = field(default_factory=list)
 
     def __post_init__(self):
-        H = np.asarray(self.H_sys, dtype=complex)
-        if np.max(np.abs(H - H.conj().T)) > 1e-12:
-            raise HermiticityError("H_sys must be Hermitian to 1e-12")
-        object.__setattr__(self, "H_sys", H)
+        self.H_sys = _check_hermitian(self.H_sys, "H_sys")
 
 
 def vec_density(rho: np.ndarray) -> np.ndarray:
@@ -393,9 +402,8 @@ def build_blackhole(H, gamma: float, u0=None) -> ProblemInstance:
     decay rate gamma. The spectral bound is gamma itself; no shift."""
     if not gamma > 0:
         raise BuildError(f"gamma must be positive, got {gamma}")
-    H = np.asarray(H, dtype=complex)
-    if np.max(np.abs(H - H.conj().T)) > 1e-12:
-        raise HermiticityError("H must be Hermitian to 1e-12")
+    # hermitian_split symmetrizes, so this is the only check that can reject H
+    H = _check_hermitian(H, "H")
     n = H.shape[0]
     A = gamma * np.eye(n) + 1j * H
     pair = hermitian_split(A)

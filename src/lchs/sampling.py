@@ -9,7 +9,6 @@ Q nodes each, c = w * g(k)) or from uniform Monte Carlo sampling
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,36 +27,11 @@ GENERATOR_ID = "philox4x64-raw-v1"
 
 
 def gauss_legendre(Q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Q-point Gauss-Legendre rule on (-1, 1).
-
-    Roots of the degree-Q Legendre polynomial by Newton iteration from
-    Chebyshev initial guesses; weights w = 2 / ((1 - x^2) P'_Q(x)^2).
-    The rule integrates polynomials of degree <= 2Q - 1 exactly.
-    """
+    """Nodes (ascending) and weights of the Q-point Gauss-Legendre rule on
+    (-1, 1), which integrates polynomials of degree <= 2Q - 1 exactly."""
     if not (1 <= Q <= Q_MAX):
         raise RangeError(f"Q must lie in [1, {Q_MAX}], got {Q}")
-    i = np.arange(Q)
-    x = np.cos(np.pi * (4 * i + 3) / (4 * Q + 2))
-    for _ in range(100):
-        # Legendre recurrence up to degree Q, tracking P_{Q-1} for P'_Q
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for n in range(1, Q):
-            p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-        dp = Q * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= 1e-15:
-            break
-    # final derivative at the converged nodes
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for n in range(1, Q):
-        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-    dp = Q * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    return x[order], w[order]
+    return np.polynomial.legendre.leggauss(Q)
 
 
 @dataclass(frozen=True)
@@ -96,62 +70,6 @@ class SamplingPlan:
             raise RangeError("plan abscissae fall outside [-K, K]")
         if not np.isfinite(self.coefficient_l1()):
             raise RangeError("plan coefficients are not absolutely summable")
-
-    # rule parameters serialized at the top level of the JSON document
-    _TOP_LEVEL_META = ("M", "Q", "Ns", "seed", "generator")
-
-    def to_dict(self) -> dict:
-        kernel = {"family": self.kernel.family}
-        if self.kernel.family == "beta":
-            kernel["beta"] = self.kernel.beta
-        out = {
-            "schema_version": 1,
-            "method": self.method,
-            "K": self.K,
-        }
-        for key in self._TOP_LEVEL_META:
-            if key in self.meta:
-                out[key] = self.meta[key]
-        extra = {k: v for k, v in self.meta.items() if k not in self._TOP_LEVEL_META}
-        out["kernel"] = kernel
-        if extra:
-            out["meta"] = extra
-        out["terms"] = [
-            {"k": float(kj), "c_re": float(cj.real), "c_im": float(cj.imag)}
-            for kj, cj in zip(self.k, self.c)
-        ]
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=None, separators=(",", ":"))
-
-    @staticmethod
-    def from_dict(d: dict) -> "SamplingPlan":
-        kd = d["kernel"]
-        # Older documents carry the numerical normalization factor once stored
-        # on KernelSpec; every value make_kernel wrote lies within 1e-10 of 1,
-        # and any other value describes a different kernel.
-        correction = kd.get("normalization_correction", 1.0)
-        if not abs(correction - 1.0) <= 1e-10:
-            raise RangeError(
-                f"plan kernel has normalization_correction {correction!r}; "
-                "lchs kernels integrate to exactly 1"
-            )
-        kernel = KernelSpec(family=kd["family"], beta=kd.get("beta"))
-        terms = d["terms"]
-        k = np.array([t["k"] for t in terms], dtype=float)
-        c = np.array([t["c_re"] + 1j * t["c_im"] for t in terms], dtype=complex)
-        meta = dict(d.get("meta", {}))
-        for key in SamplingPlan._TOP_LEVEL_META:
-            if key in d:
-                meta[key] = d[key]
-        return SamplingPlan(
-            method=d["method"], k=k, c=c, K=float(d["K"]), kernel=kernel, meta=meta,
-        )
-
-    @staticmethod
-    def from_json(s: str) -> "SamplingPlan":
-        return SamplingPlan.from_dict(json.loads(s))
 
 
 def _composite_nodes(K: float, M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,11 @@
-"""Every public name is used by the package itself, a demo or the benchmark,
-so the public API holds no function that only tests call."""
+"""Every public name, and every public method and property of a public class,
+is used by the package itself, a demo or the benchmark, so the public API
+holds nothing that only tests call."""
 
 import ast
 import functools
+import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,29 @@ def referenced_names() -> frozenset[str]:
     return frozenset(names)
 
 
+def public_members() -> list[str]:
+    """Class.member for each method, static or class method and property
+    that a class in lchs.__all__ defines itself under a name without a
+    leading underscore. Dataclass fields are data and are not listed."""
+    members = []
+    for name in lchs.__all__:
+        cls = getattr(lchs, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            if not attr.startswith("_") and isinstance(
+                value, (property, staticmethod, classmethod, types.FunctionType)
+            ):
+                members.append(f"{name}.{attr}")
+    return sorted(members)
+
+
 @pytest.mark.parametrize("name", sorted(set(lchs.__all__) - {"__version__"}))
 def test_public_name_is_used_outside_tests(name):
     assert name in referenced_names(), f"{name} is public but only tests use it"
+
+
+@pytest.mark.parametrize("member", public_members())
+def test_public_member_is_used_outside_tests(member):
+    attr = member.split(".")[1]
+    assert attr in referenced_names(), f"{member} is public but only tests use it"

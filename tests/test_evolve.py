@@ -9,12 +9,14 @@ from scipy.linalg import lapack
 
 import lchs.evolve as ev
 from lchs import (
+    CapPotentials,
     ParabolicCoefficients,
     PreconditionError,
     ProblemInstance,
     PropagationError,
     RangeError,
     TimeSchedule,
+    build_cap_schrodinger,
     build_parabolic_1d,
     hermitian_split,
     lchs_apply,
@@ -27,6 +29,7 @@ from lchs import (
 )
 from lchs.harness import build_problem
 from lchs.linalg import HermitianPair, shift_pair
+from lchs.problems import absorbing_layer
 
 from conftest import propagate, random_hermitian, random_unitary
 
@@ -790,8 +793,11 @@ class TestSpanPropagation:
         # cap with time_slices: one pair per slice, both tridiagonal, so the
         # two exact spans go through the tridiagonal path
         T = 0.5
-        one = build_problem("cap", {}, T)
-        two = build_problem("cap", {"time_slices": 2}, T)
+        cp = CapPotentials(
+            V_R=lambda x, t: 0.0, V_I=absorbing_layer(5.0, 0.7, 0.9), hbar=1.0, N_grid=65
+        )
+        one = build_cap_schrodinger(cp, T=T)
+        two = build_cap_schrodinger(cp, T=T, time_slices=2)
         assert len(two.schedule.pairs) == 2
         assert len(ev._spans(two.schedule, T)) == 2
         plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
@@ -802,9 +808,13 @@ class TestSpanPropagation:
         # constant coefficients: both slices carry the same pair, so two exact
         # spans must reproduce the single constant span to roundoff
         T = 1.0 / 256.0
-        one = build_problem("parabolic1d", {}, T)
-        two = build_problem("parabolic1d", {"time_slices": 2}, T)
+        pc = ParabolicCoefficients(
+            a=lambda x, t: 1.0, b=lambda x, t: 0.0, c=lambda x, t: 0.0, N_grid=17
+        )
+        one = build_parabolic_1d(pc, T=T)
+        two = build_parabolic_1d(pc, T=T, time_slices=2)
         assert len(two.schedule.pairs) == 2
+        assert np.array_equal(two.schedule.breakpoints, [0.0, T / 2.0, T])
         plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
         rep = solve(two, plan, T)
         assert rep.propagator_steps == 2

@@ -10,6 +10,7 @@ from lchs import (
     ConfigError,
     FitError,
     PropagationError,
+    RangeError,
     harness,
     lchs_apply,
     make_kernel,
@@ -104,17 +105,6 @@ class TestBuildProblem:
         )
         assert np.max(np.abs(inst.schedule.pairs[0].H)) > 0
 
-    def test_time_slices_span_the_horizon(self):
-        inst = build_problem("parabolic1d", {"time_slices": 2}, T=1.0 / 256.0)
-        assert np.array_equal(inst.schedule.breakpoints, [0.0, 1.0 / 512.0, 1.0 / 256.0])
-
-    def test_run_solve_slices_over_config_T(self):
-        cfg = RunConfig.from_dict(base_config(
-            problem={"name": "parabolic1d", "params": {"time_slices": 2}},
-            accuracy={"eps": 1e-3}, T=1.0 / 256.0,
-        ))
-        assert run_solve(cfg).propagator_steps == 2
-
     def test_params_T_rejected(self, tmp_path, capsys):
         cfg = base_config(problem={"name": "parabolic1d", "params": {"T": 0.5}})
         with pytest.raises(ConfigError) as err:
@@ -132,6 +122,40 @@ class TestBuildProblem:
     @pytest.mark.parametrize("name", sorted(DEFAULT_PARAMS))
     def test_default_params_accepted(self, name):
         assert build_problem(name, DEFAULT_PARAMS[name]).lambda0 > 0
+
+    @pytest.mark.parametrize("name", ["parabolic1d", "cap"])
+    def test_time_slices_rejected(self, name):
+        # every config preset ignores t, so slices could only repeat one pair
+        with pytest.raises(ConfigError) as err:
+            build_problem(name, {"time_slices": 2})
+        assert err.value.pointer == "/problem/params/time_slices"
+
+    @pytest.mark.parametrize("target", [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["parabolic1d", "mm1", "mmc", "cap", "lindblad"])
+    def test_nonpositive_lambda0_target_rejected(self, name, target):
+        with pytest.raises(RangeError, match="lambda0_target must be positive"):
+            build_problem(name, {"lambda0_target": target})
+
+    def test_lindblad_custom_spec(self):
+        # three-level decay cascade |2> -> |1> -> |0>
+        lower = {"re": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]}
+        inst = build_problem("lindblad", {"H": {"diag": [0.0, 1.0, 2.5]}, "jumps": [lower]})
+        assert inst.dim == 9
+        assert inst.label == "lindblad(n=3,jumps=1)"
+        rho = np.zeros((3, 3))
+        rho[2, 2] = 1.0
+        assert np.array_equal(inst.u0, rho.reshape(-1).astype(complex))
+
+    @pytest.mark.parametrize("params, key", [
+        ({"preset": "amplitude-damping", "H": {"diag": [0.0, 1.0]}}, "preset"),
+        ({"gamma": 2.0, "H": {"diag": [0.0, 1.0]}}, "gamma"),
+        ({"jumps": [{"diag": [0.0, 1.0]}]}, "jumps"),
+        ({"preset": "dephasing"}, "preset"),
+    ], ids=["preset-with-H", "gamma-with-H", "jumps-without-H", "unknown-preset"])
+    def test_lindblad_spec_conflicts_rejected(self, params, key):
+        with pytest.raises(ConfigError) as err:
+            build_problem("lindblad", params)
+        assert err.value.pointer == f"/problem/params/{key}"
 
     def test_unknown_param_exit_code(self, tmp_path, capsys):
         cfg = base_config(problem={"name": "mm1", "params": {"n_truc": 8}})
@@ -290,7 +314,7 @@ def propagated_terms(caplog) -> int:
 
 def independent_errors(cfg, Ns, seeds) -> list:
     """Relative errors of full mc_plan solves, one per seed, without the sweep."""
-    problem = build_problem(cfg.problem_name, cfg.problem_params, cfg.T)
+    problem = build_problem(cfg.problem_name, cfg.problem_params)
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     u_ref = oracle_solve(problem, cfg.T)
     return [

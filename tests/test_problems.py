@@ -384,6 +384,25 @@ class TestHelpers:
             assert inst.meta["normL"] > 0
 
 
+class TestLambda0Target:
+    @pytest.mark.parametrize("target", [0.0, -1.0])
+    @pytest.mark.parametrize("build", [
+        lambda target: build_parabolic_1d(
+            ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=9), lambda0_target=target),
+        lambda target: build_mm1(QueueParams(1.0, 2.0, 1, 8), lambda0_target=target),
+        lambda target: build_mmc(QueueParams(1.0, 1.0, 2, 8), lambda0_target=target),
+        lambda target: build_cap_schrodinger(
+            CapPotentials(V_R=zero, V_I=absorbing_layer(5.0, 0.7, 0.9), hbar=1.0, N_grid=17),
+            lambda0_target=target),
+        lambda target: build_lindblad(amplitude_damping_spec(1.0), lambda0_target=target),
+    ], ids=["parabolic1d", "mm1", "mmc", "cap", "lindblad"])
+    def test_nonpositive_target_rejected(self, build, target):
+        # lindblad's L has a zero mode, so a zero target used to build with
+        # lambda0 at roundoff level
+        with pytest.raises(RangeError, match="lambda0_target must be positive"):
+            build(target)
+
+
 class TestResidualAcrossBuilders:
     def test_residual_decreases_for_every_builder(self, beta_kernel):
         # the truncated oscillatory integral wobbles pointwise with K, so the

@@ -1,9 +1,9 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from lchs import (
     RangeError,
@@ -16,7 +16,7 @@ from lchs import (
     weight_g,
 )
 from lchs.harness import build_problem
-from lchs.sampling import GENERATOR_ID, SamplingPlan, quadrature_order
+from lchs.sampling import GENERATOR_ID, quadrature_order
 
 
 class TestGaussLegendre:
@@ -45,8 +45,12 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("Q", [4, 9, 17, 33, 64])
     def test_matches_reference_implementation(self, Q):
+        # Golub-Welsch: nodes are the eigenvalues of the Jacobi matrix of the
+        # Legendre recurrence, weights 2 v_0^2 from its eigenvectors
+        n = np.arange(1, Q)
+        xr, V = scipy.linalg.eigh_tridiagonal(np.zeros(Q), n / np.sqrt(4.0 * n * n - 1.0))
+        wr = 2.0 * V[0] ** 2
         x, w = gauss_legendre(Q)
-        xr, wr = np.polynomial.legendre.leggauss(Q)
         assert np.max(np.abs(x - xr)) <= 1e-14
         assert np.max(np.abs(w - wr)) <= 1e-14
 
@@ -99,6 +103,13 @@ class TestCompositePlan:
         assert np.all(np.diff(plan.k) > 0)
         assert np.max(np.abs(plan.k)) <= 3.0
 
+    def test_independent_constructions_byte_identical(self, beta_kernel):
+        a = composite_plan(beta_kernel, 6.0, 9, 4)
+        b = composite_plan(beta_kernel, 6.0, 9, 4)
+        assert np.array_equal(a.k, b.k)
+        assert np.array_equal(a.c, b.c)
+        assert a.meta == b.meta
+
 
 class TestPlanFromAccuracy:
     def test_node_budget_ratio(self, beta_kernel):
@@ -147,7 +158,9 @@ class TestMonteCarlo:
     def test_determinism(self, beta_kernel):
         a = mc_plan(beta_kernel, 10.0, 512, 99)
         b = mc_plan(beta_kernel, 10.0, 512, 99)
-        assert a.to_json() == b.to_json()
+        assert np.array_equal(a.k, b.k)
+        assert np.array_equal(a.c, b.c)
+        assert a.meta == b.meta
         assert a.meta["generator"] == GENERATOR_ID
 
     def test_different_seeds_differ(self, beta_kernel):
@@ -219,53 +232,3 @@ class TestMcSize:
     def test_range_error(self):
         with pytest.raises(RangeError):
             mc_size_from_accuracy(1e-4, 100.0)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, beta_kernel):
-        plan = composite_plan(beta_kernel, 4.0, 6, 5)
-        back = SamplingPlan.from_json(plan.to_json())
-        assert back.method == plan.method
-        assert back.K == plan.K
-        assert back.meta == plan.meta
-        assert np.array_equal(back.k, plan.k)
-        assert np.array_equal(back.c, plan.c)
-        assert back.to_json() == plan.to_json()
-        assert back.kernel == plan.kernel
-        assert "normalization_correction" not in plan.to_dict()["kernel"]
-
-    @pytest.mark.parametrize("correction", [1.0, 1.0 - 3.2e-14, 1.0 + 1.6e-14, 1.0 - 9e-11])
-    def test_old_correction_dropped(self, beta_kernel, correction):
-        # documents written while KernelSpec stored a numerical factor
-        plan = composite_plan(beta_kernel, 4.0, 6, 5)
-        d = plan.to_dict()
-        d["kernel"]["normalization_correction"] = correction
-        back = SamplingPlan.from_dict(d)
-        assert back.kernel == beta_kernel
-        assert back.to_json() == plan.to_json()
-
-    @pytest.mark.parametrize("correction", [1.0 + 2e-10, 0.5, float("nan")])
-    def test_other_correction_rejected(self, beta_kernel, correction):
-        d = composite_plan(beta_kernel, 4.0, 6, 5).to_dict()
-        d["kernel"]["normalization_correction"] = correction
-        with pytest.raises(RangeError, match="normalization_correction"):
-            SamplingPlan.from_dict(d)
-
-    def test_mc_round_trip(self, beta_kernel):
-        plan = mc_plan(beta_kernel, 2.0, 32, 5)
-        back = SamplingPlan.from_json(plan.to_json())
-        assert back.meta == {"Ns": 32, "seed": 5, "generator": GENERATOR_ID}
-        assert np.array_equal(back.k, plan.k)
-        assert np.array_equal(back.c, plan.c)
-
-    def test_json_shape(self, cauchy_kernel):
-        d = composite_plan(cauchy_kernel, 1.0, 1, 2).to_dict()
-        assert d["method"] == "gaussian"
-        assert d["M"] == 1 and d["Q"] == 2
-        assert set(d["terms"][0]) == {"k", "c_re", "c_im"}
-        json.dumps(d)  # serializable
-
-    def test_independent_constructions_byte_identical(self, beta_kernel):
-        a = composite_plan(beta_kernel, 6.0, 9, 4).to_json()
-        b = composite_plan(beta_kernel, 6.0, 9, 4).to_json()
-        assert a == b
