@@ -9,6 +9,9 @@ Subcommands:
   lemma-check <config.json>        vanishing f-weighted sum under refinement
   list-problems                    builders and their default parameters
 
+Global option -v/--verbose sends the lchs loggers' records, DEBUG and up, to
+stderr; stdout and the report files are the same with or without it.
+
 Exit codes: 0 success, 2 config error, 3 build error, 4 solve/numeric error.
 """
 
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -116,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lchs",
         description="Simulate du/dt = -A(t)u as a weighted combination of unitary evolutions.",
     )
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log the lchs package at DEBUG to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one solve from a JSON config")
@@ -152,6 +158,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code
         return EXIT_CONFIG if exc.code else EXIT_OK
+    logger, handler = logging.getLogger("lchs"), None
+    level = logger.level
+    if args.verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -163,6 +176,11 @@ def main(argv=None) -> int:
     except LchsError as exc:
         print(f"solve error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVE
+    finally:
+        # main may run more than once in a process (tests, embedding callers)
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
 
 
 if __name__ == "__main__":

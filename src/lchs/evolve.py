@@ -49,12 +49,26 @@ this order.
 * Batched eigh. Any other schedule is propagated span by span, by stacked
   complex eigendecompositions of k L + H.
 
-Within a chunk the terms are reduced by one pairwise numpy sum; the chunk
-partials are added in ascending plan order with compensated summation. The
-result is deterministic, so reports are bit-stable for a fixed plan. Each
-sum logs one DEBUG record on lchs.evolve: the path (that of the only block,
-or "split"), the plan's term count, the chunks and steps (eigendecomposed
-spans) summed over the blocks, and blocks=n with each block's size:path.
+The two per-term paths fold a mirrored plan over a real generator. When
+every span's L is real and its H purely imaginary, exactly (the PDE, queue
+and lindblad builders), conj(k L + H) = -(-k L + H), so U(-k) = conj U(k)
+span by span. When also the abscissae mirror bitwise, k_j = -k_{N-1-j} (every
+composite Gauss plan does), each |k| is decomposed once and applied to two
+columns, u0 and conj(u0), and the sum is
+sum c_+ U(|k|) u0 + conj(sum conj(c_-) U(|k|) conj(u0)): half the
+decompositions, two propagated columns each. The mirror test compares the
+two halves a slice at a time and stops at the first slice that differs, so
+a Monte Carlo plan, which is not mirrored, costs one slice.
+
+Within a chunk the terms (the +-k pairs of a folded sum) are reduced by one
+pairwise numpy sum; the chunk partials are added in ascending plan order
+(ascending |k| when folded) with compensated summation. The result is
+deterministic, so reports are bit-stable for a fixed plan. Each sum logs one
+DEBUG record on lchs.evolve: the path (that of the only block, or "split"),
+the plan's term count, the eigendecompositions done (folded terms x spans
+for a per-term block, 1 for a shared block, 0 for the identity), the chunks
+and steps (eigendecomposed spans) summed over the blocks, and blocks=n with
+each block's size:path.
 """
 
 from __future__ import annotations
@@ -97,6 +111,9 @@ _SHARED_BASIS_ULPS = 64
 #      16    21.3  us       21.6  us
 #      63   283    us      386    us
 _BATCHED_TRIDIAGONAL_MAX_DIM = 8
+
+# the mirror test of a plan's abscissae compares this many entries at a time
+_MIRROR_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -272,24 +289,25 @@ def _eigh_tridiagonal(pair: HermitianPair, ks: np.ndarray):
     return W, V, d
 
 
-def _propagate_chunk(spans: list, ks: np.ndarray, u0: np.ndarray, eig) -> np.ndarray:
-    """Product of exp(-i dt (k L + H)) over the spans, applied to u0 for every
-    k in ks. eig(pair, ks) gives eigenvalues W, eigenvectors V and phases d
+def _propagate_chunk(spans: list, ks: np.ndarray, starts: np.ndarray, eig) -> np.ndarray:
+    """Product of exp(-i dt (k L + H)) over the spans, applied to every row of
+    starts for every k in ks: each eigendecomposition serves all the start
+    vectors. eig(pair, ks) gives eigenvalues W, eigenvectors V and phases d
     (None when there are none) with k L + H = D V diag(W) V^dagger D^dagger,
-    D = diag(d), per k. Returns the propagated vectors as the columns of a
-    (dim, len(ks)) array."""
-    vecs = np.broadcast_to(u0, (len(ks), len(u0)))
+    D = diag(d), per k. Returns a (len(starts), dim, len(ks)) array whose
+    [s, :, j] is the propagation of starts[s] at ks[j]."""
+    vecs = np.broadcast_to(starts[:, None, :], (len(starts), len(ks), starts.shape[1]))
     for pair, dt in spans:
         W, V, d = eig(pair, ks)
         if d is not None:
             vecs = d.conj() * vecs
         # conj(V^T conj(v)) = V^dagger v without a conjugated copy of V
-        amp = np.einsum("nji,nj->ni", V, vecs.conj()).conj()
+        amp = np.einsum("nji,snj->sni", V, vecs.conj()).conj()
         amp *= np.exp(-1j * W * dt)
-        vecs = np.einsum("nij,nj->ni", V, amp)
+        vecs = np.einsum("nij,snj->sni", V, amp)
         if d is not None:
             vecs = d * vecs
-    return np.ascontiguousarray(vecs.T)
+    return np.ascontiguousarray(vecs.transpose(0, 2, 1))
 
 
 def _block_labels(spans: list) -> np.ndarray:
@@ -321,41 +339,79 @@ def _sub_block(spans: list, idx: np.ndarray):
     return idx, sub_spans, _shared_eigenbasis(sub_spans[0][0]) if len(spans) == 1 else None
 
 
+def _is_real(spans: list) -> bool:
+    """True when every span's L is real and its H purely imaginary, exactly.
+    Then conj(k L + H) = -(-k L + H), so conj U(k) = U(-k) span by span."""
+    return all(not np.any(pair.L.imag) and not np.any(pair.H.real) for pair, _ in spans)
+
+
+def _is_mirrored(ks: np.ndarray) -> bool:
+    """True when ks has even, nonzero length and ks[j] == -ks[-1 - j] for
+    every j. The halves are compared _MIRROR_SLICE entries at a time, so the
+    test stops at the first slice with a mismatch and makes no array the
+    size of the plan."""
+    half, odd = divmod(len(ks), 2)
+    if odd or not half:
+        return False
+    pos, neg = ks[half:], ks[half - 1 :: -1]
+    return all(
+        np.array_equal(pos[i : i + _MIRROR_SLICE], -neg[i : i + _MIRROR_SLICE])
+        for i in range(0, half, _MIRROR_SLICE)
+    )
+
+
 def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, basis):
     """sum_j weights[j] U(ks[j]) u0 over the spans of one block, streamed
     over chunks of budget / dim^2 terms. basis is the certified shared
-    eigenbasis of the single span, or None. Returns the sum and the block's
-    path, chunk count and step count."""
+    eigenbasis of the single span, or None. A per-term path folds a mirrored
+    ks over real spans: U(-k) u0 = conj(U(k) conj(u0)), so each |k| is
+    decomposed once and applied to u0 and conj(u0). Returns the sum and the
+    block's path, chunk count, step count and decomposition count."""
     dim = len(u0)
-    steps = 0
+    steps = decompositions = 0
     if not spans:
         path, rows = "identity", 1
 
-        def columns(kc):
-            return np.ones((1, len(kc)), dtype=complex)
+        def weighted(s):
+            return weights[None, s]
     elif basis is not None:
-        path, rows = "shared-eigenbasis", dim
+        path, rows, decompositions = "shared-eigenbasis", dim, 1
         V, lam, mu = basis
         T = spans[0][1]
 
-        def columns(kc):
-            return np.exp(-1j * T * (lam[:, None] * kc[None, :] + mu[:, None]))
+        def weighted(s):
+            return np.exp(-1j * T * (lam[:, None] * ks[s][None, :] + mu[:, None])) * weights[s]
     else:
         tridiagonal = _is_tridiagonal(spans)
         path, rows = ("tridiagonal" if tridiagonal else "batched-eigh"), dim
         eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
         steps = len(spans)
+        if _is_real(spans) and _is_mirrored(ks):
+            half = len(ks) // 2
+            mirror = weights[half - 1 :: -1]
+            ks, weights = ks[half:], weights[half:]
+            starts = np.stack([u0, u0.conj()])
 
-        def columns(kc):
-            return _propagate_chunk(spans, kc, u0, eig)
+            def weighted(s):
+                plus, minus = _propagate_chunk(spans, ks[s], starts, eig)
+                plus *= weights[s]
+                np.conjugate(minus, out=minus)
+                minus *= mirror[s]
+                plus += minus
+                return plus
+        else:
+
+            def weighted(s):
+                (cols,) = _propagate_chunk(spans, ks[s], u0[None, :], eig)
+                cols *= weights[s]
+                return cols
+        decompositions = len(ks) * steps
 
     chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
     total = np.zeros(rows, dtype=complex)
     comp = np.zeros_like(total)
     for start in range(0, len(ks), chunk):
-        cols = columns(ks[start : start + chunk])
-        cols *= weights[start : start + chunk]
-        term = cols.sum(axis=1) - comp
+        term = weighted(slice(start, start + chunk)).sum(axis=1) - comp
         tmp = total + term
         comp = (tmp - total) - term
         total = tmp
@@ -363,7 +419,7 @@ def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray,
         total = total[0] * u0
     elif path == "shared-eigenbasis":
         total = V @ (total * (V.conj().T @ u0))
-    return total, path, -(-len(ks) // chunk), steps
+    return total, path, -(-len(ks) // chunk), steps, decompositions
 
 
 def _weighted_unitary_sum(
@@ -394,13 +450,16 @@ def _weighted_unitary_sum(
     records = []
     for idx, block_spans, block_basis in blocks:
         block_u0 = u0[idx]
-        out[idx], path, chunks, steps = _block_sum(block_spans, ks, weights, block_u0, block_basis)
-        records.append((len(block_u0), path, chunks, steps))
+        out[idx], path, chunks, steps, decompositions = _block_sum(
+            block_spans, ks, weights, block_u0, block_basis
+        )
+        records.append((len(block_u0), path, chunks, steps, decompositions))
     _log.debug(
-        "weighted unitary sum: path=%s terms=%d chunks=%d steps=%d blocks=%d [%s]",
+        "weighted unitary sum: path=%s terms=%d decompositions=%d chunks=%d steps=%d "
+        "blocks=%d [%s]",
         records[0][1] if len(records) == 1 else "split", len(ks),
-        sum(r[2] for r in records), sum(r[3] for r in records), len(records),
-        " ".join(f"{size}:{path}" for size, path, _, _ in records),
+        sum(r[4] for r in records), sum(r[2] for r in records), sum(r[3] for r in records),
+        len(records), " ".join(f"{r[0]}:{r[1]}" for r in records),
     )
     return out
 

@@ -290,7 +290,7 @@ def _lindblad_spec(given: dict, p: dict) -> LindbladSpec:
     """The custom spec when the block names H, else the named preset."""
     if given.get("H") is not None:
         for key in ("preset", "gamma"):
-            if given.get(key) is not None:
+            if key in given:
                 raise _param_error(key, f"lindblad takes {key!r} or 'H', not both")
         jumps = [_parse_matrix(j) for j in p["jumps"] or []]
         return LindbladSpec(H_sys=_parse_matrix(p["H"]), jump_ops=jumps)
@@ -307,7 +307,8 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
     Keys missing from the block take their DEFAULT_PARAMS value. A key the
     builder does not read raises ConfigError with pointer
     /problem/params/<key>; so does T, since the horizon is the config's
-    top-level T only.
+    top-level T only, and so does null for a key whose default is not null.
+    The exception is lindblad's rho0, whose null means the mixed state.
     """
     if name not in DEFAULT_PARAMS:
         raise BuildError(f"unknown problem {name!r}")
@@ -319,6 +320,9 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
             f"{name} has no parameter {unknown[0]!r} "
             f"(it reads {', '.join(sorted(DEFAULT_PARAMS[name]))})",
         )
+    for key, value in given.items():
+        if value is None and DEFAULT_PARAMS[name][key] is not None and key != "rho0":
+            raise _param_error(key, f"{name} parameter {key!r} cannot be null")
     p = {**DEFAULT_PARAMS[name], **given}
     if name == "parabolic1d":
         pc = ParabolicCoefficients(

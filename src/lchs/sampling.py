@@ -74,15 +74,20 @@ class SamplingPlan:
 
 def _composite_nodes(K: float, M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """Abscissae (ascending) and weights of the composite Q-node
-    Gauss-Legendre rule on [-K, K] with 2M subintervals of width h = K/M."""
+    Gauss-Legendre rule on [-K, K] with 2M subintervals of width h = K/M.
+
+    The k > 0 half is computed and the k < 0 half is its negation, so
+    k[j] == -k[-1 - j] exactly; the Gauss-Legendre weights are symmetric, so
+    the weights mirror too."""
     if K <= 0:
         raise RangeError(f"K must be positive, got {K}")
     if M < 1:
         raise RangeError(f"M must be >= 1, got {M}")
     x, w = gauss_legendre(Q)
     h = K / M
-    left = h * np.arange(-M, M)  # subinterval left endpoints, ascending
-    k = (left[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
+    left = h * np.arange(M)  # left endpoints of the k > 0 subintervals, ascending
+    positive = (left[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
+    k = np.concatenate([-positive[::-1], positive])
     wts = np.broadcast_to(0.5 * h * w, (2 * M, Q)).ravel()
     return k, wts
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 import types
 
@@ -349,23 +350,27 @@ class TestSharedEigenbasis:
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 4000)
         caplog.set_level(logging.DEBUG, logger="lchs.evolve")
         # lindblad's L and H couple indices 0 and 3 only: a 2x2 tridiagonal
-        # block and two 1x1 blocks, each with its own chunk size
+        # block and two 1x1 blocks, each with its own chunk size. The third
+        # entry is the fold: the real lindblad block and mm1 decompose each
+        # |k| of the mirrored plan once, cap (H not imaginary) every k.
         shared = "shared-eigenbasis"
         for name, blocks in (
-            ("blackhole", [(2, shared)]),
-            ("lindblad", [(2, "tridiagonal"), (1, shared), (1, shared)]),
-            ("cap", [(63, "tridiagonal")]), ("mm1", [(16, "tridiagonal")]),
+            ("blackhole", [(2, shared, 1)]),
+            ("lindblad", [(2, "tridiagonal", 2), (1, shared, 1), (1, shared, 1)]),
+            ("cap", [(63, "tridiagonal", 1)]), ("mm1", [(16, "tridiagonal", 2)]),
         ):
             p = build_problem(name, {})
             plan = plan_from_accuracy(beta_kernel, 1e-3, 0.25, p.meta["normL"])
             caplog.clear()
             lchs_apply(p, plan, 0.25)
             path = blocks[0][1] if len(blocks) == 1 else "split"
-            chunks = sum(-(-plan.size // (4000 // size**2)) for size, _ in blocks)
-            steps = sum(b != shared for _, b in blocks)
-            listed = " ".join(f"{size}:{b}" for size, b in blocks)
+            chunks = sum(-(-(plan.size // fold) // (4000 // size**2)) for size, _, fold in blocks)
+            decompositions = sum(1 if b == shared else plan.size // fold for _, b, fold in blocks)
+            steps = sum(b != shared for _, b, _ in blocks)
+            listed = " ".join(f"{size}:{b}" for size, b, _ in blocks)
             assert [r.getMessage() for r in caplog.records] == [
-                f"weighted unitary sum: path={path} terms={plan.size} chunks={chunks} "
+                f"weighted unitary sum: path={path} terms={plan.size} "
+                f"decompositions={decompositions} chunks={chunks} "
                 f"steps={steps} blocks={len(blocks)} [{listed}]"
             ]
 
@@ -533,7 +538,8 @@ class TestTridiagonalBranches:
         plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
         lchs_apply(p, plan, self.T)
         assert p.dim > ev._BATCHED_TRIDIAGONAL_MAX_DIM
-        assert calls == [p.dim] * plan.size
+        # mm1 is real and the plan mirrored: one dstevd per |k|
+        assert calls == [p.dim] * (plan.size // 2)
 
     def test_batched_failure_raises(self, beta_kernel, monkeypatch):
         real_eigh = np.linalg.eigh
@@ -562,7 +568,8 @@ class TestTridiagonalBranches:
         p = build_problem("lindblad", {})
         plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
         lchs_apply(p, plan, self.T)
-        assert dims == [2] * plan.size
+        # the 2x2 block is real and the plan mirrored: one decomposition per |k|
+        assert dims == [2] * (plan.size // 2)
 
 
 def one_block(spans):
@@ -653,6 +660,103 @@ class TestBlockSplit:
     def test_connected_builders_stay_whole(self, name):
         p = build_problem(name, {})
         assert not np.any(ev._block_labels(ev._spans(p.schedule, 0.25)))
+
+
+def logged_counts(p, plan, T, caplog):
+    """The integer fields (terms, decompositions, chunks, steps, blocks) of
+    the debug record of one lchs_apply."""
+    caplog.set_level(logging.DEBUG, logger="lchs.evolve")
+    caplog.clear()
+    lchs_apply(p, plan, T)
+    (record,) = caplog.records
+    return {key: int(value) for key, value in re.findall(r"(\w+)=(\d+)", record.getMessage())}
+
+
+def real_dense_pair(rng, dim):
+    """Dense pair of a real generator A = L + iH: L real symmetric with
+    spectrum in [0.2, 1.2], H = i S / 2 with S real antisymmetric."""
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    L = (Q * rng.uniform(0.2, 1.2, dim)) @ Q.T
+    S = rng.standard_normal((dim, dim))
+    return HermitianPair(L=(0.5 * (L + L.T)).astype(complex), H=0.5j * (S - S.T))
+
+
+class TestMirrorFold:
+    """For a real generator (L real, H purely imaginary) U(-k) = conj U(k)
+    span by span, so a per-term path decomposes each |k| of a mirrored plan
+    once and applies it to u0 and conj(u0). The reference is the same sum
+    with the fold declined."""
+
+    T = 0.25
+
+    @staticmethod
+    def instance(setup, complex_u0):
+        """(instance, normL, shared blocks) for one setup, with a random
+        real or complex u0."""
+        rng = np.random.default_rng(41)
+        if setup in ("mm1", "mmc", "lindblad"):
+            base = build_problem(setup, {})
+            schedule, normL = base.schedule, base.meta["normL"]
+        elif setup == "real-dense":
+            schedule, normL = TimeSchedule.constant(real_dense_pair(rng, 5)), 1.2
+        else:  # two-span
+            pairs = [real_dense_pair(rng, 4) for _ in range(2)]
+            schedule, normL = TimeSchedule.piecewise([0.0, 0.1, 1.0], pairs), 1.2
+        u0 = rng.standard_normal(schedule.dim)
+        if complex_u0:
+            u0 = u0 + 1j * rng.standard_normal(schedule.dim)
+        shared_blocks = 2 if setup == "lindblad" else 0
+        return ProblemInstance(schedule=schedule, u0=u0 / np.linalg.norm(u0)), normL, shared_blocks
+
+    @pytest.mark.parametrize("complex_u0", [False, True])
+    @pytest.mark.parametrize(
+        "setup, path",
+        [("mm1", "tridiagonal"), ("mmc", "tridiagonal"), ("lindblad", "split"),
+         ("real-dense", "batched-eigh"), ("two-span", "batched-eigh")],
+    )
+    def test_folded_matches_unfolded(self, setup, path, complex_u0, beta_kernel, monkeypatch, caplog):
+        p, normL, shared_blocks = self.instance(setup, complex_u0)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, normL)
+        spans = len(ev._spans(p.schedule, self.T))
+        assert logged_path(p, plan, self.T, caplog) == path
+        counts = logged_counts(p, plan, self.T, caplog)
+        assert counts["decompositions"] == plan.size // 2 * spans + shared_blocks
+        folded = lchs_apply(p, plan, self.T)
+        monkeypatch.setattr(ev, "_is_real", lambda spans: False)
+        counts = logged_counts(p, plan, self.T, caplog)
+        assert counts["decompositions"] == plan.size * spans + shared_blocks
+        unfolded = lchs_apply(p, plan, self.T)
+        assert np.linalg.norm(folded - unfolded) <= 1e-13 * np.linalg.norm(p.u0)
+        assert np.linalg.norm(folded - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    @pytest.mark.parametrize("name", ["mm1", "lindblad"])
+    def test_residual_check_matches_unfolded(self, name, beta_kernel, monkeypatch):
+        p = build_problem(name, {})
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, p.meta["normL"])
+        args = (p, beta_kernel, 1.0, plan.K, plan.meta["M"], plan.meta["Q"])
+        folded = residual_lemma_check(*args)
+        monkeypatch.setattr(ev, "_is_real", lambda spans: False)
+        assert folded == pytest.approx(residual_lemma_check(*args), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("case", ["cap", "blackhole", "mc-mm1", "mc-two-span"])
+    def test_unfolded_cases_decompose_every_term(self, case, beta_kernel, monkeypatch, caplog):
+        # cap's and this blackhole's H are not imaginary; a Monte Carlo plan
+        # is not mirrored. blackhole's L = gamma I commutes with H, so the
+        # shared eigenbasis is declined to reach a per-term path.
+        if case == "cap":
+            p = build_problem("cap", {})
+            plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
+        elif case == "blackhole":
+            p = build_problem("blackhole", {"H": {"re": [[1.0, 0.3], [0.3, -1.0]]}})
+            plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
+            monkeypatch.setattr(ev, "_shared_eigenbasis", lambda pair: None)
+        else:
+            p = self.instance(case[3:], True)[0]
+            plan = mc_plan(beta_kernel, 44.25, 3_000, 2)
+        counts = logged_counts(p, plan, self.T, caplog)
+        assert counts["blocks"] == 1
+        assert counts["decompositions"] == plan.size * counts["steps"]
+        assert counts["steps"] == len(ev._spans(p.schedule, self.T))
 
 
 class TestStreamedReduction:

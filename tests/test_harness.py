@@ -157,6 +157,26 @@ class TestBuildProblem:
             build_problem("lindblad", params)
         assert err.value.pointer == f"/problem/params/{key}"
 
+    @pytest.mark.parametrize("name, key", [
+        ("lindblad", "gamma"), ("lindblad", "preset"), ("mm1", "n_trunc"),
+        ("mmc", "lambda0_target"), ("parabolic1d", "a"), ("blackhole", "H"),
+    ])
+    def test_null_for_defaulted_param_rejected(self, name, key, tmp_path, capsys):
+        with pytest.raises(ConfigError) as err:
+            build_problem(name, {key: None})
+        assert err.value.pointer == f"/problem/params/{key}"
+        cfg = base_config(problem={"name": name, "params": {key: None}})
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"/problem/params/{key}" in capsys.readouterr().err
+
+    def test_null_where_null_has_a_meaning(self):
+        # rho0: null is the mixed state; H, jumps and packet default to null
+        mixed = build_problem("lindblad", {"rho0": None})
+        assert np.array_equal(mixed.u0, build_problem("lindblad", {"rho0": "mixed"}).u0)
+        assert build_problem("lindblad", {"H": None, "jumps": None}).label == \
+            build_problem("lindblad", {}).label
+        assert build_problem("cap", {"packet": None}).lambda0 > 0
+
     def test_unknown_param_exit_code(self, tmp_path, capsys):
         cfg = base_config(problem={"name": "mm1", "params": {"n_truc": 8}})
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -454,6 +474,22 @@ class TestCliExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["solve", path]) == EXIT_SOLVE
         assert "solve error" in capsys.readouterr().err
+
+    def test_verbose_logs_evolve_record_to_stderr(self, tmp_path, capsys):
+        quiet_dir, loud_dir = tmp_path / "quiet", tmp_path / "loud"
+        assert main(["solve", write_config(tmp_path, base_config(quiet_dir))]) == EXIT_OK
+        quiet = capsys.readouterr()
+        loud_cfg = write_config(tmp_path, base_config(loud_dir), name="loud.json")
+        assert main(["-v", "solve", loud_cfg]) == EXIT_OK
+        loud = capsys.readouterr()
+        assert "lchs.evolve DEBUG: weighted unitary sum: path=shared-eigenbasis" in loud.err
+        assert "decompositions=1 chunks=" in loud.err
+        assert "weighted unitary sum" not in quiet.err
+        assert loud.out == quiet.out.replace(str(quiet_dir), str(loud_dir))
+        assert (loud_dir / "report.json").read_bytes() == (quiet_dir / "report.json").read_bytes()
+        # the handler is removed again: a later quiet run logs nothing
+        assert main(["solve", write_config(tmp_path, base_config())]) == EXIT_OK
+        assert "weighted unitary sum" not in capsys.readouterr().err
 
     def test_bad_usage(self, capsys):
         assert main(["converge"]) == EXIT_CONFIG

@@ -16,7 +16,7 @@ from lchs import (
     weight_g,
 )
 from lchs.harness import build_problem
-from lchs.sampling import GENERATOR_ID, quadrature_order
+from lchs.sampling import GENERATOR_ID, _composite_nodes, quadrature_order
 
 
 class TestGaussLegendre:
@@ -102,6 +102,14 @@ class TestCompositePlan:
         plan = composite_plan(beta_kernel, 3.0, 5, 4)
         assert np.all(np.diff(plan.k) > 0)
         assert np.max(np.abs(plan.k)) <= 3.0
+
+    @pytest.mark.parametrize("Q", [1, 4, 7, 12])
+    @pytest.mark.parametrize("K, M", [(1.0, 1), (63.81, 261), (44.25, 174)])
+    def test_nodes_and_weights_mirror_exactly(self, K, M, Q):
+        # evolve folds +-k pairs of a real generator only on a bitwise mirror
+        k, w = _composite_nodes(K, M, Q)
+        assert np.array_equal(k, -k[::-1])
+        assert np.array_equal(w, w[::-1])
 
     def test_independent_constructions_byte_identical(self, beta_kernel):
         a = composite_plan(beta_kernel, 6.0, 9, 4)
