@@ -12,7 +12,9 @@ Subcommands:
 Global option -v/--verbose sends the lchs loggers' records, DEBUG and up, to
 stderr; stdout and the report files are the same with or without it.
 
-Exit codes: 0 success, 2 config error, 3 build error, 4 solve/numeric error.
+Exit codes: 0 success, 2 config error, 3 build error, 4 solve/numeric error,
+including an eps-driven solve whose measured error exceeds eps ||u0|| (its
+report is written first).
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ def _cmd_solve(args) -> int:
     )
     if cfg.output:
         print(f"report written to {os.path.join(cfg.output, 'report.json')}")
+    if report.eps_met is False:
+        print(
+            f"solve error: accuracy not met: abs_error={report.abs_error:.6e} "
+            f"exceeds eps={cfg.accuracy['eps']:g} times ||u0||",
+            file=sys.stderr,
+        )
+        return EXIT_SOLVE
     return EXIT_OK
 
 

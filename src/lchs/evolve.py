@@ -21,21 +21,25 @@ through one routine that streams the terms in chunks: a chunk is propagated
 and reduced into the running total before the next one starts, so memory
 stays O(chunk * dim) however large the plan.
 
-A single span whose L and H share a certified eigenbasis is summed whole
-(the first path below). Otherwise the indices are first split into blocks:
-the connected components of the union sparsity pattern of |L| + |H| over all
+The sum is one pipeline. It first splits the indices into blocks: the
+connected components of the union sparsity pattern of |L| + |H| over all
 spans. No span couples two blocks, so each block evolves on its own
 principal sub-pairs, with its own path and its own chunk of budget / d_b^2
-terms, and the entries between blocks are exactly zero. The default lindblad
-pair couples only indices 0 and 3, so it takes a 2x2 tridiagonal block and
-two 1x1 shared-eigenbasis blocks. Each block takes one of three paths, in
-this order.
+terms, and the entries between blocks are exactly zero. One connected
+pattern, or no span at all (T = 0), gives one block on all indices with the
+spans as given. The default lindblad pair couples only indices 0 and 3, so
+it takes a 2x2 tridiagonal block and two 1x1 shared-eigenbasis blocks. Each
+block then takes one of three paths, in this order.
 
-* Shared eigenbasis. For a single span whose L and H commute, one
-  eigendecomposition of a generic combination of L and H diagonalizes both,
-  certified by the roundoff-level residual of V^dagger L V and V^dagger H V.
-  The sum is then V (sum_j c_j exp(-i (k_j lam + mu) T) * V^dagger u0): one
-  row of exponentials per term instead of one eigendecomposition.
+* Shared eigenbasis. When every span's L and H commute with one basis, one
+  eigendecomposition of a generic combination of the first span's L and H
+  diagonalizes them all, certified span by span by the roundoff-level
+  residual of V^dagger L V and V^dagger H V; with no span, V = I. With the
+  diagonals integrated over time, lam = sum dt diag(V^dagger L V) and
+  mu = sum dt diag(V^dagger H V), the sum is
+  V (sum_j c_j exp(-i (k_j lam + mu)) * V^dagger u0): one row of
+  exponentials per term instead of one eigendecomposition, for any number
+  of spans.
 * Tridiagonal. When every span's L and H are zero outside the tridiagonal
   band (nearest-neighbour operators: the PDE and queue builders), k L + H is
   made real by a diagonal phase similarity and decomposed in real
@@ -46,19 +50,20 @@ this order.
   eigenpairs (W, V); above it LAPACK dstevd gives them term by term. The
   span acts as D V exp(-i dt W) V^T D^dagger. Only the band of L and H is
   read; HermitianPair has checked both matrices are Hermitian.
-* Batched eigh. Any other schedule is propagated span by span, by stacked
+* Batched eigh. Any other block is propagated span by span, by stacked
   complex eigendecompositions of k L + H.
 
 The two per-term paths fold a mirrored plan over a real generator. When
 every span's L is real and its H purely imaginary, exactly (the PDE, queue
 and lindblad builders), conj(k L + H) = -(-k L + H), so U(-k) = conj U(k)
 span by span. When also the abscissae mirror bitwise, k_j = -k_{N-1-j} (every
-composite Gauss plan does), each |k| is decomposed once and applied to two
-columns, u0 and conj(u0), and the sum is
+composite Gauss plan does), each |k| is decomposed once, and the sum is
 sum c_+ U(|k|) u0 + conj(sum conj(c_-) U(|k|) conj(u0)): half the
-decompositions, two propagated columns each. The mirror test compares the
-two halves a slice at a time and stops at the first slice that differs, so
-a Monte Carlo plan, which is not mirrored, costs one slice.
+decompositions. A complex u0 propagates two columns, u0 and conj(u0); a real
+u0 is its own conjugate, so it propagates the one column u0 and the mirrored
+half is the conjugate of that column. The mirror test compares the two
+halves a slice at a time and stops at the first slice that differs, so a
+Monte Carlo plan, which is not mirrored, costs one slice.
 
 Within a chunk the terms (the +-k pairs of a folded sum) are reduced by one
 pairwise numpy sum; the chunk partials are added in ascending plan order
@@ -66,9 +71,9 @@ pairwise numpy sum; the chunk partials are added in ascending plan order
 deterministic, so reports are bit-stable for a fixed plan. Each sum logs one
 DEBUG record on lchs.evolve: the path (that of the only block, or "split"),
 the plan's term count, the eigendecompositions done (folded terms x spans
-for a per-term block, 1 for a shared block, 0 for the identity), the chunks
-and steps (eigendecomposed spans) summed over the blocks, and blocks=n with
-each block's size:path.
+for a per-term block, 1 for a shared block, 0 for one without spans), the
+chunks and steps (eigendecomposed spans) summed over the blocks, and
+blocks=n with each block's size:path.
 """
 
 from __future__ import annotations
@@ -179,6 +184,8 @@ class SolveReport:
     wall_times: dict
     shift_unwound: bool
     norm_ratio: float  # ||u0|| / ||u_lchs||, the amplification diagnostic
+    # abs_error <= eps ||u0||; set by run_solve for an eps-driven config only
+    eps_met: bool | None = None
 
     def to_dict(self) -> dict:
         def interleave(v):
@@ -187,7 +194,7 @@ class SolveReport:
             out[1::2] = v.imag
             return [float(x) for x in out]
 
-        return {
+        out = {
             "u_lchs": interleave(self.u_lchs),
             "u_oracle": interleave(self.u_oracle),
             "rel_error": self.rel_error,
@@ -197,34 +204,43 @@ class SolveReport:
             "shift_unwound": self.shift_unwound,
             "norm_ratio": self.norm_ratio,
         }
+        if self.eps_met is not None:
+            out["eps_met"] = self.eps_met
+        return out
 
 
-def _shared_eigenbasis(pair: HermitianPair):
-    """An orthonormal V that diagonalizes both L and H, or None.
+def _shared_eigenbasis(spans: list, dim: int):
+    """An orthonormal V that diagonalizes L and H of every span, or None.
 
-    V is the eigenbasis of the generic combination L/||L|| + _MIX H/||H||,
-    and it is accepted only if the off-diagonal parts of V^dagger L V and
-    V^dagger H V are at roundoff level relative to ||L|| and ||H||
-    (Frobenius norms). A non-commuting pair fails that certificate, and so
-    does a commuting pair whose combination happens to be degenerate, since
-    eigh then returns an arbitrary basis of the degenerate subspace.
-    Returns (V, lam, mu) with the diagonals lam of L and mu of H in V.
+    V is the eigenbasis of the first span's generic combination
+    L/||L|| + _MIX H/||H||, or I when there are no spans. It is accepted only
+    if, for every span, the off-diagonal parts of V^dagger L V and
+    V^dagger H V are at roundoff level relative to ||L|| and ||H|| (Frobenius
+    norms). A span that does not commute with the first one fails that
+    certificate, and so does a commuting pair whose combination happens to
+    be degenerate, since eigh then returns an arbitrary basis of the
+    degenerate subspace. Returns (V, lam, mu) with the diagonals integrated
+    over time: lam = sum dt diag(V^dagger L V), mu = sum dt diag(V^dagger H V).
     """
-    norm_L, norm_H = np.linalg.norm(pair.L), np.linalg.norm(pair.H)
-    G = pair.L / norm_L if norm_L > 0 else np.zeros_like(pair.L)
-    if norm_H > 0:
-        G = G + (_MIX / norm_H) * pair.H
-    _, V = np.linalg.eigh(G)
-    tol = _SHARED_BASIS_ULPS * pair.dim * np.finfo(float).eps
-    diagonals = []
-    for M, norm in ((pair.L, norm_L), (pair.H, norm_H)):
-        D = V.conj().T @ M @ V
-        d = np.diagonal(D).real.copy()
-        np.fill_diagonal(D, 0.0)
-        if np.linalg.norm(D) > tol * norm:
-            return None
-        diagonals.append(d)
-    return V, diagonals[0], diagonals[1]
+    V = np.eye(dim)
+    if spans:
+        pair = spans[0][0]
+        norm_L, norm_H = np.linalg.norm(pair.L), np.linalg.norm(pair.H)
+        G = pair.L / norm_L if norm_L > 0 else np.zeros_like(pair.L)
+        if norm_H > 0:
+            G = G + (_MIX / norm_H) * pair.H
+        _, V = np.linalg.eigh(G)
+    tol = _SHARED_BASIS_ULPS * dim * np.finfo(float).eps
+    lam, mu = np.zeros(dim), np.zeros(dim)
+    for pair, dt in spans:
+        for M, integral in ((pair.L, lam), (pair.H, mu)):
+            D = V.conj().T @ M @ V
+            d = np.diagonal(D).real.copy()
+            np.fill_diagonal(D, 0.0)
+            if np.linalg.norm(D) > tol * np.linalg.norm(M):
+                return None
+            integral += dt * d
+    return V, lam, mu
 
 
 def _spans(schedule: TimeSchedule, T: float) -> list:
@@ -328,15 +344,22 @@ def _block_labels(spans: list) -> np.ndarray:
     return reach.argmax(axis=1)
 
 
-def _sub_block(spans: list, idx: np.ndarray):
-    """(idx, spans, basis) of the block on indices idx: the principal
-    sub-pairs of every span, and the certified shared eigenbasis of a single
-    span, or None."""
-    sub = np.ix_(idx, idx)
-    sub_spans = [
-        (HermitianPair(L=pair.L[sub], H=pair.H[sub], shift=pair.shift), dt) for pair, dt in spans
-    ]
-    return idx, sub_spans, _shared_eigenbasis(sub_spans[0][0]) if len(spans) == 1 else None
+def _blocks(spans: list, dim: int) -> list:
+    """(idx, spans) of every block: the connected components of the spans'
+    union sparsity pattern, each with the principal sub-pairs of every span.
+    One connected pattern, or no span at all, gives one block on all indices
+    with the spans as given."""
+    if not spans or not (labels := _block_labels(spans)).any():
+        return [(slice(None), spans)]
+    blocks = []
+    for first in np.flatnonzero(labels == np.arange(dim)):
+        idx = np.flatnonzero(labels == first)
+        sub = np.ix_(idx, idx)
+        blocks.append((idx, [
+            (HermitianPair(L=pair.L[sub], H=pair.H[sub], shift=pair.shift), dt)
+            for pair, dt in spans
+        ]))
+    return blocks
 
 
 def _is_real(spans: list) -> bool:
@@ -360,66 +383,61 @@ def _is_mirrored(ks: np.ndarray) -> bool:
     )
 
 
-def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, basis):
+def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray):
     """sum_j weights[j] U(ks[j]) u0 over the spans of one block, streamed
-    over chunks of budget / dim^2 terms. basis is the certified shared
-    eigenbasis of the single span, or None. A per-term path folds a mirrored
-    ks over real spans: U(-k) u0 = conj(U(k) conj(u0)), so each |k| is
-    decomposed once and applied to u0 and conj(u0). Returns the sum and the
-    block's path, chunk count, step count and decomposition count."""
+    over chunks of budget / dim^2 terms. When all spans share a certified
+    eigenbasis V the sum is V (sum_j weights[j] exp(-i (ks[j] lam + mu)) *
+    V^dagger u0). Otherwise a per-term path folds a mirrored ks over real
+    spans: U(-k) u0 = conj(U(k) conj(u0)), so each |k| is decomposed once and
+    applied to u0 and, unless u0 is real, to conj(u0). Returns the sum and
+    the block's record: size, path, chunk count, step count and
+    decomposition count."""
     dim = len(u0)
-    steps = decompositions = 0
-    if not spans:
-        path, rows = "identity", 1
-
-        def weighted(s):
-            return weights[None, s]
-    elif basis is not None:
-        path, rows, decompositions = "shared-eigenbasis", dim, 1
+    basis = _shared_eigenbasis(spans, dim)
+    if basis is not None:
+        path, steps, decompositions = "shared-eigenbasis", 0, min(len(spans), 1)
         V, lam, mu = basis
-        T = spans[0][1]
 
         def weighted(s):
-            return np.exp(-1j * T * (lam[:, None] * ks[s][None, :] + mu[:, None])) * weights[s]
+            return np.exp(-1j * (lam[:, None] * ks[s][None, :] + mu[:, None])) * weights[s]
     else:
         tridiagonal = _is_tridiagonal(spans)
-        path, rows = ("tridiagonal" if tridiagonal else "batched-eigh"), dim
+        path = "tridiagonal" if tridiagonal else "batched-eigh"
         eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
         steps = len(spans)
-        if _is_real(spans) and _is_mirrored(ks):
+        fold = _is_real(spans) and _is_mirrored(ks)
+        starts = u0[None, :]
+        if fold:
             half = len(ks) // 2
             mirror = weights[half - 1 :: -1]
             ks, weights = ks[half:], weights[half:]
-            starts = np.stack([u0, u0.conj()])
+            if np.any(u0.imag):
+                starts = np.stack([u0, u0.conj()])
 
-            def weighted(s):
-                plus, minus = _propagate_chunk(spans, ks[s], starts, eig)
-                plus *= weights[s]
-                np.conjugate(minus, out=minus)
+        def weighted(s):
+            cols = _propagate_chunk(spans, ks[s], starts, eig)
+            if fold:
+                # U(-k) u0 = conj(U(k) conj(u0)). The last column propagated
+                # conj(u0); for real u0 it is the u0 column, conjugated into a copy
+                minus = np.conjugate(cols[-1], out=cols[-1] if len(cols) > 1 else None)
                 minus *= mirror[s]
-                plus += minus
-                return plus
-        else:
-
-            def weighted(s):
-                (cols,) = _propagate_chunk(spans, ks[s], u0[None, :], eig)
-                cols *= weights[s]
-                return cols
+            cols[0] *= weights[s]
+            if fold:
+                cols[0] += minus
+            return cols[0]
         decompositions = len(ks) * steps
 
     chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
-    total = np.zeros(rows, dtype=complex)
+    total = np.zeros(dim, dtype=complex)
     comp = np.zeros_like(total)
     for start in range(0, len(ks), chunk):
         term = weighted(slice(start, start + chunk)).sum(axis=1) - comp
         tmp = total + term
         comp = (tmp - total) - term
         total = tmp
-    if path == "identity":
-        total = total[0] * u0
-    elif path == "shared-eigenbasis":
+    if basis is not None:
         total = V @ (total * (V.conj().T @ u0))
-    return total, path, -(-len(ks) // chunk), steps, decompositions
+    return total, (dim, path, -(-len(ks) // chunk), steps, decompositions)
 
 
 def _weighted_unitary_sum(
@@ -428,32 +446,21 @@ def _weighted_unitary_sum(
     """sum_j weights[j] U(ks[j]) u0 over the spans, streamed over chunks of
     terms.
 
-    A single span with a certified shared eigenbasis is summed whole.
-    Otherwise the indices are split into the connected components of the
-    spans' union sparsity pattern, and each component is summed on its own
-    principal sub-pairs, by its own path and with its own chunk size; the
-    entries between components are exactly zero. Each chunk is propagated
-    and reduced into the running total before the next one starts, so memory
-    is O(chunk * dim) for any number of terms. Within a chunk the reduction
-    is one pairwise numpy sum over the terms; chunk partials are added in
+    The indices are split into the connected components of the spans' union
+    sparsity pattern, and each component is summed on its own principal
+    sub-pairs, by its own path and with its own chunk size; the entries
+    between components are exactly zero. Each chunk is propagated and
+    reduced into the running total before the next one starts, so memory is
+    O(chunk * dim) for any number of terms. Within a chunk the reduction is
+    one pairwise numpy sum over the terms; chunk partials are added in
     ascending order with compensation. Every step is deterministic, so a
     fixed input gives the same bytes each call.
     """
-    basis = _shared_eigenbasis(spans[0][0]) if len(spans) == 1 else None
-    labels = None if not spans or basis is not None else _block_labels(spans)
-    if labels is None or not labels.any():
-        blocks = [(slice(None), spans, basis)]
-    else:
-        firsts = np.flatnonzero(labels == np.arange(len(u0)))
-        blocks = [_sub_block(spans, np.flatnonzero(labels == first)) for first in firsts]
     out = np.zeros(len(u0), dtype=complex)
     records = []
-    for idx, block_spans, block_basis in blocks:
-        block_u0 = u0[idx]
-        out[idx], path, chunks, steps, decompositions = _block_sum(
-            block_spans, ks, weights, block_u0, block_basis
-        )
-        records.append((len(block_u0), path, chunks, steps, decompositions))
+    for idx, block_spans in _blocks(spans, len(u0)):
+        out[idx], record = _block_sum(block_spans, ks, weights, u0[idx])
+        records.append(record)
     _log.debug(
         "weighted unitary sum: path=%s terms=%d decompositions=%d chunks=%d steps=%d "
         "blocks=%d [%s]",

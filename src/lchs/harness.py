@@ -151,6 +151,7 @@ REPORT_SCHEMA = {
                 "propagator_steps": {"type": "integer", "minimum": 1},
                 "shift_unwound": {"type": "boolean"},
                 "norm_ratio": {"type": "number", "minimum": 0},
+                "eps_met": {"type": "boolean"},
             },
         },
     },
@@ -415,13 +416,18 @@ def _plan_summary(plan: SamplingPlan) -> dict:
 def run_solve(cfg: RunConfig) -> SolveReport:
     """Build the problem and plan, solve, and persist the report.
 
-    Writes report.json (deterministic), timing.json (wall clock), and
-    optionally plan.csv with the (k, |c|) table.
+    For an eps-driven config the report's eps_met says whether the measured
+    error meets the contract abs_error <= eps ||u0||. Writes report.json
+    (deterministic), timing.json (wall clock), and optionally plan.csv with
+    the (k, |c|) table.
     """
     problem = build_problem(cfg.problem_name, cfg.problem_params)
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     plan = make_plan(cfg, problem, kernel)
     report = solve(problem, plan, cfg.T)
+    if "eps" in cfg.accuracy:
+        bound = float(cfg.accuracy["eps"]) * float(np.linalg.norm(problem.u0))
+        report.eps_met = report.abs_error <= bound
     if cfg.output:
         payload = {
             "schema_version": SCHEMA_VERSION,

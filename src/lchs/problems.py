@@ -71,9 +71,9 @@ def _finalize(
 def _time_slices(pair_at, T: float, time_slices: int):
     """Pairs and breakpoints of a piecewise-constant schedule: time_slices
     equal intervals of [0, T], each pair sampled at its interval midpoint.
-    A single slice is the pair at t = 0 and needs no breakpoints."""
+    A single slice is the pair at T/2 and needs no breakpoints."""
     if time_slices == 1:
-        return [pair_at(0.0)], None
+        return [pair_at(0.5 * T)], None
     breakpoints = np.linspace(0.0, T, time_slices + 1)
     mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
     return [pair_at(t) for t in mids], breakpoints

@@ -1,6 +1,7 @@
-"""Every public name, and every public method and property of a public class,
-is used by the package itself, a demo or the benchmark, so the public API
-holds nothing that only tests call."""
+"""Every public name, every public method and property of a public class, and
+every module-level function or class of the package, private ones included,
+is used by the package itself, a demo or the benchmark, so the package holds
+nothing that only tests call."""
 
 import ast
 import functools
@@ -50,6 +51,17 @@ def public_members() -> list[str]:
     return sorted(members)
 
 
+def module_level_definitions() -> list[str]:
+    """module.name for each function and class defined at the top level of a
+    module in src/lchs."""
+    return sorted(
+        f"{path.stem}.{node.name}"
+        for path in (ROOT / "src" / "lchs").glob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    )
+
+
 @pytest.mark.parametrize("name", sorted(set(lchs.__all__) - {"__version__"}))
 def test_public_name_is_used_outside_tests(name):
     assert name in referenced_names(), f"{name} is public but only tests use it"
@@ -59,3 +71,9 @@ def test_public_name_is_used_outside_tests(name):
 def test_public_member_is_used_outside_tests(member):
     attr = member.split(".")[1]
     assert attr in referenced_names(), f"{member} is public but only tests use it"
+
+
+@pytest.mark.parametrize("definition", module_level_definitions())
+def test_module_level_definition_is_used_outside_tests(definition):
+    name = definition.split(".")[1]
+    assert name in referenced_names(), f"{definition} is defined but only tests use it"

@@ -291,6 +291,11 @@ def commuting_instance(rng, lam, mu):
     return ProblemInstance.from_pair(pair, u0 / np.linalg.norm(u0))
 
 
+def shared_basis(p, T=1.0):
+    """_shared_eigenbasis of the spans of p on [0, T]."""
+    return ev._shared_eigenbasis(ev._spans(p.schedule, T), p.dim)
+
+
 def paths_agree(p, plan, T, monkeypatch, tol, test="_shared_eigenbasis"):
     """lchs_apply as chosen from the input vs with one path test stubbed to
     decline. Declining _shared_eigenbasis sends the sum to the next path that
@@ -299,7 +304,7 @@ def paths_agree(p, plan, T, monkeypatch, tol, test="_shared_eigenbasis"):
     decline = {"_shared_eigenbasis": None, "_is_tridiagonal": False}[test]
     fast = lchs_apply(p, plan, T)
     with monkeypatch.context() as m:
-        m.setattr(ev, test, lambda arg: decline)
+        m.setattr(ev, test, lambda *args: decline)
         slow = lchs_apply(p, plan, T)
     assert np.linalg.norm(fast - slow) <= tol * np.linalg.norm(p.u0)
     return fast
@@ -309,7 +314,7 @@ class TestSharedEigenbasis:
     @pytest.mark.parametrize("name, T", [("parabolic1d", 1.0 / 256.0), ("blackhole", 1.0)])
     def test_matches_batched_eigh_on_default_builders(self, name, T, beta_kernel, monkeypatch):
         p = build_problem(name, {})
-        assert ev._shared_eigenbasis(p.schedule.pairs[0]) is not None
+        assert shared_basis(p) is not None
         plan = plan_from_accuracy(beta_kernel, 1e-4, T, p.meta["normL"])
         paths_agree(p, plan, T, monkeypatch, 1e-12)
 
@@ -318,14 +323,14 @@ class TestSharedEigenbasis:
         # combination fixes the shared basis
         rng = np.random.default_rng(31)
         p = commuting_instance(rng, [0.5, 1.0, 1.0, 2.0, 2.0, 3.0], [0.3, -1.0, 0.7, 0.2, -0.4, 1.1])
-        assert ev._shared_eigenbasis(p.schedule.pairs[0]) is not None
+        assert shared_basis(p) is not None
         plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, 3.0)
         out = paths_agree(p, plan, 1.0, monkeypatch, 1e-12)
         assert np.linalg.norm(out - oracle_solve(p, 1.0)) <= 1e-4
 
     @pytest.mark.parametrize("name", ["cap", "mm1"])
     def test_non_commuting_builders_fail_the_certificate(self, name):
-        assert ev._shared_eigenbasis(build_problem(name, {}).schedule.pairs[0]) is None
+        assert shared_basis(build_problem(name, {})) is None
 
     def test_non_commuting_falls_back(self, beta_kernel, monkeypatch):
         p = build_problem("mm1", {})
@@ -341,21 +346,74 @@ class TestSharedEigenbasis:
         a = (lam[1] - lam[0]) / (np.linalg.norm(lam) * ev._MIX)
         mu = np.array([a, 0.0, np.sqrt(1.0 - a * a)])
         p = commuting_instance(np.random.default_rng(5), lam, mu)
-        assert ev._shared_eigenbasis(p.schedule.pairs[0]) is None
+        assert shared_basis(p) is None
         plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, 3.0)
         out = paths_agree(p, plan, 1.0, monkeypatch, 0.0)
         assert np.linalg.norm(out - oracle_solve(p, 1.0)) <= 1e-4
 
+    @staticmethod
+    def heat_slices(a, slices, T):
+        """parabolic1d on 17 grid points with b = c = 0, sliced in time."""
+        pc = ParabolicCoefficients(a=a, b=lambda x, t: 0.0, c=lambda x, t: 0.0, N_grid=17)
+        return build_parabolic_1d(pc, T=T, time_slices=slices)
+
+    @pytest.mark.parametrize("slices", [2, 4])
+    def test_commuting_spans_share_one_eigenbasis(self, slices, beta_kernel, monkeypatch, caplog):
+        # two slices of a = 1 repeat one pair; with a = s(t) (1 + x) every
+        # slice's L is a multiple of the first, so one basis serves all spans
+        T, eps = 1.0 / 256.0, 1e-4
+        w = 2.0 * np.pi / T
+        a = (lambda x, t: 1.0) if slices == 2 else (
+            lambda x, t: (1.0 + 0.5 * np.sin(w * t)) * (1.0 + x)
+        )
+        p = self.heat_slices(a, slices, T)
+        assert len(ev._spans(p.schedule, T)) == slices
+        plan = plan_from_accuracy(beta_kernel, eps, T, p.meta["normL"])
+        counts = logged_counts(p, plan, T, caplog)
+        assert caplog.records[0].getMessage().startswith(
+            "weighted unitary sum: path=shared-eigenbasis "
+        )
+        assert (counts["decompositions"], counts["steps"], counts["blocks"]) == (1, 0, 1)
+        out = paths_agree(p, plan, T, monkeypatch, 1e-12)
+        assert np.linalg.norm(out - oracle_solve(p, T)) <= eps * np.linalg.norm(p.u0)
+
+    def test_second_span_failing_the_certificate_falls_back(self, beta_kernel, caplog):
+        # a = 1 on the first half and 1 + x on the second: the two L do not
+        # commute, so the second span rejects the first span's basis
+        T, eps = 1.0 / 256.0, 1e-3
+        p = self.heat_slices(lambda x, t: 1.0 if t < T / 2.0 else 1.0 + x, 2, T)
+        first = ProblemInstance.from_pair(p.schedule.pairs[0], p.u0)
+        assert shared_basis(first, T) is not None
+        assert shared_basis(p, T) is None
+        plan = plan_from_accuracy(beta_kernel, eps, T, p.meta["normL"])
+        assert logged_path(p, plan, T, caplog) == "tridiagonal"
+        out = lchs_apply(p, plan, T)
+        assert np.linalg.norm(out - oracle_solve(p, T)) <= eps * np.linalg.norm(p.u0)
+
+    def test_t_zero_sums_the_weights_on_the_shared_path(self, beta_kernel, caplog):
+        # no span: one block on all indices with V = I and no decomposition
+        p = random_gated_instance(np.random.default_rng(2), 6)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 0.0, 1.0)
+        caplog.set_level(logging.DEBUG, logger="lchs.evolve")
+        caplog.clear()
+        out = lchs_apply(p, plan, 0.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"weighted unitary sum: path=shared-eigenbasis terms={plan.size} "
+            "decompositions=0 chunks=1 steps=0 blocks=1 [6:shared-eigenbasis]"
+        ]
+        assert np.linalg.norm(out - plan.c.sum() * p.u0) <= 1e-14 * np.linalg.norm(p.u0)
+
     def test_one_debug_record_per_sum(self, beta_kernel, caplog, monkeypatch):
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 4000)
         caplog.set_level(logging.DEBUG, logger="lchs.evolve")
-        # lindblad's L and H couple indices 0 and 3 only: a 2x2 tridiagonal
-        # block and two 1x1 blocks, each with its own chunk size. The third
-        # entry is the fold: the real lindblad block and mm1 decompose each
-        # |k| of the mirrored plan once, cap (H not imaginary) every k.
+        # blackhole's diagonal pair splits into two 1x1 blocks. lindblad's L
+        # and H couple indices 0 and 3 only: a 2x2 tridiagonal block and two
+        # 1x1 blocks, each with its own chunk size. The third entry is the
+        # fold: the real lindblad block and mm1 decompose each |k| of the
+        # mirrored plan once, cap (H not imaginary) every k.
         shared = "shared-eigenbasis"
         for name, blocks in (
-            ("blackhole", [(2, shared, 1)]),
+            ("blackhole", [(1, shared, 1), (1, shared, 1)]),
             ("lindblad", [(2, "tridiagonal", 2), (1, shared, 1), (1, shared, 1)]),
             ("cap", [(63, "tridiagonal", 1)]), ("mm1", [(16, "tridiagonal", 2)]),
         ):
@@ -729,6 +787,31 @@ class TestMirrorFold:
         assert np.linalg.norm(folded - unfolded) <= 1e-13 * np.linalg.norm(p.u0)
         assert np.linalg.norm(folded - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
 
+    def test_real_u0_propagates_one_column(self, beta_kernel, monkeypatch):
+        columns = []
+        propagate_chunk = ev._propagate_chunk
+
+        def spy(spans, ks, starts, eig):
+            columns.append(len(starts))
+            return propagate_chunk(spans, ks, starts, eig)
+
+        monkeypatch.setattr(ev, "_propagate_chunk", spy)
+        p = build_problem("mm1", {})
+        assert not np.any(p.u0.imag)
+        plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
+        one = lchs_apply(p, plan, self.T)
+        assert columns and set(columns) == {1}
+        columns.clear()
+        lchs_apply(self.instance("mm1", True)[0], plan, self.T)
+        assert columns and set(columns) == {2}
+        # propagating conj(u0) = u0 as a column of its own gives the same bytes
+
+        def both(spans, ks, starts, eig):
+            return propagate_chunk(spans, ks, np.concatenate([starts, starts.conj()]), eig)
+
+        monkeypatch.setattr(ev, "_propagate_chunk", both)
+        assert lchs_apply(p, plan, self.T).tobytes() == one.tobytes()
+
     @pytest.mark.parametrize("name", ["mm1", "lindblad"])
     def test_residual_check_matches_unfolded(self, name, beta_kernel, monkeypatch):
         p = build_problem(name, {})
@@ -749,7 +832,7 @@ class TestMirrorFold:
         elif case == "blackhole":
             p = build_problem("blackhole", {"H": {"re": [[1.0, 0.3], [0.3, -1.0]]}})
             plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
-            monkeypatch.setattr(ev, "_shared_eigenbasis", lambda pair: None)
+            monkeypatch.setattr(ev, "_shared_eigenbasis", lambda spans, dim: None)
         else:
             p = self.instance(case[3:], True)[0]
             plan = mc_plan(beta_kernel, 44.25, 3_000, 2)
@@ -791,7 +874,7 @@ class TestStreamedReduction:
 
     def test_peak_memory_independent_of_plan_size_tridiagonal(self, beta_kernel, monkeypatch):
         p = tridiagonal_instance(np.random.default_rng(8), 4)
-        assert not ev._shared_eigenbasis(p.schedule.pairs[0])
+        assert shared_basis(p) is None
         self.assert_peak_independent_of_plan_size(p, beta_kernel, monkeypatch)
 
     @pytest.mark.parametrize("commuting", [False, True])

@@ -11,6 +11,7 @@ from lchs import (
     FitError,
     PropagationError,
     RangeError,
+    composite_plan,
     harness,
     lchs_apply,
     make_kernel,
@@ -475,6 +476,36 @@ class TestCliExitCodes:
         assert main(["solve", path]) == EXIT_SOLVE
         assert "solve error" in capsys.readouterr().err
 
+    def test_missed_eps_writes_report_and_exits_solve(self, tmp_path, capsys, monkeypatch):
+        # two midpoint nodes on [-5, 5] are far too coarse for eps = 1e-4
+        monkeypatch.setattr(
+            harness, "plan_from_accuracy",
+            lambda kernel, eps, T, normL: composite_plan(kernel, 5.0, 1, 1),
+        )
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["solve", path]) == EXIT_SOLVE
+        err = capsys.readouterr().err
+        payload = json.loads((tmp_path / "report.json").read_text())
+        validate_report(payload)
+        report = payload["report"]
+        assert report["eps_met"] is False
+        assert report["abs_error"] > 1e-4  # the blackhole default u0 is a unit vector
+        assert f"accuracy not met: abs_error={report['abs_error']:.6e}" in err
+        # an explicit plan carries no accuracy contract: no eps_met, exit 0
+        explicit = base_config(tmp_path / "explicit", accuracy={"K": 5.0, "M": 1, "Q": 1})
+        assert main(["solve", write_config(tmp_path, explicit, name="explicit.json")]) == EXIT_OK
+        explicit_report = json.loads((tmp_path / "explicit" / "report.json").read_text())
+        assert "eps_met" not in explicit_report["report"]
+
+    @pytest.mark.parametrize("name, T", [
+        ("parabolic1d", 1.0 / 256.0), ("mm1", 0.25), ("mmc", 0.25), ("cap", 0.25),
+        ("lindblad", 0.25), ("blackhole", 0.25),
+    ])
+    def test_builder_defaults_meet_eps(self, name, T, tmp_path, capsys):
+        cfg = base_config(tmp_path, problem={"name": name}, T=T)
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_OK
+        assert json.loads((tmp_path / "report.json").read_text())["report"]["eps_met"] is True
+
     def test_verbose_logs_evolve_record_to_stderr(self, tmp_path, capsys):
         quiet_dir, loud_dir = tmp_path / "quiet", tmp_path / "loud"
         assert main(["solve", write_config(tmp_path, base_config(quiet_dir))]) == EXIT_OK
@@ -482,8 +513,10 @@ class TestCliExitCodes:
         loud_cfg = write_config(tmp_path, base_config(loud_dir), name="loud.json")
         assert main(["-v", "solve", loud_cfg]) == EXIT_OK
         loud = capsys.readouterr()
-        assert "lchs.evolve DEBUG: weighted unitary sum: path=shared-eigenbasis" in loud.err
-        assert "decompositions=1 chunks=" in loud.err
+        # the diagonal blackhole pair splits into two 1x1 shared blocks
+        assert "lchs.evolve DEBUG: weighted unitary sum: path=split" in loud.err
+        assert "decompositions=2 chunks=" in loud.err
+        assert "blocks=2 [1:shared-eigenbasis 1:shared-eigenbasis]" in loud.err
         assert "weighted unitary sum" not in quiet.err
         assert loud.out == quiet.out.replace(str(quiet_dir), str(loud_dir))
         assert (loud_dir / "report.json").read_bytes() == (quiet_dir / "report.json").read_bytes()

@@ -108,11 +108,13 @@ class TestParabolic:
         pc = ParabolicCoefficients(
             a=lambda x, t: 1.0 + t, b=zero, c=zero, N_grid=9
         )
-        inst = build_parabolic_1d(pc, T=1.0, time_slices=4)
-        assert len(inst.schedule.pairs) == 4
-        # coefficients sampled at interval midpoints: a = 1.125 on the first
-        first = inst.schedule.pairs[0].L[0, 0].real
-        assert first == pytest.approx(2 * 1.125 / (1 / 8) ** 2, rel=1e-12)
+        # coefficients sampled at interval midpoints, a single slice included:
+        # a = 1.125 on the first of four slices, 1.5 on the only one
+        for slices, a_first in ((4, 1.125), (1, 1.5)):
+            inst = build_parabolic_1d(pc, T=1.0, time_slices=slices)
+            assert len(inst.schedule.pairs) == slices
+            first = inst.schedule.pairs[0].L[0, 0].real
+            assert first == pytest.approx(2 * a_first / (1 / 8) ** 2, rel=1e-12)
 
     def test_default_u0_is_sine(self):
         pc = ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=9)
