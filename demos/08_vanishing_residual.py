@@ -40,9 +40,7 @@ for label, problem, normL in (("scalar", scalar, 1.0), ("random 4x4", random4, n
     print(f"  {'eps':>7} {'K':>7} {'M':>6} {'Q':>3} {'residual':>11}")
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
         plan = plan_from_accuracy(kernel, eps, 1.0, normL)
-        r = residual_lemma_check(
-            problem, kernel, 1.0, plan.K, plan.meta["M"], plan.meta["Q"]
-        )
+        r = residual_lemma_check(problem, plan, 1.0)
         print(f"  {eps:7.0e} {plan.K:7.1f} {plan.meta['M']:6d} "
               f"{plan.meta['Q']:3d} {r:11.3e}")
     print()

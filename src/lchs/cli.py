@@ -3,10 +3,13 @@
 Subcommands:
   solve <config.json>              run one solve, write report files
   converge <config.json> --axis A --values v1,v2,...
-                                   convergence sweep along one axis
+                                   convergence sweep along one axis: eps or
+                                   a key of the config's accuracy; Q, M and
+                                   Ns take integers, K and eps numbers
   validate-kernel --family F [--beta B]
                                    normalization/decay/truncation checks
-  lemma-check <config.json>        vanishing f-weighted sum under refinement
+  lemma-check <config.json>        vanishing f-weighted sum over the plans
+                                   of an eps ladder
   list-problems                    builders and their default parameters
 
 Global option -v/--verbose sends the lchs loggers' records, DEBUG and up, to
@@ -61,9 +64,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = harness.RunConfig.from_file(args.config)
-    values = [float(v) for v in args.values.split(",")]
-    if args.axis in ("Q", "M", "Ns"):
-        values = [int(v) for v in values]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     result = harness.run_convergence(cfg, args.axis, values, mc_seeds=args.seeds)
     for row in result.rows:
         print(
@@ -106,8 +110,8 @@ def _cmd_lemma_check(args) -> int:
     residuals = []
     for eps in eps_levels:
         plan = plan_from_accuracy(kernel, float(eps), cfg.T, float(problem.meta["normL"]))
+        res = residual_lemma_check(problem, plan, cfg.T)
         M, Q = plan.meta["M"], plan.meta["Q"]
-        res = residual_lemma_check(problem, kernel, cfg.T, plan.K, M, Q)
         print(f"eps={eps:.1e}: K={plan.K:.4g} M={M} Q={Q} residual={res:.6e}")
         residuals.append(res)
     monotone = all(b <= 1.1 * a for a, b in zip(residuals, residuals[1:]))

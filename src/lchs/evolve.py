@@ -16,10 +16,12 @@ Every schedule is piecewise constant and is propagated as one list of
 clipped to [0, T], the last pair extending past the final breakpoint, so the
 result is exact for any T. A constant schedule is the single span (pair, T).
 
-Every weighted sum of unitaries (lchs_apply and residual_lemma_check) goes
-through one routine that streams the terms in chunks: a chunk is propagated
-and reduced into the running total before the next one starts, so memory
-stays O(chunk * dim) however large the plan.
+Both weighted sums of unitaries take a SamplingPlan and sum over its own
+nodes: lchs_apply weights them by c_j, and residual_lemma_check by
+c_j (1 - i k_j) = w_j f(k_j), the kernel f in place of g = f/(1 - ik). Both
+go through one routine that streams the terms in chunks: a chunk is
+propagated and reduced into the running total before the next one starts,
+so memory stays O(chunk * dim) however large the plan.
 
 The sum is one pipeline. It first splits the indices into blocks: the
 connected components of the union sparsity pattern of |L| + |H| over all
@@ -86,9 +88,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionError, PreconditionError, PropagationError, RangeError
-from .kernels import KernelSpec, kernel_f
 from .linalg import HermitianPair, TimeSchedule, matrix_exponential
-from .sampling import SamplingPlan, _composite_nodes
+from .sampling import SamplingPlan
 
 _log = logging.getLogger(__name__)
 
@@ -509,27 +510,22 @@ def oracle_solve(p: ProblemInstance, T: float) -> np.ndarray:
     return u
 
 
-def residual_lemma_check(
-    p: ProblemInstance,
-    kernel: KernelSpec,
-    T: float,
-    K: float,
-    M: int,
-    Q: int,
-) -> float:
-    """Norm of the f-weighted unitary sum, which tends to zero as the window
-    and rule are refined.
+def residual_lemma_check(p: ProblemInstance, plan: SamplingPlan, T: float) -> float:
+    """Norm of the f-weighted unitary sum over the plan's own nodes, which
+    tends to zero as the window and rule are refined.
 
-    Note the weight here is the kernel f itself, not g = f/(1 - ik); the sum
-    realizes the principal value by symmetric truncation to [-K, K]. Requires
-    the positivity gate lambda0 > 0.
+    The weight here is the kernel f itself, not g = f/(1 - ik). Every plan
+    coefficient is c_j = w_j g(k_j) (w_j the Gauss weight or 2K/Ns), so
+    c_j (1 - i k_j) = w_j f(k_j) and the sum is sum_j c_j (1 - i k_j) U(k_j) u0;
+    a composite plan realizes the principal value by its symmetric window
+    [-K, K]. Requires the positivity gate lambda0 > 0.
     """
+    plan.validate()
     p.require_gate()
     if T <= 0:
         raise RangeError(f"T must be positive for the residual check, got {T}")
-    ks, wts = _composite_nodes(K, M, Q)
-    fvals = np.asarray(kernel_f(kernel, ks), dtype=complex)
-    total = _weighted_unitary_sum(_spans(p.schedule, T), ks, wts * fvals, p.u0)
+    f_weights = plan.c * (1 - 1j * plan.k)
+    total = _weighted_unitary_sum(_spans(p.schedule, T), plan.k, f_weights, p.u0)
     return float(np.linalg.norm(total))
 
 

@@ -4,6 +4,11 @@ Configs are JSON documents validated against a published schema. Reports are
 written deterministically (identical config and seed give byte-identical
 bytes); wall-clock timings go to a separate timing file so they never perturb
 the report itself. All files are written atomically (temp + rename).
+
+A convergence sweep builds one plan per axis value and runs every row
+through one replica routine: one replica for a Gaussian config, mc_seeds
+for a Monte Carlo one. SWEEP_AXES is the one table of sweep axes and the
+type of their values; an axis is eps or a key of the config's accuracy.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import BuildError, ConfigError, FitError, LchsError
 from .evolve import ProblemInstance, SolveReport, lchs_apply, oracle_solve, solve
-from .kernels import KernelSpec, choose_truncation, make_kernel
+from .kernels import DEFAULT_BETA, DEFAULT_FAMILY, KernelSpec, choose_truncation, make_kernel
 from .problems import (
     DEFAULT_LAMBDA0,
     CapPotentials,
@@ -158,13 +163,19 @@ REPORT_SCHEMA = {
 }
 
 
-def validate_report(payload: dict) -> None:
-    """Check an emitted report document against the published schema."""
+def _check_schema(document: dict, schema: dict, what: str) -> None:
+    """Validate document against schema; a violation is a ConfigError whose
+    pointer is the JSON pointer of the offending value."""
     try:
-        jsonschema.validate(payload, REPORT_SCHEMA)
+        jsonschema.validate(document, schema)
     except jsonschema.ValidationError as exc:
         pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
-        raise ConfigError(f"report invalid at {pointer}: {exc.message}", pointer=pointer)
+        raise ConfigError(f"{what} invalid at {pointer}: {exc.message}", pointer=pointer)
+
+
+def validate_report(payload: dict) -> None:
+    """Check an emitted report document against the published schema."""
+    _check_schema(payload, REPORT_SCHEMA, "report")
 
 
 @dataclass
@@ -183,12 +194,17 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        try:
-            jsonschema.validate(d, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
-            raise ConfigError(f"config invalid at {pointer}: {exc.message}", pointer=pointer)
-        kernel = d.get("kernel", {"family": "beta", "beta": 0.75})
+        """Validate d against CONFIG_SCHEMA, and an explicit plan in
+        accuracy against the method: {K, M, Q} is Gaussian, {K, Ns, seed}
+        Monte Carlo."""
+        _check_schema(d, CONFIG_SCHEMA, "config")
+        acc = d["accuracy"]
+        if "eps" not in acc and ("M" in acc) != (d["method"] == "gaussian"):
+            raise ConfigError(
+                f"{d['method']} method cannot take {{{', '.join(sorted(acc))}}} accuracy",
+                "/accuracy",
+            )
+        kernel = d.get("kernel", {"family": DEFAULT_FAMILY, "beta": DEFAULT_BETA})
         return RunConfig(
             problem_name=d["problem"]["name"],
             problem_params=d["problem"].get("params", {}),
@@ -268,6 +284,16 @@ def _param_error(key: str, why: str) -> ConfigError:
     )
 
 
+def _read(p: dict, key: str, convert=float):
+    """convert(p[key]). A value convert cannot take (a string for a number,
+    a preset missing a field, a domain that is not two numbers) raises
+    ConfigError with pointer /problem/params/<key>."""
+    try:
+        return convert(p[key])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise _param_error(key, f"cannot read {p[key]!r}: {type(exc).__name__}: {exc}") from exc
+
+
 def _parse_matrix(spec) -> np.ndarray:
     if isinstance(spec, dict) and "diag" in spec:
         return np.diag(np.asarray(spec["diag"], dtype=float)).astype(complex)
@@ -279,10 +305,15 @@ def _parse_matrix(spec) -> np.ndarray:
     raise BuildError(f"cannot parse matrix spec {spec!r}")
 
 
+def _interval(spec) -> tuple:
+    lo, hi = spec
+    return float(lo), float(hi)
+
+
 def _parse_vi(spec) -> object:
     if isinstance(spec, dict) and "layer" in spec:
         layer = spec["layer"]
-        return absorbing_layer(layer["depth"], layer["x_lo"], layer["x_hi"])
+        return absorbing_layer(*(float(layer[key]) for key in ("depth", "x_lo", "x_hi")))
     fn = preset_callable(spec)
     return lambda x: fn(x, 0.0)
 
@@ -293,13 +324,13 @@ def _lindblad_spec(given: dict, p: dict) -> LindbladSpec:
         for key in ("preset", "gamma"):
             if key in given:
                 raise _param_error(key, f"lindblad takes {key!r} or 'H', not both")
-        jumps = [_parse_matrix(j) for j in p["jumps"] or []]
-        return LindbladSpec(H_sys=_parse_matrix(p["H"]), jump_ops=jumps)
+        jumps = _read(p, "jumps", lambda js: [_parse_matrix(j) for j in js or []])
+        return LindbladSpec(H_sys=_read(p, "H", _parse_matrix), jump_ops=jumps)
     if given.get("jumps") is not None:
         raise _param_error("jumps", "lindblad 'jumps' needs 'H'")
     if p["preset"] != "amplitude-damping":
         raise _param_error("preset", f"unknown lindblad preset {p['preset']!r}")
-    return amplitude_damping_spec(float(p["gamma"]))
+    return amplitude_damping_spec(_read(p, "gamma"))
 
 
 def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
@@ -327,28 +358,29 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
     p = {**DEFAULT_PARAMS[name], **given}
     if name == "parabolic1d":
         pc = ParabolicCoefficients(
-            a=preset_callable(p["a"]),
-            b=preset_callable(p["b"]),
-            c=preset_callable(p["c"]),
-            N_grid=int(p["N_grid"]),
+            a=_read(p, "a", preset_callable),
+            b=_read(p, "b", preset_callable),
+            c=_read(p, "c", preset_callable),
+            N_grid=_read(p, "N_grid", int),
         )
-        return build_parabolic_1d(pc, lambda0_target=float(p["lambda0_target"]))
-    if name == "mm1":
-        qp = QueueParams(p["lambda_rate"], p["mu_rate"], 1, int(p["n_trunc"]))
-        return build_mm1(qp, lambda0_target=float(p["lambda0_target"]))
-    if name == "mmc":
-        qp = QueueParams(p["lambda_rate"], p["mu_rate"], int(p["servers"]), int(p["n_trunc"]))
-        return build_mmc(qp, lambda0_target=float(p["lambda0_target"]))
+        return build_parabolic_1d(pc, lambda0_target=_read(p, "lambda0_target"))
+    if name in ("mm1", "mmc"):
+        servers = _read(p, "servers", int) if name == "mmc" else 1
+        qp = QueueParams(_read(p, "lambda_rate"), _read(p, "mu_rate"), servers,
+                         _read(p, "n_trunc", int))
+        build = build_mmc if name == "mmc" else build_mm1
+        return build(qp, lambda0_target=_read(p, "lambda0_target"))
     if name == "cap":
         cp = CapPotentials(
-            V_R=preset_callable(p["V_R"]),
-            V_I=_parse_vi(p["V_I"]),
-            hbar=float(p["hbar"]),
-            N_grid=int(p["N_grid"]),
-            domain=tuple(p["domain"]),
+            V_R=_read(p, "V_R", preset_callable),
+            V_I=_read(p, "V_I", _parse_vi),
+            hbar=_read(p, "hbar"),
+            N_grid=_read(p, "N_grid", int),
+            domain=_read(p, "domain", _interval),
         )
+        packet = _read(p, "packet", lambda pk: pk and {k: float(v) for k, v in pk.items()})
         return build_cap_schrodinger(
-            cp, lambda0_target=float(p["lambda0_target"]), packet=p["packet"]
+            cp, lambda0_target=_read(p, "lambda0_target"), packet=packet
         )
     if name == "lindblad":
         spec = _lindblad_spec(given, p)
@@ -360,10 +392,10 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
         elif rho0 is None or rho0 == "mixed":
             rho = None
         else:
-            rho = _parse_matrix(rho0)
-        return build_lindblad(spec, rho0=rho, lambda0_target=float(p["lambda0_target"]))
+            rho = _read(p, "rho0", _parse_matrix)
+        return build_lindblad(spec, rho0=rho, lambda0_target=_read(p, "lambda0_target"))
     # name == "blackhole"
-    return build_blackhole(_parse_matrix(p["H"]), float(p["gamma"]))
+    return build_blackhole(_read(p, "H", _parse_matrix), _read(p, "gamma"))
 
 
 def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> SamplingPlan:
@@ -375,8 +407,6 @@ def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> S
             if normL is None:
                 raise BuildError("problem metadata lacks normL for accuracy-driven plan")
             return plan_from_accuracy(kernel, float(acc["eps"]), cfg.T, float(normL))
-        if "Ns" in acc:
-            raise ConfigError("gaussian method cannot take {K, Ns, seed} accuracy", "/accuracy")
         return composite_plan(kernel, float(acc["K"]), int(acc["M"]), int(acc["Q"]))
     # monte-carlo
     if "eps" in acc:
@@ -386,8 +416,6 @@ def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> S
         plan = mc_plan(kernel, K, Ns, int(acc.get("seed", 0)))
         plan.meta["eps"] = eps
         return plan
-    if "M" in acc:
-        raise ConfigError("monte-carlo method cannot take {K, M, Q} accuracy", "/accuracy")
     return mc_plan(kernel, float(acc["K"]), int(acc["Ns"]), int(acc["seed"]))
 
 
@@ -529,14 +557,29 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-SWEEP_AXES = ("Q", "M", "Ns", "K", "eps")
+# every sweep axis and the type of its values
+SWEEP_AXES = {"Q": int, "M": int, "Ns": int, "K": float, "eps": float}
+
+
+def _axis_value(axis: str, value):
+    """value as its axis's SWEEP_AXES type. A value the cast would change
+    (2.5 on an int axis) or cannot take is a ConfigError, never truncated."""
+    cast = SWEEP_AXES[axis]
+    try:
+        typed = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        typed = None
+    if typed is None or typed != value:
+        raise ConfigError(f"axis {axis} takes {cast.__name__} values, got {value!r}")
+    return typed
 
 
 def _extends(plan: SamplingPlan, prev: SamplingPlan) -> bool:
-    """True when plan's first prev.size terms are prev's draws: the same
-    window, seed and generator, and bit-identical abscissae. The Philox
-    stream is counter-based, so this holds along an Ns axis and fails when K
-    changes."""
+    """True when plan's first prev.size terms are prev's: the same window,
+    seed and generator, and bit-identical abscissae. The Philox stream is
+    counter-based, so this holds along an Ns axis and fails when K changes.
+    A composite plan ascends and mirrors, so an equal first node means an
+    equal last node: it extends only an identical plan."""
     return (
         plan.K == prev.K
         and plan.size >= prev.size
@@ -548,75 +591,64 @@ def _extends(plan: SamplingPlan, prev: SamplingPlan) -> bool:
 def run_convergence(
     cfg: RunConfig, axis: str, values, mc_seeds: int = 20
 ) -> SweepResult:
-    """One solve per axis value against a shared oracle.
+    """One row per axis value, each against a shared oracle.
 
-    Monte Carlo rows run mc_seeds >= 2 replicas (seed, seed+1, ...)
-    concurrently and report the mean and standard error of the relative
-    error. Each replica carries its estimate from its last good row. When
-    the row's plan extends that row's draws (same K, seed and generator, and
-    the old abscissae as its prefix, as along the Ns axis), only the new
-    terms are propagated and the carried estimate is rescaled to the new Ns;
-    a repeated value adds no terms. Ns rows therefore share their draws, their
-    propagation and their correlation, and the wall_s of a carried row is
-    its own increment and reduction. Any other row (the K and eps axes)
-    starts from its full plan. One DEBUG record on lchs.harness per Monte
-    Carlo sweep counts the terms propagated and reused.
+    The axis is eps or a key of the config's accuracy block, and its values
+    take the SWEEP_AXES type of the axis. Every row runs one replica routine:
+    a Gaussian row has one replica, a Monte Carlo row mc_seeds >= 2 replicas
+    (seed, seed+1, ...) run concurrently. A row reports each replica's
+    relative error in replica_errors, their mean as rel_error and its
+    standard error as stderr (0 for one replica).
+
+    Each replica carries its estimate from its last good row. When the
+    row's plan extends that row's (same K, seed and generator, and the old
+    abscissae as its prefix, as along the Ns axis), only the new terms are
+    propagated and the carried estimate is rescaled to the new size; a
+    repeated value adds no terms. A Gaussian plan extends only an identical
+    one, so it reuses a row only for a repeated value. Ns rows therefore
+    share their draws, their propagation and their correlation, and the
+    wall_s of a carried row is its own increment and reduction. Any other
+    row starts from its full plan. One DEBUG record on lchs.harness per
+    sweep counts the terms propagated and reused.
 
     Rows that fail are marked with NaN errors and a status note, the carried
     estimates are dropped, and the sweep continues from the next row's full
     plan.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = list(values)
+        raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    if axis != "eps" and axis not in cfg.accuracy:
+        raise ConfigError(f"axis {axis} needs {axis} in the config's accuracy", "/accuracy")
+    values = [_axis_value(axis, value) for value in values]
     if len(values) < 4:
         raise ConfigError(f"need >= 4 axis values, got {len(values)}")
     if sorted(values) != values:
         raise ConfigError("axis values must be sorted ascending")
-    if axis == "Ns" and (cfg.method != "monte-carlo" or "Ns" not in cfg.accuracy):
-        raise ConfigError(
-            "axis Ns needs a monte-carlo config with explicit {K, Ns, seed}", "/accuracy"
-        )
-    if axis in ("K", "M", "Q") and "eps" in cfg.accuracy:
-        raise ConfigError(
-            f"axis {axis} needs explicit plan parameters in accuracy", "/accuracy"
-        )
-    if axis in ("M", "Q") and cfg.method == "monte-carlo":
-        raise ConfigError(
-            f"axis {axis} needs a gaussian config with explicit {{K, M, Q}}", "/accuracy"
-        )
     if cfg.method == "monte-carlo" and mc_seeds < 2:
         raise ConfigError(
             f"a monte-carlo sweep needs mc_seeds >= 2 for its standard error, got {mc_seeds}"
         )
+    replicas = mc_seeds if cfg.method == "monte-carlo" else 1
 
     problem = build_problem(cfg.problem_name, cfg.problem_params)
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     u_ref = oracle_solve(problem, cfg.T)
     ref_norm = np.linalg.norm(u_ref)
+    base_seed = int(cfg.accuracy.get("seed", 0))
 
     def plan_for(value) -> SamplingPlan:
-        acc = dict(cfg.accuracy)
-        if axis == "eps":
-            acc = {"eps": float(value), "seed": int(acc.get("seed", 0))}
-        elif axis == "Ns":
-            acc["Ns"] = int(value)
-        else:
-            acc[axis] = type(acc[axis])(value)
+        acc = {"eps": value, "seed": base_seed} if axis == "eps" else {**cfg.accuracy, axis: value}
         return make_plan(replace(cfg, accuracy=acc), problem, kernel)
-
-    def rel_error_for(u: np.ndarray) -> float:
-        return float(np.linalg.norm(u - u_ref) / ref_norm)
-
-    base_seed = int(cfg.accuracy.get("seed", 0))
 
     def replica(i: int, plan: SamplingPlan, prev):
         """(plan, estimate, terms propagated) of replica i (seed base_seed + i)
         in the row whose base-seed plan is plan. prev is the replica's
         (plan, estimate) from the last good row, or None. When this row's
-        draws extend prev's, only the new terms are propagated: every
-        c_j = (2K/Ns) g(k_j), so the shared terms sum to prev's estimate
-        rescaled to this row's Ns, and the shift unwinding is a scalar."""
+        plan extends prev's, only the new terms are propagated: a Monte
+        Carlo c_j is (2K/Ns) g(k_j), so the shared terms sum to prev's
+        estimate rescaled to this row's Ns, and the shift unwinding is a
+        scalar. A Gaussian plan extends only an identical one, whose
+        rescale factor is exactly 1."""
         if i > 0:
             plan = mc_plan(kernel, plan.K, plan.meta["Ns"], base_seed + i)
         if prev is None or not _extends(plan, prev[0]):
@@ -627,8 +659,8 @@ def run_convergence(
             u = u + lchs_apply(problem, replace(plan, k=plan.k[n0:], c=plan.c[n0:]), cfg.T)
         return plan, u, plan.size - n0
 
-    # per replica, the (plan, estimate) of the last good Monte Carlo row
-    carried = [None] * mc_seeds
+    # per replica, the (plan, estimate) of the last good row
+    carried = [None] * replicas
     propagated = reused = 0
     result = SweepResult(axis=axis)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -636,41 +668,32 @@ def run_convergence(
             t0 = time.perf_counter()
             try:
                 plan = plan_for(value)
-                if cfg.method == "monte-carlo":
-                    states = list(pool.map(replica, range(mc_seeds), [plan] * mc_seeds, carried))
-                    carried = [(own, u) for own, u, _ in states]
-                    fresh = sum(n for _, _, n in states)
-                    propagated += fresh
-                    reused += mc_seeds * plan.size - fresh
-                    errs = np.array([rel_error_for(u) for _, u in carried])
-                    row = {
-                        "value": value, "N": plan.size,
-                        "rel_error": float(errs.mean()),
-                        "stderr": float(errs.std(ddof=1) / np.sqrt(len(errs))),
-                        "wall_s": time.perf_counter() - t0,
-                        "status": "ok",
-                        "replica_errors": errs.tolist(),
-                    }
-                else:
-                    row = {
-                        "value": value, "N": plan.size,
-                        "rel_error": rel_error_for(lchs_apply(problem, plan, cfg.T)),
-                        "stderr": 0.0, "wall_s": time.perf_counter() - t0,
-                        "status": "ok",
-                    }
+                states = list(pool.map(replica, range(replicas), [plan] * replicas, carried))
+                carried = [(own, u) for own, u, _ in states]
+                fresh = sum(n for _, _, n in states)
+                propagated += fresh
+                reused += replicas * plan.size - fresh
+                errs = np.array([np.linalg.norm(u - u_ref) / ref_norm for _, u in carried])
+                row = {
+                    "value": value, "N": plan.size,
+                    "rel_error": float(errs.mean()),
+                    "stderr": float(errs.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0,
+                    "wall_s": time.perf_counter() - t0,
+                    "status": "ok",
+                    "replica_errors": errs.tolist(),
+                }
             except LchsError as exc:
-                carried = [None] * mc_seeds
+                carried = [None] * replicas
                 row = {
                     "value": value, "N": 0, "rel_error": float("nan"),
                     "stderr": float("nan"), "wall_s": time.perf_counter() - t0,
                     "status": f"error:{type(exc).__name__}:{exc}",
                 }
             result.rows.append(row)
-    if cfg.method == "monte-carlo":
-        _log.debug(
-            "monte carlo sweep: axis=%s rows=%d replicas=%d terms propagated=%d reused=%d",
-            axis, len(values), mc_seeds, propagated, reused,
-        )
+    _log.debug(
+        "sweep: axis=%s rows=%d replicas=%d terms propagated=%d reused=%d",
+        axis, len(values), replicas, propagated, reused,
+    )
 
     good = [(r["value"], r["rel_error"]) for r in result.rows
             if r["status"] == "ok" and r["rel_error"] > 0]

@@ -221,11 +221,7 @@ def test_09_residual_lemma(beta_kernel):
         residuals = []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
             plan = plan_from_accuracy(beta_kernel, eps, 1.0, normL)
-            residuals.append(
-                residual_lemma_check(
-                    inst, beta_kernel, 1.0, plan.K, plan.meta["M"], plan.meta["Q"]
-                )
-            )
+            residuals.append(residual_lemma_check(inst, plan, 1.0))
         monotone = all(b <= 1.1 * a for a, b in zip(residuals, residuals[1:]))
         reaches = min(residuals) <= 1e-4
         ok_all = ok_all and monotone and reaches

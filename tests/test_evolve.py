@@ -19,6 +19,7 @@ from lchs import (
     TimeSchedule,
     build_cap_schrodinger,
     build_parabolic_1d,
+    composite_plan,
     hermitian_split,
     lchs_apply,
     mc_plan,
@@ -29,7 +30,9 @@ from lchs import (
     spectral_shift,
 )
 from lchs.harness import build_problem
+from lchs.kernels import kernel_f
 from lchs.linalg import HermitianPair, shift_pair
+from lchs.sampling import _composite_nodes
 from lchs.problems import absorbing_layer
 
 from conftest import propagate, random_hermitian, random_unitary
@@ -205,8 +208,8 @@ class TestResidualLemma:
         # and rule are refined
         p = scalar_instance(1.0)
         for T in (1.0, 0.1):
-            coarse = residual_lemma_check(p, cauchy_kernel, T, 16.0, 64, 6)
-            fine = residual_lemma_check(p, cauchy_kernel, T, 1024.0, 4096, 10)
+            coarse = residual_lemma_check(p, composite_plan(cauchy_kernel, 16.0, 64, 6), T)
+            fine = residual_lemma_check(p, composite_plan(cauchy_kernel, 1024.0, 4096, 10), T)
             assert fine < coarse
             assert fine <= 2e-2
 
@@ -215,11 +218,7 @@ class TestResidualLemma:
         residuals = []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
             plan = plan_from_accuracy(beta_kernel, eps, 1.0, 1.0)
-            residuals.append(
-                residual_lemma_check(
-                    p, beta_kernel, 1.0, plan.K, plan.meta["M"], plan.meta["Q"]
-                )
-            )
+            residuals.append(residual_lemma_check(p, plan, 1.0))
         assert all(b <= 1.1 * a for a, b in zip(residuals, residuals[1:]))
         assert residuals[-1] <= 1e-4
 
@@ -232,14 +231,26 @@ class TestResidualLemma:
         p = ProblemInstance.from_pair(shifted, u0)
         normL = float(np.max(np.abs(np.linalg.eigvalsh(shifted.L))))
         plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, normL)
-        r = residual_lemma_check(p, beta_kernel, 1.0, plan.K, plan.meta["M"], plan.meta["Q"])
+        r = residual_lemma_check(p, plan, 1.0)
         assert r <= 1e-3
+
+    @pytest.mark.parametrize("kernel, eps", [("cauchy_kernel", 1e-2), ("beta_kernel", 1e-4)])
+    def test_plan_coefficients_carry_f(self, kernel, eps, request):
+        # the check weighs the plan's own nodes by c (1 - ik): with c = w g and
+        # g = f / (1 - ik) that is the Gauss weight times f, to roundoff
+        kernel = request.getfixturevalue(kernel)
+        plan = plan_from_accuracy(kernel, eps, 1.0, 1.0)
+        k, w = _composite_nodes(plan.K, plan.meta["M"], plan.meta["Q"])
+        assert np.array_equal(k, plan.k)
+        wf = w * kernel_f(kernel, k)
+        gap = np.abs(plan.c * (1 - 1j * plan.k) - wf)
+        assert np.all(gap <= 4 * np.spacing(np.abs(wf)))
 
     def test_gate_required(self, beta_kernel):
         pair = hermitian_split(np.array([[0.0]], dtype=complex))
         p = ProblemInstance.from_pair(pair, np.array([1.0 + 0j]))
         with pytest.raises(PreconditionError):
-            residual_lemma_check(p, beta_kernel, 1.0, 8.0, 16, 4)
+            residual_lemma_check(p, composite_plan(beta_kernel, 8.0, 16, 4), 1.0)
 
 
 class TestSolve:
@@ -613,7 +624,7 @@ class TestTridiagonalBranches:
         with pytest.raises(PropagationError, match="batched tridiagonal eigh failed"):
             lchs_apply(p, plan, self.T)
         with pytest.raises(PropagationError, match="batched tridiagonal eigh failed"):
-            residual_lemma_check(p, beta_kernel, self.T, plan.K, plan.meta["M"], plan.meta["Q"])
+            residual_lemma_check(p, plan, self.T)
 
     def test_lindblad_decomposes_nothing_larger_than_2x2(self, beta_kernel, monkeypatch):
         dims = []
@@ -709,7 +720,7 @@ class TestBlockSplit:
     def test_residual_check_matches_unsplit_run(self, beta_kernel, monkeypatch):
         p = build_problem("lindblad", {})
         plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, p.meta["normL"])
-        args = (p, beta_kernel, 1.0, plan.K, plan.meta["M"], plan.meta["Q"])
+        args = (p, plan, 1.0)
         split = residual_lemma_check(*args)
         monkeypatch.setattr(ev, "_block_labels", one_block)
         assert split == pytest.approx(residual_lemma_check(*args), rel=0, abs=1e-14)
@@ -816,7 +827,7 @@ class TestMirrorFold:
     def test_residual_check_matches_unfolded(self, name, beta_kernel, monkeypatch):
         p = build_problem(name, {})
         plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, p.meta["normL"])
-        args = (p, beta_kernel, 1.0, plan.K, plan.meta["M"], plan.meta["Q"])
+        args = (p, plan, 1.0)
         folded = residual_lemma_check(*args)
         monkeypatch.setattr(ev, "_is_real", lambda spans: False)
         assert folded == pytest.approx(residual_lemma_check(*args), rel=0, abs=1e-14)

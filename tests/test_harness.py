@@ -88,6 +88,16 @@ class TestConfig:
         )
         assert cfg.method == "monte-carlo"
 
+    @pytest.mark.parametrize("method, accuracy", [
+        ("gaussian", {"K": 5.0, "Ns": 100, "seed": 3}),
+        ("monte-carlo", {"K": 5.0, "M": 8, "Q": 2}),
+    ])
+    def test_explicit_plan_must_match_method(self, method, accuracy):
+        # rejected with the config, so a sweep never fails row by row on it
+        with pytest.raises(ConfigError, match=f"{method} method cannot take") as err:
+            RunConfig.from_dict(base_config(method=method, accuracy=accuracy))
+        assert err.value.pointer == "/accuracy"
+
 
 class TestBuildProblem:
     def test_defaults_build(self):
@@ -177,6 +187,21 @@ class TestBuildProblem:
         assert build_problem("lindblad", {"H": None, "jumps": None}).label == \
             build_problem("lindblad", {}).label
         assert build_problem("cap", {"packet": None}).lambda0 > 0
+
+    @pytest.mark.parametrize("name, params, key", [
+        ("parabolic1d", {"N_grid": "abc"}, "N_grid"),
+        ("parabolic1d", {"a": "x"}, "a"),
+        ("parabolic1d", {"a": {"kind": "polynomial"}}, "a"),
+        ("cap", {"domain": [0, 1, 2]}, "domain"),
+        ("mm1", {"lambda_rate": "fast"}, "lambda_rate"),
+        ("cap", {"V_I": {"layer": {"depth": 5.0}}}, "V_I"),
+    ], ids=["N_grid-ValueError", "a-AttributeError", "a-KeyError", "domain-ValueError",
+            "lambda_rate-TypeError", "V_I-KeyError"])
+    def test_malformed_param_exit_code(self, name, params, key, tmp_path, capsys):
+        cfg = base_config(problem={"name": name, "params": params})
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"config error: config invalid at /problem/params/{key}: cannot read" in \
+            capsys.readouterr().err
 
     def test_unknown_param_exit_code(self, tmp_path, capsys):
         cfg = base_config(problem={"name": "mm1", "params": {"n_truc": 8}})
@@ -301,6 +326,63 @@ class TestRunConvergence:
         result = run_convergence(cfg, "eps", [1e-4, 1e-3, 1e-2, 1e-1])
         sizes = [r["N"] for r in result.rows]
         assert sizes == sorted(sizes, reverse=True)
+
+    def test_gaussian_rows_match_independent_solves(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="lchs")
+        cfg = RunConfig.from_dict(base_config(
+            problem={"name": "mm1"}, T=0.25, accuracy={"K": 20.0, "M": 12, "Q": 1}))
+        result = run_convergence(cfg, "Q", [1, 2, 3, 3, 5])
+        # a repeated value reuses its row: Q = 3 propagates its 72 terms once
+        assert propagated_terms(caplog) == 24 * (1 + 2 + 3 + 5)
+        [summary] = [r.getMessage() for r in caplog.records if r.name == "lchs.harness"]
+        assert "rows=5 replicas=1 terms propagated=264 reused=72" in summary
+        problem = build_problem("mm1")
+        kernel = make_kernel("beta", 0.75)
+        u_ref = oracle_solve(problem, 0.25)
+        for row in result.rows:
+            u = lchs_apply(problem, composite_plan(kernel, 20.0, 12, row["value"]), 0.25)
+            assert row["rel_error"] == np.linalg.norm(u - u_ref) / np.linalg.norm(u_ref)
+            assert row["replica_errors"] == [row["rel_error"]]
+            assert row["stderr"] == 0.0
+
+    @pytest.mark.parametrize("method, accuracy, axis, values, replicas", [
+        ("gaussian", {"K": 16.0, "M": 44, "Q": 2}, "Q", [2, 3, 4, 100], 1),
+        ("gaussian", {"eps": 1e-3}, "eps", [1e-4, 1e-3, 1e-2, 1e-1], 1),
+        ("monte-carlo", {"K": 30.0, "Ns": 50, "seed": 5}, "Ns", [50, 100, 200, 400], 3),
+        ("monte-carlo", {"K": 5.0, "Ns": 50, "seed": 5}, "K", [5.0, 10.0, 20.0, 40.0], 3),
+    ], ids=["gaussian-Q-with-failed-row", "gaussian-eps", "mc-Ns", "mc-K"])
+    def test_one_harness_record_per_sweep(self, method, accuracy, axis, values, replicas,
+                                          caplog):
+        caplog.set_level(logging.DEBUG, logger="lchs")
+        cfg = RunConfig.from_dict(base_config(method=method, accuracy=accuracy))
+        run_convergence(cfg, axis, values, mc_seeds=3)
+        [summary] = [r.getMessage() for r in caplog.records if r.name == "lchs.harness"]
+        assert summary.startswith(f"sweep: axis={axis} rows=4 replicas={replicas} ")
+
+    def test_int_typed_K_keeps_float_values(self, tmp_path, capsys):
+        # a config's "K": 4 does not truncate the swept K values to ints
+        values = [1.5, 2.5, 3.5, 4.5]
+        outputs = []
+        for K in (4, 4.0):
+            cfg = base_config(accuracy={"K": K, "M": 12, "Q": 3})
+            result = run_convergence(RunConfig.from_dict(cfg), "K", values)
+            assert [r["value"] for r in result.rows] == values
+            outputs.append([r["rel_error"] for r in result.rows])
+            path = write_config(tmp_path, cfg)
+            assert main(["converge", path, "--axis", "K", "--values", "1.5,2.5,3.5,4.5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[2]
+        assert outputs[1] == outputs[3]
+        assert "K=1.5: N=72" in outputs[1]
+
+    def test_non_integral_value_on_int_axis_rejected(self, tmp_path, capsys):
+        cfg = base_config(accuracy={"K": 16.0, "M": 44, "Q": 2})
+        with pytest.raises(ConfigError, match="axis Q takes int values, got 2.5"):
+            run_convergence(RunConfig.from_dict(cfg), "Q", [1, 2.5, 3, 4])
+        path = write_config(tmp_path, cfg)
+        for values in ("1,2.5,3,4", "1,two,3,4"):
+            assert main(["converge", path, "--axis", "Q", "--values", values]) == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
 
     def test_K_axis_plateaus_at_tail_certificate(self):
         # with M, Q generous the only error left is the truncated tail; at

@@ -440,10 +440,6 @@ class TestResidualAcrossBuilders:
             residuals = []
             for eps in (1e-1, 1e-3, 1e-5):
                 plan = plan_from_accuracy(beta_kernel, eps, T, inst.meta["normL"])
-                residuals.append(
-                    residual_lemma_check(
-                        inst, beta_kernel, T, plan.K, plan.meta["M"], plan.meta["Q"]
-                    )
-                )
+                residuals.append(residual_lemma_check(inst, plan, T))
             assert residuals[-1] < residuals[0], (name, residuals)
             assert residuals[-1] <= 1e-3, (name, residuals)
