@@ -41,7 +41,7 @@ block then takes one of three paths, in this order.
   mu = sum dt diag(V^dagger H V), the sum is
   V (sum_j c_j exp(-i (k_j lam + mu)) * V^dagger u0): one row of
   exponentials per term instead of one eigendecomposition, for any number
-  of spans.
+  of spans. A mirrored plan is folded here too (below).
 * Tridiagonal. When every span's L and H are zero outside the tridiagonal
   band (nearest-neighbour operators: the PDE and queue builders), k L + H is
   made real by a diagonal phase similarity and decomposed in real
@@ -55,20 +55,32 @@ block then takes one of three paths, in this order.
 * Batched eigh. Any other block is propagated span by span, by stacked
   complex eigendecompositions of k L + H.
 
-The two per-term paths fold a mirrored plan over a real generator. When
-every span's L is real and its H purely imaginary, exactly (the PDE, queue
-and lindblad builders), conj(k L + H) = -(-k L + H), so U(-k) = conj U(k)
-span by span. When also the abscissae mirror bitwise, k_j = -k_{N-1-j} (every
-composite Gauss plan does), each |k| is decomposed once, and the sum is
-sum c_+ U(|k|) u0 + conj(sum conj(c_-) U(|k|) conj(u0)): half the
-decompositions. A complex u0 propagates two columns, u0 and conj(u0); a real
-u0 is its own conjugate, so it propagates the one column u0 and the mirrored
-half is the conjugate of that column. The mirror test compares the two
-halves a slice at a time and stops at the first slice that differs, so a
-Monte Carlo plan, which is not mirrored, costs one slice.
+One fold rule serves every path. When the abscissae mirror bitwise,
+k_j = -k_{N-1-j} (every composite Gauss plan does), the sum runs over the
+k > 0 half, each term carrying its mirror's coefficient c_- next to its own
+c_+; it is decided once per block.
 
-Within a chunk the terms (the +-k pairs of a folded sum) are reduced by one
-pairwise numpy sum; the chunk partials are added in ascending plan order
+* Shared eigenbasis: lam is real, so exp(+i k lam) = conj exp(-i k lam) for
+  any spans, and with theta = k lam the pair +-k contributes
+  cos theta (c_+ + c_-) - i sin theta (c_+ - c_-): half the exponentials.
+  exp(-i mu) is common to both and is applied once, to V^dagger u0. cos and
+  sin are reduced in turn, so the fold holds half the memory of the
+  unfolded sum, never exp(-i k lam) and its conjugate at once.
+* Per-term paths, only over a real generator: when every span's L is real
+  and its H purely imaginary, exactly (the PDE, queue and lindblad
+  builders), conj(k L + H) = -(-k L + H), so U(-k) = conj U(k) span by span.
+  Each |k| is decomposed once, and the sum is
+  sum c_+ U(|k|) u0 + conj(sum conj(c_-) U(|k|) conj(u0)): half the
+  decompositions. A complex u0 propagates two columns, u0 and conj(u0); a
+  real u0 is its own conjugate, so it propagates the one column u0 and the
+  mirrored half is the conjugate of that column.
+
+The mirror test compares the two halves a slice at a time and stops at the
+first slice that differs, so a Monte Carlo plan, which is not mirrored, costs
+one slice, and its sum is unchanged.
+
+Within a chunk the terms (the +-k pairs of a folded sum) are reduced by
+pairwise numpy sums; the chunk partials are added in ascending plan order
 (ascending |k| when folded) with compensated summation. The result is
 deterministic, so reports are bit-stable for a fixed plan. Each sum logs one
 DEBUG record on lchs.evolve: the path (that of the only block, or "split"),
@@ -388,34 +400,43 @@ def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray)
     """sum_j weights[j] U(ks[j]) u0 over the spans of one block, streamed
     over chunks of budget / dim^2 terms. When all spans share a certified
     eigenbasis V the sum is V (sum_j weights[j] exp(-i (ks[j] lam + mu)) *
-    V^dagger u0). Otherwise a per-term path folds a mirrored ks over real
-    spans: U(-k) u0 = conj(U(k) conj(u0)), so each |k| is decomposed once and
-    applied to u0 and, unless u0 is real, to conj(u0). Returns the sum and
+    V^dagger u0); otherwise a per-term path decomposes k L + H term by term.
+    A mirrored ks is folded onto its k > 0 half on the shared path, where
+    the pair +-k contributes exp(-i mu) (cos theta (c_+ + c_-) -
+    i sin theta (c_+ - c_-)) with theta = k lam, and on a per-term path over
+    real spans, where U(-k) u0 = conj(U(k) conj(u0)). Returns the sum and
     the block's record: size, path, chunk count, step count and
     decomposition count."""
     dim = len(u0)
     basis = _shared_eigenbasis(spans, dim)
+    fold = _is_mirrored(ks) and (basis is not None or _is_real(spans))
+    if fold:
+        half = len(ks) // 2
+        mirror = weights[half - 1 :: -1]
+        ks, weights = ks[half:], weights[half:]
     if basis is not None:
         path, steps, decompositions = "shared-eigenbasis", 0, min(len(spans), 1)
         V, lam, mu = basis
 
-        def weighted(s):
-            return np.exp(-1j * (lam[:, None] * ks[s][None, :] + mu[:, None])) * weights[s]
+        def chunk_sum(s):
+            if not fold:
+                terms = np.exp(-1j * (lam[:, None] * ks[s][None, :] + mu[:, None])) * weights[s]
+                return terms.sum(axis=1)
+            # cos and sin in turn, so no two (dim, chunk) complex arrays live at once
+            theta = lam[:, None] * ks[s][None, :]
+            even = (np.cos(theta) * (weights[s] + mirror[s])).sum(axis=1)
+            odd = (np.sin(theta, out=theta) * (weights[s] - mirror[s])).sum(axis=1)
+            return even - 1j * odd
     else:
         tridiagonal = _is_tridiagonal(spans)
         path = "tridiagonal" if tridiagonal else "batched-eigh"
         eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
         steps = len(spans)
-        fold = _is_real(spans) and _is_mirrored(ks)
         starts = u0[None, :]
-        if fold:
-            half = len(ks) // 2
-            mirror = weights[half - 1 :: -1]
-            ks, weights = ks[half:], weights[half:]
-            if np.any(u0.imag):
-                starts = np.stack([u0, u0.conj()])
+        if fold and np.any(u0.imag):
+            starts = np.stack([u0, u0.conj()])
 
-        def weighted(s):
+        def chunk_sum(s):
             cols = _propagate_chunk(spans, ks[s], starts, eig)
             if fold:
                 # U(-k) u0 = conj(U(k) conj(u0)). The last column propagated
@@ -425,19 +446,22 @@ def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray)
             cols[0] *= weights[s]
             if fold:
                 cols[0] += minus
-            return cols[0]
+            return cols[0].sum(axis=1)
         decompositions = len(ks) * steps
 
     chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
     total = np.zeros(dim, dtype=complex)
     comp = np.zeros_like(total)
     for start in range(0, len(ks), chunk):
-        term = weighted(slice(start, start + chunk)).sum(axis=1) - comp
+        term = chunk_sum(slice(start, start + chunk)) - comp
         tmp = total + term
         comp = (tmp - total) - term
         total = tmp
     if basis is not None:
-        total = V @ (total * (V.conj().T @ u0))
+        coeff = V.conj().T @ u0
+        if fold:
+            coeff = np.exp(-1j * mu) * coeff
+        total = V @ (total * coeff)
     return total, (dim, path, -(-len(ks) // chunk), steps, decompositions)
 
 

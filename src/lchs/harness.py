@@ -294,6 +294,31 @@ def _read(p: dict, key: str, convert=float):
         raise _param_error(key, f"cannot read {p[key]!r}: {type(exc).__name__}: {exc}") from exc
 
 
+def _exact(value, cast=int):
+    """cast(value) when the cast leaves the value unchanged (2.0 -> 2). A
+    value the cast would change (2.5 -> 2) or cannot take raises ValueError,
+    so nothing is truncated. The rule for integer params and sweep axes."""
+    try:
+        typed = cast(value)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{value!r} is not an exact {cast.__name__}") from exc
+    if typed != value:
+        raise ValueError(f"{value!r} is not an exact {cast.__name__}")
+    return typed
+
+
+def _packet(spec) -> dict | None:
+    """cap's packet block as floats; null or {} keeps every default. A key
+    other than x0, sigma and p0 raises ValueError, so a misspelt key cannot
+    fall back to its default."""
+    if not spec:
+        return None
+    unknown = sorted(set(spec) - {"x0", "sigma", "p0"})
+    if unknown:
+        raise ValueError(f"packet has no key {unknown[0]!r} (it reads p0, sigma, x0)")
+    return {key: float(value) for key, value in spec.items()}
+
+
 def _parse_matrix(spec) -> np.ndarray:
     if isinstance(spec, dict) and "diag" in spec:
         return np.diag(np.asarray(spec["diag"], dtype=float)).astype(complex)
@@ -361,13 +386,13 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
             a=_read(p, "a", preset_callable),
             b=_read(p, "b", preset_callable),
             c=_read(p, "c", preset_callable),
-            N_grid=_read(p, "N_grid", int),
+            N_grid=_read(p, "N_grid", _exact),
         )
         return build_parabolic_1d(pc, lambda0_target=_read(p, "lambda0_target"))
     if name in ("mm1", "mmc"):
-        servers = _read(p, "servers", int) if name == "mmc" else 1
+        servers = _read(p, "servers", _exact) if name == "mmc" else 1
         qp = QueueParams(_read(p, "lambda_rate"), _read(p, "mu_rate"), servers,
-                         _read(p, "n_trunc", int))
+                         _read(p, "n_trunc", _exact))
         build = build_mmc if name == "mmc" else build_mm1
         return build(qp, lambda0_target=_read(p, "lambda0_target"))
     if name == "cap":
@@ -375,10 +400,10 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
             V_R=_read(p, "V_R", preset_callable),
             V_I=_read(p, "V_I", _parse_vi),
             hbar=_read(p, "hbar"),
-            N_grid=_read(p, "N_grid", int),
+            N_grid=_read(p, "N_grid", _exact),
             domain=_read(p, "domain", _interval),
         )
-        packet = _read(p, "packet", lambda pk: pk and {k: float(v) for k, v in pk.items()})
+        packet = _read(p, "packet", _packet)
         return build_cap_schrodinger(
             cp, lambda0_target=_read(p, "lambda0_target"), packet=packet
         )
@@ -566,12 +591,9 @@ def _axis_value(axis: str, value):
     (2.5 on an int axis) or cannot take is a ConfigError, never truncated."""
     cast = SWEEP_AXES[axis]
     try:
-        typed = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        typed = None
-    if typed is None or typed != value:
-        raise ConfigError(f"axis {axis} takes {cast.__name__} values, got {value!r}")
-    return typed
+        return _exact(value, cast)
+    except ValueError:
+        raise ConfigError(f"axis {axis} takes {cast.__name__} values, got {value!r}") from None
 
 
 def _extends(plan: SamplingPlan, prev: SamplingPlan) -> bool:

@@ -94,9 +94,15 @@ def _composite_nodes(K: float, M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def composite_plan(kernel: KernelSpec, K: float, M: int, Q: int) -> SamplingPlan:
     """Composite Gauss-Legendre plan: [-K, K] split into 2M width-h = K/M
-    subintervals, a Q-node rule mapped onto each, coefficients w * g(k)."""
+    subintervals, a Q-node rule mapped onto each, coefficients w * g(k).
+
+    The nodes and weights mirror exactly and g(-k) = conj g(k) for real k
+    (f is real-symmetric: conj f(k) = f(-k) for both families), so g is
+    evaluated on the k > 0 half only and c[j] = conj(c[-1 - j]) exactly."""
     k, wts = _composite_nodes(K, M, Q)
-    c = wts * np.asarray(weight_g(kernel, k), dtype=complex)
+    half = len(k) // 2
+    positive = wts[half:] * np.asarray(weight_g(kernel, k[half:]), dtype=complex)
+    c = np.concatenate([positive[::-1].conj(), positive])
     plan = SamplingPlan(
         method="gaussian", k=k, c=c, K=float(K), kernel=kernel, meta={"M": M, "Q": Q}
     )

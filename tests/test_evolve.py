@@ -420,12 +420,13 @@ class TestSharedEigenbasis:
         # blackhole's diagonal pair splits into two 1x1 blocks. lindblad's L
         # and H couple indices 0 and 3 only: a 2x2 tridiagonal block and two
         # 1x1 blocks, each with its own chunk size. The third entry is the
-        # fold: the real lindblad block and mm1 decompose each |k| of the
-        # mirrored plan once, cap (H not imaginary) every k.
+        # fold: the shared blocks sum the mirrored plan over its k > 0 half,
+        # the real lindblad block and mm1 decompose each |k| once, cap (H
+        # not imaginary) every k.
         shared = "shared-eigenbasis"
         for name, blocks in (
-            ("blackhole", [(1, shared, 1), (1, shared, 1)]),
-            ("lindblad", [(2, "tridiagonal", 2), (1, shared, 1), (1, shared, 1)]),
+            ("blackhole", [(1, shared, 2), (1, shared, 2)]),
+            ("lindblad", [(2, "tridiagonal", 2), (1, shared, 2), (1, shared, 2)]),
             ("cap", [(63, "tridiagonal", 1)]), ("mm1", [(16, "tridiagonal", 2)]),
         ):
             p = build_problem(name, {})
@@ -851,6 +852,89 @@ class TestMirrorFold:
         assert counts["blocks"] == 1
         assert counts["decompositions"] == plan.size * counts["steps"]
         assert counts["steps"] == len(ev._spans(p.schedule, self.T))
+
+
+class TestSharedFold:
+    """On the shared-eigenbasis path lam is real, so exp(+i k lam) =
+    conj exp(-i k lam) and a mirrored plan is summed over its k > 0 half,
+    with exp(-i mu) applied once to V^dagger u0. The reference is the same
+    sum with the mirror test declined."""
+
+    @staticmethod
+    def instance(case):
+        """(instance, T, normL) on the shared path: the default parabolic1d
+        (H = 0), a commuting pair with mu != 0 and a complex u0, or two
+        commuting spans with different lam and mu."""
+        if case == "parabolic1d":
+            p = build_problem("parabolic1d", {})
+            return p, 1.0 / 256.0, p.meta["normL"]
+        rng = np.random.default_rng(17)
+        if case == "commuting":
+            return commuting_instance(rng, [0.5, 1.0, 1.5, 2.0], [1.0, -0.5, 0.25, 2.0]), 1.0, 2.0
+        U = random_unitary(rng, 4)
+        pairs = [
+            hermitian_split((U * (np.asarray(lam) + 1j * np.asarray(mu))) @ U.conj().T)
+            for lam, mu in (([0.5, 1.0, 1.5, 2.0], [1.0, -0.5, 0.25, 2.0]),
+                            ([1.2, 0.3, 0.9, 0.6], [-0.7, 0.4, 1.5, 0.1]))
+        ]
+        u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        schedule = TimeSchedule.piecewise([0.0, 0.4, 1.0], pairs)
+        return ProblemInstance(schedule=schedule, u0=u0 / np.linalg.norm(u0)), 1.0, 2.0
+
+    @staticmethod
+    def unfolded(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(ev, "_is_mirrored", lambda ks: False)
+            return fn(*args)
+
+    @pytest.mark.parametrize("case", ["parabolic1d", "commuting", "two-spans"])
+    def test_folded_matches_unfolded(self, case, beta_kernel, monkeypatch, caplog):
+        p, T, normL = self.instance(case)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, T, normL)
+        assert logged_path(p, plan, T, caplog) == "shared-eigenbasis"
+        assert len(ev._spans(p.schedule, T)) == (2 if case == "two-spans" else 1)
+        if case != "parabolic1d":
+            assert np.any(shared_basis(p, T)[2])  # mu != 0
+        folded = lchs_apply(p, plan, T)
+        unfolded = self.unfolded(monkeypatch, lchs_apply, p, plan, T)
+        assert np.linalg.norm(folded - unfolded) <= 1e-13 * np.linalg.norm(p.u0)
+        assert np.linalg.norm(folded - oracle_solve(p, T)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    @pytest.mark.parametrize("case", ["parabolic1d", "two-spans"])
+    def test_residual_check_matches_unfolded(self, case, beta_kernel, monkeypatch):
+        p, T, normL = self.instance(case)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, T, normL)
+        folded = residual_lemma_check(p, plan, T)
+        unfolded = self.unfolded(monkeypatch, residual_lemma_check, p, plan, T)
+        assert abs(folded - unfolded) <= 1e-13 * np.linalg.norm(p.u0)
+
+    def test_monte_carlo_plan_keeps_the_unfolded_bytes(self, beta_kernel):
+        # a Monte Carlo plan is not mirrored: one chunk of
+        # exp(-i (k lam + mu)) c, summed, then V (. * V^dagger u0)
+        p, T, _ = self.instance("commuting")
+        plan = mc_plan(beta_kernel, 44.25, 3_000, 5)
+        V, lam, mu = shared_basis(p, T)
+        terms = np.exp(-1j * (lam[:, None] * plan.k[None, :] + mu[:, None])) * plan.c
+        expected = V @ (terms.sum(axis=1) * (V.conj().T @ p.u0))
+        assert lchs_apply(p, plan, T).tobytes() == expected.tobytes()
+
+    def test_fold_peaks_no_higher_than_unfolded(self, beta_kernel, monkeypatch):
+        # the heat plan: 16,512 terms, one chunk at dim 15
+        p, T, normL = self.instance("parabolic1d")
+        plan = plan_from_accuracy(beta_kernel, 1e-4, T, normL)
+        assert plan.size <= ev._BATCH_ENTRY_BUDGET // p.dim**2
+
+        def peak(*args):
+            lchs_apply(*args)  # warm-up
+            tracemalloc.start()
+            try:
+                lchs_apply(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        unfolded = self.unfolded(monkeypatch, peak, p, plan, T)
+        assert peak(p, plan, T) <= unfolded
 
 
 class TestStreamedReduction:

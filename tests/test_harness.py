@@ -203,6 +203,31 @@ class TestBuildProblem:
         assert f"config error: config invalid at /problem/params/{key}: cannot read" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("parabolic1d", "N_grid", 9.7), ("mm1", "n_trunc", 16.9), ("mmc", "servers", 2.5),
+    ])
+    def test_non_integral_int_param_rejected(self, name, key, value, tmp_path, capsys):
+        # the rule of the int sweep axes: 9.0 reads as 9, 9.7 is not truncated
+        with pytest.raises(ConfigError) as err:
+            build_problem(name, {key: value})
+        assert err.value.pointer == f"/problem/params/{key}"
+        assert build_problem(name, {key: float(int(value))}).dim == \
+            build_problem(name, {key: int(value)}).dim
+        cfg = base_config(problem={"name": name, "params": {key: value}})
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"/problem/params/{key}" in capsys.readouterr().err
+
+    def test_unknown_packet_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="x_0") as err:
+            build_problem("cap", {"packet": {"x_0": 0.9}})
+        assert err.value.pointer == "/problem/params/packet"
+        default = build_problem("cap").u0
+        assert not np.array_equal(build_problem("cap", {"packet": {"x0": 0.9}}).u0, default)
+        assert np.array_equal(build_problem("cap", {"packet": {}}).u0, default)
+        cfg = base_config(problem={"name": "cap", "params": {"packet": {"x_0": 0.9}}})
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "/problem/params/packet" in capsys.readouterr().err
+
     def test_unknown_param_exit_code(self, tmp_path, capsys):
         cfg = base_config(problem={"name": "mm1", "params": {"n_truc": 8}})
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG

@@ -10,7 +10,7 @@ from lchs import (
     tail_mass,
     weight_g,
 )
-from lchs.kernels import K_MAX, kernel_f
+from lchs.kernels import K_MAX, _abs_g_beta, kernel_f
 from lchs.sampling import composite_plan
 
 
@@ -218,6 +218,22 @@ class TestTailMass:
                 lambda k: 1.0 / (np.pi * (1.0 + k * k)), K, np.inf
             )
             assert abs(closed - 2.0 * numeric) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 0.9, 0.95])
+    def test_scalar_integrand_matches_abs_weight(self, beta):
+        spec = make_kernel("beta", beta)
+        ks = np.linspace(0.0, 500.0, 4001)
+        scalar = np.array([_abs_g_beta(float(k), beta) for k in ks])
+        reference = np.abs(weight_g(spec, ks))
+        assert np.all(reference > 0)
+        assert np.max(np.abs(scalar - reference) / reference) <= 1e-13
+
+    @pytest.mark.parametrize("eps_tail, K", [
+        (1e-3 / 3, 44.25), (1e-4 / 3, 63.8125), (1e-6 / 3, 108.9375),
+    ])
+    def test_beta_windows_unchanged(self, beta_kernel, eps_tail, K):
+        # the windows of the numpy integrand the scalar one replaced
+        assert choose_truncation(beta_kernel, eps_tail).K == K
 
     def test_beta_bound_dominates_numeric(self, beta_kernel):
         for K in (5.0, 20.0, 50.0):

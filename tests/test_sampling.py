@@ -16,7 +16,14 @@ from lchs import (
     weight_g,
 )
 from lchs.harness import build_problem
+from lchs.kernels import make_kernel
 from lchs.sampling import GENERATOR_ID, _composite_nodes, quadrature_order
+
+
+def composite_plan_reference(kernel, K, M, Q):
+    """Coefficients w * g(k) with g evaluated at every node."""
+    k, w = _composite_nodes(K, M, Q)
+    return w * np.asarray(weight_g(kernel, k), dtype=complex)
 
 
 class TestGaussLegendre:
@@ -110,6 +117,24 @@ class TestCompositePlan:
         k, w = _composite_nodes(K, M, Q)
         assert np.array_equal(k, -k[::-1])
         assert np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("family", ["cauchy", "beta"])
+    def test_coefficients_mirror_from_half_the_weights(self, family, monkeypatch):
+        # g(-k) = conj g(k), so g is evaluated on the k > 0 half only
+        import lchs.sampling as sampling
+
+        seen = []
+
+        def spy(spec, k):
+            seen.append(len(k))
+            return weight_g(spec, k)
+
+        monkeypatch.setattr(sampling, "weight_g", spy)
+        kernel = make_kernel(family)
+        plan = composite_plan(kernel, 44.25, 174, 7)
+        assert seen == [plan.size // 2]
+        assert np.array_equal(plan.c, plan.c[::-1].conj())
+        assert np.array_equal(plan.c, composite_plan_reference(kernel, 44.25, 174, 7))
 
     def test_independent_constructions_byte_identical(self, beta_kernel):
         a = composite_plan(beta_kernel, 6.0, 9, 4)
