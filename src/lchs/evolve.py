@@ -19,9 +19,11 @@ result is exact for any T. A constant schedule is the single span (pair, T).
 Both weighted sums of unitaries take a SamplingPlan and sum over its own
 nodes: lchs_apply weights them by c_j, and residual_lemma_check by
 c_j (1 - i k_j) = w_j f(k_j), the kernel f in place of g = f/(1 - ik). Both
-go through one routine that streams the terms in chunks: a chunk is
-propagated and reduced into the running total before the next one starts,
-so memory stays O(chunk * dim) however large the plan.
+enter through one checked routine: it validates the plan, requires the
+positivity gate, and raises PropagationError for any failure inside the sum
+and for a sum that is not finite. The sum streams the terms in chunks: a
+chunk is propagated and reduced into the running total before the next one
+starts, so memory stays O(chunk * dim) however large the plan.
 
 The sum is one pipeline. It first splits the indices into blocks: the
 connected components of the union sparsity pattern of |L| + |H| over all
@@ -142,9 +144,9 @@ class ProblemInstance:
     dim, shift (the scalar already added to every L in the schedule) and
     lambda0 (the certified post-shift lower bound) are read from the
     schedule. The positivity gate lambda0 > 0 is enforced where the
-    unitary-combination identity is used (lchs_apply, solve,
-    residual_lemma_check), not at construction, so that oracle_solve
-    remains available for any Hermitian pair.
+    unitary-combination identity is used (the one checked sum behind
+    lchs_apply and residual_lemma_check), not at construction, so that
+    oracle_solve remains available for any Hermitian pair.
     """
 
     schedule: TimeSchedule
@@ -496,6 +498,28 @@ def _weighted_unitary_sum(
     return out
 
 
+def _checked_sum(p: ProblemInstance, plan: SamplingPlan, T: float, weigh) -> np.ndarray:
+    """sum_j w_j U(k_j, T) u0 over the plan's own nodes, w = weigh(plan): the
+    one entry of lchs_apply and residual_lemma_check into the weighted sum.
+
+    The plan is validated before weigh reads it, and the positivity gate
+    lambda0 > 0 is required. Any failure inside the sum, and a sum that is
+    not finite, raises PropagationError.
+    """
+    plan.validate()
+    p.require_gate()
+    spans = _spans(p.schedule, T)
+    try:
+        out = _weighted_unitary_sum(spans, plan.k, weigh(plan), p.u0)
+    except PropagationError:
+        raise
+    except Exception as exc:
+        raise PropagationError(f"propagation failed: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise PropagationError("weighted unitary sum is not finite")
+    return out
+
+
 def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:
     """Evaluate sum_j c_j U(k_j, T) u0 and unwind the spectral shift.
 
@@ -504,15 +528,7 @@ def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:
     _weighted_unitary_sum). If the pairs record a shift c > 0 the result is
     multiplied by exp(c T).
     """
-    plan.validate()
-    p.require_gate()
-    spans = _spans(p.schedule, T)
-    try:
-        out = _weighted_unitary_sum(spans, plan.k, plan.c, p.u0)
-    except PropagationError:
-        raise
-    except Exception as exc:
-        raise PropagationError(f"propagation failed: {exc}") from exc
+    out = _checked_sum(p, plan, T, lambda plan: plan.c)
     if p.shift > 0:
         out = out * np.exp(p.shift * T)
     return out
@@ -544,12 +560,9 @@ def residual_lemma_check(p: ProblemInstance, plan: SamplingPlan, T: float) -> fl
     a composite plan realizes the principal value by its symmetric window
     [-K, K]. Requires the positivity gate lambda0 > 0.
     """
-    plan.validate()
-    p.require_gate()
     if T <= 0:
         raise RangeError(f"T must be positive for the residual check, got {T}")
-    f_weights = plan.c * (1 - 1j * plan.k)
-    total = _weighted_unitary_sum(_spans(p.schedule, T), plan.k, f_weights, p.u0)
+    total = _checked_sum(p, plan, T, lambda plan: plan.c * (1 - 1j * plan.k))
     return float(np.linalg.norm(total))
 
 
@@ -559,7 +572,6 @@ def solve(p: ProblemInstance, plan: SamplingPlan, T: float) -> SolveReport:
     The schedule is propagated exactly, one span at a time, and
     propagator_steps is the span count (at least 1).
     """
-    p.require_gate()
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()

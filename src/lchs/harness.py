@@ -58,19 +58,6 @@ _log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 WORKERS_ENV = "LCHS_WORKERS"
 
-_matrix_schema = {
-    "type": "object",
-    "oneOf": [
-        {"required": ["diag"], "additionalProperties": False,
-         "properties": {"diag": {"type": "array", "items": {"type": "number"}}}},
-        {"required": ["re"], "additionalProperties": False,
-         "properties": {
-             "re": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-             "im": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-         }},
-    ],
-}
-
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -226,14 +213,14 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}")
         return RunConfig.from_dict(data)
 
-    def to_dict(self, include_io: bool = True) -> dict:
-        """As a JSON document; include_io=False omits the output/emit fields
-        (used when echoing the config into reports, which must be byte-stable
-        regardless of where they are written)."""
+    def to_dict(self) -> dict:
+        """As a JSON document without the output and emit fields: the config
+        echoed into a report, which must be byte-stable regardless of where
+        it is written."""
         kernel = {"family": self.kernel_family}
         if self.kernel_beta is not None:
             kernel["beta"] = self.kernel_beta
-        out = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "problem": {"name": self.problem_name, "params": self.problem_params},
             "kernel": kernel,
@@ -241,11 +228,6 @@ class RunConfig:
             "accuracy": self.accuracy,
             "T": self.T,
         }
-        if include_io:
-            if self.output is not None:
-                out["output"] = self.output
-            out["emit"] = list(self.emit)
-        return out
 
 
 # Every key each builder reads from a params block, with its default (None
@@ -286,11 +268,12 @@ def _param_error(key: str, why: str) -> ConfigError:
 
 def _read(p: dict, key: str, convert=float):
     """convert(p[key]). A value convert cannot take (a string for a number,
-    a preset missing a field, a domain that is not two numbers) raises
-    ConfigError with pointer /problem/params/<key>."""
+    a preset missing a field or of unknown kind, a malformed matrix spec, a
+    domain that is not two numbers) raises ConfigError with pointer
+    /problem/params/<key>."""
     try:
         return convert(p[key])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, BuildError, KeyError, TypeError, ValueError) as exc:
         raise _param_error(key, f"cannot read {p[key]!r}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -428,10 +411,8 @@ def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> S
     acc = cfg.accuracy
     if cfg.method == "gaussian":
         if "eps" in acc:
-            normL = problem.meta.get("normL")
-            if normL is None:
-                raise BuildError("problem metadata lacks normL for accuracy-driven plan")
-            return plan_from_accuracy(kernel, float(acc["eps"]), cfg.T, float(normL))
+            normL = float(problem.meta["normL"])
+            return plan_from_accuracy(kernel, float(acc["eps"]), cfg.T, normL)
         return composite_plan(kernel, float(acc["K"]), int(acc["M"]), int(acc["Q"]))
     # monte-carlo
     if "eps" in acc:
@@ -484,7 +465,7 @@ def run_solve(cfg: RunConfig) -> SolveReport:
     if cfg.output:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(include_io=False),
+            "config": cfg.to_dict(),
             "label": problem.label,
             "plan": _plan_summary(plan),
             "report": report.to_dict(),

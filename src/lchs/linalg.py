@@ -25,10 +25,11 @@ HERMITICITY_TOL = 1e-12
 
 
 def as_square_matrix(A) -> np.ndarray:
-    """Validate and return A as a square complex ndarray with finite entries."""
+    """Validate and return A as a nonempty square complex ndarray with finite
+    entries."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise DimensionError(f"expected a nonempty square matrix, got shape {A.shape}")
     if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
         raise RangeError("matrix contains non-finite entries")
     return A
@@ -41,7 +42,7 @@ def _check_hermitian(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     exactly Hermitian data.
     """
     M = as_square_matrix(M)
-    dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
+    dev = np.max(np.abs(M - M.conj().T))
     if dev > HERMITICITY_TOL:
         raise HermiticityError(
             f"{name} deviates from Hermitian by {dev:.3e} (tol {HERMITICITY_TOL:.0e})"

@@ -48,7 +48,6 @@ class SamplingPlan:
     k: np.ndarray
     c: np.ndarray
     K: float
-    kernel: KernelSpec
     meta: dict = field(default_factory=dict)
 
     @property
@@ -103,9 +102,7 @@ def composite_plan(kernel: KernelSpec, K: float, M: int, Q: int) -> SamplingPlan
     half = len(k) // 2
     positive = wts[half:] * np.asarray(weight_g(kernel, k[half:]), dtype=complex)
     c = np.concatenate([positive[::-1].conj(), positive])
-    plan = SamplingPlan(
-        method="gaussian", k=k, c=c, K=float(K), kernel=kernel, meta={"M": M, "Q": Q}
-    )
+    plan = SamplingPlan(method="gaussian", k=k, c=c, K=float(K), meta={"M": M, "Q": Q})
     plan.validate()
     return plan
 
@@ -174,7 +171,6 @@ def mc_plan(kernel: KernelSpec, K: float, Ns: int, seed: int) -> SamplingPlan:
         k=xi,
         c=c,
         K=float(K),
-        kernel=kernel,
         meta={"Ns": int(Ns), "seed": int(seed), "generator": GENERATOR_ID},
     )
     plan.validate()

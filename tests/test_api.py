@@ -1,9 +1,11 @@
 """Every public name, every public method and property of a public class, and
 every module-level function or class of the package, private ones included,
 is used by the package itself, a demo or the benchmark, so the package holds
-nothing that only tests call."""
+nothing that only tests call. Every dataclass field of a public class is read
+there too, so no public class stores state that nothing reads."""
 
 import ast
+import dataclasses
 import functools
 import inspect
 import types
@@ -17,21 +19,41 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @functools.cache
-def referenced_names() -> frozenset[str]:
-    """Identifiers read as an ast.Name or ast.Attribute anywhere in src/lchs
-    (except __init__.py), demos/ and benchmarks/. A def or class statement
-    and an import bind a name without producing either node, so a name's own
-    definition or re-export does not count as a use."""
+def source_nodes() -> tuple[ast.AST, ...]:
+    """Every AST node of src/lchs (except __init__.py), demos/ and
+    benchmarks/."""
     files = [f for f in (ROOT / "src" / "lchs").glob("*.py") if f.name != "__init__.py"]
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    return tuple(
+        node for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    )
+
+
+@functools.cache
+def referenced_names() -> frozenset[str]:
+    """Identifiers read as an ast.Name or ast.Attribute anywhere in the
+    source_nodes. A def or class statement and an import bind a name without
+    producing either node, so a name's own definition or re-export does not
+    count as a use."""
     names = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+    for node in source_nodes():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return frozenset(names)
+
+
+@functools.cache
+def attributes_read() -> frozenset[str]:
+    """Names read as an attribute (an ast.Attribute in Load context) in the
+    source_nodes. Storing a field, or passing it as a keyword argument, does
+    not read it."""
+    return frozenset(
+        node.attr for node in source_nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
 
 
 def public_members() -> list[str]:
@@ -49,6 +71,16 @@ def public_members() -> list[str]:
             ):
                 members.append(f"{name}.{attr}")
     return sorted(members)
+
+
+def dataclass_fields() -> list[str]:
+    """Class.field for each dataclass field of a class in lchs.__all__."""
+    return sorted(
+        f"{name}.{f.name}"
+        for name in lchs.__all__
+        if dataclasses.is_dataclass(cls := getattr(lchs, name)) and inspect.isclass(cls)
+        for f in dataclasses.fields(cls)
+    )
 
 
 def module_level_definitions() -> list[str]:
@@ -77,3 +109,9 @@ def test_public_member_is_used_outside_tests(member):
 def test_module_level_definition_is_used_outside_tests(definition):
     name = definition.split(".")[1]
     assert name in referenced_names(), f"{definition} is defined but only tests use it"
+
+
+@pytest.mark.parametrize("field", dataclass_fields())
+def test_dataclass_field_is_read_outside_tests(field):
+    attr = field.split(".")[1]
+    assert attr in attributes_read(), f"{field} is stored but nothing outside tests reads it"

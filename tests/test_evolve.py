@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -291,6 +292,54 @@ class TestSolve:
             rep = solve(p, plan, T)
             worst = max(worst, rep.rel_error)
         assert worst <= 1e-3
+
+
+class TestCheckedSum:
+    """lchs_apply and residual_lemma_check enter the weighted sum through one
+    checked routine, so both map its failures the same way."""
+
+    def test_eigh_failure_raises_propagation_error(self, beta_kernel, monkeypatch):
+        p = random_gated_instance(np.random.default_rng(5), 3)
+        plan = composite_plan(beta_kernel, 4.0, 4, 4)
+
+        def failing(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(ev.np.linalg, "eigh", failing)
+        for entry in (lchs_apply, residual_lemma_check):
+            with pytest.raises(PropagationError, match="Eigenvalues did not converge"):
+                entry(p, plan, 1.0)
+
+    def test_non_finite_sum_raises_propagation_error(self, beta_kernel):
+        # the gate passes (lambda0 = 1e307), but k L overflows on [-40, 40]
+        L = 1e307 * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=complex)
+        H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            H[i, j], H[j, i] = 0.3j, -0.3j
+        p = ProblemInstance.from_pair(HermitianPair(L=L, H=H), np.ones(3))
+        assert p.lambda0 > 0
+        plan = composite_plan(beta_kernel, 40.0, 4, 4)
+        with np.errstate(all="ignore"):
+            for entry in (lchs_apply, residual_lemma_check):
+                with pytest.raises(PropagationError, match="not finite"):
+                    entry(p, plan, 0.25)
+
+    def test_plan_validated_before_weights_are_formed(self, beta_kernel):
+        plan = composite_plan(beta_kernel, 4.0, 4, 4)
+        short = dataclasses.replace(plan, c=plan.c[:-1])
+        for entry in (lchs_apply, residual_lemma_check):
+            with pytest.raises(RangeError, match="abscissae but"):
+                entry(scalar_instance(1.0), short, 1.0)
+
+    def test_solve_runs_the_gate_once(self, beta_kernel, monkeypatch):
+        calls = []
+        gate = ProblemInstance.require_gate
+        monkeypatch.setattr(
+            ProblemInstance, "require_gate", lambda self: calls.append(1) or gate(self)
+        )
+        solve(scalar_instance(1.0), composite_plan(beta_kernel, 4.0, 4, 4), 1.0)
+        assert calls == [1]
+
 
 def commuting_instance(rng, lam, mu):
     """L = U diag(lam) U^dagger, H = U diag(mu) U^dagger for a random U."""

@@ -29,6 +29,7 @@ from lchs.harness import (
     validate_report,
     worker_count,
 )
+from lchs.problems import preset_callable
 
 
 def base_config(tmp_path=None, **overrides):
@@ -195,8 +196,16 @@ class TestBuildProblem:
         ("cap", {"domain": [0, 1, 2]}, "domain"),
         ("mm1", {"lambda_rate": "fast"}, "lambda_rate"),
         ("cap", {"V_I": {"layer": {"depth": 5.0}}}, "V_I"),
+        ("blackhole", {"H": [1, 2]}, "H"),
+        ("blackhole", {"H": {"foo": 1}}, "H"),
+        ("lindblad", {"H": {"diag": [0.0, 1.0]}, "jumps": [[0, 1]]}, "jumps"),
+        ("lindblad", {"rho0": "pure"}, "rho0"),
+        ("parabolic1d", {"a": {"kind": "mystery"}}, "a"),
+        ("cap", {"V_I": {"layer": {"depth": -1.0, "x_lo": 0.7, "x_hi": 0.9}}}, "V_I"),
     ], ids=["N_grid-ValueError", "a-AttributeError", "a-KeyError", "domain-ValueError",
-            "lambda_rate-TypeError", "V_I-KeyError"])
+            "lambda_rate-TypeError", "V_I-KeyError", "H-list-BuildError",
+            "H-unknown-key-BuildError", "jumps-BuildError", "rho0-BuildError",
+            "a-unknown-kind-BuildError", "V_I-negative-depth-BuildError"])
     def test_malformed_param_exit_code(self, name, params, key, tmp_path, capsys):
         cfg = base_config(problem={"name": name, "params": params})
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -227,6 +236,37 @@ class TestBuildProblem:
         cfg = base_config(problem={"name": "cap", "params": {"packet": {"x_0": 0.9}}})
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert "/problem/params/packet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["blackhole", "lindblad"])
+    def test_empty_matrix_exit_code(self, name, tmp_path, capsys):
+        cfg = base_config(problem={"name": name, "params": {"H": {"diag": []}}})
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_SOLVE
+        assert "solve error: DimensionError: expected a nonempty square matrix" in \
+            capsys.readouterr().err
+
+    def test_matrix_spec_with_imaginary_part(self):
+        H = np.array([[1.0, 0.5j], [-0.5j, -1.0]])
+        spec = {"re": H.real.tolist(), "im": H.imag.tolist()}
+        pair = build_problem("blackhole", {"H": spec}).schedule.pairs[0]
+        assert np.array_equal(pair.H, H)
+
+    def test_rho0_as_matrix(self):
+        rho = [[0.5, 0.5], [0.5, 0.5]]
+        inst = build_problem("lindblad", {"rho0": {"re": rho}})
+        assert np.array_equal(inst.u0, np.array(rho, dtype=complex).reshape(-1))
+
+    @pytest.mark.parametrize("V_I", [
+        -1.0, {"kind": "gaussian", "amplitude": -2.0, "center": 0.5, "width": 0.1},
+    ], ids=["constant", "gaussian"])
+    def test_cap_absorber_as_coefficient_preset(self, V_I):
+        inst = build_problem("cap", {"V_I": V_I})
+        fn = preset_callable(V_I)
+        L = inst.schedule.pairs[0].L
+        # L = -diag(V_I) / hbar plus the recorded shift, hbar = 1
+        assert np.allclose(
+            L.diagonal().real - inst.shift, [-fn(x, 0.0) for x in inst.meta["grid"]],
+            rtol=0, atol=1e-12,
+        )
 
     def test_unknown_param_exit_code(self, tmp_path, capsys):
         cfg = base_config(problem={"name": "mm1", "params": {"n_truc": 8}})
@@ -339,6 +379,13 @@ class TestRunConvergence:
             run_convergence(cfg, "Q", [1, 2, 3])
         with pytest.raises(ConfigError):
             run_convergence(cfg, "Q", [4, 3, 2, 1])
+
+    def test_axis_values_need_four_sorted(self):
+        cfg = RunConfig.from_dict(base_config())
+        with pytest.raises(ConfigError, match="need >= 4 axis values, got 3"):
+            run_convergence(cfg, "eps", [1e-2, 1e-3, 1e-4])
+        with pytest.raises(ConfigError, match="sorted ascending"):
+            run_convergence(cfg, "eps", [1e-1, 1e-3, 1e-2, 1e-4])
 
     def test_ns_axis_requires_explicit_mc(self):
         # an eps-driven config would silently ignore the swept Ns

@@ -69,6 +69,10 @@ class TestHermitianSplit:
         with pytest.raises(RangeError):
             hermitian_split(np.array([[np.inf, 0], [0, 1.0]]))
 
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionError, match="nonempty"):
+            hermitian_split(np.zeros((0, 0)))
+
 
 class TestMinEigenvalue:
     def test_diagonal(self):
