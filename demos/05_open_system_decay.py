@@ -4,8 +4,12 @@ Amplitude damping of a two-level open system
 
 A master equation in GKSL form: H = 0, one jump operator sqrt(gamma)|0><1|.
 Vectorizing the density matrix turns the superoperator into an ordinary
-4x4 generator the solver can split and simulate. The excited population
-decays exactly as exp(-gamma t), giving a textbook closed form to hit.
+4x4 generator the solver can split and simulate. The generator has a zero
+mode at the steady state, but its Hermitian part is not even semidefinite:
+its lowest eigenvalue is -(sqrt(2) - 1) gamma / 2 = -0.207 gamma. The builder
+shifts it by exactly that deficit and unwinds exp(c t) afterwards. The
+excited population decays exactly as exp(-gamma t), giving a textbook closed
+form to hit.
 """
 
 import numpy as np
@@ -17,8 +21,9 @@ gamma = 1.0
 rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # excited state
 problem = build_lindblad(amplitude_damping_spec(gamma), rho0=rho0)
 print(f"instance: {problem.label} (vectorized dim = {problem.dim})")
-print(f"shift c = {problem.shift:.4f}: the dissipator's Hermitian part has a")
-print("zero mode at the steady state, so the positivity gate needs a shift\n")
+print(f"shift c = {problem.shift:.4f}: the dissipator's Hermitian part has the")
+print(f"negative eigenvalue {-problem.shift:.4f}, so the positivity gate L >= 0")
+print("needs a shift by that deficit, and no more\n")
 
 kernel = make_kernel("beta", 0.75)
 print(f"{'t':>5} {'pop oracle':>11} {'pop estimate':>13} {'exp(-t)':>10} {'trace':>8}")

@@ -16,9 +16,9 @@ from lchs import (
     ProblemInstance,
     hermitian_split,
     make_kernel,
+    min_hermitian_eigenvalue,
     plan_from_accuracy,
     residual_lemma_check,
-    spectral_shift,
 )
 
 kernel = make_kernel("beta", 0.75)
@@ -28,14 +28,15 @@ scalar = ProblemInstance.from_pair(pair, np.array([1.0 + 0j]), label="scalar")
 
 rng = np.random.default_rng(0)
 A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-shifted, c = spectral_shift(hermitian_split(A), 0.5)
+# lift the Hermitian part of A to lowest eigenvalue 0.5: positive definite
+A += (0.5 - min_hermitian_eigenvalue(0.5 * (A + A.conj().T))) * np.eye(4)
+pair = hermitian_split(A)
 u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 u0 /= np.linalg.norm(u0)
-random4 = ProblemInstance.from_pair(shifted, u0, label="random 4x4")
-norm4 = float(np.max(np.abs(np.linalg.eigvalsh(shifted.L))))
+random4 = ProblemInstance.from_pair(pair, u0, label="random 4x4")
 
 print("refinement ladder (window K, subintervals M, nodes Q from the accuracy rule):\n")
-for label, problem, normL in (("scalar", scalar, 1.0), ("random 4x4", random4, norm4)):
+for label, problem, normL in (("scalar", scalar, 1.0), ("random 4x4", random4, pair.normL)):
     print(f"{label}  (lambda0 = {problem.lambda0:.3f})")
     print(f"  {'eps':>7} {'K':>7} {'M':>6} {'Q':>3} {'residual':>11}")
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):

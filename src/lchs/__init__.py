@@ -1,13 +1,13 @@
 """Simulate non-unitary linear dynamics du/dt = -A(t) u as a weighted
 combination of unitary evolutions.
 
-The generator is split as A = L + iH with Hermitian L, H. When the spectrum
-of L is bounded below by a positive constant, the propagator is an integral
-over k of g(k) times the unitary evolution generated by k L + H, where the
-weight g comes from an analytic, decaying, normalized kernel. This package
-discretizes that integral with composite Gauss-Legendre quadrature or Monte
-Carlo sampling, applies the resulting unitary sum, and checks it against a
-direct-integration oracle.
+The generator is split as A = L + iH with Hermitian L, H. When L is positive
+semidefinite (a builder shifts L by its deficit when it is not), the
+propagator is an integral over k of g(k) times the unitary evolution
+generated by k L + H, where the weight g comes from an analytic, decaying,
+normalized kernel. This package discretizes that integral with composite
+Gauss-Legendre quadrature or Monte Carlo sampling, applies the resulting
+unitary sum, and checks it against a direct-integration oracle.
 """
 
 from .errors import (

@@ -8,8 +8,8 @@ against the oracle solution of du/dt = -A(t) u.
 A ProblemInstance holds only a schedule and an initial vector. Its dim,
 shift and lambda0 are read from the schedule's pairs, so the shift that is
 unwound, and removed again for the oracle, is always the shift the pairs
-record, and the positivity gate lambda0 > 0 always tests the computed
-spectrum of the stored L.
+record, and the positivity gate L >= 0 (lambda0 >= -SEMIDEFINITE_TOL ||L||)
+always tests the computed spectrum of the stored L.
 
 Every schedule is piecewise constant and is propagated as one list of
 (pair, duration) spans, each span exponentiated exactly: its own spans
@@ -102,7 +102,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionError, PreconditionError, PropagationError, RangeError
-from .linalg import HermitianPair, TimeSchedule, matrix_exponential
+from .linalg import (
+    SEMIDEFINITE_TOL,
+    HermitianPair,
+    TimeSchedule,
+    is_semidefinite,
+    matrix_exponential,
+)
 from .sampling import SamplingPlan
 
 _log = logging.getLogger(__name__)
@@ -143,10 +149,11 @@ class ProblemInstance:
 
     dim, shift (the scalar already added to every L in the schedule) and
     lambda0 (the certified post-shift lower bound) are read from the
-    schedule. The positivity gate lambda0 > 0 is enforced where the
-    unitary-combination identity is used (the one checked sum behind
-    lchs_apply and residual_lemma_check), not at construction, so that
-    oracle_solve remains available for any Hermitian pair.
+    schedule. The positivity gate L >= 0, lambda0 >= -SEMIDEFINITE_TOL ||L||,
+    is enforced where the unitary-combination identity is used (the one
+    checked sum behind lchs_apply and residual_lemma_check), not at
+    construction, so that oracle_solve remains available for any Hermitian
+    pair.
     """
 
     schedule: TimeSchedule
@@ -179,10 +186,10 @@ class ProblemInstance:
         return ProblemInstance(schedule=TimeSchedule.constant(pair), u0=u0, label=label)
 
     def require_gate(self) -> None:
-        if not self.lambda0 > 0:
+        if not is_semidefinite(self.schedule):
             raise PreconditionError(
-                f"positivity gate violated: lambda0 = {self.lambda0:.3e} <= 0 "
-                f"for instance {self.label!r}"
+                f"positivity gate violated: lambda0 = {self.lambda0:.3e} < "
+                f"-{SEMIDEFINITE_TOL:.0e} ||L|| for instance {self.label!r}"
             )
 
 
@@ -503,7 +510,7 @@ def _checked_sum(p: ProblemInstance, plan: SamplingPlan, T: float, weigh) -> np.
     one entry of lchs_apply and residual_lemma_check into the weighted sum.
 
     The plan is validated before weigh reads it, and the positivity gate
-    lambda0 > 0 is required. Any failure inside the sum, and a sum that is
+    L >= 0 is required. Any failure inside the sum, and a sum that is
     not finite, raises PropagationError.
     """
     plan.validate()
@@ -558,7 +565,7 @@ def residual_lemma_check(p: ProblemInstance, plan: SamplingPlan, T: float) -> fl
     coefficient is c_j = w_j g(k_j) (w_j the Gauss weight or 2K/Ns), so
     c_j (1 - i k_j) = w_j f(k_j) and the sum is sum_j c_j (1 - i k_j) U(k_j) u0;
     a composite plan realizes the principal value by its symmetric window
-    [-K, K]. Requires the positivity gate lambda0 > 0.
+    [-K, K]. Requires the positivity gate L >= 0.
     """
     if T <= 0:
         raise RangeError(f"T must be positive for the residual check, got {T}")

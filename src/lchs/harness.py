@@ -30,7 +30,6 @@ from .errors import BuildError, ConfigError, FitError, LchsError
 from .evolve import ProblemInstance, SolveReport, lchs_apply, oracle_solve, solve
 from .kernels import DEFAULT_BETA, DEFAULT_FAMILY, KernelSpec, choose_truncation, make_kernel
 from .problems import (
-    DEFAULT_LAMBDA0,
     CapPotentials,
     LindbladSpec,
     ParabolicCoefficients,
@@ -165,6 +164,10 @@ def validate_report(payload: dict) -> None:
     _check_schema(payload, REPORT_SCHEMA, "report")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration."""
@@ -206,10 +209,13 @@ class RunConfig:
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
+        """Read and validate a JSON config. NaN, Infinity and -Infinity are
+        not JSON, so a config naming one is a ConfigError like any other
+        unreadable file."""
         try:
             with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                data = json.load(fh, parse_constant=_reject_constant)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         return RunConfig.from_dict(data)
 
@@ -234,14 +240,9 @@ class RunConfig:
 # where there is none). build_problem rejects any other key, so a misspelt
 # parameter cannot silently fall back to its default.
 DEFAULT_PARAMS = {
-    "parabolic1d": {
-        "a": 1.0, "b": 0.0, "c": 0.0, "N_grid": 17, "lambda0_target": DEFAULT_LAMBDA0,
-    },
-    "mm1": {"lambda_rate": 1.0, "mu_rate": 2.0, "n_trunc": 16, "lambda0_target": DEFAULT_LAMBDA0},
-    "mmc": {
-        "lambda_rate": 1.0, "mu_rate": 1.0, "servers": 2, "n_trunc": 16,
-        "lambda0_target": DEFAULT_LAMBDA0,
-    },
+    "parabolic1d": {"a": 1.0, "b": 0.0, "c": 0.0, "N_grid": 17},
+    "mm1": {"lambda_rate": 1.0, "mu_rate": 2.0, "n_trunc": 16},
+    "mmc": {"lambda_rate": 1.0, "mu_rate": 1.0, "servers": 2, "n_trunc": 16},
     "cap": {
         "V_R": 0.0,
         "V_I": {"layer": {"depth": 5.0, "x_lo": 0.7, "x_hi": 0.9}},
@@ -249,12 +250,11 @@ DEFAULT_PARAMS = {
         "N_grid": 65,
         "domain": [0.0, 1.0],
         "packet": None,
-        "lambda0_target": DEFAULT_LAMBDA0,
     },
     # either the preset (preset, gamma) or a custom spec (H, jumps)
     "lindblad": {
         "preset": "amplitude-damping", "gamma": 1.0, "H": None, "jumps": None,
-        "rho0": "excited", "lambda0_target": DEFAULT_LAMBDA0,
+        "rho0": "excited",
     },
     "blackhole": {"H": {"diag": [1.0, -1.0]}, "gamma": 0.5},
 }
@@ -371,13 +371,13 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
             c=_read(p, "c", preset_callable),
             N_grid=_read(p, "N_grid", _exact),
         )
-        return build_parabolic_1d(pc, lambda0_target=_read(p, "lambda0_target"))
+        return build_parabolic_1d(pc)
     if name in ("mm1", "mmc"):
         servers = _read(p, "servers", _exact) if name == "mmc" else 1
         qp = QueueParams(_read(p, "lambda_rate"), _read(p, "mu_rate"), servers,
                          _read(p, "n_trunc", _exact))
         build = build_mmc if name == "mmc" else build_mm1
-        return build(qp, lambda0_target=_read(p, "lambda0_target"))
+        return build(qp)
     if name == "cap":
         cp = CapPotentials(
             V_R=_read(p, "V_R", preset_callable),
@@ -386,10 +386,7 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
             N_grid=_read(p, "N_grid", _exact),
             domain=_read(p, "domain", _interval),
         )
-        packet = _read(p, "packet", _packet)
-        return build_cap_schrodinger(
-            cp, lambda0_target=_read(p, "lambda0_target"), packet=packet
-        )
+        return build_cap_schrodinger(cp, packet=_read(p, "packet", _packet))
     if name == "lindblad":
         spec = _lindblad_spec(given, p)
         n = spec.H_sys.shape[0]
@@ -401,7 +398,7 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
             rho = None
         else:
             rho = _read(p, "rho0", _parse_matrix)
-        return build_lindblad(spec, rho0=rho, lambda0_target=_read(p, "lambda0_target"))
+        return build_lindblad(spec, rho0=rho)
     # name == "blackhole"
     return build_blackhole(_read(p, "H", _parse_matrix), _read(p, "gamma"))
 

@@ -1,14 +1,16 @@
 """Dense complex linear algebra primitives.
 
 Everything here operates on finite dense matrices: Cartesian splitting of a
-generator A = L + iH into Hermitian parts, certified spectral lower bounds,
-spectral shifting A -> A + cI, and matrix exponentials.
+generator A = L + iH into Hermitian parts, certified spectral bounds, the
+positivity gate L >= 0, spectral shifting A -> A + cI, and matrix
+exponentials.
 
 A HermitianPair is the only place that stores its spectral certificate: it
-records the shift c already added to L and computes lambda0, the smallest
-eigenvalue of the stored L, when it is constructed. A TimeSchedule requires
-all its pairs to share one dimension and one shift, and derives dim, shift
-and lambda0 from them; nothing downstream copies these values.
+records the shift c already added to L and computes lambda0 and normL, the
+smallest eigenvalue and the spectral norm of the stored L, from one
+eigendecomposition when it is constructed. A TimeSchedule requires all its
+pairs to share one dimension and one shift, and derives dim, shift, lambda0
+and normL from them; nothing downstream copies these values.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from .errors import DimensionError, HermiticityError, RangeError
 
 # Max-norm tolerance on ||M - M^dagger|| for inputs declared Hermitian.
 HERMITICITY_TOL = 1e-12
+
+# The positivity gate: L counts as positive semidefinite when its smallest
+# eigenvalue is at least -SEMIDEFINITE_TOL * ||L||, which admits a zero
+# eigenvalue computed as roundoff below zero.
+SEMIDEFINITE_TOL = 1e-12
 
 
 def as_square_matrix(A) -> np.ndarray:
@@ -55,19 +62,23 @@ class HermitianPair:
     """Cartesian decomposition A = L + iH with a recorded spectral shift.
 
     `shift` is the scalar c >= 0 already added to L (so L here represents
-    L_original + c*I). `lambda0`, the smallest eigenvalue of the stored L, is
-    not an argument: it is computed at construction. Construction rejects a
-    non-Hermitian L or H with HermiticityError; both are stored as given.
+    L_original + c*I). `lambda0` and `normL`, the smallest eigenvalue and the
+    spectral norm of the stored L, are not arguments: both come from one
+    eigendecomposition at construction. Construction rejects a non-Hermitian
+    L or H with HermiticityError; both are stored as given.
     """
 
     L: np.ndarray
     H: np.ndarray
     shift: float = 0.0
     lambda0: float = field(init=False)
+    normL: float = field(init=False)
 
     def __post_init__(self):
         _check_hermitian(self.H, "H")
-        object.__setattr__(self, "lambda0", min_hermitian_eigenvalue(self.L))
+        w = np.linalg.eigvalsh(_check_hermitian(self.L, "L"))
+        object.__setattr__(self, "lambda0", float(w[0]))
+        object.__setattr__(self, "normL", float(max(abs(w[0]), abs(w[-1]))))
 
     @property
     def dim(self) -> int:
@@ -102,18 +113,21 @@ def shift_pair(pair: HermitianPair, c: float) -> HermitianPair:
     return HermitianPair(L=pair.L + c * np.eye(pair.dim), H=pair.H, shift=pair.shift + c)
 
 
-def spectral_shift(pair: HermitianPair, lambda0_target: float) -> tuple[HermitianPair, float]:
-    """Shift L by c*I so its spectrum is bounded below by lambda0_target.
+def is_semidefinite(x) -> bool:
+    """The positivity gate on a HermitianPair or a TimeSchedule:
+    lambda0 >= -SEMIDEFINITE_TOL * normL, read from the stored certificate."""
+    return x.lambda0 >= -SEMIDEFINITE_TOL * x.normL
 
-    c = max(0, lambda0_target - min_eig(L)); the caller recovers the original
-    solution via u(T) = exp(c*T) * u_shifted(T).
+
+def spectral_shift(pair: HermitianPair) -> tuple[HermitianPair, float]:
+    """Shift L by only what the positivity gate needs: (pair, 0) when L
+    passes it, else the pair shifted by c = -lambda0, whose L has lambda0 = 0
+    up to roundoff. The caller recovers the original solution via
+    u(T) = exp(c*T) * u_shifted(T).
     """
-    if not lambda0_target > 0:
-        raise RangeError(f"lambda0_target must be positive, got {lambda0_target}")
-    c = max(0.0, lambda0_target - pair.lambda0)
-    if c == 0.0:
+    if is_semidefinite(pair):
         return pair, 0.0
-    return shift_pair(pair, c), c
+    return shift_pair(pair, -pair.lambda0), -pair.lambda0
 
 
 def matrix_exponential(M) -> np.ndarray:
@@ -173,6 +187,11 @@ class TimeSchedule:
     def lambda0(self) -> float:
         """Certified lower bound on the spectrum of L(t) over the schedule."""
         return min(p.lambda0 for p in self.pairs)
+
+    @property
+    def normL(self) -> float:
+        """Largest spectral norm of L(t) over the schedule."""
+        return max(p.normL for p in self.pairs)
 
     def pair_at(self, t: float) -> HermitianPair:
         idx = int(np.searchsorted(self.breakpoints, t, side="right") - 1)

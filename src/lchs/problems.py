@@ -1,8 +1,9 @@
 """Builders for the application domains.
 
 Each builder assembles a finite generator A, splits it into Hermitian parts,
-certifies (and if necessary shifts) the spectral lower bound, and packages
-the result as a ProblemInstance ready for the weighted-unitary solver.
+passes L through the positivity gate L >= 0 (shifting it by only the deficit
+-lambda0 when the gate would fail), and packages the result as a
+ProblemInstance ready for the weighted-unitary solver.
 
 Sign conventions worth keeping straight:
 
@@ -11,7 +12,7 @@ Sign conventions worth keeping straight:
   hand the solver A = -Q^T. Relative to splitting Q itself this flips the
   sign of the Hermitian part and keeps the anti-Hermitian part.
 * The absorbing-potential Hamiltonian contributes L = -(1/hbar) V_I, so an
-  absorbing layer (V_I <= 0) yields L >= 0 before shifting.
+  absorbing layer (V_I <= 0) yields L >= 0, which needs no shift.
 """
 
 from __future__ import annotations
@@ -32,30 +33,17 @@ from .linalg import (
     spectral_shift,
 )
 
-DEFAULT_LAMBDA0 = 0.1
-
-
-def _hermitian_norm(M: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix (max |eigenvalue|)."""
-    w = np.linalg.eigvalsh(M)
-    return float(max(abs(w[0]), abs(w[-1])))
-
 
 def _finalize(
-    pairs: list[HermitianPair],
-    breakpoints,
-    u0: np.ndarray,
-    label: str,
-    lambda0_target: float,
-    meta: dict,
+    pairs: list[HermitianPair], breakpoints, u0: np.ndarray, label: str, meta: dict
 ) -> ProblemInstance:
-    """Shift a (possibly piecewise) family of pairs to the target bound and
-    wrap everything as a ProblemInstance.
+    """Shift a (possibly piecewise) family of pairs by what the positivity
+    gate needs and wrap everything as a ProblemInstance.
 
-    The pair with the lowest bound sets the shift; spectral_shift rejects a
-    target that is not positive."""
+    The pair with the lowest bound sets the shift: none when it passes the
+    gate, else its deficit -lambda0 (spectral_shift)."""
     lowest = min(pairs, key=lambda p: p.lambda0)
-    shifted, c = spectral_shift(lowest, lambda0_target)
+    shifted, c = spectral_shift(lowest)
     if c > 0.0:
         # one uniform shift across the whole schedule, recertified per pair
         pairs = [shifted if p is lowest else shift_pair(p, c) for p in pairs]
@@ -64,7 +52,7 @@ def _finalize(
     else:
         schedule = TimeSchedule.piecewise(breakpoints, pairs)
     meta = dict(meta)
-    meta["normL"] = max(_hermitian_norm(p.L) for p in pairs)
+    meta["normL"] = schedule.normL
     return ProblemInstance(schedule=schedule, u0=u0, label=label, meta=meta)
 
 
@@ -138,7 +126,6 @@ def build_parabolic_1d(
     pc: ParabolicCoefficients,
     T: float = 1.0,
     time_slices: int = 1,
-    lambda0_target: float = DEFAULT_LAMBDA0,
     u0=None,
 ) -> ProblemInstance:
     """Discretize the parabolic operator on the interior grid.
@@ -155,7 +142,6 @@ def build_parabolic_1d(
     return _finalize(
         pairs, breakpoints, np.asarray(u0, dtype=complex),
         label=f"parabolic1d(N_grid={pc.N_grid})",
-        lambda0_target=lambda0_target,
         meta={"builder": "parabolic1d", "h": h, "grid": nodes},
     )
 
@@ -200,7 +186,7 @@ def queue_generator(qp: QueueParams) -> np.ndarray:
     return Q
 
 
-def _queue_instance(qp: QueueParams, label: str, lambda0_target: float, u0) -> ProblemInstance:
+def _queue_instance(qp: QueueParams, label: str, u0) -> ProblemInstance:
     Q = queue_generator(qp)
     A = -Q.T  # row-vector dynamics d pi/dt = pi Q, column form du/dt = -A u
     pair = hermitian_split(A)
@@ -209,30 +195,25 @@ def _queue_instance(qp: QueueParams, label: str, lambda0_target: float, u0) -> P
         u0[qp.n_trunc // 2] = 1.0
     return _finalize(
         [pair], None, np.asarray(u0, dtype=complex),
-        label=label, lambda0_target=lambda0_target,
-        meta={"builder": label.split("(")[0]},
+        label=label, meta={"builder": label.split("(")[0]},
     )
 
 
-def build_mm1(
-    qp: QueueParams, lambda0_target: float = DEFAULT_LAMBDA0, u0=None
-) -> ProblemInstance:
+def build_mm1(qp: QueueParams, u0=None) -> ProblemInstance:
     """Single-server queue, truncated to n_trunc states."""
     if qp.servers != 1:
         raise BuildError(f"build_mm1 requires servers = 1, got {qp.servers}")
     label = f"mm1(lam={qp.lambda_rate:g},mu={qp.mu_rate:g},n={qp.n_trunc})"
-    return _queue_instance(qp, label, lambda0_target, u0)
+    return _queue_instance(qp, label, u0)
 
 
-def build_mmc(
-    qp: QueueParams, lambda0_target: float = DEFAULT_LAMBDA0, u0=None
-) -> ProblemInstance:
+def build_mmc(qp: QueueParams, u0=None) -> ProblemInstance:
     """Multi-server queue with level-dependent service min(n, c) * mu."""
     label = (
         f"mmc(lam={qp.lambda_rate:g},mu={qp.mu_rate:g},"
         f"c={qp.servers},n={qp.n_trunc})"
     )
-    return _queue_instance(qp, label, lambda0_target, u0)
+    return _queue_instance(qp, label, u0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +250,14 @@ def build_cap_schrodinger(
     cp: CapPotentials,
     T: float = 1.0,
     time_slices: int = 1,
-    lambda0_target: float = DEFAULT_LAMBDA0,
     u0=None,
     packet: dict | None = None,
 ) -> ProblemInstance:
     """Kinetic term plus real potential in H; absorbing layer in L.
 
     L = -(1/hbar) diag(V_I) is diagonal and positive semidefinite (it vanishes
-    off the layer), so the mandatory shift to lambda0_target applies.
+    off the layer), so it passes the positivity gate with lambda0 = 0 and is
+    not shifted.
     """
     x_lo, x_hi = cp.domain
     h = (x_hi - x_lo) / (cp.N_grid - 1)
@@ -314,7 +295,6 @@ def build_cap_schrodinger(
     return _finalize(
         pairs, breakpoints, np.asarray(u0, dtype=complex),
         label=f"cap(N_grid={cp.N_grid},hbar={cp.hbar:g})",
-        lambda0_target=lambda0_target,
         meta={"builder": "cap", "h": h, "grid": nodes},
     )
 
@@ -361,13 +341,11 @@ def lindblad_superoperator(ls: LindbladSpec) -> np.ndarray:
     return S
 
 
-def build_lindblad(
-    ls: LindbladSpec, rho0=None, lambda0_target: float = DEFAULT_LAMBDA0
-) -> ProblemInstance:
+def build_lindblad(ls: LindbladSpec, rho0=None) -> ProblemInstance:
     """Vectorize the GKSL generator and split at the matrix level.
 
-    The Hermitian part of -S has a zero mode at the steady state, so the
-    shift to lambda0_target is always active for dissipative specs.
+    The Hermitian part of -S can have negative eigenvalues (-0.207 for
+    amplitude damping at gamma = 1), and then it is shifted by that deficit.
     """
     n = ls.H_sys.shape[0]
     S = lindblad_superoperator(ls)
@@ -380,7 +358,6 @@ def build_lindblad(
     return _finalize(
         [pair], None, vec_density(rho0),
         label=f"lindblad(n={n},jumps={len(ls.jump_ops)})",
-        lambda0_target=lambda0_target,
         meta={"builder": "lindblad", "n": n},
     )
 

@@ -78,8 +78,8 @@ def _composite_nodes(K: float, M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
     The k > 0 half is computed and the k < 0 half is its negation, so
     k[j] == -k[-1 - j] exactly; the Gauss-Legendre weights are symmetric, so
     the weights mirror too."""
-    if K <= 0:
-        raise RangeError(f"K must be positive, got {K}")
+    if not 0 < K < math.inf:
+        raise RangeError(f"K must be positive and finite, got {K}")
     if M < 1:
         raise RangeError(f"M must be >= 1, got {M}")
     x, w = gauss_legendre(Q)
@@ -102,9 +102,7 @@ def composite_plan(kernel: KernelSpec, K: float, M: int, Q: int) -> SamplingPlan
     half = len(k) // 2
     positive = wts[half:] * np.asarray(weight_g(kernel, k[half:]), dtype=complex)
     c = np.concatenate([positive[::-1].conj(), positive])
-    plan = SamplingPlan(method="gaussian", k=k, c=c, K=float(K), meta={"M": M, "Q": Q})
-    plan.validate()
-    return plan
+    return SamplingPlan(method="gaussian", k=k, c=c, K=float(K), meta={"M": M, "Q": Q})
 
 
 def quadrature_order(K: float, eps: float) -> int:
@@ -135,10 +133,10 @@ def plan_from_accuracy(
     """
     if not (0.0 < eps < 1.0):
         raise RangeError(f"eps must lie in (0, 1), got {eps}")
-    if T < 0:
-        raise RangeError(f"T must be nonnegative, got {T}")
-    if normL <= 0:
-        raise RangeError(f"normL must be positive, got {normL}")
+    if not 0 <= T < math.inf:
+        raise RangeError(f"T must be nonnegative and finite, got {T}")
+    if not 0 <= normL < math.inf:
+        raise RangeError(f"normL must be nonnegative and finite, got {normL}")
     trunc = choose_truncation(kernel, eps / 3.0)
     K = trunc.K
     h = min(K, 1.0 / (math.e * max(T * normL, 1.0)))
@@ -158,23 +156,21 @@ def _uniform_from_raw(raw: np.ndarray) -> np.ndarray:
 def mc_plan(kernel: KernelSpec, K: float, Ns: int, seed: int) -> SamplingPlan:
     """Uniform Monte Carlo plan: Ns i.i.d. abscissae on [-K, K] from the
     pinned Philox stream, coefficients (2K/Ns) * g(xi)."""
-    if K <= 0:
-        raise RangeError(f"K must be positive, got {K}")
+    if not 0 < K < math.inf:
+        raise RangeError(f"K must be positive and finite, got {K}")
     if Ns < 1:
         raise RangeError(f"Ns must be >= 1, got {Ns}")
     bitgen = np.random.Philox(seed)
     raw = bitgen.random_raw(Ns)
     xi = K * (2.0 * _uniform_from_raw(raw) - 1.0)
     c = (2.0 * K / Ns) * np.asarray(weight_g(kernel, xi), dtype=complex)
-    plan = SamplingPlan(
+    return SamplingPlan(
         method="monte-carlo",
         k=xi,
         c=c,
         K=float(K),
         meta={"Ns": int(Ns), "seed": int(seed), "generator": GENERATOR_ID},
     )
-    plan.validate()
-    return plan
 
 
 def mc_size_from_accuracy(eps: float, K: float) -> int:

@@ -22,9 +22,9 @@ from lchs import (
     plan_from_accuracy,
     residual_lemma_check,
     solve,
-    spectral_shift,
 )
 from lchs.harness import DEFAULT_PARAMS, RunConfig, build_problem, fit_scaling, run_convergence
+from lchs.linalg import shift_pair
 from lchs.problems import amplitude_damping_spec, build_lindblad, unvec_density
 
 from conftest import random_unitary
@@ -208,7 +208,8 @@ def test_09_residual_lemma(beta_kernel):
     instances = [("scalar", scalar_instance(), 1.0)]
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    shifted, _ = spectral_shift(hermitian_split(A), 0.5)
+    pair = hermitian_split(A)
+    shifted = shift_pair(pair, max(0.0, 0.5 - pair.lambda0))
     u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     u0 /= np.linalg.norm(u0)
     inst4 = ProblemInstance.from_pair(shifted, u0, label="random4x4")
@@ -259,15 +260,13 @@ def test_10_application_invariants(beta_kernel):
         Lj = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         from lchs import LindbladSpec
 
-        li = build_lindblad(
-            LindbladSpec(H_sys=np.zeros((2, 2)), jump_ops=[Lj]), lambda0_target=1e-9
-        )
+        li = build_lindblad(LindbladSpec(H_sys=np.zeros((2, 2)), jump_ops=[Lj]))
         if li.meta["normL"] > 2.0 * np.linalg.norm(Lj, 2) ** 2 + 1e-9:
             ok_jump = False
     checks.append(("lindblad norm bound", ok_jump))
 
     qp = QueueParams(1.0, 1.0, 2, 32)
-    mmc = build_mmc(qp, lambda0_target=1e-9)
+    mmc = build_mmc(qp)
     checks.append(
         ("queue norm bound", mmc.meta["normL"] <= 2.0 * (qp.lambda_rate + qp.servers * qp.mu_rate))
     )

@@ -28,7 +28,6 @@ from lchs import (
     plan_from_accuracy,
     residual_lemma_check,
     solve,
-    spectral_shift,
 )
 from lchs.harness import build_problem
 from lchs.kernels import kernel_f
@@ -142,11 +141,9 @@ class TestLchsApply:
         rng = np.random.default_rng(8)
         p_direct = random_gated_instance(rng, 4, lam_lo=0.5, lam_hi=1.0)
         pair = p_direct.schedule.pairs[0]
-        shifted, c = spectral_shift(
-            HermitianPair(L=pair.L - 0.0 * np.eye(4), H=pair.H),
-            1.5,
-        )
+        c = max(0.0, 1.5 - pair.lambda0)
         assert c > 0
+        shifted = shift_pair(HermitianPair(L=pair.L - 0.0 * np.eye(4), H=pair.H), c)
         p_shifted = ProblemInstance.from_pair(shifted, p_direct.u0)
         plan = plan_from_accuracy(beta_kernel, 1e-5, 1.0, 2.0)
         u_direct = lchs_apply(p_direct, plan, 1.0)
@@ -226,7 +223,8 @@ class TestResidualLemma:
     def test_random_4x4_reaches_tolerance(self, beta_kernel):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        shifted, _ = spectral_shift(hermitian_split(A), 0.5)
+        pair = hermitian_split(A)
+        shifted = shift_pair(pair, max(0.0, 0.5 - pair.lambda0))
         u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u0 /= np.linalg.norm(u0)
         p = ProblemInstance.from_pair(shifted, u0)
@@ -248,7 +246,7 @@ class TestResidualLemma:
         assert np.all(gap <= 4 * np.spacing(np.abs(wf)))
 
     def test_gate_required(self, beta_kernel):
-        pair = hermitian_split(np.array([[0.0]], dtype=complex))
+        pair = hermitian_split(np.array([[-0.5]], dtype=complex))
         p = ProblemInstance.from_pair(pair, np.array([1.0 + 0j]))
         with pytest.raises(PreconditionError):
             residual_lemma_check(p, composite_plan(beta_kernel, 8.0, 16, 4), 1.0)
@@ -1224,6 +1222,24 @@ class TestCertificateFromPairs:
             lchs_apply(p, plan, 1.0)
         with pytest.raises(PreconditionError):
             solve(p, plan, 1.0)
+
+    @pytest.mark.parametrize("lowest", [0.0, -1e-14])
+    def test_semidefinite_passes_gate(self, beta_kernel, lowest):
+        # an exact zero mode, and one computed as roundoff below zero: the
+        # LCHS identity needs only L >= 0
+        pair = HermitianPair(L=np.diag([lowest, 1.0]).astype(complex), H=np.diag([1.0, -1.0]))
+        p = ProblemInstance.from_pair(pair, np.array([1.0, 1.0 + 0j]))
+        assert p.lambda0 == lowest
+        p.require_gate()
+        rep = solve(p, plan_from_accuracy(beta_kernel, 1e-4, 1.0, 1.0), 1.0)
+        assert rep.abs_error <= 1e-4 * np.linalg.norm(p.u0)
+
+    def test_past_tolerance_fails_gate(self):
+        # -1e-11 ||L|| is ten times past the tolerance of the gate
+        pair = HermitianPair(L=np.diag([-1e-11, 1.0]).astype(complex), H=np.zeros((2, 2)))
+        p = ProblemInstance.from_pair(pair, np.array([1.0, 1.0 + 0j]))
+        with pytest.raises(PreconditionError, match="positivity gate violated"):
+            p.require_gate()
 
     def test_shift_read_from_pairs(self, beta_kernel):
         # the instance is given no shift: unwinding and the oracle must both

@@ -12,7 +12,7 @@ from lchs import (
     min_hermitian_eigenvalue,
     spectral_shift,
 )
-from lchs.linalg import HermitianPair, shift_pair
+from lchs.linalg import SEMIDEFINITE_TOL, HermitianPair, is_semidefinite, shift_pair
 
 from conftest import propagate, random_hermitian, random_unitary
 
@@ -117,6 +117,7 @@ class TestPairCertificate:
     def test_lambda0_computed_at_construction(self):
         pair = HermitianPair(L=np.diag([-0.5, 2.0]).astype(complex), H=np.zeros((2, 2)))
         assert pair.lambda0 == -0.5
+        assert pair.normL == 2.0
 
     def test_non_hermitian_L_rejected(self):
         with pytest.raises(HermiticityError):
@@ -132,23 +133,28 @@ class TestPairCertificate:
 class TestSpectralShift:
     def test_already_positive(self):
         pair = hermitian_split(np.diag([1.0, 2.0]))
-        shifted, c = spectral_shift(pair, 0.5)
+        shifted, c = spectral_shift(pair)
         assert c == 0.0
         assert shifted is pair
         assert shifted.lambda0 == pytest.approx(1.0)
 
     def test_negative_diag(self):
+        # shifted by the deficit -lambda0 only, to lambda0 = 0
         pair = hermitian_split(np.diag([-3.0, -1.0]))
-        shifted, c = spectral_shift(pair, 0.1)
-        assert c == pytest.approx(3.1, abs=1e-12)
-        assert shifted.lambda0 == pytest.approx(0.1, abs=1e-10)
+        shifted, c = spectral_shift(pair)
+        assert c == pytest.approx(3.0, abs=1e-12)
+        assert shifted.lambda0 == pytest.approx(0.0, abs=1e-12)
+        assert shifted.normL == pytest.approx(2.0, abs=1e-12)
 
     def test_mm1_L_shift(self):
+        # the Hermitian part of the queue generator is positive definite
         Q = mm1_generator(1.0, 2.0, 8)
         pair = hermitian_split(-Q.T)
         lam_min = np.linalg.eigvalsh(pair.L)[0]
-        shifted, c = spectral_shift(pair, 0.1)
-        assert c == pytest.approx(max(0.0, 0.1 - lam_min), rel=1e-12)
+        assert lam_min > 0
+        shifted, c = spectral_shift(pair)
+        assert c == max(0.0, -lam_min) == 0.0
+        assert shifted is pair
 
     def test_solution_recovery(self):
         # exp(cT) expm(-(A + cI)T) u0 must equal expm(-AT) u0
@@ -156,7 +162,8 @@ class TestSpectralShift:
         for dim, T in ((4, 0.1), (16, 1.0), (64, 1.0)):
             A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             pair = hermitian_split(A)
-            shifted, c = spectral_shift(pair, 1.0)
+            shifted, c = spectral_shift(pair)
+            assert c > 0
             u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             u0 /= np.linalg.norm(u0)
             A_shift = shifted.L + 1j * shifted.H
@@ -164,10 +171,24 @@ class TestSpectralShift:
             rhs = matrix_exponential(-A * T) @ u0
             assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-9
 
-    def test_target_must_be_positive(self):
-        pair = hermitian_split(np.diag([1.0]))
-        with pytest.raises(RangeError):
-            spectral_shift(pair, 0.0)
+    @pytest.mark.parametrize("L", [
+        np.zeros((3, 3)), np.diag([0.0, 1.0, 2.0]), np.diag([-1e-14, 1.0, 2.0]),
+    ], ids=["zero", "exact-zero-mode", "roundoff-negative"])
+    def test_semidefinite_not_shifted(self, L):
+        pair = HermitianPair(L=L.astype(complex), H=np.zeros((3, 3)))
+        assert is_semidefinite(pair)
+        shifted, c = spectral_shift(pair)
+        assert c == 0.0
+        assert shifted is pair
+
+    def test_past_tolerance_shifted(self):
+        # -1e-11 ||L|| is ten times past SEMIDEFINITE_TOL
+        assert SEMIDEFINITE_TOL == 1e-12
+        pair = HermitianPair(L=np.diag([-1e-11, 1.0]).astype(complex), H=np.zeros((2, 2)))
+        assert not is_semidefinite(pair)
+        shifted, c = spectral_shift(pair)
+        assert c == 1e-11
+        assert is_semidefinite(shifted)
 
     def test_shift_pair_recertifies(self):
         p = hermitian_split(np.diag([-1.0, 2.0]))

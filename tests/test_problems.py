@@ -138,7 +138,7 @@ class TestQueues:
     def test_mm1_split_entries(self):
         # A = -Q^T flips the sign of the Hermitian part relative to splitting
         # Q itself and leaves the anti-Hermitian part unchanged
-        inst = build_mm1(QueueParams(1.0, 2.0, 1, 4), lambda0_target=1e-6)
+        inst = build_mm1(QueueParams(1.0, 2.0, 1, 4))
         pair = inst.schedule.pairs[0]
         L = pair.L - pair.shift * np.eye(4)
         assert np.allclose(np.diagonal(L), 3.0)
@@ -147,9 +147,10 @@ class TestQueues:
         assert np.allclose(np.diagonal(pair.H, -1), -0.5j)
 
     def test_mm1_shift_default(self):
+        # the Hermitian part is already positive definite: no shift
         inst = build_mm1(QueueParams(1.0, 2.0, 1, 16))
-        assert inst.lambda0 == pytest.approx(0.1, abs=1e-10)
-        assert inst.shift > 0
+        assert inst.lambda0 == pytest.approx(0.05108070094829323, rel=1e-10)
+        assert inst.shift == 0.0
 
     def test_probability_conservation(self):
         inst = build_mm1(QueueParams(1.0, 2.0, 1, 64))
@@ -173,7 +174,7 @@ class TestQueues:
 
     def test_mmc_norm_bound(self):
         qp = QueueParams(1.0, 1.0, 2, 32)
-        inst = build_mmc(qp, lambda0_target=1e-9)
+        inst = build_mmc(qp)
         normL = inst.meta["normL"]
         assert normL <= 2.0 * (qp.lambda_rate + qp.servers * qp.mu_rate)
 
@@ -186,17 +187,17 @@ class TestQueues:
 
 class TestCap:
     def test_free_particle_unitary_after_unwinding(self, beta_kernel):
+        # V_I = 0 gives L = 0, which passes the gate: nothing to unwind
         cp = CapPotentials(V_R=zero, V_I=lambda x: 0.0, hbar=1.0, N_grid=33)
         inst = build_cap_schrodinger(cp)
-        assert inst.shift == pytest.approx(0.1)
+        assert inst.shift == 0.0
+        assert inst.lambda0 == 0.0
+        assert inst.meta["normL"] == 0.0
         plan = plan_from_accuracy(beta_kernel, 1e-4, 0.5, inst.meta["normL"])
-        # pre-unwinding the norm decays exactly like exp(-lambda0 T)
-        raw = lchs_apply(inst, plan, 0.5) * np.exp(-inst.shift * 0.5)
-        assert np.linalg.norm(raw) == pytest.approx(
-            np.exp(-0.1 * 0.5), rel=1e-3
-        )
-        out = lchs_apply(inst, plan, 0.5)
-        assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-3)
+        rep = solve(inst, plan, 0.5)
+        assert not rep.shift_unwound
+        assert np.linalg.norm(rep.u_lchs) == pytest.approx(1.0, rel=1e-3)
+        assert rep.abs_error <= 1e-4
 
     def test_gain_rejected(self):
         cp = CapPotentials(V_R=zero, V_I=lambda x: 0.1, hbar=1.0, N_grid=17)
@@ -208,7 +209,7 @@ class TestCap:
         cp = CapPotentials(
             V_R=zero, V_I=absorbing_layer(depth, 0.7, 0.9), hbar=hbar, N_grid=201
         )
-        inst = build_cap_schrodinger(cp, lambda0_target=1e-12)
+        inst = build_cap_schrodinger(cp)
         nodes = inst.meta["grid"]
         vmax = max(-absorbing_layer(depth, 0.7, 0.9)(x) for x in nodes)
         assert inst.meta["normL"] == pytest.approx(vmax / hbar, rel=1e-12)
@@ -234,7 +235,7 @@ class TestCap:
     def test_kinetic_sign(self):
         # H must be -(hbar/2) * discrete Laplacian + V_R / hbar
         cp = CapPotentials(V_R=one, V_I=lambda x: 0.0, hbar=2.0, N_grid=5)
-        inst = build_cap_schrodinger(cp, lambda0_target=1e-12)
+        inst = build_cap_schrodinger(cp)
         h = 0.25
         H = inst.schedule.pairs[0].H
         assert H[0, 0] == pytest.approx(2.0 / h**2 + 0.5, rel=1e-12)
@@ -309,7 +310,7 @@ class TestLindblad:
         for _ in range(5):
             Lj = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             spec = LindbladSpec(H_sys=np.zeros((2, 2)), jump_ops=[Lj])
-            inst = build_lindblad(spec, lambda0_target=1e-9)
+            inst = build_lindblad(spec)
             assert inst.meta["normL"] <= 2.0 * np.linalg.norm(Lj, 2) ** 2 + 1e-9
 
     def test_hermiticity_enforced(self):
@@ -381,28 +382,16 @@ class TestHelpers:
     def test_default_instances_gated(self):
         for name in DEFAULT_PARAMS:
             inst = build_problem(name, {})
-            assert inst.lambda0 > 0, name
+            inst.require_gate()
             assert np.linalg.norm(inst.u0) > 0
             assert inst.meta["normL"] > 0
 
-
-class TestLambda0Target:
-    @pytest.mark.parametrize("target", [0.0, -1.0])
-    @pytest.mark.parametrize("build", [
-        lambda target: build_parabolic_1d(
-            ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=9), lambda0_target=target),
-        lambda target: build_mm1(QueueParams(1.0, 2.0, 1, 8), lambda0_target=target),
-        lambda target: build_mmc(QueueParams(1.0, 1.0, 2, 8), lambda0_target=target),
-        lambda target: build_cap_schrodinger(
-            CapPotentials(V_R=zero, V_I=absorbing_layer(5.0, 0.7, 0.9), hbar=1.0, N_grid=17),
-            lambda0_target=target),
-        lambda target: build_lindblad(amplitude_damping_spec(1.0), lambda0_target=target),
-    ], ids=["parabolic1d", "mm1", "mmc", "cap", "lindblad"])
-    def test_nonpositive_target_rejected(self, build, target):
-        # lindblad's L has a zero mode, so a zero target used to build with
-        # lambda0 at roundoff level
-        with pytest.raises(RangeError, match="lambda0_target must be positive"):
-            build(target)
+    def test_only_lindblad_shifts(self):
+        # the deficit of amplitude damping at gamma = 1 is (sqrt(2) - 1) / 2
+        for name in DEFAULT_PARAMS:
+            expected = (np.sqrt(2.0) - 1.0) / 2.0 if name == "lindblad" else 0.0
+            assert build_problem(name).shift == pytest.approx(expected, abs=1e-12), name
+        assert build_problem("cap").lambda0 == 0.0
 
 
 class TestResidualAcrossBuilders:

@@ -179,7 +179,20 @@ class TestPlanFromAccuracy:
         with pytest.raises(RangeError):
             plan_from_accuracy(beta_kernel, 1e-3, -1.0, 1.0)
         with pytest.raises(RangeError):
-            plan_from_accuracy(beta_kernel, 1e-3, 1.0, 0.0)
+            plan_from_accuracy(beta_kernel, 1e-3, 1.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_T_or_normL_rejected(self, beta_kernel, bad):
+        # NaN used to size a 24-term plan (M = 1), inf to divide by zero
+        with pytest.raises(RangeError, match="T must be"):
+            plan_from_accuracy(beta_kernel, 1e-3, bad, 1.0)
+        with pytest.raises(RangeError, match="normL must be"):
+            plan_from_accuracy(beta_kernel, 1e-3, 1.0, bad)
+
+    def test_zero_normL_accepted(self, beta_kernel):
+        # L = 0 passes the positivity gate unshifted; the step is capped at 1/e
+        plan = plan_from_accuracy(beta_kernel, 1e-3, 1.0, 0.0)
+        assert plan.meta["M"] == plan_from_accuracy(beta_kernel, 1e-3, 1.0, 1e-3).meta["M"]
 
 
 class TestMonteCarlo:
@@ -234,6 +247,13 @@ class TestMonteCarlo:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_bad_K_rejected_at_construction(self, beta_kernel, bad):
+        with pytest.raises(RangeError, match="K must be positive and finite"):
+            composite_plan(beta_kernel, bad, 4, 4)
+        with pytest.raises(RangeError, match="K must be positive and finite"):
+            mc_plan(beta_kernel, bad, 8, 1)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_abscissa_rejected(self, beta_kernel, bad):
         # NaN compares False against K, so the window check alone lets it in
