@@ -16,7 +16,6 @@ from lchs import (
     ProblemInstance,
     hermitian_split,
     make_kernel,
-    min_hermitian_eigenvalue,
     plan_from_accuracy,
     residual_lemma_check,
 )
@@ -29,7 +28,7 @@ scalar = ProblemInstance.from_pair(pair, np.array([1.0 + 0j]), label="scalar")
 rng = np.random.default_rng(0)
 A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 # lift the Hermitian part of A to lowest eigenvalue 0.5: positive definite
-A += (0.5 - min_hermitian_eigenvalue(0.5 * (A + A.conj().T))) * np.eye(4)
+A += (0.5 - hermitian_split(A).lambda0) * np.eye(4)
 pair = hermitian_split(A)
 u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 u0 /= np.linalg.norm(u0)

@@ -27,7 +27,6 @@ from .linalg import (
     TimeSchedule,
     hermitian_split,
     matrix_exponential,
-    min_hermitian_eigenvalue,
     spectral_shift,
 )
 from .kernels import (
@@ -75,8 +74,7 @@ __all__ = [
     "BuildError", "ConfigError", "DimensionError",
     "FitError", "HermiticityError", "LchsError",
     "PreconditionError", "PropagationError", "QuadratureError", "RangeError",
-    "HermitianPair", "TimeSchedule", "hermitian_split", "matrix_exponential",
-    "min_hermitian_eigenvalue", "spectral_shift",
+    "HermitianPair", "TimeSchedule", "hermitian_split", "matrix_exponential", "spectral_shift",
     "KernelSpec", "TruncationChoice", "check_normalization",
     "choose_truncation", "make_kernel", "tail_mass", "weight_g",
     "SamplingPlan", "composite_plan", "gauss_legendre", "mc_plan",

@@ -12,9 +12,12 @@ record, and the positivity gate L >= 0 (lambda0 >= -SEMIDEFINITE_TOL ||L||)
 always tests the computed spectrum of the stored L.
 
 Every schedule is piecewise constant and is propagated as one list of
-(pair, duration) spans, each span exponentiated exactly: its own spans
-clipped to [0, T], the last pair extending past the final breakpoint, so the
-result is exact for any T. A constant schedule is the single span (pair, T).
+(L, H, duration) spans of plain matrices, each span exponentiated exactly:
+its own spans clipped to [0, T], the last pair extending past the final
+breakpoint, so the result is exact for any T. A constant schedule is the
+single span (L, H, T). Each pair checked that its L and H are Hermitian and
+certified its lambda0 and normL once, when it was built; the sum only slices
+those matrices and builds no pair.
 
 Both weighted sums of unitaries take a SamplingPlan and sum over its own
 nodes: lchs_apply weights them by c_j, and residual_lemma_check by
@@ -28,7 +31,7 @@ starts, so memory stays O(chunk * dim) however large the plan.
 The sum is one pipeline. It first splits the indices into blocks: the
 connected components of the union sparsity pattern of |L| + |H| over all
 spans. No span couples two blocks, so each block evolves on its own
-principal sub-pairs, with its own path and its own chunk of budget / d_b^2
+principal sub-matrices, with its own path and its own chunk of budget / d_b^2
 terms, and the entries between blocks are exactly zero. One connected
 pattern, or no span at all (T = 0), gives one block on all indices with the
 spans as given. The default lindblad pair couples only indices 0 and 3, so
@@ -53,7 +56,7 @@ block then takes one of three paths, in this order.
   off-diagonal |e_j|. Up to dim 8 one batched real eigh per chunk gives its
   eigenpairs (W, V); above it LAPACK dstevd gives them term by term. The
   span acts as D V exp(-i dt W) V^T D^dagger. Only the band of L and H is
-  read; HermitianPair has checked both matrices are Hermitian.
+  read; the schedule's pairs have checked both matrices are Hermitian.
 * Batched eigh. Any other block is propagated span by span, by stacked
   complex eigendecompositions of k L + H.
 
@@ -246,16 +249,16 @@ def _shared_eigenbasis(spans: list, dim: int):
     """
     V = np.eye(dim)
     if spans:
-        pair = spans[0][0]
-        norm_L, norm_H = np.linalg.norm(pair.L), np.linalg.norm(pair.H)
-        G = pair.L / norm_L if norm_L > 0 else np.zeros_like(pair.L)
+        L, H, _ = spans[0]
+        norm_L, norm_H = np.linalg.norm(L), np.linalg.norm(H)
+        G = L / norm_L if norm_L > 0 else np.zeros_like(L)
         if norm_H > 0:
-            G = G + (_MIX / norm_H) * pair.H
+            G = G + (_MIX / norm_H) * H
         _, V = np.linalg.eigh(G)
     tol = _SHARED_BASIS_ULPS * dim * np.finfo(float).eps
     lam, mu = np.zeros(dim), np.zeros(dim)
-    for pair, dt in spans:
-        for M, integral in ((pair.L, lam), (pair.H, mu)):
+    for L, H, dt in spans:
+        for M, integral in ((L, lam), (H, mu)):
             D = V.conj().T @ M @ V
             d = np.diagonal(D).real.copy()
             np.fill_diagonal(D, 0.0)
@@ -266,10 +269,10 @@ def _shared_eigenbasis(spans: list, dim: int):
 
 
 def _spans(schedule: TimeSchedule, T: float) -> list:
-    """The schedule on [0, T] as (pair, duration) spans, each propagated
-    exactly; empty for T = 0. These are its own spans clipped to [0, T], the
-    last pair extending past the final breakpoint, so a constant schedule
-    gives the single span (pair, T).
+    """The schedule on [0, T] as (L, H, duration) spans of plain matrices,
+    each propagated exactly; empty for T = 0. These are its own spans clipped
+    to [0, T], the last pair extending past the final breakpoint, so a
+    constant schedule gives the single span (pair.L, pair.H, T).
     """
     if not T >= 0.0:
         raise RangeError(f"T must be nonnegative, got {T}")
@@ -277,33 +280,34 @@ def _spans(schedule: TimeSchedule, T: float) -> list:
         return []
     ends = np.minimum(np.append(schedule.breakpoints[1:-1], np.inf), T)
     starts = np.minimum(schedule.breakpoints[:-1], T)
-    return [(pair, float(b - a)) for pair, a, b in zip(schedule.pairs, starts, ends) if b > a]
+    intervals = zip(schedule.pairs, starts, ends)
+    return [(pair.L, pair.H, float(b - a)) for pair, a, b in intervals if b > a]
 
 
 def _is_tridiagonal(spans: list) -> bool:
     """True when every span's L and H vanish outside the tridiagonal band."""
     return all(
         not (np.any(np.triu(M, 2)) or np.any(np.tril(M, -2)))
-        for pair, _ in spans for M in (pair.L, pair.H)
+        for L, H, _ in spans for M in (L, H)
     )
 
 
-def _eigh_dense(pair: HermitianPair, ks: np.ndarray):
+def _eigh_dense(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
     """Stacked eigendecompositions of k L + H for every k in ks: (W, V, None)."""
-    W, V = np.linalg.eigh(ks[:, None, None] * pair.L[None, :, :] + pair.H[None, :, :])
+    W, V = np.linalg.eigh(ks[:, None, None] * L[None, :, :] + H[None, :, :])
     return W, V, None
 
 
-def _eigh_tridiagonal(pair: HermitianPair, ks: np.ndarray):
+def _eigh_tridiagonal(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
     """(W, V, d) with k L + H = D V diag(W) V^T D^dagger, D = diag(d), for
     every k in ks, with V real: the phase similarity D makes k L + H real
     symmetric tridiagonal. Up to _BATCHED_TRIDIAGONAL_MAX_DIM the stacked real
     matrices are decomposed by one batched eigh call, above it by dstevd term
     by term. Only the band of L and H is read. Raises PropagationError if the
     decomposition fails."""
-    n, dim = len(ks), pair.dim
-    diag = ks[:, None] * pair.L.diagonal().real + pair.H.diagonal().real
-    e = ks[:, None] * np.diagonal(pair.L, 1) + np.diagonal(pair.H, 1)
+    n, dim = len(ks), len(L)
+    diag = ks[:, None] * L.diagonal().real + H.diagonal().real
+    e = ks[:, None] * np.diagonal(L, 1) + np.diagonal(H, 1)
     off = np.abs(e)
     phase = np.divide(e.conj(), off, out=np.ones_like(e), where=e != 0)
     d = np.concatenate([np.ones((n, 1), dtype=complex), np.cumprod(phase, axis=1)], axis=1)
@@ -330,13 +334,13 @@ def _eigh_tridiagonal(pair: HermitianPair, ks: np.ndarray):
 def _propagate_chunk(spans: list, ks: np.ndarray, starts: np.ndarray, eig) -> np.ndarray:
     """Product of exp(-i dt (k L + H)) over the spans, applied to every row of
     starts for every k in ks: each eigendecomposition serves all the start
-    vectors. eig(pair, ks) gives eigenvalues W, eigenvectors V and phases d
+    vectors. eig(L, H, ks) gives eigenvalues W, eigenvectors V and phases d
     (None when there are none) with k L + H = D V diag(W) V^dagger D^dagger,
     D = diag(d), per k. Returns a (len(starts), dim, len(ks)) array whose
     [s, :, j] is the propagation of starts[s] at ks[j]."""
     vecs = np.broadcast_to(starts[:, None, :], (len(starts), len(ks), starts.shape[1]))
-    for pair, dt in spans:
-        W, V, d = eig(pair, ks)
+    for L, H, dt in spans:
+        W, V, d = eig(L, H, ks)
         if d is not None:
             vecs = d.conj() * vecs
         # conj(V^T conj(v)) = V^dagger v without a conjugated copy of V
@@ -353,7 +357,7 @@ def _block_labels(spans: list) -> np.ndarray:
     under the union sparsity pattern of the spans' L and H. Indices in
     different components are never coupled by any span, so each component
     evolves on its own."""
-    pattern = sum(np.abs(pair.L) + np.abs(pair.H) for pair, _ in spans) != 0
+    pattern = sum(np.abs(L) + np.abs(H) for L, H, _ in spans) != 0
     reach = pattern | np.eye(len(pattern), dtype=bool)
     # repeated squaring: each pass doubles the path length reach covers. A
     # boolean matmul runs in numpy's own loop; a float one would page in BLAS
@@ -368,7 +372,7 @@ def _block_labels(spans: list) -> np.ndarray:
 
 def _blocks(spans: list, dim: int) -> list:
     """(idx, spans) of every block: the connected components of the spans'
-    union sparsity pattern, each with the principal sub-pairs of every span.
+    union sparsity pattern, each with the principal sub-matrices of every span.
     One connected pattern, or no span at all, gives one block on all indices
     with the spans as given."""
     if not spans or not (labels := _block_labels(spans)).any():
@@ -377,17 +381,14 @@ def _blocks(spans: list, dim: int) -> list:
     for first in np.flatnonzero(labels == np.arange(dim)):
         idx = np.flatnonzero(labels == first)
         sub = np.ix_(idx, idx)
-        blocks.append((idx, [
-            (HermitianPair(L=pair.L[sub], H=pair.H[sub], shift=pair.shift), dt)
-            for pair, dt in spans
-        ]))
+        blocks.append((idx, [(L[sub], H[sub], dt) for L, H, dt in spans]))
     return blocks
 
 
 def _is_real(spans: list) -> bool:
     """True when every span's L is real and its H purely imaginary, exactly.
     Then conj(k L + H) = -(-k L + H), so conj U(k) = U(-k) span by span."""
-    return all(not np.any(pair.L.imag) and not np.any(pair.H.real) for pair, _ in spans)
+    return all(not np.any(L.imag) and not np.any(H.real) for L, H, _ in spans)
 
 
 def _is_mirrored(ks: np.ndarray) -> bool:
@@ -482,7 +483,7 @@ def _weighted_unitary_sum(
 
     The indices are split into the connected components of the spans' union
     sparsity pattern, and each component is summed on its own principal
-    sub-pairs, by its own path and with its own chunk size; the entries
+    sub-matrices, by its own path and with its own chunk size; the entries
     between components are exactly zero. Each chunk is propagated and
     reduced into the running total before the next one starts, so memory is
     O(chunk * dim) for any number of terms. Within a chunk the reduction is
@@ -541,19 +542,14 @@ def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:
     return out
 
 
-def _oracle_matrix(pair: HermitianPair) -> np.ndarray:
-    """Original (unshifted) generator (L - shift I) + i H of one pair."""
-    return pair.L - pair.shift * np.eye(pair.dim) + 1j * pair.H
-
-
 def oracle_solve(p: ProblemInstance, T: float) -> np.ndarray:
     """Ground-truth solution of du/dt = -A(t) u at time T: the product of
     matrix exponentials of the original (unshifted) generator over the
-    schedule's spans.
+    schedule's spans, each generator L - shift I + i H.
     """
     u = p.u0.copy()
-    for pair, dt in _spans(p.schedule, T):
-        u = matrix_exponential(-_oracle_matrix(pair) * dt) @ u
+    for L, H, dt in _spans(p.schedule, T):
+        u = matrix_exponential(-(L - p.shift * np.eye(p.dim) + 1j * H) * dt) @ u
     return u
 
 

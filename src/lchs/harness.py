@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import tempfile
 import time
@@ -164,8 +165,20 @@ def validate_report(payload: dict) -> None:
     _check_schema(payload, REPORT_SCHEMA, "report")
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+def _check_finite(value, pointer: str = "") -> None:
+    """Raise ConfigError at the pointer of the first NaN or infinity in a
+    document. JSON has no such numbers, and the schema's number type admits
+    them, so they are rejected before it is read."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(
+            f"config invalid at {pointer}: {value} is not a JSON number", pointer=pointer
+        )
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        _check_finite(item, f"{pointer}/{key}")
 
 
 @dataclass
@@ -184,9 +197,10 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        """Validate d against CONFIG_SCHEMA, and an explicit plan in
-        accuracy against the method: {K, M, Q} is Gaussian, {K, Ns, seed}
-        Monte Carlo."""
+        """Reject NaN and infinities, then validate d against CONFIG_SCHEMA,
+        and an explicit plan in accuracy against the method: {K, M, Q} is
+        Gaussian, {K, Ns, seed} Monte Carlo."""
+        _check_finite(d)
         _check_schema(d, CONFIG_SCHEMA, "config")
         acc = d["accuracy"]
         if "eps" not in acc and ("M" in acc) != (d["method"] == "gaussian"):
@@ -209,12 +223,10 @@ class RunConfig:
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
-        """Read and validate a JSON config. NaN, Infinity and -Infinity are
-        not JSON, so a config naming one is a ConfigError like any other
-        unreadable file."""
+        """Read a JSON config and validate it with from_dict."""
         try:
             with open(path) as fh:
-                data = json.load(fh, parse_constant=_reject_constant)
+                data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         return RunConfig.from_dict(data)

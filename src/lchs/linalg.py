@@ -10,7 +10,9 @@ records the shift c already added to L and computes lambda0 and normL, the
 smallest eigenvalue and the spectral norm of the stored L, from one
 eigendecomposition when it is constructed. A TimeSchedule requires all its
 pairs to share one dimension and one shift, and derives dim, shift, lambda0
-and normL from them; nothing downstream copies these values.
+and normL from them; nothing downstream copies these values. The positivity
+gate and spectral_shift both read that schedule certificate, so the shift is
+exactly what the gate asks for.
 """
 
 from __future__ import annotations
@@ -98,15 +100,6 @@ def hermitian_split(A) -> HermitianPair:
     return HermitianPair(L=L, H=H)
 
 
-def min_hermitian_eigenvalue(L) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Raises HermiticityError if L is not Hermitian within tolerance.
-    """
-    L = _check_hermitian(L, "L")
-    return float(np.linalg.eigvalsh(L)[0])
-
-
 def shift_pair(pair: HermitianPair, c: float) -> HermitianPair:
     """The pair with c*I added to L; the recorded shift grows by c and the
     new pair recertifies lambda0 from the shifted matrix."""
@@ -117,17 +110,6 @@ def is_semidefinite(x) -> bool:
     """The positivity gate on a HermitianPair or a TimeSchedule:
     lambda0 >= -SEMIDEFINITE_TOL * normL, read from the stored certificate."""
     return x.lambda0 >= -SEMIDEFINITE_TOL * x.normL
-
-
-def spectral_shift(pair: HermitianPair) -> tuple[HermitianPair, float]:
-    """Shift L by only what the positivity gate needs: (pair, 0) when L
-    passes it, else the pair shifted by c = -lambda0, whose L has lambda0 = 0
-    up to roundoff. The caller recovers the original solution via
-    u(T) = exp(c*T) * u_shifted(T).
-    """
-    if is_semidefinite(pair):
-        return pair, 0.0
-    return shift_pair(pair, -pair.lambda0), -pair.lambda0
 
 
 def matrix_exponential(M) -> np.ndarray:
@@ -205,3 +187,17 @@ def _check_uniform(pairs, what: str) -> None:
         raise DimensionError(f"{what} of varying dimension")
     if len({p.shift for p in pairs}) != 1:
         raise RangeError(f"{what} with different shifts")
+
+
+def spectral_shift(schedule: TimeSchedule) -> tuple[TimeSchedule, float]:
+    """Shift L(t) by only what the positivity gate needs, reading the
+    schedule's own certificate: (schedule, 0) when it passes the gate, else
+    the schedule with every pair shifted by the one c = -lambda0, so that
+    its lowest L has lambda0 = 0 up to roundoff. The caller recovers the
+    original solution via u(T) = exp(c*T) * u_shifted(T).
+    """
+    if is_semidefinite(schedule):
+        return schedule, 0.0
+    c = -schedule.lambda0
+    pairs = [shift_pair(pair, c) for pair in schedule.pairs]
+    return TimeSchedule.piecewise(schedule.breakpoints, pairs), c

@@ -1,9 +1,11 @@
 """Builders for the application domains.
 
 Each builder assembles a finite generator A, splits it into Hermitian parts,
-passes L through the positivity gate L >= 0 (shifting it by only the deficit
--lambda0 when the gate would fail), and packages the result as a
-ProblemInstance ready for the weighted-unitary solver.
+and hands the pairs to _finalize, the one place that builds a builder's
+schedule, shifts it by only the deficit -lambda0 when it would fail the
+positivity gate L >= 0 (spectral_shift), records the shifted schedule's
+normL in meta, and packages the result as a ProblemInstance ready for the
+weighted-unitary solver.
 
 Sign conventions worth keeping straight:
 
@@ -29,29 +31,22 @@ from .linalg import (
     TimeSchedule,
     _check_hermitian,
     hermitian_split,
-    shift_pair,
     spectral_shift,
 )
 
 
 def _finalize(
-    pairs: list[HermitianPair], breakpoints, u0: np.ndarray, label: str, meta: dict
+    pairs: list[HermitianPair], breakpoints, u0, label: str, **meta
 ) -> ProblemInstance:
-    """Shift a (possibly piecewise) family of pairs by what the positivity
-    gate needs and wrap everything as a ProblemInstance.
-
-    The pair with the lowest bound sets the shift: none when it passes the
-    gate, else its deficit -lambda0 (spectral_shift)."""
-    lowest = min(pairs, key=lambda p: p.lambda0)
-    shifted, c = spectral_shift(lowest)
-    if c > 0.0:
-        # one uniform shift across the whole schedule, recertified per pair
-        pairs = [shifted if p is lowest else shift_pair(p, c) for p in pairs]
+    """Build the (possibly piecewise) schedule of the pairs, shift it by what
+    the positivity gate needs (spectral_shift: none when the schedule passes
+    the gate, else its deficit -lambda0 on every pair) and wrap everything as
+    a ProblemInstance whose meta records the shifted schedule's normL."""
     if len(pairs) == 1:
         schedule = TimeSchedule.constant(pairs[0])
     else:
         schedule = TimeSchedule.piecewise(breakpoints, pairs)
-    meta = dict(meta)
+    schedule, _ = spectral_shift(schedule)
     meta["normL"] = schedule.normL
     return ProblemInstance(schedule=schedule, u0=u0, label=label, meta=meta)
 
@@ -140,9 +135,7 @@ def build_parabolic_1d(
         u0 = np.sin(np.pi * nodes).astype(complex)
     pairs, breakpoints = _time_slices(lambda t: _parabolic_pair(pc, t), T, time_slices)
     return _finalize(
-        pairs, breakpoints, np.asarray(u0, dtype=complex),
-        label=f"parabolic1d(N_grid={pc.N_grid})",
-        meta={"builder": "parabolic1d", "h": h, "grid": nodes},
+        pairs, breakpoints, u0, label=f"parabolic1d(N_grid={pc.N_grid})", h=h, grid=nodes
     )
 
 
@@ -193,10 +186,7 @@ def _queue_instance(qp: QueueParams, label: str, u0) -> ProblemInstance:
     if u0 is None:
         u0 = np.zeros(qp.n_trunc, dtype=complex)
         u0[qp.n_trunc // 2] = 1.0
-    return _finalize(
-        [pair], None, np.asarray(u0, dtype=complex),
-        label=label, meta={"builder": label.split("(")[0]},
-    )
+    return _finalize([pair], None, u0, label=label)
 
 
 def build_mm1(qp: QueueParams, u0=None) -> ProblemInstance:
@@ -293,9 +283,8 @@ def build_cap_schrodinger(
 
     pairs, breakpoints = _time_slices(pair_at, T, time_slices)
     return _finalize(
-        pairs, breakpoints, np.asarray(u0, dtype=complex),
-        label=f"cap(N_grid={cp.N_grid},hbar={cp.hbar:g})",
-        meta={"builder": "cap", "h": h, "grid": nodes},
+        pairs, breakpoints, u0, label=f"cap(N_grid={cp.N_grid},hbar={cp.hbar:g})",
+        h=h, grid=nodes,
     )
 
 
@@ -356,9 +345,7 @@ def build_lindblad(ls: LindbladSpec, rho0=None) -> ProblemInstance:
     if rho0.shape != (n, n):
         raise DimensionError(f"rho0 shape {rho0.shape} != ({n}, {n})")
     return _finalize(
-        [pair], None, vec_density(rho0),
-        label=f"lindblad(n={n},jumps={len(ls.jump_ops)})",
-        meta={"builder": "lindblad", "n": n},
+        [pair], None, vec_density(rho0), label=f"lindblad(n={n},jumps={len(ls.jump_ops)})"
     )
 
 
@@ -376,7 +363,8 @@ def amplitude_damping_spec(gamma: float = 1.0) -> LindbladSpec:
 
 def build_blackhole(H, gamma: float, u0=None) -> ProblemInstance:
     """Generator A = gamma I + i H: unitary dynamics under H with a uniform
-    decay rate gamma. The spectral bound is gamma itself; no shift."""
+    decay rate gamma. L = gamma I passes the positivity gate, so there is no
+    shift, and normL is gamma itself."""
     if not gamma > 0:
         raise BuildError(f"gamma must be positive, got {gamma}")
     # hermitian_split symmetrizes, so this is the only check that can reject H
@@ -386,12 +374,7 @@ def build_blackhole(H, gamma: float, u0=None) -> ProblemInstance:
     pair = hermitian_split(A)
     if u0 is None:
         u0 = np.ones(n, dtype=complex) / np.sqrt(n)
-    return ProblemInstance(
-        schedule=TimeSchedule.constant(pair),
-        u0=u0,
-        label=f"blackhole(n={n},gamma={gamma:g})",
-        meta={"builder": "blackhole", "normL": float(gamma)},
-    )
+    return _finalize([pair], None, u0, label=f"blackhole(n={n},gamma={gamma:g})")
 
 
 # ---------------------------------------------------------------------------

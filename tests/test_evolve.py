@@ -677,9 +677,9 @@ class TestTridiagonalBranches:
     def test_lindblad_decomposes_nothing_larger_than_2x2(self, beta_kernel, monkeypatch):
         dims = []
         for name in ("_eigh_tridiagonal", "_eigh_dense"):
-            def spy(pair, ks, real=getattr(ev, name)):
-                dims.extend([pair.dim] * len(ks))
-                return real(pair, ks)
+            def spy(L, H, ks, real=getattr(ev, name)):
+                dims.extend([len(L)] * len(ks))
+                return real(L, H, ks)
 
             monkeypatch.setattr(ev, name, spy)
         p = build_problem("lindblad", {})
@@ -691,7 +691,7 @@ class TestTridiagonalBranches:
 
 def one_block(spans):
     """_block_labels stub that keeps every index in one block."""
-    return np.zeros(spans[0][0].dim, dtype=int)
+    return np.zeros(len(spans[0][0]), dtype=int)
 
 
 def block_diagonal_instance(rng):
@@ -772,6 +772,22 @@ class TestBlockSplit:
         split = residual_lemma_check(*args)
         monkeypatch.setattr(ev, "_block_labels", one_block)
         assert split == pytest.approx(residual_lemma_check(*args), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["lindblad", "blackhole"])
+    def test_split_sum_certifies_no_block(self, name, beta_kernel, monkeypatch):
+        # the builder certified its pairs once; the blocks are plain
+        # sub-matrices, so the sum computes no spectrum
+        p = build_problem(name, {})
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 0.25, p.meta["normL"])
+        calls = []
+
+        def eigvalsh(*args, real=np.linalg.eigvalsh, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        lchs_apply(p, plan, 0.25)
+        assert calls == []
 
     @pytest.mark.parametrize("name", ["cap", "mm1", "mmc"])
     def test_connected_builders_stay_whole(self, name):
@@ -1099,7 +1115,8 @@ class TestSpanPropagation:
 
     def test_constant_schedule_is_one_span(self):
         pair = gated_pairs(42, 1)[0]
-        assert ev._spans(TimeSchedule.constant(pair), 0.3) == [(pair, 0.3)]
+        ((L, H, dt),) = ev._spans(TimeSchedule.constant(pair), 0.3)
+        assert L is pair.L and H is pair.H and dt == 0.3
         assert ev._spans(TimeSchedule.constant(pair), 0.0) == []
 
     def test_two_span_apply_matches_expm_product(self, beta_kernel):

@@ -99,6 +99,27 @@ class TestConfig:
         assert err.value.pointer == "/accuracy"
 
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("pointer", [
+        "/T", "/accuracy/K", "/accuracy/eps", "/kernel/beta",
+        "/problem/params/gamma", "/problem/params/H/diag/0",
+    ])
+    def test_non_finite_number_rejected_at_its_pointer(self, pointer, value):
+        # the schema's number type admits NaN and infinities; none may reach
+        # a builder or the propagation
+        cfg = base_config()
+        if pointer == "/accuracy/K":
+            cfg["accuracy"] = {"K": 8.0, "M": 4, "Q": 4}
+        *path, last = pointer[1:].split("/")
+        node = cfg
+        for key in path:
+            node = node[key]
+        node[int(last) if isinstance(node, list) else last] = value
+        with pytest.raises(ConfigError, match="is not a JSON number") as err:
+            RunConfig.from_dict(cfg)
+        assert err.value.pointer == pointer
+
+
 class TestBuildProblem:
     def test_defaults_build(self):
         for name in DEFAULT_PARAMS:

@@ -9,7 +9,6 @@ from lchs import (
     TimeSchedule,
     hermitian_split,
     matrix_exponential,
-    min_hermitian_eigenvalue,
     spectral_shift,
 )
 from lchs.linalg import SEMIDEFINITE_TOL, HermitianPair, is_semidefinite, shift_pair
@@ -74,13 +73,18 @@ class TestHermitianSplit:
             hermitian_split(np.zeros((0, 0)))
 
 
+def min_eigenvalue(L) -> float:
+    """Smallest eigenvalue of L, as the lambda0 certificate of a pair."""
+    return HermitianPair(L=L, H=0 * L).lambda0
+
+
 class TestMinEigenvalue:
     def test_diagonal(self):
-        assert min_hermitian_eigenvalue(np.diag([1.0, 2.0])) == pytest.approx(1.0)
+        assert min_eigenvalue(np.diag([1.0, 2.0])) == pytest.approx(1.0)
 
     def test_pauli_x(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert min_hermitian_eigenvalue(X) == pytest.approx(-1.0, abs=1e-14)
+        assert min_eigenvalue(X) == pytest.approx(-1.0, abs=1e-14)
 
     def test_dirichlet_stencil_closed_form(self):
         # interior Laplacian on 32 grid points, h = 1/31; eigenvalues are
@@ -91,7 +95,7 @@ class TestMinEigenvalue:
         L = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
              - np.diag(np.ones(n - 1), -1)) / h**2
         expected = (4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2
-        assert min_hermitian_eigenvalue(L) == pytest.approx(expected, rel=1e-10)
+        assert min_eigenvalue(L) == pytest.approx(expected, rel=1e-10)
 
     def test_relative_accuracy_random(self):
         rng = np.random.default_rng(5)
@@ -99,12 +103,12 @@ class TestMinEigenvalue:
             U = random_unitary(rng, dim)
             lam = np.sort(rng.uniform(0.5, 50.0, dim))
             L = (U * lam) @ U.conj().T
-            got = min_hermitian_eigenvalue(L)
+            got = min_eigenvalue(L)
             assert abs(got - lam[0]) / lam[0] <= 1e-10
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(HermiticityError):
-            min_hermitian_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPairCertificate:
@@ -132,16 +136,16 @@ class TestPairCertificate:
 
 class TestSpectralShift:
     def test_already_positive(self):
-        pair = hermitian_split(np.diag([1.0, 2.0]))
-        shifted, c = spectral_shift(pair)
+        sched = TimeSchedule.constant(hermitian_split(np.diag([1.0, 2.0])))
+        shifted, c = spectral_shift(sched)
         assert c == 0.0
-        assert shifted is pair
+        assert shifted is sched
         assert shifted.lambda0 == pytest.approx(1.0)
 
     def test_negative_diag(self):
         # shifted by the deficit -lambda0 only, to lambda0 = 0
-        pair = hermitian_split(np.diag([-3.0, -1.0]))
-        shifted, c = spectral_shift(pair)
+        sched = TimeSchedule.constant(hermitian_split(np.diag([-3.0, -1.0])))
+        shifted, c = spectral_shift(sched)
         assert c == pytest.approx(3.0, abs=1e-12)
         assert shifted.lambda0 == pytest.approx(0.0, abs=1e-12)
         assert shifted.normL == pytest.approx(2.0, abs=1e-12)
@@ -152,21 +156,22 @@ class TestSpectralShift:
         pair = hermitian_split(-Q.T)
         lam_min = np.linalg.eigvalsh(pair.L)[0]
         assert lam_min > 0
-        shifted, c = spectral_shift(pair)
+        sched = TimeSchedule.constant(pair)
+        shifted, c = spectral_shift(sched)
         assert c == max(0.0, -lam_min) == 0.0
-        assert shifted is pair
+        assert shifted is sched
 
     def test_solution_recovery(self):
         # exp(cT) expm(-(A + cI)T) u0 must equal expm(-AT) u0
         rng = np.random.default_rng(7)
         for dim, T in ((4, 0.1), (16, 1.0), (64, 1.0)):
             A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            pair = hermitian_split(A)
-            shifted, c = spectral_shift(pair)
+            shifted, c = spectral_shift(TimeSchedule.constant(hermitian_split(A)))
             assert c > 0
             u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             u0 /= np.linalg.norm(u0)
-            A_shift = shifted.L + 1j * shifted.H
+            (pair,) = shifted.pairs
+            A_shift = pair.L + 1j * pair.H
             lhs = np.exp(c * T) * (matrix_exponential(-A_shift * T) @ u0)
             rhs = matrix_exponential(-A * T) @ u0
             assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-9
@@ -175,20 +180,45 @@ class TestSpectralShift:
         np.zeros((3, 3)), np.diag([0.0, 1.0, 2.0]), np.diag([-1e-14, 1.0, 2.0]),
     ], ids=["zero", "exact-zero-mode", "roundoff-negative"])
     def test_semidefinite_not_shifted(self, L):
-        pair = HermitianPair(L=L.astype(complex), H=np.zeros((3, 3)))
-        assert is_semidefinite(pair)
-        shifted, c = spectral_shift(pair)
+        sched = TimeSchedule.constant(HermitianPair(L=L.astype(complex), H=np.zeros((3, 3))))
+        assert is_semidefinite(sched)
+        shifted, c = spectral_shift(sched)
         assert c == 0.0
-        assert shifted is pair
+        assert shifted is sched
 
     def test_past_tolerance_shifted(self):
         # -1e-11 ||L|| is ten times past SEMIDEFINITE_TOL
         assert SEMIDEFINITE_TOL == 1e-12
         pair = HermitianPair(L=np.diag([-1e-11, 1.0]).astype(complex), H=np.zeros((2, 2)))
-        assert not is_semidefinite(pair)
-        shifted, c = spectral_shift(pair)
+        sched = TimeSchedule.constant(pair)
+        assert not is_semidefinite(sched)
+        shifted, c = spectral_shift(sched)
         assert c == 1e-11
         assert is_semidefinite(shifted)
+
+    def test_piecewise_schedule_shifted_uniformly(self):
+        # only the second pair fails the gate; both take its deficit 0.5,
+        # the shift every pair records and the one unwound
+        first = hermitian_split(np.diag([0.25, 1.0]) + 1j * np.diag([1.0, -1.0]))
+        second = hermitian_split(np.array([[-0.5, 0.2], [0.2, 2.0]]))
+        sched = TimeSchedule.piecewise([0.0, 0.4, 1.0], [first, second])
+        assert not is_semidefinite(sched)
+        shifted, c = spectral_shift(sched)
+        assert c == -second.lambda0
+        assert [pair.shift for pair in shifted.pairs] == [c, c]
+        assert shifted.shift == c
+        for pair, old in zip(shifted.pairs, sched.pairs):
+            assert np.array_equal(pair.L, old.L + c * np.eye(2))
+            assert np.array_equal(pair.H, old.H)
+        assert np.array_equal(shifted.breakpoints, sched.breakpoints)
+        assert is_semidefinite(shifted)
+
+    def test_schedule_passing_gate_comes_back_unchanged(self):
+        pairs = [hermitian_split(np.diag([0.0, 1.0])), hermitian_split(np.diag([2.0, 0.5]))]
+        sched = TimeSchedule.piecewise([0.0, 0.5, 1.0], pairs)
+        shifted, c = spectral_shift(sched)
+        assert shifted is sched
+        assert c == 0.0
 
     def test_shift_pair_recertifies(self):
         p = hermitian_split(np.diag([-1.0, 2.0]))
