@@ -11,15 +11,14 @@ with eigenvalue ~pi^2, giving a clean closed-form check.
 
 import numpy as np
 
-from lchs import ParabolicCoefficients, build_parabolic_1d, make_kernel, plan_from_accuracy, solve
+from lchs import build_parabolic_1d, make_kernel, plan_from_accuracy, solve
 
-coeffs = ParabolicCoefficients(
+problem = build_parabolic_1d(
     a=lambda x, t: 1.0,   # diffusion
     b=lambda x, t: 0.0,   # no advection
     c=lambda x, t: 0.0,   # no reaction
     N_grid=33,
 )
-problem = build_parabolic_1d(coeffs)
 print(f"instance: {problem.label}, dim = {problem.dim}")
 print(f"||L_grid|| = {problem.meta['normL']:.1f}  (grows like N_grid^2)")
 print(f"lambda0 = {problem.lambda0:.4f}  (~ pi^2 = {np.pi**2:.4f} for the lowest mode)")
@@ -45,8 +44,7 @@ print(f"midpoint value {peak:.8f} vs closed form {expected:.8f}")
 # doubling the grid quadruples the operator norm, and with it the plan size
 for N_grid in (17, 33, 65):
     p = build_parabolic_1d(
-        ParabolicCoefficients(a=lambda x, t: 1.0, b=lambda x, t: 0.0,
-                              c=lambda x, t: 0.0, N_grid=N_grid)
+        a=lambda x, t: 1.0, b=lambda x, t: 0.0, c=lambda x, t: 0.0, N_grid=N_grid
     )
     pl = plan_from_accuracy(kernel, 1e-3, T, p.meta["normL"])
     print(f"N_grid {N_grid:3d}: ||L|| = {p.meta['normL']:8.1f}  plan N = {pl.size}")

@@ -12,18 +12,18 @@ nothing to unwind.
 
 import numpy as np
 
-from lchs import QueueParams, build_mm1, make_kernel, oracle_solve, plan_from_accuracy, solve
+from lchs import build_mm1, make_kernel, oracle_solve, plan_from_accuracy, solve
 
-params = QueueParams(lambda_rate=1.0, mu_rate=2.0, servers=1, n_trunc=64)
-problem = build_mm1(params)
+n_trunc = 64
+problem = build_mm1(lambda_rate=1.0, mu_rate=2.0, n_trunc=n_trunc)
 print(f"instance: {problem.label}")
 print(f"shift applied: c = {problem.shift:.4f}, certified lambda0 = {problem.lambda0:.4f}")
-print(f"start: all probability in state {params.n_trunc // 2}")
+print(f"start: all probability in state {n_trunc // 2}")
 
 T = 1.0
 pi_T = oracle_solve(problem, T).real
 print(f"\nafter T = {T}: total probability = {pi_T.sum():.12f} (conserved)")
-mean_state = np.dot(np.arange(params.n_trunc), pi_T)
+mean_state = np.dot(np.arange(n_trunc), pi_T)
 print(f"mean queue length {mean_state:.3f} "
       f"(drift mu - lambda = 1 pulls it down from 32)")
 

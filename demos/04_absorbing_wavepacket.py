@@ -12,7 +12,6 @@ is therefore physical, yet every term the solver evaluates is unitary.
 import numpy as np
 
 from lchs import (
-    CapPotentials,
     build_cap_schrodinger,
     lchs_apply,
     make_kernel,
@@ -21,15 +20,13 @@ from lchs import (
 )
 from lchs.problems import absorbing_layer
 
-potentials = CapPotentials(
+# packet starts at x = 0.35 moving right with momentum 30
+problem = build_cap_schrodinger(
     V_R=lambda x, t: 0.0,
     V_I=absorbing_layer(depth=5.0, x_lo=0.7, x_hi=0.9),
     hbar=1.0,
     N_grid=65,
-)
-# packet starts at x = 0.35 moving right with momentum 30
-problem = build_cap_schrodinger(
-    potentials, packet={"x0": 0.35, "sigma": 0.05, "p0": 30.0}
+    packet={"x0": 0.35, "sigma": 0.05, "p0": 30.0},
 )
 print(f"instance: {problem.label}, dim = {problem.dim}")
 print(f"||L|| = {problem.meta['normL']:.2f} = layer depth / hbar (+ shift)")

@@ -55,10 +55,7 @@ from .evolve import (
     solve,
 )
 from .problems import (
-    CapPotentials,
     LindbladSpec,
-    ParabolicCoefficients,
-    QueueParams,
     build_blackhole,
     build_cap_schrodinger,
     build_lindblad,
@@ -81,8 +78,7 @@ __all__ = [
     "mc_size_from_accuracy", "plan_from_accuracy",
     "ProblemInstance", "SolveReport", "lchs_apply", "oracle_solve",
     "residual_lemma_check", "solve",
-    "CapPotentials", "LindbladSpec", "ParabolicCoefficients", "QueueParams",
-    "build_blackhole", "build_cap_schrodinger", "build_lindblad",
+    "LindbladSpec", "build_blackhole", "build_cap_schrodinger", "build_lindblad",
     "build_mm1", "build_mmc", "build_parabolic_1d",
     "RunConfig", "SweepResult", "fit_scaling", "run_convergence", "run_solve",
 ]

@@ -128,6 +128,15 @@ def _cmd_list_problems(args) -> int:
     return EXIT_OK
 
 
+def _levels(text: str) -> int:
+    """--levels as an int of at least 2: a residual can only decrease
+    between two levels."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 levels, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lchs",
@@ -156,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-check", help="f-weighted sum must vanish under refinement")
     p.add_argument("config")
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=_levels, default=4,
+                   help="eps levels 1e-1 .. 1e-N, N at least 2")
     p.set_defaults(fn=_cmd_lemma_check)
 
     p = sub.add_parser("list-problems", help="builders and default parameters")

@@ -98,6 +98,7 @@ blocks=n with each block's size:path.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -213,6 +214,8 @@ class SolveReport:
     eps_met: bool | None = None
 
     def to_dict(self) -> dict:
+        """As a JSON document. A rel_error or norm_ratio that is infinite (a
+        zero oracle or estimate) is null, since JSON has no infinity."""
         def interleave(v):
             out = np.empty(2 * len(v))
             out[0::2] = v.real
@@ -222,12 +225,12 @@ class SolveReport:
         out = {
             "u_lchs": interleave(self.u_lchs),
             "u_oracle": interleave(self.u_oracle),
-            "rel_error": self.rel_error,
+            "rel_error": self.rel_error if math.isfinite(self.rel_error) else None,
             "abs_error": self.abs_error,
             "plan_size": self.plan_size,
             "propagator_steps": self.propagator_steps,
             "shift_unwound": self.shift_unwound,
-            "norm_ratio": self.norm_ratio,
+            "norm_ratio": self.norm_ratio if math.isfinite(self.norm_ratio) else None,
         }
         if self.eps_met is not None:
             out["eps_met"] = self.eps_met

@@ -31,10 +31,7 @@ from .errors import BuildError, ConfigError, FitError, LchsError
 from .evolve import ProblemInstance, SolveReport, lchs_apply, oracle_solve, solve
 from .kernels import DEFAULT_BETA, DEFAULT_FAMILY, KernelSpec, choose_truncation, make_kernel
 from .problems import (
-    CapPotentials,
     LindbladSpec,
-    ParabolicCoefficients,
-    QueueParams,
     absorbing_layer,
     amplitude_damping_spec,
     build_blackhole,
@@ -137,12 +134,12 @@ REPORT_SCHEMA = {
             "properties": {
                 "u_lchs": _interleaved_vector,
                 "u_oracle": _interleaved_vector,
-                "rel_error": {"type": "number", "minimum": 0},
+                "rel_error": {"type": ["number", "null"], "minimum": 0},
                 "abs_error": {"type": "number", "minimum": 0},
                 "plan_size": {"type": "integer", "minimum": 1},
                 "propagator_steps": {"type": "integer", "minimum": 1},
                 "shift_unwound": {"type": "boolean"},
-                "norm_ratio": {"type": "number", "minimum": 0},
+                "norm_ratio": {"type": ["number", "null"], "minimum": 0},
                 "eps_met": {"type": "boolean"},
             },
         },
@@ -249,8 +246,9 @@ class RunConfig:
 
 
 # Every key each builder reads from a params block, with its default (None
-# where there is none). build_problem rejects any other key, so a misspelt
-# parameter cannot silently fall back to its default.
+# where there is none). A key is the builder's keyword argument of the same
+# name (lindblad's are read into a LindbladSpec). build_problem rejects any
+# other key, so a misspelt parameter cannot silently fall back to its default.
 DEFAULT_PARAMS = {
     "parabolic1d": {"a": 1.0, "b": 0.0, "c": 0.0, "N_grid": 17},
     "mm1": {"lambda_rate": 1.0, "mu_rate": 2.0, "n_trunc": 16},
@@ -338,6 +336,22 @@ def _parse_vi(spec) -> object:
     return lambda x: fn(x, 0.0)
 
 
+# The builder of every problem but lindblad: each key of its params block is
+# the builder's keyword argument of the same name.
+_BUILDERS = {
+    "parabolic1d": build_parabolic_1d, "mm1": build_mm1, "mmc": build_mmc,
+    "cap": build_cap_schrodinger, "blackhole": build_blackhole,
+}
+
+# The reader of each params key that is not a plain float. A key means the
+# same thing in every builder that takes it, so it has one reader.
+_CONVERT = {
+    **dict.fromkeys(("a", "b", "c", "V_R"), preset_callable),
+    **dict.fromkeys(("N_grid", "n_trunc", "servers"), _exact),
+    "V_I": _parse_vi, "domain": _interval, "packet": _packet, "H": _parse_matrix,
+}
+
+
 def _lindblad_spec(given: dict, p: dict) -> LindbladSpec:
     """The custom spec when the block names H, else the named preset."""
     if given.get("H") is not None:
@@ -356,7 +370,10 @@ def _lindblad_spec(given: dict, p: dict) -> LindbladSpec:
 def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
     """Instantiate a named problem from a JSON-style parameter block.
 
-    Keys missing from the block take their DEFAULT_PARAMS value. A key the
+    Keys missing from the block take their DEFAULT_PARAMS value. Every
+    problem but lindblad passes the block to its builder as keyword
+    arguments, each value read by its _CONVERT reader (float by default),
+    and the builder checks the values' ranges. A key the
     builder does not read raises ConfigError with pointer
     /problem/params/<key>; so does T, since the horizon is the config's
     top-level T only, and so does null for a key whose default is not null.
@@ -376,43 +393,19 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
         if value is None and DEFAULT_PARAMS[name][key] is not None and key != "rho0":
             raise _param_error(key, f"{name} parameter {key!r} cannot be null")
     p = {**DEFAULT_PARAMS[name], **given}
-    if name == "parabolic1d":
-        pc = ParabolicCoefficients(
-            a=_read(p, "a", preset_callable),
-            b=_read(p, "b", preset_callable),
-            c=_read(p, "c", preset_callable),
-            N_grid=_read(p, "N_grid", _exact),
-        )
-        return build_parabolic_1d(pc)
-    if name in ("mm1", "mmc"):
-        servers = _read(p, "servers", _exact) if name == "mmc" else 1
-        qp = QueueParams(_read(p, "lambda_rate"), _read(p, "mu_rate"), servers,
-                         _read(p, "n_trunc", _exact))
-        build = build_mmc if name == "mmc" else build_mm1
-        return build(qp)
-    if name == "cap":
-        cp = CapPotentials(
-            V_R=_read(p, "V_R", preset_callable),
-            V_I=_read(p, "V_I", _parse_vi),
-            hbar=_read(p, "hbar"),
-            N_grid=_read(p, "N_grid", _exact),
-            domain=_read(p, "domain", _interval),
-        )
-        return build_cap_schrodinger(cp, packet=_read(p, "packet", _packet))
-    if name == "lindblad":
-        spec = _lindblad_spec(given, p)
-        n = spec.H_sys.shape[0]
-        rho0 = p["rho0"]
-        if rho0 == "excited":
-            rho = np.zeros((n, n), dtype=complex)
-            rho[n - 1, n - 1] = 1.0
-        elif rho0 is None or rho0 == "mixed":
-            rho = None
-        else:
-            rho = _read(p, "rho0", _parse_matrix)
-        return build_lindblad(spec, rho0=rho)
-    # name == "blackhole"
-    return build_blackhole(_read(p, "H", _parse_matrix), _read(p, "gamma"))
+    if name != "lindblad":
+        return _BUILDERS[name](**{key: _read(p, key, _CONVERT.get(key, float)) for key in p})
+    spec = _lindblad_spec(given, p)
+    n = spec.H_sys.shape[0]
+    rho0 = p["rho0"]
+    if rho0 == "excited":
+        rho = np.zeros((n, n), dtype=complex)
+        rho[n - 1, n - 1] = 1.0
+    elif rho0 is None or rho0 == "mixed":
+        rho = None
+    else:
+        rho = _read(p, "rho0", _parse_matrix)
+    return build_lindblad(spec, rho0=rho)
 
 
 def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> SamplingPlan:
@@ -482,11 +475,13 @@ def run_solve(cfg: RunConfig) -> SolveReport:
         validate_report(payload)
         _atomic_write(
             os.path.join(cfg.output, "report.json"),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         )
         _atomic_write(
             os.path.join(cfg.output, "timing.json"),
-            json.dumps({"wall_times_s": report.wall_times}, indent=2, sort_keys=True) + "\n",
+            json.dumps(
+                {"wall_times_s": report.wall_times}, indent=2, sort_keys=True, allow_nan=False
+            ) + "\n",
         )
         if "csv" in cfg.emit:
             buf = io.StringIO()
@@ -561,15 +556,14 @@ class SweepResult:
 
 
 def worker_count() -> int:
+    """Threads of a sweep's replica pool: LCHS_WORKERS when it is set and not
+    empty, which must then be a positive integer, else os.cpu_count()."""
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # every sweep axis and the type of its values

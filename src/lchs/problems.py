@@ -1,5 +1,11 @@
 """Builders for the application domains.
 
+A builder takes its parameters as keyword arguments and checks them there.
+Each key of a config's params block (harness.DEFAULT_PARAMS) is the keyword
+argument of the same name, so build_problem passes the block straight in;
+lindblad's block, which names a preset or a custom spec, is the exception
+and becomes a LindbladSpec first.
+
 Each builder assembles a finite generator A, splits it into Hermitian parts,
 and hands the pairs to _finalize, the one place that builds a builder's
 schedule, shifts it by only the deficit -lambda0 when it would fail the
@@ -66,37 +72,19 @@ def _time_slices(pair_at, T: float, time_slices: int):
 # parabolic PDE in one dimension, homogeneous Dirichlet on [0, 1]
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ParabolicCoefficients:
-    """Coefficients of -(a u')' + b u' + c u on [0, 1] with u = 0 at the ends.
-
-    a, b, c are callables (x, t) -> float; a must stay strictly positive on
-    the staggered grid (ellipticity).
-    """
-
-    a: object
-    b: object
-    c: object
-    N_grid: int
-
-    def __post_init__(self):
-        if self.N_grid < 3:
-            raise RangeError(f"N_grid must be >= 3, got {self.N_grid}")
-
-
-def _parabolic_pair(pc: ParabolicCoefficients, t: float) -> HermitianPair:
-    N = pc.N_grid - 2  # interior points
-    h = 1.0 / (pc.N_grid - 1)
-    nodes = h * np.arange(1, pc.N_grid - 1)
-    mids = h * (np.arange(0, pc.N_grid - 1) + 0.5)  # staggered points x +- h/2
-    am = np.array([pc.a(x, t) for x in mids])
+def _parabolic_pair(a, b, c, N_grid: int, t: float) -> HermitianPair:
+    N = N_grid - 2  # interior points
+    h = 1.0 / (N_grid - 1)
+    nodes = h * np.arange(1, N_grid - 1)
+    mids = h * (np.arange(0, N_grid - 1) + 0.5)  # staggered points x +- h/2
+    am = np.array([a(x, t) for x in mids])
     bad = np.nonzero(~(am > 0.0))[0]
     if len(bad):
         raise BuildError(
             f"ellipticity violated: a({mids[bad[0]]:.6g}, {t:.6g}) = {am[bad[0]]:.6g} <= 0"
         )
-    cv = np.array([pc.c(x, t) for x in nodes])
-    bv = np.array([pc.b(x, t) for x in nodes])
+    cv = np.array([c(x, t) for x in nodes])
+    bv = np.array([b(x, t) for x in nodes])
 
     L = np.zeros((N, N), dtype=complex)
     # flux-form second difference: a evaluated at the midpoints shared by
@@ -118,24 +106,27 @@ def _parabolic_pair(pc: ParabolicCoefficients, t: float) -> HermitianPair:
 
 
 def build_parabolic_1d(
-    pc: ParabolicCoefficients,
-    T: float = 1.0,
-    time_slices: int = 1,
-    u0=None,
+    a, b, c, N_grid: int, T: float = 1.0, time_slices: int = 1, u0=None
 ) -> ProblemInstance:
-    """Discretize the parabolic operator on the interior grid.
+    """Discretize -(a u')' + b u' + c u on [0, 1] with u = 0 at the ends.
 
-    Time-dependent coefficients are handled by a piecewise-constant schedule
-    over `time_slices` intervals of [0, T], sampling the coefficients at the
-    interval midpoints.
+    a, b, c are callables (x, t) -> float; a must stay strictly positive on
+    the staggered grid (ellipticity). The grid has N_grid >= 3 points, the
+    ends included. Time-dependent coefficients are handled by a
+    piecewise-constant schedule over `time_slices` intervals of [0, T],
+    sampling the coefficients at the interval midpoints.
     """
-    h = 1.0 / (pc.N_grid - 1)
-    nodes = h * np.arange(1, pc.N_grid - 1)
+    if N_grid < 3:
+        raise RangeError(f"N_grid must be >= 3, got {N_grid}")
+    h = 1.0 / (N_grid - 1)
+    nodes = h * np.arange(1, N_grid - 1)
     if u0 is None:
         u0 = np.sin(np.pi * nodes).astype(complex)
-    pairs, breakpoints = _time_slices(lambda t: _parabolic_pair(pc, t), T, time_slices)
+    pairs, breakpoints = _time_slices(
+        lambda t: _parabolic_pair(a, b, c, N_grid, t), T, time_slices
+    )
     return _finalize(
-        pairs, breakpoints, u0, label=f"parabolic1d(N_grid={pc.N_grid})", h=h, grid=nodes
+        pairs, breakpoints, u0, label=f"parabolic1d(N_grid={N_grid})", h=h, grid=nodes
     )
 
 
@@ -143,92 +134,59 @@ def build_parabolic_1d(
 # queueing models (birth-death chains), truncated state space
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QueueParams:
-    """Arrival/service rates and truncation for an M/M/c queue."""
-
-    lambda_rate: float
-    mu_rate: float
-    servers: int = 1
-    n_trunc: int = 16
-
-    def __post_init__(self):
-        if not (self.lambda_rate > 0 and math.isfinite(self.lambda_rate)):
-            raise RangeError(f"lambda_rate must be positive, got {self.lambda_rate}")
-        if not (self.mu_rate > 0 and math.isfinite(self.mu_rate)):
-            raise RangeError(f"mu_rate must be positive, got {self.mu_rate}")
-        if self.servers < 1:
-            raise RangeError(f"servers must be >= 1, got {self.servers}")
-        if self.n_trunc < 2:
-            raise RangeError(f"n_trunc must be >= 2, got {self.n_trunc}")
-
-
-def queue_generator(qp: QueueParams) -> np.ndarray:
-    """Truncated transition-rate matrix Q (rows = states, last row absorbing
-    in the sense that the off-grid arrival column is simply cut)."""
-    n = qp.n_trunc
-    lam, mu = qp.lambda_rate, qp.mu_rate
-    Q = np.zeros((n, n))
-    for j in range(n):
-        service = min(j + 1, qp.servers) * mu
-        Q[j, j] = -(lam + service)
-        if j + 1 < n:
-            Q[j, j + 1] = lam
+def queue_generator(lambda_rate: float, mu_rate: float, servers: int, n_trunc: int) -> np.ndarray:
+    """Truncated transition-rate matrix Q of an M/M/c queue with arrival rate
+    lambda_rate, service rate mu_rate per server and n_trunc states (rows =
+    states, last row absorbing in the sense that the off-grid arrival column
+    is simply cut)."""
+    if not (lambda_rate > 0 and math.isfinite(lambda_rate)):
+        raise RangeError(f"lambda_rate must be positive, got {lambda_rate}")
+    if not (mu_rate > 0 and math.isfinite(mu_rate)):
+        raise RangeError(f"mu_rate must be positive, got {mu_rate}")
+    if servers < 1:
+        raise RangeError(f"servers must be >= 1, got {servers}")
+    if n_trunc < 2:
+        raise RangeError(f"n_trunc must be >= 2, got {n_trunc}")
+    Q = np.zeros((n_trunc, n_trunc))
+    for j in range(n_trunc):
+        service = min(j + 1, servers) * mu_rate
+        Q[j, j] = -(lambda_rate + service)
+        if j + 1 < n_trunc:
+            Q[j, j + 1] = lambda_rate
         if j >= 1:
             Q[j, j - 1] = service
     return Q
 
 
-def _queue_instance(qp: QueueParams, label: str, u0) -> ProblemInstance:
-    Q = queue_generator(qp)
+def _queue_instance(Q: np.ndarray, label: str, u0) -> ProblemInstance:
     A = -Q.T  # row-vector dynamics d pi/dt = pi Q, column form du/dt = -A u
     pair = hermitian_split(A)
     if u0 is None:
-        u0 = np.zeros(qp.n_trunc, dtype=complex)
-        u0[qp.n_trunc // 2] = 1.0
+        n = len(Q)
+        u0 = np.zeros(n, dtype=complex)
+        u0[n // 2] = 1.0
     return _finalize([pair], None, u0, label=label)
 
 
-def build_mm1(qp: QueueParams, u0=None) -> ProblemInstance:
+def build_mm1(lambda_rate: float, mu_rate: float, n_trunc: int = 16, u0=None) -> ProblemInstance:
     """Single-server queue, truncated to n_trunc states."""
-    if qp.servers != 1:
-        raise BuildError(f"build_mm1 requires servers = 1, got {qp.servers}")
-    label = f"mm1(lam={qp.lambda_rate:g},mu={qp.mu_rate:g},n={qp.n_trunc})"
-    return _queue_instance(qp, label, u0)
+    Q = queue_generator(lambda_rate, mu_rate, 1, n_trunc)
+    label = f"mm1(lam={lambda_rate:g},mu={mu_rate:g},n={n_trunc})"
+    return _queue_instance(Q, label, u0)
 
 
-def build_mmc(qp: QueueParams, u0=None) -> ProblemInstance:
+def build_mmc(
+    lambda_rate: float, mu_rate: float, servers: int = 1, n_trunc: int = 16, u0=None
+) -> ProblemInstance:
     """Multi-server queue with level-dependent service min(n, c) * mu."""
-    label = (
-        f"mmc(lam={qp.lambda_rate:g},mu={qp.mu_rate:g},"
-        f"c={qp.servers},n={qp.n_trunc})"
-    )
-    return _queue_instance(qp, label, u0)
+    Q = queue_generator(lambda_rate, mu_rate, servers, n_trunc)
+    label = f"mmc(lam={lambda_rate:g},mu={mu_rate:g},c={servers},n={n_trunc})"
+    return _queue_instance(Q, label, u0)
 
 
 # ---------------------------------------------------------------------------
 # Schroedinger equation with a complex absorbing potential
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CapPotentials:
-    """Real potential V_R(x, t), absorbing potential V_I(x) <= 0 with compact
-    support, Planck-like scale hbar, and a uniform Dirichlet grid."""
-
-    V_R: object
-    V_I: object
-    hbar: float
-    N_grid: int
-    domain: tuple = (0.0, 1.0)
-
-    def __post_init__(self):
-        if self.hbar <= 0:
-            raise RangeError(f"hbar must be positive, got {self.hbar}")
-        if self.N_grid < 3:
-            raise RangeError(f"N_grid must be >= 3, got {self.N_grid}")
-        if not self.domain[1] > self.domain[0]:
-            raise RangeError(f"empty domain {self.domain}")
-
 
 def gaussian_packet(x: np.ndarray, x0: float, sigma: float, p0: float, hbar: float) -> np.ndarray:
     """Normalized Gaussian wave packet with mean position x0 and momentum p0."""
@@ -237,41 +195,49 @@ def gaussian_packet(x: np.ndarray, x0: float, sigma: float, p0: float, hbar: flo
 
 
 def build_cap_schrodinger(
-    cp: CapPotentials,
-    T: float = 1.0,
-    time_slices: int = 1,
-    u0=None,
-    packet: dict | None = None,
+    V_R, V_I, hbar: float, N_grid: int, domain: tuple = (0.0, 1.0),
+    T: float = 1.0, time_slices: int = 1, u0=None, packet: dict | None = None,
 ) -> ProblemInstance:
     """Kinetic term plus real potential in H; absorbing layer in L.
+
+    V_R(x, t) is the real potential and V_I(x) <= 0 the absorbing potential
+    with compact support, on a uniform Dirichlet grid of N_grid >= 3 points
+    over domain, with Planck-like scale hbar > 0. Without u0 the state is a
+    Gaussian packet; packet overrides its x0, sigma and p0.
 
     L = -(1/hbar) diag(V_I) is diagonal and positive semidefinite (it vanishes
     off the layer), so it passes the positivity gate with lambda0 = 0 and is
     not shifted.
     """
-    x_lo, x_hi = cp.domain
-    h = (x_hi - x_lo) / (cp.N_grid - 1)
-    nodes = x_lo + h * np.arange(1, cp.N_grid - 1)
+    if hbar <= 0:
+        raise RangeError(f"hbar must be positive, got {hbar}")
+    if N_grid < 3:
+        raise RangeError(f"N_grid must be >= 3, got {N_grid}")
+    if not domain[1] > domain[0]:
+        raise RangeError(f"empty domain {domain}")
+    x_lo, x_hi = domain
+    h = (x_hi - x_lo) / (N_grid - 1)
+    nodes = x_lo + h * np.arange(1, N_grid - 1)
     N = len(nodes)
 
-    vi = np.array([cp.V_I(x) for x in nodes], dtype=float)
+    vi = np.array([V_I(x) for x in nodes], dtype=float)
     bad = np.nonzero(vi > 0.0)[0]
     if len(bad):
         raise BuildError(
             f"V_I({nodes[bad[0]]:.6g}) = {vi[bad[0]]:.6g} > 0 would amplify, not absorb"
         )
-    L = np.diag(-vi / cp.hbar).astype(complex)
+    L = np.diag(-vi / hbar).astype(complex)
 
     kin = np.zeros((N, N), dtype=complex)
     np.fill_diagonal(kin, 2.0)
     for r in range(N - 1):
         kin[r, r + 1] = -1.0
         kin[r + 1, r] = -1.0
-    kin *= cp.hbar / (2.0 * h**2)  # = -(hbar/2) * discrete Laplacian
+    kin *= hbar / (2.0 * h**2)  # = -(hbar/2) * discrete Laplacian
 
     def pair_at(t: float) -> HermitianPair:
-        vr = np.array([cp.V_R(x, t) for x in nodes], dtype=float)
-        H = kin + np.diag(vr / cp.hbar)
+        vr = np.array([V_R(x, t) for x in nodes], dtype=float)
+        H = kin + np.diag(vr / hbar)
         return HermitianPair(L=L, H=H)
 
     if u0 is None:
@@ -279,11 +245,11 @@ def build_cap_schrodinger(
         x0 = pk.get("x0", x_lo + 0.35 * (x_hi - x_lo))
         sigma = pk.get("sigma", 0.05 * (x_hi - x_lo))
         p0 = pk.get("p0", 0.0)
-        u0 = gaussian_packet(nodes, x0, sigma, p0, cp.hbar)
+        u0 = gaussian_packet(nodes, x0, sigma, p0, hbar)
 
     pairs, breakpoints = _time_slices(pair_at, T, time_slices)
     return _finalize(
-        pairs, breakpoints, u0, label=f"cap(N_grid={cp.N_grid},hbar={cp.hbar:g})",
+        pairs, breakpoints, u0, label=f"cap(N_grid={N_grid},hbar={hbar:g})",
         h=h, grid=nodes,
     )
 

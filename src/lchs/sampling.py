@@ -142,9 +142,7 @@ def plan_from_accuracy(
     h = min(K, 1.0 / (math.e * max(T * normL, 1.0)))
     M = int(math.ceil(K / h))
     plan = composite_plan(kernel, K, M, quadrature_order(K, eps))
-    plan.meta.update(
-        {"eps": eps, "T": T, "normL": normL, "tail_bound": float(trunc.epsilon_tail)}
-    )
+    plan.meta.update({"eps": eps, "tail_bound": float(trunc.epsilon_tail)})
     return plan
 
 

@@ -6,8 +6,6 @@ import scipy.linalg
 
 from lchs import (
     ProblemInstance,
-    QueueParams,
-    ParabolicCoefficients,
     build_mm1,
     build_mmc,
     build_parabolic_1d,
@@ -102,8 +100,7 @@ def test_04_oracle_equivalence_sweep(beta_kernel):
 
 
 def test_05_gaussian_node_scaling(beta_kernel):
-    heat = ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=9)
-    inst = build_parabolic_1d(heat)
+    inst = build_parabolic_1d(a=one, b=zero, c=zero, N_grid=9)
     normL = inst.meta["normL"]
     # doubling the norm must double the subinterval count (ceil rounding)
     m1 = plan_from_accuracy(beta_kernel, 1e-2, 1.0, normL).meta["M"]
@@ -111,11 +108,9 @@ def test_05_gaussian_node_scaling(beta_kernel):
     ok_m = abs(m2 - 2 * m1) <= 1
     # grid route realizing the doubling: N_grid x sqrt(2) (rounded) doubles
     # the discretized norm, 1/h^2 scaling
-    coarse = build_parabolic_1d(
-        ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=33)
-    ).meta["normL"]
+    coarse = build_parabolic_1d(a=one, b=zero, c=zero, N_grid=33).meta["normL"]
     fine = build_parabolic_1d(
-        ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=round(33 * np.sqrt(2.0)))
+        a=one, b=zero, c=zero, N_grid=round(33 * np.sqrt(2.0))
     ).meta["normL"]
     ratio = fine / coarse
     ok_grid = 1.8 <= ratio <= 2.2
@@ -233,16 +228,12 @@ def test_09_residual_lemma(beta_kernel):
 def test_10_application_invariants(beta_kernel):
     checks = []
 
-    norm_a = build_parabolic_1d(
-        ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=33)
-    ).meta["normL"]
-    norm_b = build_parabolic_1d(
-        ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=66)
-    ).meta["normL"]
+    norm_a = build_parabolic_1d(a=one, b=zero, c=zero, N_grid=33).meta["normL"]
+    norm_b = build_parabolic_1d(a=one, b=zero, c=zero, N_grid=66).meta["normL"]
     ratio = norm_b / norm_a
     checks.append(("grid norm x4", 3.6 <= ratio <= 4.4))
 
-    inst = build_mm1(QueueParams(1.0, 2.0, 1, 64))
+    inst = build_mm1(1.0, 2.0, n_trunc=64)
     mass = abs(np.sum(oracle_solve(inst, 1.0)) - 1.0)
     checks.append(("mm1 mass conservation", mass <= 1e-8))
 
@@ -265,11 +256,9 @@ def test_10_application_invariants(beta_kernel):
             ok_jump = False
     checks.append(("lindblad norm bound", ok_jump))
 
-    qp = QueueParams(1.0, 1.0, 2, 32)
-    mmc = build_mmc(qp)
-    checks.append(
-        ("queue norm bound", mmc.meta["normL"] <= 2.0 * (qp.lambda_rate + qp.servers * qp.mu_rate))
-    )
+    lam, mu, servers = 1.0, 1.0, 2
+    mmc = build_mmc(lam, mu, servers=servers, n_trunc=32)
+    checks.append(("queue norm bound", mmc.meta["normL"] <= 2.0 * (lam + servers * mu)))
 
     ok = all(flag for _, flag in checks)
     report(10, ok, "; ".join(f"{name}={'ok' if flag else 'FAIL'}" for name, flag in checks))

@@ -11,8 +11,6 @@ from scipy.linalg import lapack
 
 import lchs.evolve as ev
 from lchs import (
-    CapPotentials,
-    ParabolicCoefficients,
     PreconditionError,
     ProblemInstance,
     PropagationError,
@@ -412,8 +410,9 @@ class TestSharedEigenbasis:
     @staticmethod
     def heat_slices(a, slices, T):
         """parabolic1d on 17 grid points with b = c = 0, sliced in time."""
-        pc = ParabolicCoefficients(a=a, b=lambda x, t: 0.0, c=lambda x, t: 0.0, N_grid=17)
-        return build_parabolic_1d(pc, T=T, time_slices=slices)
+        return build_parabolic_1d(
+            a=a, b=lambda x, t: 0.0, c=lambda x, t: 0.0, N_grid=17, T=T, time_slices=slices
+        )
 
     @pytest.mark.parametrize("slices", [2, 4])
     def test_commuting_spans_share_one_eigenbasis(self, slices, beta_kernel, monkeypatch, caplog):
@@ -1139,11 +1138,11 @@ class TestSpanPropagation:
         # cap with time_slices: one pair per slice, both tridiagonal, so the
         # two exact spans go through the tridiagonal path
         T = 0.5
-        cp = CapPotentials(
+        cp = dict(
             V_R=lambda x, t: 0.0, V_I=absorbing_layer(5.0, 0.7, 0.9), hbar=1.0, N_grid=65
         )
-        one = build_cap_schrodinger(cp, T=T)
-        two = build_cap_schrodinger(cp, T=T, time_slices=2)
+        one = build_cap_schrodinger(**cp, T=T)
+        two = build_cap_schrodinger(**cp, T=T, time_slices=2)
         assert len(two.schedule.pairs) == 2
         assert len(ev._spans(two.schedule, T)) == 2
         plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
@@ -1154,11 +1153,11 @@ class TestSpanPropagation:
         # constant coefficients: both slices carry the same pair, so two exact
         # spans must reproduce the single constant span to roundoff
         T = 1.0 / 256.0
-        pc = ParabolicCoefficients(
+        pc = dict(
             a=lambda x, t: 1.0, b=lambda x, t: 0.0, c=lambda x, t: 0.0, N_grid=17
         )
-        one = build_parabolic_1d(pc, T=T)
-        two = build_parabolic_1d(pc, T=T, time_slices=2)
+        one = build_parabolic_1d(**pc, T=T)
+        two = build_parabolic_1d(**pc, T=T, time_slices=2)
         assert len(two.schedule.pairs) == 2
         assert np.array_equal(two.schedule.breakpoints, [0.0, T / 2.0, T])
         plan = plan_from_accuracy(beta_kernel, 1e-3, T, one.meta["normL"])
@@ -1194,14 +1193,14 @@ class TestTimeSlicing:
         # a(x, t) depends on x and t and b(x, t) != 0, so the slices do not
         # commute and the slicing error is well above roundoff
         w = 2.0 * np.pi / self.T
-        pc = ParabolicCoefficients(
+        pc = dict(
             a=lambda x, t: 1.0 + 0.5 * x * np.sin(w * t),
             b=lambda x, t: 4.0 * np.cos(w * t),
             c=lambda x, t: 0.0,
             N_grid=9,
         )
         x = np.arange(1, 8) / 8.0
-        return build_parabolic_1d(pc, T=self.T, time_slices=slices, u0=x * (1.0 - x) * np.exp(x))
+        return build_parabolic_1d(**pc, T=self.T, time_slices=slices, u0=x * (1.0 - x) * np.exp(x))
 
     def test_second_order_slicing_and_lchs_within_eps(self, beta_kernel):
         ref = oracle_solve(self.build(256), self.T)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import logging
 import os
@@ -128,6 +129,25 @@ class TestBuildProblem:
     def test_param_override(self):
         inst = build_problem("mm1", {"n_trunc": 8})
         assert inst.dim == 8
+
+    @pytest.mark.parametrize("name", sorted(harness._BUILDERS))
+    def test_params_are_builder_keywords(self, name):
+        # build_problem passes the block straight to the builder
+        parameters = inspect.signature(harness._BUILDERS[name]).parameters
+        keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        for key in DEFAULT_PARAMS[name]:
+            assert key in parameters and parameters[key].kind in keyword, key
+
+    def test_shared_key_has_one_reader(self):
+        # _CONVERT reads a key alike for every builder, so every builder
+        # that takes the key declares it alike, and no reader is stale
+        takers = {}
+        for name, builder in harness._BUILDERS.items():
+            for key in DEFAULT_PARAMS[name]:
+                param = inspect.signature(builder).parameters[key]
+                takers.setdefault(key, set()).add(param.annotation)
+        assert {key for key, kinds in takers.items() if len(kinds) > 1} == set()
+        assert set(harness._CONVERT) <= set(takers)
 
     def test_parabolic_presets(self):
         inst = build_problem(
@@ -348,6 +368,28 @@ class TestRunSolve:
         run_solve(RunConfig.from_dict(base_config(tmp_path, emit=["json", "csv"])))
         strays = [f for f in os.listdir(tmp_path) if f.startswith(".tmp")]
         assert strays == []
+
+    def test_infinite_rel_error_written_as_null(self, tmp_path):
+        # at gamma = 800 and T = 1 the oracle underflows to 0, so rel_error
+        # is infinite; the report must still be strict JSON
+        cfg = RunConfig.from_dict(base_config(
+            tmp_path, problem={"name": "blackhole", "params": {"gamma": 800}},
+            accuracy={"K": 20, "M": 40, "Q": 8},
+        ))
+        assert run_solve(cfg).rel_error == float("inf")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        json.loads((tmp_path / "timing.json").read_text(), parse_constant=reject)
+        payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert payload["report"]["rel_error"] is None
+        assert payload["report"]["norm_ratio"] > 0
+        validate_report(payload)
+        # null stands for infinity in rel_error and norm_ratio only
+        payload["report"]["abs_error"] = None
+        with pytest.raises(ConfigError, match="/report/abs_error"):
+            validate_report(payload)
 
     def test_monte_carlo_accuracy_driven(self, tmp_path):
         cfg = RunConfig.from_dict(
@@ -621,10 +663,18 @@ class TestWorkerCount:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("LCHS_WORKERS", "3")
         assert worker_count() == 3
-        monkeypatch.setenv("LCHS_WORKERS", "bogus")
-        assert worker_count() >= 1
+        monkeypatch.setenv("LCHS_WORKERS", "")
+        assert worker_count() == (os.cpu_count() or 1)
         monkeypatch.delenv("LCHS_WORKERS")
-        assert worker_count() >= 1
+        assert worker_count() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_malformed_env_rejected(self, monkeypatch, value):
+        # a cap the user set is never replaced by the core count
+        monkeypatch.setenv("LCHS_WORKERS", value)
+        expected = f"LCHS_WORKERS must be a positive integer, got '{re.escape(value)}'"
+        with pytest.raises(ConfigError, match=expected):
+            worker_count()
 
 
 class TestCliExitCodes:
@@ -640,6 +690,13 @@ class TestCliExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/config.json"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("levels", ["0", "1", "-2"])
+    def test_lemma_check_needs_two_levels(self, tmp_path, capsys, levels):
+        # one residual can never decrease, and fewer levels name no eps
+        path = write_config(tmp_path, base_config())
+        assert main(["lemma-check", path, "--levels", levels]) == EXIT_CONFIG
+        assert f"needs at least 2 levels, got {levels}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new", [
         ('"T": 1.0', '"T": Infinity'),

@@ -4,11 +4,8 @@ import scipy.linalg
 
 from lchs import (
     BuildError,
-    CapPotentials,
     HermiticityError,
     LindbladSpec,
-    ParabolicCoefficients,
-    QueueParams,
     RangeError,
     build_blackhole,
     build_cap_schrodinger,
@@ -39,8 +36,7 @@ zero = lambda x, t: 0.0
 
 class TestParabolic:
     def test_heat_stencil_exact(self):
-        pc = ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=5)
-        inst = build_parabolic_1d(pc)
+        inst = build_parabolic_1d(a=one, b=zero, c=zero, N_grid=5)
         h = 0.25
         expected = (np.diag([2.0, 2.0, 2.0]) - np.diag([1.0, 1.0], 1)
                     - np.diag([1.0, 1.0], -1)) / h**2
@@ -51,8 +47,7 @@ class TestParabolic:
         assert inst.shift == 0.0  # Dirichlet Laplacian is already positive
 
     def test_heat_eigenvalues_closed_form(self):
-        pc = ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=17)
-        inst = build_parabolic_1d(pc)
+        inst = build_parabolic_1d(a=one, b=zero, c=zero, N_grid=17)
         h = 1.0 / 16.0
         w = np.linalg.eigvalsh(inst.schedule.pairs[0].L)
         j = np.arange(1, 16)
@@ -62,16 +57,14 @@ class TestParabolic:
     def test_norm_quadruples_with_grid(self):
         norms = {}
         for N in (17, 33):
-            pc = ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=N)
-            norms[N] = build_parabolic_1d(pc).meta["normL"]
+            norms[N] = build_parabolic_1d(a=one, b=zero, c=zero, N_grid=N).meta["normL"]
         ratio = norms[33] / norms[17]
         assert 4.0 * 0.9 <= ratio <= 4.0 * 1.1
 
     def test_advection_reaction_matches_dense_assembly(self):
         # a=1, b=2, c=1: L + iH must reproduce the plain (non-symmetrized)
         # central-difference discretization of -u'' + 2u' + u
-        pc = ParabolicCoefficients(a=one, b=lambda x, t: 2.0, c=one, N_grid=9)
-        inst = build_parabolic_1d(pc)
+        inst = build_parabolic_1d(a=one, b=lambda x, t: 2.0, c=one, N_grid=9)
         pair = inst.schedule.pairs[0]
         A = pair.L + 1j * pair.H
         n = 7
@@ -86,59 +79,53 @@ class TestParabolic:
         assert np.max(np.abs(A - dense)) <= 1e-12
 
     def test_variable_coefficients_hermitian(self):
-        pc = ParabolicCoefficients(
+        inst = build_parabolic_1d(
             a=lambda x, t: 1.0 + 0.5 * x,
             b=lambda x, t: np.sin(3 * x),
             c=lambda x, t: x * x,
             N_grid=21,
         )
-        inst = build_parabolic_1d(pc)
         pair = inst.schedule.pairs[0]
         assert np.max(np.abs(pair.L - pair.L.conj().T)) <= 1e-12
         assert np.max(np.abs(pair.H - pair.H.conj().T)) <= 1e-12
 
     def test_ellipticity_violation_names_point(self):
-        pc = ParabolicCoefficients(
-            a=lambda x, t: 1.0 - 2.0 * x, b=zero, c=zero, N_grid=9
-        )
         with pytest.raises(BuildError, match="ellipticity"):
-            build_parabolic_1d(pc)
+            build_parabolic_1d(a=lambda x, t: 1.0 - 2.0 * x, b=zero, c=zero, N_grid=9)
 
     def test_time_slices_build_piecewise(self):
-        pc = ParabolicCoefficients(
-            a=lambda x, t: 1.0 + t, b=zero, c=zero, N_grid=9
-        )
         # coefficients sampled at interval midpoints, a single slice included:
         # a = 1.125 on the first of four slices, 1.5 on the only one
         for slices, a_first in ((4, 1.125), (1, 1.5)):
-            inst = build_parabolic_1d(pc, T=1.0, time_slices=slices)
+            inst = build_parabolic_1d(
+                a=lambda x, t: 1.0 + t, b=zero, c=zero, N_grid=9, T=1.0, time_slices=slices
+            )
             assert len(inst.schedule.pairs) == slices
             first = inst.schedule.pairs[0].L[0, 0].real
             assert first == pytest.approx(2 * a_first / (1 / 8) ** 2, rel=1e-12)
 
     def test_default_u0_is_sine(self):
-        pc = ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=9)
-        inst = build_parabolic_1d(pc)
+        inst = build_parabolic_1d(a=one, b=zero, c=zero, N_grid=9)
         x = np.arange(1, 8) / 8.0
         assert np.allclose(inst.u0, np.sin(np.pi * x))
 
 
 class TestQueues:
     def test_mm1_generator_rows(self):
-        Q = queue_generator(QueueParams(1.0, 2.0, 1, 4))
+        Q = queue_generator(1.0, 2.0, 1, 4)
         assert np.array_equal(Q[0], [-3.0, 1.0, 0.0, 0.0])
         assert np.array_equal(Q[1], [2.0, -3.0, 1.0, 0.0])
         assert np.array_equal(Q[3], [0.0, 0.0, 2.0, -3.0])
 
     def test_interior_rows_conserve(self):
-        Q = queue_generator(QueueParams(1.3, 0.7, 1, 10))
+        Q = queue_generator(1.3, 0.7, 1, 10)
         sums = Q.sum(axis=1)
         assert np.max(np.abs(sums[1:-1])) <= 1e-14
 
     def test_mm1_split_entries(self):
         # A = -Q^T flips the sign of the Hermitian part relative to splitting
         # Q itself and leaves the anti-Hermitian part unchanged
-        inst = build_mm1(QueueParams(1.0, 2.0, 1, 4))
+        inst = build_mm1(1.0, 2.0, n_trunc=4)
         pair = inst.schedule.pairs[0]
         L = pair.L - pair.shift * np.eye(4)
         assert np.allclose(np.diagonal(L), 3.0)
@@ -148,48 +135,47 @@ class TestQueues:
 
     def test_mm1_shift_default(self):
         # the Hermitian part is already positive definite: no shift
-        inst = build_mm1(QueueParams(1.0, 2.0, 1, 16))
+        inst = build_mm1(1.0, 2.0, n_trunc=16)
         assert inst.lambda0 == pytest.approx(0.05108070094829323, rel=1e-10)
         assert inst.shift == 0.0
 
     def test_probability_conservation(self):
-        inst = build_mm1(QueueParams(1.0, 2.0, 1, 64))
+        inst = build_mm1(1.0, 2.0, n_trunc=64)
         u = oracle_solve(inst, 1.0)
         assert abs(np.sum(u) - 1.0) <= 1e-8
 
     def test_mmc_reduces_to_mm1(self):
-        a = queue_generator(QueueParams(1.0, 2.0, 1, 8))
-        b = queue_generator(QueueParams(1.0, 2.0, 1, 8))
+        a = queue_generator(1.0, 2.0, 1, 8)
+        b = queue_generator(1.0, 2.0, 1, 8)
         assert np.array_equal(a, b)
-        inst1 = build_mm1(QueueParams(1.0, 2.0, 1, 8))
-        instc = build_mmc(QueueParams(1.0, 2.0, 1, 8))
+        inst1 = build_mm1(1.0, 2.0, n_trunc=8)
+        instc = build_mmc(1.0, 2.0, servers=1, n_trunc=8)
         assert np.array_equal(inst1.schedule.pairs[0].L, instc.schedule.pairs[0].L)
         assert np.array_equal(inst1.schedule.pairs[0].H, instc.schedule.pairs[0].H)
 
     def test_mmc_level_dependent_diagonal(self):
-        Q = queue_generator(QueueParams(1.0, 1.0, 2, 4))
+        Q = queue_generator(1.0, 1.0, 2, 4)
         assert np.array_equal(np.diagonal(Q), [-2.0, -3.0, -3.0, -3.0])
         assert Q[1, 0] == 2.0  # two servers active once two customers present
         assert Q[2, 1] == 2.0
 
     def test_mmc_norm_bound(self):
-        qp = QueueParams(1.0, 1.0, 2, 32)
-        inst = build_mmc(qp)
+        lam, mu, servers = 1.0, 1.0, 2
+        inst = build_mmc(lam, mu, servers=servers, n_trunc=32)
         normL = inst.meta["normL"]
-        assert normL <= 2.0 * (qp.lambda_rate + qp.servers * qp.mu_rate)
+        assert normL <= 2.0 * (lam + servers * mu)
 
     def test_servers_validation(self):
-        with pytest.raises(BuildError):
-            build_mm1(QueueParams(1.0, 1.0, 2, 8))
-        with pytest.raises(RangeError):
-            QueueParams(-1.0, 1.0, 1, 8)
+        with pytest.raises(RangeError, match="servers must be >= 1"):
+            build_mmc(1.0, 1.0, servers=0, n_trunc=8)
+        with pytest.raises(RangeError, match="lambda_rate must be positive"):
+            queue_generator(-1.0, 1.0, 1, 8)
 
 
 class TestCap:
     def test_free_particle_unitary_after_unwinding(self, beta_kernel):
         # V_I = 0 gives L = 0, which passes the gate: nothing to unwind
-        cp = CapPotentials(V_R=zero, V_I=lambda x: 0.0, hbar=1.0, N_grid=33)
-        inst = build_cap_schrodinger(cp)
+        inst = build_cap_schrodinger(V_R=zero, V_I=lambda x: 0.0, hbar=1.0, N_grid=33)
         assert inst.shift == 0.0
         assert inst.lambda0 == 0.0
         assert inst.meta["normL"] == 0.0
@@ -200,26 +186,22 @@ class TestCap:
         assert rep.abs_error <= 1e-4
 
     def test_gain_rejected(self):
-        cp = CapPotentials(V_R=zero, V_I=lambda x: 0.1, hbar=1.0, N_grid=17)
         with pytest.raises(BuildError, match="V_I"):
-            build_cap_schrodinger(cp)
+            build_cap_schrodinger(V_R=zero, V_I=lambda x: 0.1, hbar=1.0, N_grid=17)
 
     def test_L_norm_is_max_layer_depth(self):
         depth, hbar = 5.0, 0.5
-        cp = CapPotentials(
+        inst = build_cap_schrodinger(
             V_R=zero, V_I=absorbing_layer(depth, 0.7, 0.9), hbar=hbar, N_grid=201
         )
-        inst = build_cap_schrodinger(cp)
         nodes = inst.meta["grid"]
         vmax = max(-absorbing_layer(depth, 0.7, 0.9)(x) for x in nodes)
         assert inst.meta["normL"] == pytest.approx(vmax / hbar, rel=1e-12)
 
     def test_packet_absorption(self, beta_kernel):
-        cp = CapPotentials(
-            V_R=zero, V_I=absorbing_layer(5.0, 0.7, 0.9), hbar=1.0, N_grid=65
-        )
         inst = build_cap_schrodinger(
-            cp, packet={"x0": 0.35, "sigma": 0.05, "p0": 30.0}
+            V_R=zero, V_I=absorbing_layer(5.0, 0.7, 0.9), hbar=1.0, N_grid=65,
+            packet={"x0": 0.35, "sigma": 0.05, "p0": 30.0},
         )
         norms_or, norms_lchs = [], []
         for T in (0.008, 0.014, 0.02):
@@ -234,8 +216,7 @@ class TestCap:
 
     def test_kinetic_sign(self):
         # H must be -(hbar/2) * discrete Laplacian + V_R / hbar
-        cp = CapPotentials(V_R=one, V_I=lambda x: 0.0, hbar=2.0, N_grid=5)
-        inst = build_cap_schrodinger(cp)
+        inst = build_cap_schrodinger(V_R=one, V_I=lambda x: 0.0, hbar=2.0, N_grid=5)
         h = 0.25
         H = inst.schedule.pairs[0].H
         assert H[0, 0] == pytest.approx(2.0 / h**2 + 0.5, rel=1e-12)
@@ -401,8 +382,6 @@ class TestResidualAcrossBuilders:
         # ladder rather than per-step monotonicity
         from lchs import residual_lemma_check
         from lchs.problems import (
-            CapPotentials,
-            QueueParams,
             build_blackhole,
             build_cap_schrodinger,
             build_lindblad,
@@ -413,13 +392,10 @@ class TestResidualAcrossBuilders:
         )
 
         small = {
-            "parabolic1d": build_parabolic_1d(
-                ParabolicCoefficients(a=one, b=zero, c=zero, N_grid=5)
-            ),
-            "mm1": build_mm1(QueueParams(1.0, 2.0, 1, 8)),
+            "parabolic1d": build_parabolic_1d(a=one, b=zero, c=zero, N_grid=5),
+            "mm1": build_mm1(1.0, 2.0, n_trunc=8),
             "cap": build_cap_schrodinger(
-                CapPotentials(V_R=zero, V_I=absorbing_layer(5.0, 0.7, 0.9),
-                              hbar=1.0, N_grid=17)
+                V_R=zero, V_I=absorbing_layer(5.0, 0.7, 0.9), hbar=1.0, N_grid=17
             ),
             "lindblad": build_lindblad(amplitude_damping_spec(1.0)),
             "blackhole": build_blackhole(np.diag([1.0, -1.0]), 0.5),
