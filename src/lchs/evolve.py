@@ -53,12 +53,15 @@ block then takes one of three paths, in this order.
   arithmetic. With e_j = k L[j, j+1] + H[j, j+1], D = diag(d), d_0 = 1 and
   d_{j+1} = d_j conj(e_j) / |e_j| (1 where e_j = 0), D^dagger (k L + H) D is
   real symmetric tridiagonal with diagonal Re(k L_jj + H_jj) and
-  off-diagonal |e_j|. Up to dim 8 one batched real eigh per chunk gives its
-  eigenpairs (W, V); above it LAPACK dstevd gives them term by term. The
-  span acts as D V exp(-i dt W) V^T D^dagger. Only the band of L and H is
-  read; the schedule's pairs have checked both matrices are Hermitian.
+  off-diagonal |e_j|. A 2x2 block [[a, b], [b, c]] has its eigenpairs
+  (W, V) in closed form, V the rotation through phi = atan2(b, (a - c)/2) / 2;
+  dims 3 to 8 take one batched real eigh per chunk, larger dims LAPACK
+  dstevd term by term. The span acts as D V exp(-i dt W) V^T D^dagger, with
+  V^T and V applied by batched real matmul to the float view of the complex
+  vectors. Only the band of L and H is read; the schedule's pairs have
+  checked both matrices are Hermitian.
 * Batched eigh. Any other block is propagated span by span, by stacked
-  complex eigendecompositions of k L + H.
+  complex eigendecompositions of k L + H and batched complex matmul.
 
 One fold rule serves every path. When the abscissae mirror bitwise,
 k_j = -k_{N-1-j} (every composite Gauss plan does), the sum runs over the
@@ -131,11 +134,11 @@ _MIX = 0.6180339887498949
 _SHARED_BASIS_ULPS = 64
 
 # Tridiagonal blocks up to this dim are decomposed by one batched real eigh
-# call per chunk, larger ones by one dstevd call per term. Per term, one
-# thread:
+# call per chunk (a 2x2 block in closed form instead), larger ones by one
+# dstevd call per term. Per term with the phases d, one thread:
 #
-#     dim   dstevd loop   batched real eigh
-#       2     3.95 us        1.04 us
+#     dim   dstevd loop   batched real eigh   closed form
+#       2     2.2  us        0.91 us             0.16 us
 #       4     5.9  us        2.96 us
 #       8    11.1  us        9.1  us
 #      16    21.3  us       21.6  us
@@ -305,32 +308,46 @@ def _eigh_tridiagonal(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
     """(W, V, d) with k L + H = D V diag(W) V^T D^dagger, D = diag(d), for
     every k in ks, with V real: the phase similarity D makes k L + H real
     symmetric tridiagonal. Up to _BATCHED_TRIDIAGONAL_MAX_DIM the stacked real
-    matrices are decomposed by one batched eigh call, above it by dstevd term
-    by term. Only the band of L and H is read. Raises PropagationError if the
-    decomposition fails."""
+    matrices are decomposed by one batched eigh call, or in closed form at
+    dim 2, above it by dstevd term by term. Only the band of L and H is read.
+    Raises PropagationError if the decomposition fails."""
     n, dim = len(ks), len(L)
     diag = ks[:, None] * L.diagonal().real + H.diagonal().real
     e = ks[:, None] * np.diagonal(L, 1) + np.diagonal(H, 1)
     off = np.abs(e)
-    phase = np.divide(e.conj(), off, out=np.ones_like(e), where=e != 0)
-    d = np.concatenate([np.ones((n, 1), dtype=complex), np.cumprod(phase, axis=1)], axis=1)
-    if dim <= _BATCHED_TRIDIAGONAL_MAX_DIM:
-        # eigh reads only the lower triangle
-        A = np.zeros((n, dim, dim))
-        j = np.arange(dim)
-        A[:, j, j] = diag
-        A[:, j[1:], j[:-1]] = off
-        try:
-            W, V = np.linalg.eigh(A)
-        except np.linalg.LinAlgError as exc:
-            raise PropagationError(f"batched tridiagonal eigh failed: {exc}") from exc
+    # d[:, 1:] holds the phases conj(e_j) / |e_j|, then their running products
+    d = np.ones((n, dim), dtype=complex)
+    np.divide(e.conj(), off, out=d[:, 1:], where=e != 0)
+    np.cumprod(d[:, 1:], axis=1, out=d[:, 1:])
+    del e  # not held through the decomposition, where V is allocated
+    if dim > _BATCHED_TRIDIAGONAL_MAX_DIM:
+        W = np.empty((n, dim))
+        V = np.empty((n, dim, dim))
+        for i in range(n):
+            W[i], V[i], info = lapack.dstevd(diag[i], off[i])
+            if info != 0:
+                raise PropagationError(f"dstevd failed with info = {info} at k = {ks[i]}")
         return W, V, d
-    W = np.empty((n, dim))
-    V = np.empty((n, dim, dim))
-    for i in range(n):
-        W[i], V[i], info = lapack.dstevd(diag[i], off[i])
-        if info != 0:
-            raise PropagationError(f"dstevd failed with info = {info} at k = {ks[i]}")
+    if dim == 2:
+        # [[a, b], [b, c]] = m I + r [[cos 2phi, sin 2phi], [sin 2phi, -cos 2phi]]
+        # with eigenvalues m -+ r and eigenvectors (-sin phi, cos phi) and
+        # (cos phi, sin phi); b >= 0 puts phi in [0, pi/2]
+        a, c, b = diag[:, 0], diag[:, 1], off[:, 0]
+        m, h = 0.5 * (a + c), 0.5 * (a - c)
+        r = np.hypot(h, b)
+        phi = 0.5 * np.arctan2(b, h)
+        cos, sin = np.cos(phi), np.sin(phi)
+        V = np.stack([-sin, cos, cos, sin], axis=1).reshape(n, 2, 2)
+        return np.stack([m - r, m + r], axis=1), V, d
+    # eigh reads only the lower triangle
+    A = np.zeros((n, dim, dim))
+    j = np.arange(dim)
+    A[:, j, j] = diag
+    A[:, j[1:], j[:-1]] = off
+    try:
+        W, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise PropagationError(f"batched tridiagonal eigh failed: {exc}") from exc
     return W, V, d
 
 
@@ -340,19 +357,37 @@ def _propagate_chunk(spans: list, ks: np.ndarray, starts: np.ndarray, eig) -> np
     vectors. eig(L, H, ks) gives eigenvalues W, eigenvectors V and phases d
     (None when there are none) with k L + H = D V diag(W) V^dagger D^dagger,
     D = diag(d), per k. Returns a (len(starts), dim, len(ks)) array whose
-    [s, :, j] is the propagation of starts[s] at ks[j]."""
-    vecs = np.broadcast_to(starts[:, None, :], (len(starts), len(ks), starts.shape[1]))
+    [s, :, j] is the propagation of starts[s] at ks[j].
+
+    The vectors live in two (len(ks), dim, len(starts)) buffers that every
+    span updates in place, and the result is written into the memory of one
+    of them. A real V (the tridiagonal path, the only one with phases) acts
+    by batched real matmul on the buffers' float view, whose rows interleave
+    the real and imaginary parts of all the columns."""
+    vecs = np.empty((len(ks), starts.shape[1], len(starts)), dtype=complex)
+    vecs[...] = starts.T
+    amp = np.empty_like(vecs)
     for L, H, dt in spans:
         W, V, d = eig(L, H, ks)
-        if d is not None:
-            vecs = d.conj() * vecs
-        # conj(V^T conj(v)) = V^dagger v without a conjugated copy of V
-        amp = np.einsum("nji,snj->sni", V, vecs.conj()).conj()
-        amp *= np.exp(-1j * W * dt)
-        vecs = np.einsum("nij,snj->sni", V, amp)
-        if d is not None:
-            vecs = d * vecs
-    return np.ascontiguousarray(vecs.transpose(0, 2, 1))
+        phases = np.multiply(W, -1j * dt)
+        phases = np.exp(phases, out=phases)[:, :, None]
+        if d is None:
+            # conj(V^T conj(v)) = V^dagger v without a conjugated copy of V
+            np.matmul(V.transpose(0, 2, 1), np.conjugate(vecs, out=vecs), out=amp)
+            np.conjugate(amp, out=amp)
+            amp *= phases
+            np.matmul(V, amp, out=vecs)
+        else:
+            # d is this call's own array: conjugated in place for D^dagger and back for D
+            d = np.conjugate(d, out=d)[:, :, None]
+            vecs *= d
+            np.matmul(V.transpose(0, 2, 1), vecs.view(float), out=amp.view(float))
+            amp *= phases
+            np.matmul(V, amp.view(float), out=vecs.view(float))
+            vecs *= np.conjugate(d, out=d)
+    out = amp.reshape(len(starts), starts.shape[1], len(ks))
+    np.copyto(out, vecs.transpose(2, 1, 0))
+    return out
 
 
 def _block_labels(spans: list) -> np.ndarray:

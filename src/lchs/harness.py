@@ -147,19 +147,25 @@ REPORT_SCHEMA = {
 }
 
 
-def _check_schema(document: dict, schema: dict, what: str) -> None:
-    """Validate document against schema; a violation is a ConfigError whose
-    pointer is the JSON pointer of the offending value."""
-    try:
-        jsonschema.validate(document, schema)
-    except jsonschema.ValidationError as exc:
+# Built once: jsonschema.validate checks the schema itself against the
+# 2020-12 metaschema on every call, which costs far more than the document.
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
+
+def _check_schema(document: dict, validator: jsonschema.Draft202012Validator, what: str) -> None:
+    """Validate document with a schema's validator; a violation is a
+    ConfigError whose pointer is the JSON pointer of the offending value. The
+    error reported is best_match's, the one jsonschema.validate raises."""
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(document))
+    if exc is not None:
         pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
         raise ConfigError(f"{what} invalid at {pointer}: {exc.message}", pointer=pointer)
 
 
 def validate_report(payload: dict) -> None:
     """Check an emitted report document against the published schema."""
-    _check_schema(payload, REPORT_SCHEMA, "report")
+    _check_schema(payload, _REPORT_VALIDATOR, "report")
 
 
 def _check_finite(value, pointer: str = "") -> None:
@@ -198,7 +204,7 @@ class RunConfig:
         and an explicit plan in accuracy against the method: {K, M, Q} is
         Gaussian, {K, Ns, seed} Monte Carlo."""
         _check_finite(d)
-        _check_schema(d, CONFIG_SCHEMA, "config")
+        _check_schema(d, _CONFIG_VALIDATOR, "config")
         acc = d["accuracy"]
         if "eps" not in acc and ("M" in acc) != (d["method"] == "gaussian"):
             raise ConfigError(

@@ -19,6 +19,7 @@ because f(-i) = 1 / (2 pi) for both families (An, Liu & Lin, PRL 131, 150603,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,6 +144,7 @@ class TruncationChoice:
     epsilon_tail: float
 
 
+@functools.lru_cache(maxsize=64)
 def choose_truncation(spec: KernelSpec, eps_tail: float) -> TruncationChoice:
     """Smallest window half-width (to ~3 significant digits) with certified
     tail mass <= eps_tail.
@@ -151,6 +153,10 @@ def choose_truncation(spec: KernelSpec, eps_tail: float) -> TruncationChoice:
     refines by bisection. tail_mass is non-increasing in K, so the first
     certified grid point is found by binary search over the grid. Raises
     RangeError with a pointer to the beta family when K would exceed K_MAX.
+
+    The choice is memoized per (spec, eps_tail): both are immutable, and
+    every set-up at one eps asks for the same window. A RangeError is not
+    cached, so it is raised again on every call.
     """
     if not (0.0 < eps_tail < 1.0):
         raise RangeError(f"eps_tail must lie in (0, 1), got {eps_tail}")

@@ -631,7 +631,7 @@ class TestTridiagonalBranches:
 
     T = 0.25
 
-    @pytest.mark.parametrize("dim, vanish", [(2, False), (4, True), (8, False)])
+    @pytest.mark.parametrize("dim, vanish", [(2, False), (2, True), (4, True), (8, False)])
     def test_batched_matches_dstevd(self, dim, vanish, beta_kernel, monkeypatch, caplog):
         plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, 2.8)
         k_star = plan.k[plan.size // 3]
@@ -647,6 +647,45 @@ class TestTridiagonalBranches:
         assert calls == [dim] * plan.size
         assert np.linalg.norm(batched - looped) <= 1e-12 * np.linalg.norm(p.u0)
         assert np.linalg.norm(batched - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    @staticmethod
+    def dim2_instance(case, k_star):
+        """A 2x2 tridiagonal pair whose phase-rotated k L + H = [[a, b], [b, c]]
+        has h = (a - c)/2 = 0 at every k ("h=0"), b = 0 at the plan node k*
+        ("b=0"), or both, so that k* L + H is a multiple of I ("h=b=0")."""
+        l_sup, h_sup = 0.3 * np.exp(0.7j), 0.8 * np.exp(-1.9j)
+        if case != "h=0":
+            h_sup = -k_star * l_sup
+        l_diag, h_diag = ([1.5, 1.5], [0.25, 0.25]) if case != "b=0" else ([1.2, 1.8], [0.5, -0.3])
+        L, H = hermitian_band(l_diag, [l_sup]), hermitian_band(h_diag, [h_sup])
+        u0 = np.array([0.6 - 0.2j, -0.3 + 0.7j])
+        return ProblemInstance.from_pair(HermitianPair(L=L, H=H), u0)
+
+    @pytest.mark.parametrize("case", ["h=0", "b=0", "h=b=0"])
+    def test_closed_form_degenerate_cases_match_dstevd(
+        self, case, beta_kernel, monkeypatch, caplog
+    ):
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, 2.8)
+        k_star = plan.k[plan.size // 3]
+        p = self.dim2_instance(case, k_star)
+        pair = p.schedule.pairs[0]
+        W, V, d = ev._eigh_tridiagonal(pair.L, pair.H, np.array([k_star]))
+        A = (d[0][:, None] * (V[0] * W[0]) @ V[0].T) * d[0].conj()
+        assert np.linalg.norm(A - (k_star * pair.L + pair.H)) <= 1e-13 * abs(k_star)
+        if case == "h=b=0":
+            assert W[0, 0] == W[0, 1]
+            # k* L + H = m I makes H = m I - k* L commute with L: decline the
+            # shared eigenbasis so that the pair takes the tridiagonal path
+            monkeypatch.setattr(ev, "_shared_eigenbasis", lambda spans, dim: None)
+        assert logged_path(p, plan, self.T, caplog) == "tridiagonal"
+        calls = tridiagonal_branch_calls(monkeypatch)
+        closed = lchs_apply(p, plan, self.T)
+        assert calls == []
+        monkeypatch.setattr(ev, "_BATCHED_TRIDIAGONAL_MAX_DIM", 1)
+        looped = lchs_apply(p, plan, self.T)
+        assert calls == [2] * plan.size
+        assert np.linalg.norm(closed - looped) <= 1e-12 * np.linalg.norm(p.u0)
+        assert np.linalg.norm(closed - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
 
     def test_builder_dims_above_cut_off_keep_dstevd(self, beta_kernel, monkeypatch):
         calls = tridiagonal_branch_calls(monkeypatch)
@@ -1033,6 +1072,33 @@ class TestStreamedReduction:
         p = tridiagonal_instance(np.random.default_rng(8), 4)
         assert shared_basis(p) is None
         self.assert_peak_independent_of_plan_size(p, beta_kernel, monkeypatch)
+
+    @pytest.mark.parametrize("name, folded, columns", [("mm1", True, 2), ("cap", False, 1)])
+    def test_tridiagonal_peak_is_eigenvectors_plus_buffers(
+        self, name, folded, columns, beta_kernel, caplog
+    ):
+        # O(chunk * dim): one chunk's real eigenvector stack plus a fixed
+        # number of (chunk, dim, columns) complex buffers. The propagation
+        # that copied its vectors at every step peaked at 3.8 (mm1) and 5.5
+        # (cap) such buffers above the eigenvectors; 6 admits both.
+        T = 0.25
+        p = build_problem(name, {})
+        if columns == 2:  # a complex u0 propagates u0 and conj(u0)
+            rng = np.random.default_rng(5)
+            u0 = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
+            p = dataclasses.replace(p, u0=u0)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, T, p.meta["normL"])
+        assert logged_path(p, plan, T, caplog) == "tridiagonal"
+        chunk = min(plan.size // 2 if folded else plan.size, ev._BATCH_ENTRY_BUDGET // p.dim**2)
+        eigenvectors = chunk * p.dim**2 * 8
+        buffer = chunk * p.dim * columns * 16
+        tracemalloc.start()
+        try:
+            lchs_apply(p, plan, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= eigenvectors + 6 * buffer
 
     @pytest.mark.parametrize("commuting", [False, True])
     def test_reduction_matches_fsum(self, commuting, beta_kernel, monkeypatch):

@@ -4,6 +4,7 @@ import logging
 import os
 import re
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -20,7 +21,9 @@ from lchs import (
 )
 from lchs.cli import EXIT_BUILD, EXIT_CONFIG, EXIT_OK, EXIT_SOLVE, main
 from lchs.harness import (
+    CONFIG_SCHEMA,
     DEFAULT_PARAMS,
+    REPORT_SCHEMA,
     RunConfig,
     build_problem,
     fit_scaling,
@@ -118,6 +121,29 @@ class TestConfig:
         node[int(last) if isinstance(node, list) else last] = value
         with pytest.raises(ConfigError, match="is not a JSON number") as err:
             RunConfig.from_dict(cfg)
+        assert err.value.pointer == pointer
+
+    @pytest.mark.parametrize("schema", [CONFIG_SCHEMA, REPORT_SCHEMA], ids=["config", "report"])
+    def test_schema_is_valid_2020_12(self, schema):
+        # the prebuilt validators never check the schema itself
+        jsonschema.Draft202012Validator.check_schema(schema)
+
+    @pytest.mark.parametrize("overrides", [
+        {"T": -1.0},
+        {"method": "simpson"},
+        {"accuracy": {"eps": 1e-4, "M": 8}},
+        {"kernel": {"family": "beta", "beta": "0.75"}},
+        {"problem": {"name": "mystery", "params": {}}},
+        {"schema_version": 2, "T": "one"},
+    ])
+    def test_error_is_the_one_jsonschema_validate_raises(self, overrides):
+        cfg = base_config(**overrides)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        pointer = "/" + "/".join(str(p) for p in reference.value.absolute_path)
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(cfg)
+        assert str(err.value) == f"config invalid at {pointer}: {reference.value.message}"
         assert err.value.pointer == pointer
 
 

@@ -175,6 +175,16 @@ def _linear_scan_truncation(spec, eps_tail):
     return hi, tail_mass(spec, hi)
 
 
+def spy_tail_mass(monkeypatch):
+    """Record the K of every tail_mass call that choose_truncation makes."""
+    import lchs.kernels as kernels
+
+    calls = []
+    tail = kernels.tail_mass
+    monkeypatch.setattr(kernels, "tail_mass", lambda s, K: calls.append(K) or tail(s, K))
+    return calls
+
+
 class TestTruncationSearch:
     """The bracketed search against the linear grid scan it replaced."""
 
@@ -201,13 +211,28 @@ class TestTruncationSearch:
         assert t.epsilon_tail <= 1.0 - 1e-7
 
     def test_tail_mass_call_count(self, monkeypatch, beta_kernel):
-        import lchs.kernels as kernels
-
-        calls = []
-        tail = kernels.tail_mass
-        monkeypatch.setattr(kernels, "tail_mass", lambda s, K: calls.append(K) or tail(s, K))
+        calls = spy_tail_mass(monkeypatch)
+        choose_truncation.cache_clear()  # an earlier test may have memoized this choice
         choose_truncation(beta_kernel, 1e-4 / 3)
         assert len(calls) <= 16  # 37 with the linear grid scan
+
+    def test_choice_is_memoized(self, monkeypatch, beta_kernel):
+        calls = spy_tail_mass(monkeypatch)
+        choose_truncation.cache_clear()
+        first = choose_truncation(beta_kernel, 1e-4 / 3)
+        searched = len(calls)
+        assert searched > 0
+        # an equal spec built anew hits the same entry
+        assert choose_truncation(make_kernel("beta", 0.75), 1e-4 / 3) is first
+        assert len(calls) == searched
+
+    def test_range_error_raises_on_every_call(self, monkeypatch, cauchy_kernel):
+        calls = spy_tail_mass(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(RangeError, match="beta"):
+                choose_truncation(cauchy_kernel, 1e-8)
+            assert calls  # searched again, not answered from a cache
 
 
 class TestTailMass:
