@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .errors import BuildError, ConfigError, LchsError
+from .errors import BuildError, ConfigError, LchsError, RangeError
 from .evolve import residual_lemma_check
 from .kernels import check_normalization, choose_truncation, kernel_f, make_kernel
 from .sampling import plan_from_accuracy
@@ -137,6 +137,15 @@ def _levels(text: str) -> int:
     return n
 
 
+def _beta(text: str) -> float:
+    """--beta as a beta-family exponent, which must lie in (0, 1) as in the
+    config schema: a value outside is bad usage, not a solve error."""
+    try:
+        return make_kernel("beta", float(text)).beta
+    except RangeError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lchs",
@@ -160,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-kernel", help="kernel normalization and decay checks")
     p.add_argument("--family", required=True, choices=["cauchy", "beta"])
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--beta", type=_beta, default=None, help="beta kernel exponent in (0, 1)")
     p.set_defaults(fn=_cmd_validate_kernel)
 
     p = sub.add_parser("lemma-check", help="f-weighted sum must vanish under refinement")

@@ -54,9 +54,9 @@ block then takes one of three paths, in this order.
   d_{j+1} = d_j conj(e_j) / |e_j| (1 where e_j = 0), D^dagger (k L + H) D is
   real symmetric tridiagonal with diagonal Re(k L_jj + H_jj) and
   off-diagonal |e_j|. A 2x2 block [[a, b], [b, c]] has its eigenpairs
-  (W, V) in closed form, V the rotation through phi = atan2(b, (a - c)/2) / 2;
-  dims 3 to 8 take one batched real eigh per chunk, larger dims LAPACK
-  dstevd term by term. The span acts as D V exp(-i dt W) V^T D^dagger, with
+  (W, V) in closed form, V the rotation through phi = atan2(b, (a - c)/2) / 2,
+  and a 1x1 block the pair (diag, 1); dims 3 and up take LAPACK dstevd term
+  by term. The span acts as D V exp(-i dt W) V^T D^dagger, with
   V^T and V applied by batched real matmul to the float view of the complex
   vectors. Only the band of L and H is read; the schedule's pairs have
   checked both matrices are Hermitian.
@@ -133,18 +133,6 @@ _MIX = 0.6180339887498949
 # below this many units of dim * machine eps, relative to their norms
 _SHARED_BASIS_ULPS = 64
 
-# Tridiagonal blocks up to this dim are decomposed by one batched real eigh
-# call per chunk (a 2x2 block in closed form instead), larger ones by one
-# dstevd call per term. Per term with the phases d, one thread:
-#
-#     dim   dstevd loop   batched real eigh   closed form
-#       2     2.2  us        0.91 us             0.16 us
-#       4     5.9  us        2.96 us
-#       8    11.1  us        9.1  us
-#      16    21.3  us       21.6  us
-#      63   283    us      386    us
-_BATCHED_TRIDIAGONAL_MAX_DIM = 8
-
 # the mirror test of a plan's abscissae compares this many entries at a time
 _MIRROR_SLICE = 4096
 
@@ -220,10 +208,8 @@ class SolveReport:
         """As a JSON document. A rel_error or norm_ratio that is infinite (a
         zero oracle or estimate) is null, since JSON has no infinity."""
         def interleave(v):
-            out = np.empty(2 * len(v))
-            out[0::2] = v.real
-            out[1::2] = v.imag
-            return [float(x) for x in out]
+            # the float view of a contiguous complex array is re0, im0, re1, ...
+            return np.ascontiguousarray(v, dtype=complex).view(float).tolist()
 
         out = {
             "u_lchs": interleave(self.u_lchs),
@@ -307,10 +293,9 @@ def _eigh_dense(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
 def _eigh_tridiagonal(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
     """(W, V, d) with k L + H = D V diag(W) V^T D^dagger, D = diag(d), for
     every k in ks, with V real: the phase similarity D makes k L + H real
-    symmetric tridiagonal. Up to _BATCHED_TRIDIAGONAL_MAX_DIM the stacked real
-    matrices are decomposed by one batched eigh call, or in closed form at
-    dim 2, above it by dstevd term by term. Only the band of L and H is read.
-    Raises PropagationError if the decomposition fails."""
+    symmetric tridiagonal. Dims 1 and 2 are decomposed in closed form, for
+    all ks at once, larger dims by dstevd term by term. Only the band of L
+    and H is read. Raises PropagationError if dstevd fails."""
     n, dim = len(ks), len(L)
     diag = ks[:, None] * L.diagonal().real + H.diagonal().real
     e = ks[:, None] * np.diagonal(L, 1) + np.diagonal(H, 1)
@@ -320,15 +305,10 @@ def _eigh_tridiagonal(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
     np.divide(e.conj(), off, out=d[:, 1:], where=e != 0)
     np.cumprod(d[:, 1:], axis=1, out=d[:, 1:])
     del e  # not held through the decomposition, where V is allocated
-    if dim > _BATCHED_TRIDIAGONAL_MAX_DIM:
-        W = np.empty((n, dim))
-        V = np.empty((n, dim, dim))
-        for i in range(n):
-            W[i], V[i], info = lapack.dstevd(diag[i], off[i])
-            if info != 0:
-                raise PropagationError(f"dstevd failed with info = {info} at k = {ks[i]}")
-        return W, V, d
+    if dim == 1:
+        return diag, np.ones((n, 1, 1)), d
     if dim == 2:
+        # closed form, 0.16 us per term against 2.2 us for a dstevd call:
         # [[a, b], [b, c]] = m I + r [[cos 2phi, sin 2phi], [sin 2phi, -cos 2phi]]
         # with eigenvalues m -+ r and eigenvectors (-sin phi, cos phi) and
         # (cos phi, sin phi); b >= 0 puts phi in [0, pi/2]
@@ -339,15 +319,12 @@ def _eigh_tridiagonal(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
         cos, sin = np.cos(phi), np.sin(phi)
         V = np.stack([-sin, cos, cos, sin], axis=1).reshape(n, 2, 2)
         return np.stack([m - r, m + r], axis=1), V, d
-    # eigh reads only the lower triangle
-    A = np.zeros((n, dim, dim))
-    j = np.arange(dim)
-    A[:, j, j] = diag
-    A[:, j[1:], j[:-1]] = off
-    try:
-        W, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise PropagationError(f"batched tridiagonal eigh failed: {exc}") from exc
+    W = np.empty((n, dim))
+    V = np.empty((n, dim, dim))
+    for i in range(n):
+        W[i], V[i], info = lapack.dstevd(diag[i], off[i])
+        if info != 0:
+            raise PropagationError(f"dstevd failed with info = {info} at k = {ks[i]}")
     return W, V, d
 
 

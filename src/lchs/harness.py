@@ -86,7 +86,7 @@ CONFIG_SCHEMA = {
             "oneOf": [
                 {"required": ["eps"], "additionalProperties": False,
                  "properties": {"eps": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                                "seed": {"type": "integer"}}},
+                                "seed": {"type": "integer", "minimum": 0}}},
                 {"required": ["K", "M", "Q"], "additionalProperties": False,
                  "properties": {"K": {"type": "number", "exclusiveMinimum": 0},
                                 "M": {"type": "integer", "minimum": 1},
@@ -94,7 +94,7 @@ CONFIG_SCHEMA = {
                 {"required": ["K", "Ns", "seed"], "additionalProperties": False,
                  "properties": {"K": {"type": "number", "exclusiveMinimum": 0},
                                 "Ns": {"type": "integer", "minimum": 1},
-                                "seed": {"type": "integer"}}},
+                                "seed": {"type": "integer", "minimum": 0}}},
             ],
         },
         "T": {"type": "number", "minimum": 0},

@@ -189,15 +189,16 @@ def _check_uniform(pairs, what: str) -> None:
         raise RangeError(f"{what} with different shifts")
 
 
-def spectral_shift(schedule: TimeSchedule) -> tuple[TimeSchedule, float]:
+def spectral_shift(schedule: TimeSchedule) -> TimeSchedule:
     """Shift L(t) by only what the positivity gate needs, reading the
-    schedule's own certificate: (schedule, 0) when it passes the gate, else
-    the schedule with every pair shifted by the one c = -lambda0, so that
-    its lowest L has lambda0 = 0 up to roundoff. The caller recovers the
-    original solution via u(T) = exp(c*T) * u_shifted(T).
+    schedule's own certificate: the schedule itself when it passes the gate,
+    else the schedule with every pair shifted by the one c = -lambda0, so
+    that its lowest L has lambda0 = 0 up to roundoff. Every pair's recorded
+    shift grows by c, and the caller recovers the original solution via
+    u(T) = exp(c*T) * u_shifted(T).
     """
     if is_semidefinite(schedule):
-        return schedule, 0.0
+        return schedule
     c = -schedule.lambda0
     pairs = [shift_pair(pair, c) for pair in schedule.pairs]
-    return TimeSchedule.piecewise(schedule.breakpoints, pairs), c
+    return TimeSchedule.piecewise(schedule.breakpoints, pairs)

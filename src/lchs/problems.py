@@ -42,17 +42,14 @@ from .linalg import (
 
 
 def _finalize(
-    pairs: list[HermitianPair], breakpoints, u0, label: str, **meta
+    pairs: list[HermitianPair], u0, label: str, breakpoints=(0.0, np.inf), **meta
 ) -> ProblemInstance:
-    """Build the (possibly piecewise) schedule of the pairs, shift it by what
-    the positivity gate needs (spectral_shift: none when the schedule passes
-    the gate, else its deficit -lambda0 on every pair) and wrap everything as
-    a ProblemInstance whose meta records the shifted schedule's normL."""
-    if len(pairs) == 1:
-        schedule = TimeSchedule.constant(pairs[0])
-    else:
-        schedule = TimeSchedule.piecewise(breakpoints, pairs)
-    schedule, _ = spectral_shift(schedule)
+    """Build the schedule of the pairs on the breakpoints (by default one
+    pair on [0, inf), a constant schedule), shift it by what the positivity
+    gate needs (spectral_shift: none when the schedule passes the gate, else
+    its deficit -lambda0 on every pair) and wrap everything as a
+    ProblemInstance whose meta records the shifted schedule's normL."""
+    schedule = spectral_shift(TimeSchedule.piecewise(breakpoints, pairs))
     meta["normL"] = schedule.normL
     return ProblemInstance(schedule=schedule, u0=u0, label=label, meta=meta)
 
@@ -60,9 +57,9 @@ def _finalize(
 def _time_slices(pair_at, T: float, time_slices: int):
     """Pairs and breakpoints of a piecewise-constant schedule: time_slices
     equal intervals of [0, T], each pair sampled at its interval midpoint.
-    A single slice is the pair at T/2 and needs no breakpoints."""
+    A single slice is the pair at T/2 on [0, inf), a constant schedule."""
     if time_slices == 1:
-        return [pair_at(0.5 * T)], None
+        return [pair_at(0.5 * T)], (0.0, np.inf)
     breakpoints = np.linspace(0.0, T, time_slices + 1)
     mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
     return [pair_at(t) for t in mids], breakpoints
@@ -126,7 +123,7 @@ def build_parabolic_1d(
         lambda t: _parabolic_pair(a, b, c, N_grid, t), T, time_slices
     )
     return _finalize(
-        pairs, breakpoints, u0, label=f"parabolic1d(N_grid={N_grid})", h=h, grid=nodes
+        pairs, u0, f"parabolic1d(N_grid={N_grid})", breakpoints=breakpoints, h=h, grid=nodes
     )
 
 
@@ -165,7 +162,7 @@ def _queue_instance(Q: np.ndarray, label: str, u0) -> ProblemInstance:
         n = len(Q)
         u0 = np.zeros(n, dtype=complex)
         u0[n // 2] = 1.0
-    return _finalize([pair], None, u0, label=label)
+    return _finalize([pair], u0, label)
 
 
 def build_mm1(lambda_rate: float, mu_rate: float, n_trunc: int = 16, u0=None) -> ProblemInstance:
@@ -249,7 +246,7 @@ def build_cap_schrodinger(
 
     pairs, breakpoints = _time_slices(pair_at, T, time_slices)
     return _finalize(
-        pairs, breakpoints, u0, label=f"cap(N_grid={N_grid},hbar={hbar:g})",
+        pairs, u0, f"cap(N_grid={N_grid},hbar={hbar:g})", breakpoints=breakpoints,
         h=h, grid=nodes,
     )
 
@@ -311,7 +308,7 @@ def build_lindblad(ls: LindbladSpec, rho0=None) -> ProblemInstance:
     if rho0.shape != (n, n):
         raise DimensionError(f"rho0 shape {rho0.shape} != ({n}, {n})")
     return _finalize(
-        [pair], None, vec_density(rho0), label=f"lindblad(n={n},jumps={len(ls.jump_ops)})"
+        [pair], vec_density(rho0), f"lindblad(n={n},jumps={len(ls.jump_ops)})"
     )
 
 
@@ -340,7 +337,7 @@ def build_blackhole(H, gamma: float, u0=None) -> ProblemInstance:
     pair = hermitian_split(A)
     if u0 is None:
         u0 = np.ones(n, dtype=complex) / np.sqrt(n)
-    return _finalize([pair], None, u0, label=f"blackhole(n={n},gamma={gamma:g})")
+    return _finalize([pair], u0, f"blackhole(n={n},gamma={gamma:g})")
 
 
 # ---------------------------------------------------------------------------

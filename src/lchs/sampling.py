@@ -71,6 +71,13 @@ class SamplingPlan:
             raise RangeError("plan coefficients are not absolutely summable")
 
 
+def _require_gaussian_size(M: float, Q: int) -> None:
+    """Raise RangeError unless a plan of 2 M Q terms fits NS_MAX, the cap
+    Monte Carlo plans have; an infinite or NaN M fails too."""
+    if not 2 * M * Q <= NS_MAX:
+        raise RangeError(f"Gaussian plan of 2*M*Q terms, M = {M:g}, Q = {Q}, exceeds {NS_MAX}")
+
+
 def _composite_nodes(K: float, M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """Abscissae (ascending) and weights of the composite Q-node
     Gauss-Legendre rule on [-K, K] with 2M subintervals of width h = K/M.
@@ -83,6 +90,7 @@ def _composite_nodes(K: float, M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
     if M < 1:
         raise RangeError(f"M must be >= 1, got {M}")
     x, w = gauss_legendre(Q)
+    _require_gaussian_size(M, Q)
     h = K / M
     left = h * np.arange(M)  # left endpoints of the k > 0 subintervals, ascending
     positive = (left[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
@@ -129,7 +137,8 @@ def plan_from_accuracy(
     the subinterval width follows the step rule h = 1 / (e T ||L||), capped
     at 1/e so the unit-scale structure of g is always resolved even when
     T ||L|| < 1 (the step rule alone degenerates there); Q from
-    quadrature_order.
+    quadrature_order. Raises RangeError, before any array is allocated,
+    when the plan would exceed NS_MAX terms.
     """
     if not (0.0 < eps < 1.0):
         raise RangeError(f"eps must lie in (0, 1), got {eps}")
@@ -140,8 +149,11 @@ def plan_from_accuracy(
     trunc = choose_truncation(kernel, eps / 3.0)
     K = trunc.K
     h = min(K, 1.0 / (math.e * max(T * normL, 1.0)))
-    M = int(math.ceil(K / h))
-    plan = composite_plan(kernel, K, M, quadrature_order(K, eps))
+    # T ||L|| can overflow to inf, which takes h to 0 and K / h to inf
+    M = K / h if h > 0 else math.inf
+    Q = quadrature_order(K, eps)
+    _require_gaussian_size(M, Q)
+    plan = composite_plan(kernel, K, int(math.ceil(M)), Q)
     plan.meta.update({"eps": eps, "tail_bound": float(trunc.epsilon_tail)})
     return plan
 
@@ -158,6 +170,8 @@ def mc_plan(kernel: KernelSpec, K: float, Ns: int, seed: int) -> SamplingPlan:
         raise RangeError(f"K must be positive and finite, got {K}")
     if Ns < 1:
         raise RangeError(f"Ns must be >= 1, got {Ns}")
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
     bitgen = np.random.Philox(seed)
     raw = bitgen.random_raw(Ns)
     xi = K * (2.0 * _uniform_from_raw(raw) - 1.0)

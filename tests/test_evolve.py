@@ -625,9 +625,23 @@ def tridiagonal_branch_calls(monkeypatch):
     return calls
 
 
+def dstevd_reference(L, H, ks, phases=ev._eigh_tridiagonal):
+    """_eigh_tridiagonal with every phase-rotated band decomposed by dstevd,
+    whatever its dim: the reference for the closed form. The phases come
+    from the package routine, bound here so that patching it in with this
+    reference does not recurse."""
+    _, _, d = phases(L, H, ks)
+    diag = ks[:, None] * L.diagonal().real + H.diagonal().real
+    off = np.abs(ks[:, None] * np.diagonal(L, 1) + np.diagonal(H, 1))
+    W, V, info = zip(*map(lapack.dstevd, diag, off))
+    assert not any(info)
+    return np.array(W), np.array(V), d
+
+
 class TestTridiagonalBranches:
-    """Small tridiagonal blocks are decomposed by one batched real eigh per
-    chunk, larger ones by dstevd term by term; both give the same sum."""
+    """Tridiagonal blocks of dims 1 and 2 are decomposed in closed form for
+    all terms at once, larger ones by dstevd term by term; both agree with
+    the batched-eigh path on the same plan."""
 
     T = 0.25
 
@@ -640,13 +654,10 @@ class TestTridiagonalBranches:
         )
         assert logged_path(p, plan, self.T, caplog) == "tridiagonal"
         calls = tridiagonal_branch_calls(monkeypatch)
-        batched = lchs_apply(p, plan, self.T)
-        assert calls == []
-        monkeypatch.setattr(ev, "_BATCHED_TRIDIAGONAL_MAX_DIM", dim - 1)
-        looped = lchs_apply(p, plan, self.T)
-        assert calls == [dim] * plan.size
-        assert np.linalg.norm(batched - looped) <= 1e-12 * np.linalg.norm(p.u0)
-        assert np.linalg.norm(batched - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
+        # the complex pair is not folded: one dstevd call per term above dim 2
+        out = paths_agree(p, plan, self.T, monkeypatch, 1e-12, test="_is_tridiagonal")
+        assert calls == ([] if dim == 2 else [dim] * plan.size)
+        assert np.linalg.norm(out - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
 
     @staticmethod
     def dim2_instance(case, k_star):
@@ -681,9 +692,8 @@ class TestTridiagonalBranches:
         calls = tridiagonal_branch_calls(monkeypatch)
         closed = lchs_apply(p, plan, self.T)
         assert calls == []
-        monkeypatch.setattr(ev, "_BATCHED_TRIDIAGONAL_MAX_DIM", 1)
+        monkeypatch.setattr(ev, "_eigh_tridiagonal", dstevd_reference)
         looped = lchs_apply(p, plan, self.T)
-        assert calls == [2] * plan.size
         assert np.linalg.norm(closed - looped) <= 1e-12 * np.linalg.norm(p.u0)
         assert np.linalg.norm(closed - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
 
@@ -692,25 +702,8 @@ class TestTridiagonalBranches:
         p = build_problem("mm1", {})
         plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
         lchs_apply(p, plan, self.T)
-        assert p.dim > ev._BATCHED_TRIDIAGONAL_MAX_DIM
         # mm1 is real and the plan mirrored: one dstevd per |k|
         assert calls == [p.dim] * (plan.size // 2)
-
-    def test_batched_failure_raises(self, beta_kernel, monkeypatch):
-        real_eigh = np.linalg.eigh
-
-        def failing(A):
-            if A.ndim == 3 and A.dtype == float:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real_eigh(A)
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        p = tridiagonal_instance(np.random.default_rng(33), 4)
-        plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, 2.8)
-        with pytest.raises(PropagationError, match="batched tridiagonal eigh failed"):
-            lchs_apply(p, plan, self.T)
-        with pytest.raises(PropagationError, match="batched tridiagonal eigh failed"):
-            residual_lemma_check(p, plan, self.T)
 
     def test_lindblad_decomposes_nothing_larger_than_2x2(self, beta_kernel, monkeypatch):
         dims = []

@@ -724,6 +724,32 @@ class TestCliExitCodes:
         assert main(["lemma-check", path, "--levels", levels]) == EXIT_CONFIG
         assert f"needs at least 2 levels, got {levels}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, code", [
+        ({"method": "monte-carlo", "accuracy": {"K": 20, "Ns": 100, "seed": -1}}, EXIT_CONFIG),
+        ({"method": "monte-carlo", "accuracy": {"eps": 1e-3, "seed": -1}}, EXIT_CONFIG),
+        ({"problem": {"name": "mm1"}, "accuracy": {"eps": 1e-3}, "T": 1e308}, EXIT_SOLVE),
+        ({"problem": {"name": "mm1"}, "accuracy": {"eps": 1e-3}, "T": 1e7}, EXIT_SOLVE),
+        ({"problem": {"name": "mm1"}, "accuracy": {"K": 20, "M": 10**12, "Q": 8}}, EXIT_SOLVE),
+        *((["validate-kernel", "--family", "beta", "--beta", b], EXIT_CONFIG)
+          for b in ("0", "1", "1.5", "nan")),
+    ], ids=["seed", "eps-seed", "T-overflow", "T-huge", "M-huge",
+            "beta-0", "beta-1", "beta-1.5", "beta-nan"])
+    def test_malformed_input_exit_codes(self, tmp_path, capsys, case, code):
+        # a negative seed, a plan of tens of GiB or more and a beta outside
+        # (0, 1) each exit with one error line, not a traceback; argparse
+        # reports the bad usage
+        if isinstance(case, list):
+            argv = case
+            prefix = "lchs validate-kernel: error: argument --beta: beta must lie in (0, 1)"
+        else:
+            argv = ["solve", write_config(tmp_path, base_config(**case))]
+            prefix = "config error:" if code == EXIT_CONFIG else "solve error: RangeError:"
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.startswith(prefix)
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("old, new", [
         ('"T": 1.0', '"T": Infinity'),
         ('"T": 1.0', '"T": NaN'),

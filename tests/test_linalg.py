@@ -137,16 +137,16 @@ class TestPairCertificate:
 class TestSpectralShift:
     def test_already_positive(self):
         sched = TimeSchedule.constant(hermitian_split(np.diag([1.0, 2.0])))
-        shifted, c = spectral_shift(sched)
-        assert c == 0.0
+        shifted = spectral_shift(sched)
+        assert shifted.shift == 0.0
         assert shifted is sched
         assert shifted.lambda0 == pytest.approx(1.0)
 
     def test_negative_diag(self):
         # shifted by the deficit -lambda0 only, to lambda0 = 0
         sched = TimeSchedule.constant(hermitian_split(np.diag([-3.0, -1.0])))
-        shifted, c = spectral_shift(sched)
-        assert c == pytest.approx(3.0, abs=1e-12)
+        shifted = spectral_shift(sched)
+        assert shifted.shift == pytest.approx(3.0, abs=1e-12)
         assert shifted.lambda0 == pytest.approx(0.0, abs=1e-12)
         assert shifted.normL == pytest.approx(2.0, abs=1e-12)
 
@@ -157,8 +157,8 @@ class TestSpectralShift:
         lam_min = np.linalg.eigvalsh(pair.L)[0]
         assert lam_min > 0
         sched = TimeSchedule.constant(pair)
-        shifted, c = spectral_shift(sched)
-        assert c == max(0.0, -lam_min) == 0.0
+        shifted = spectral_shift(sched)
+        assert shifted.shift == max(0.0, -lam_min) == 0.0
         assert shifted is sched
 
     def test_solution_recovery(self):
@@ -166,7 +166,8 @@ class TestSpectralShift:
         rng = np.random.default_rng(7)
         for dim, T in ((4, 0.1), (16, 1.0), (64, 1.0)):
             A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            shifted, c = spectral_shift(TimeSchedule.constant(hermitian_split(A)))
+            shifted = spectral_shift(TimeSchedule.constant(hermitian_split(A)))
+            c = shifted.shift
             assert c > 0
             u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             u0 /= np.linalg.norm(u0)
@@ -182,8 +183,8 @@ class TestSpectralShift:
     def test_semidefinite_not_shifted(self, L):
         sched = TimeSchedule.constant(HermitianPair(L=L.astype(complex), H=np.zeros((3, 3))))
         assert is_semidefinite(sched)
-        shifted, c = spectral_shift(sched)
-        assert c == 0.0
+        shifted = spectral_shift(sched)
+        assert shifted.shift == 0.0
         assert shifted is sched
 
     def test_past_tolerance_shifted(self):
@@ -192,8 +193,8 @@ class TestSpectralShift:
         pair = HermitianPair(L=np.diag([-1e-11, 1.0]).astype(complex), H=np.zeros((2, 2)))
         sched = TimeSchedule.constant(pair)
         assert not is_semidefinite(sched)
-        shifted, c = spectral_shift(sched)
-        assert c == 1e-11
+        shifted = spectral_shift(sched)
+        assert shifted.shift == 1e-11
         assert is_semidefinite(shifted)
 
     def test_piecewise_schedule_shifted_uniformly(self):
@@ -203,10 +204,10 @@ class TestSpectralShift:
         second = hermitian_split(np.array([[-0.5, 0.2], [0.2, 2.0]]))
         sched = TimeSchedule.piecewise([0.0, 0.4, 1.0], [first, second])
         assert not is_semidefinite(sched)
-        shifted, c = spectral_shift(sched)
-        assert c == -second.lambda0
-        assert [pair.shift for pair in shifted.pairs] == [c, c]
+        shifted = spectral_shift(sched)
+        c = -second.lambda0
         assert shifted.shift == c
+        assert [pair.shift for pair in shifted.pairs] == [c, c]
         for pair, old in zip(shifted.pairs, sched.pairs):
             assert np.array_equal(pair.L, old.L + c * np.eye(2))
             assert np.array_equal(pair.H, old.H)
@@ -216,9 +217,9 @@ class TestSpectralShift:
     def test_schedule_passing_gate_comes_back_unchanged(self):
         pairs = [hermitian_split(np.diag([0.0, 1.0])), hermitian_split(np.diag([2.0, 0.5]))]
         sched = TimeSchedule.piecewise([0.0, 0.5, 1.0], pairs)
-        shifted, c = spectral_shift(sched)
+        shifted = spectral_shift(sched)
         assert shifted is sched
-        assert c == 0.0
+        assert shifted.shift == 0.0
 
     def test_shift_pair_recertifies(self):
         p = hermitian_split(np.diag([-1.0, 2.0]))

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from lchs import (
 )
 from lchs.harness import build_problem
 from lchs.kernels import make_kernel
-from lchs.sampling import GENERATOR_ID, _composite_nodes, quadrature_order
+from lchs.sampling import GENERATOR_ID, NS_MAX, _composite_nodes, quadrature_order
 
 
 def composite_plan_reference(kernel, K, M, Q):
@@ -143,6 +145,12 @@ class TestCompositePlan:
         assert np.array_equal(a.c, b.c)
         assert a.meta == b.meta
 
+    @pytest.mark.parametrize("M, Q", [(10**12, 8), (NS_MAX // 16 + 1, 8)])
+    def test_oversized_plan_rejected(self, beta_kernel, M, Q):
+        # NS_MAX terms at most, the cap Monte Carlo plans have
+        with pytest.raises(RangeError, match=f"exceeds {NS_MAX}"):
+            composite_plan(beta_kernel, 20.0, M, Q)
+
 
 class TestPlanFromAccuracy:
     def test_node_budget_ratio(self, beta_kernel):
@@ -188,6 +196,20 @@ class TestPlanFromAccuracy:
             plan_from_accuracy(beta_kernel, 1e-3, bad, 1.0)
         with pytest.raises(RangeError, match="normL must be"):
             plan_from_accuracy(beta_kernel, 1e-3, 1.0, bad)
+
+    @pytest.mark.parametrize("T, M", [
+        (1e308, "inf"),  # T ||L|| overflows to inf, so h = 0
+        (1e7, "3.60852e+09"),  # the subinterval ends alone would take 27 GiB
+    ])
+    def test_oversized_plan_rejected_before_allocating(self, beta_kernel, T, M):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match=re.escape(f"M = {M}, Q = 10, exceeds {NS_MAX}")):
+                plan_from_accuracy(beta_kernel, 1e-3, T, 3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_zero_normL_accepted(self, beta_kernel):
         # L = 0 passes the positivity gate unshifted; the step is capped at 1/e
@@ -244,6 +266,11 @@ class TestMonteCarlo:
     def test_abscissae_in_window(self, beta_kernel):
         plan = mc_plan(beta_kernel, 3.0, 1000, 11)
         assert np.all(np.abs(plan.k) <= 3.0)
+
+    def test_negative_seed_rejected(self, beta_kernel):
+        # numpy's Philox raises a bare ValueError for it
+        with pytest.raises(RangeError, match="seed must be >= 0, got -1"):
+            mc_plan(beta_kernel, 3.0, 8, -1)
 
 
 class TestValidate:
