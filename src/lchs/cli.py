@@ -85,7 +85,10 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_validate_kernel(args) -> int:
-    spec = make_kernel(args.family, args.beta)
+    try:
+        spec = make_kernel(args.family, args.beta)
+    except RangeError as exc:  # --beta is range-checked when parsed: a cauchy --beta is left
+        raise ConfigError(f"--beta: {exc}") from exc
     residual = check_normalization(spec)
     print(f"family={spec.family} beta={spec.beta}")
     print(f"normalization residual   = {residual:.3e}  (must be <= 1e-10)")
@@ -131,7 +134,10 @@ def _cmd_list_problems(args) -> int:
 def _levels(text: str) -> int:
     """--levels as an int of at least 2: a residual can only decrease
     between two levels."""
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"levels must be an integer, got {text!r}") from None
     if n < 2:
         raise argparse.ArgumentTypeError(f"needs at least 2 levels, got {n}")
     return n
@@ -142,6 +148,8 @@ def _beta(text: str) -> float:
     config schema: a value outside is bad usage, not a solve error."""
     try:
         return make_kernel("beta", float(text)).beta
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"beta must be a number, got {text!r}") from None
     except RangeError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

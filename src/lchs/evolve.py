@@ -44,9 +44,10 @@ block then takes one of three paths, in this order.
   residual of V^dagger L V and V^dagger H V; with no span, V = I. With the
   diagonals integrated over time, lam = sum dt diag(V^dagger L V) and
   mu = sum dt diag(V^dagger H V), the sum is
-  V (sum_j c_j exp(-i (k_j lam + mu)) * V^dagger u0): one row of
-  exponentials per term instead of one eigendecomposition, for any number
-  of spans. A mirrored plan is folded here too (below).
+  V (sum_j c_j exp(-i (k_j lam + mu)) * V^dagger u0): the plan's transfer
+  function at the integrated eigenvalues instead of one eigendecomposition
+  per term, for any number of spans. A composite plan is summed by panels
+  (below).
 * Tridiagonal. When every span's L and H are zero outside the tridiagonal
   band (nearest-neighbour operators: the PDE and queue builders), k L + H is
   made real by a diagonal phase similarity and decomposed in real
@@ -68,12 +69,19 @@ k_j = -k_{N-1-j} (every composite Gauss plan does), the sum runs over the
 k > 0 half, each term carrying its mirror's coefficient c_- next to its own
 c_+; it is decided once per block.
 
-* Shared eigenbasis: lam is real, so exp(+i k lam) = conj exp(-i k lam) for
-  any spans, and with theta = k lam the pair +-k contributes
-  cos theta (c_+ + c_-) - i sin theta (c_+ - c_-): half the exponentials.
-  exp(-i mu) is common to both and is applied once, to V^dagger u0. cos and
-  sin are reduced in turn, so the fold holds half the memory of the
-  unfolded sum, never exp(-i k lam) and its conjugate at once.
+* Shared eigenbasis, for a composite plan: lam is real, so
+  exp(+i k lam) = conj exp(-i k lam) for any spans, and the sum is
+  S(c_+) + conj(S(conj(c_-))) with S(w) = sum_j w_j exp(-i k_j lam). The
+  k > 0 nodes lie on panels, k = left_m + off_q bitwise (M panels of Q
+  nodes; sampling checks the layout), so exp(-i k lam) =
+  exp(-i left_m lam) exp(-i off_q lam) up to one rounding of the node, and
+  S(w) = sum_m A_m (sum_q w[m, q] B_q) with A = exp(-i left lam) and
+  B = exp(-i off lam): M + Q exponentials per eigenvalue instead of one per
+  term. B is formed once per block and A a chunk of budget / (dim^2 Q)
+  panels at a time. exp(-i mu) is common to every term and is applied once,
+  to V^dagger u0. Where K max|lam| overflows the split phases could stay
+  finite while k lam does not, so the sum is then direct, and not finite.
+  Any other plan, mirrored or not, is summed directly, term by term.
 * Per-term paths, only over a real generator: when every span's L is real
   and its H purely imaginary, exactly (the PDE, queue and lindblad
   builders), conj(k L + H) = -(-k L + H), so U(-k) = conj U(k) span by span.
@@ -87,9 +95,10 @@ The mirror test compares the two halves a slice at a time and stops at the
 first slice that differs, so a Monte Carlo plan, which is not mirrored, costs
 one slice, and its sum is unchanged.
 
-Within a chunk the terms (the +-k pairs of a folded sum) are reduced by
-pairwise numpy sums; the chunk partials are added in ascending plan order
-(ascending |k| when folded) with compensated summation. The result is
+Within a chunk the terms (the +-k pairs of a folded sum, the panels of a
+shared one) are reduced by pairwise numpy sums; the chunk partials are added
+in ascending plan order (ascending |k| when folded) with compensated
+summation. The result is
 deterministic, so reports are bit-stable for a fixed plan. Each sum logs one
 DEBUG record on lchs.evolve: the path (that of the only block, or "split"),
 the plan's term count, the eigendecompositions done (folded terms x spans
@@ -116,7 +125,7 @@ from .linalg import (
     is_semidefinite,
     matrix_exponential,
 )
-from .sampling import SamplingPlan
+from .sampling import SamplingPlan, _composite_panels
 
 _log = logging.getLogger(__name__)
 
@@ -421,37 +430,49 @@ def _is_mirrored(ks: np.ndarray) -> bool:
     )
 
 
-def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray):
+def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels):
     """sum_j weights[j] U(ks[j]) u0 over the spans of one block, streamed
     over chunks of budget / dim^2 terms. When all spans share a certified
     eigenbasis V the sum is V (sum_j weights[j] exp(-i (ks[j] lam + mu)) *
     V^dagger u0); otherwise a per-term path decomposes k L + H term by term.
-    A mirrored ks is folded onto its k > 0 half on the shared path, where
-    the pair +-k contributes exp(-i mu) (cos theta (c_+ + c_-) -
-    i sin theta (c_+ - c_-)) with theta = k lam, and on a per-term path over
-    real spans, where U(-k) u0 = conj(U(k) conj(u0)). Returns the sum and
-    the block's record: size, path, chunk count, step count and
-    decomposition count."""
+    A mirrored ks is folded onto its k > 0 half on the shared path when
+    panels = (left, off) factors that half, ks[half + m Q + q] = left[m] +
+    off[q], and K max|lam| is finite: the half sums to
+    S(c_+) + conj(S(conj(c_-))) with S(w) = sum_m A_m (sum_q w[m, q] B_q),
+    A = exp(-i left lam), B = exp(-i off lam), summed a chunk of panels at a
+    time, times exp(-i mu). On a per-term path it is folded over real spans,
+    where U(-k) u0 = conj(U(k) conj(u0)). Returns the sum and the block's
+    record: size, path, chunk count, step count and decomposition count."""
     dim = len(u0)
+    chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
     basis = _shared_eigenbasis(spans, dim)
-    fold = _is_mirrored(ks) and (basis is not None or _is_real(spans))
+    if basis is not None:
+        # where k lam overflows, left lam and off lam may not: the sum must stay non-finite
+        by_panels = panels is not None and math.isfinite(ks[-1] * np.abs(basis[1]).max())
+    fold = _is_mirrored(ks) and (by_panels if basis is not None else _is_real(spans))
     if fold:
         half = len(ks) // 2
         mirror = weights[half - 1 :: -1]
         ks, weights = ks[half:], weights[half:]
+    n = len(ks)
     if basis is not None:
         path, steps, decompositions = "shared-eigenbasis", 0, min(len(spans), 1)
         V, lam, mu = basis
+        if fold:
+            left, off = panels
+            n, Q = len(left), len(off)
+            chunk = max(1, chunk // Q)
+            B = np.exp(-1j * np.multiply.outer(lam, off))
+            plus, minus = weights.reshape(n, Q), mirror.reshape(n, Q)
 
         def chunk_sum(s):
             if not fold:
                 terms = np.exp(-1j * (lam[:, None] * ks[s][None, :] + mu[:, None])) * weights[s]
                 return terms.sum(axis=1)
-            # cos and sin in turn, so no two (dim, chunk) complex arrays live at once
-            theta = lam[:, None] * ks[s][None, :]
-            even = (np.cos(theta) * (weights[s] + mirror[s])).sum(axis=1)
-            odd = (np.sin(theta, out=theta) * (weights[s] - mirror[s])).sum(axis=1)
-            return even - 1j * odd
+            A = np.exp(-1j * np.multiply.outer(lam, left[s]))
+            own = (A * (B @ plus[s].T)).sum(axis=1)
+            mirrored = (A * (B @ minus[s].T.conj())).sum(axis=1)
+            return own + mirrored.conj()
     else:
         tridiagonal = _is_tridiagonal(spans)
         path = "tridiagonal" if tridiagonal else "batched-eigh"
@@ -474,10 +495,9 @@ def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray)
             return cols[0].sum(axis=1)
         decompositions = len(ks) * steps
 
-    chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
     total = np.zeros(dim, dtype=complex)
     comp = np.zeros_like(total)
-    for start in range(0, len(ks), chunk):
+    for start in range(0, n, chunk):
         term = chunk_sum(slice(start, start + chunk)) - comp
         tmp = total + term
         comp = (tmp - total) - term
@@ -487,11 +507,11 @@ def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray)
         if fold:
             coeff = np.exp(-1j * mu) * coeff
         total = V @ (total * coeff)
-    return total, (dim, path, -(-len(ks) // chunk), steps, decompositions)
+    return total, (dim, path, -(-n // chunk), steps, decompositions)
 
 
 def _weighted_unitary_sum(
-    spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
+    spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels=None
 ) -> np.ndarray:
     """sum_j weights[j] U(ks[j]) u0 over the spans, streamed over chunks of
     terms.
@@ -504,12 +524,13 @@ def _weighted_unitary_sum(
     O(chunk * dim) for any number of terms. Within a chunk the reduction is
     one pairwise numpy sum over the terms; chunk partials are added in
     ascending order with compensation. Every step is deterministic, so a
-    fixed input gives the same bytes each call.
+    fixed input gives the same bytes each call. panels, the (left, off)
+    factors of the k > 0 half of ks, lets a shared block fold a mirrored ks.
     """
     out = np.zeros(len(u0), dtype=complex)
     records = []
     for idx, block_spans in _blocks(spans, len(u0)):
-        out[idx], record = _block_sum(block_spans, ks, weights, u0[idx])
+        out[idx], record = _block_sum(block_spans, ks, weights, u0[idx], panels)
         records.append(record)
     _log.debug(
         "weighted unitary sum: path=%s terms=%d decompositions=%d chunks=%d steps=%d "
@@ -533,7 +554,7 @@ def _checked_sum(p: ProblemInstance, plan: SamplingPlan, T: float, weigh) -> np.
     p.require_gate()
     spans = _spans(p.schedule, T)
     try:
-        out = _weighted_unitary_sum(spans, plan.k, weigh(plan), p.u0)
+        out = _weighted_unitary_sum(spans, plan.k, weigh(plan), p.u0, _composite_panels(plan))
     except PropagationError:
         raise
     except Exception as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import jsonschema
 import numpy as np
 
-from .errors import BuildError, ConfigError, FitError, LchsError
+from .errors import BuildError, ConfigError, FitError, LchsError, RangeError
 from .evolve import ProblemInstance, SolveReport, lchs_apply, oracle_solve, solve
 from .kernels import DEFAULT_BETA, DEFAULT_FAMILY, KernelSpec, choose_truncation, make_kernel
 from .problems import (
@@ -212,6 +212,10 @@ class RunConfig:
                 "/accuracy",
             )
         kernel = d.get("kernel", {"family": DEFAULT_FAMILY, "beta": DEFAULT_BETA})
+        try:
+            make_kernel(kernel["family"], kernel.get("beta"))
+        except RangeError as exc:  # the schema bounds beta, so only a cauchy beta is left
+            raise ConfigError(f"config invalid at /kernel/beta: {exc}", "/kernel/beta") from exc
         return RunConfig(
             problem_name=d["problem"]["name"],
             problem_params=d["problem"].get("params", {}),

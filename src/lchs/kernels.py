@@ -69,6 +69,8 @@ class KernelSpec:
         if self.family == "beta":
             if self.beta is None or not (0.0 < self.beta < 1.0):
                 raise RangeError(f"beta must lie in (0, 1), got {self.beta}")
+        elif self.beta is not None:
+            raise RangeError(f"the {self.family} family takes no beta, got {self.beta}")
 
 
 def kernel_f(spec: KernelSpec, k):
@@ -224,7 +226,8 @@ def check_normalization(spec: KernelSpec) -> float:
 
 def make_kernel(family: str = DEFAULT_FAMILY, beta: float | None = None) -> KernelSpec:
     """Construct a KernelSpec; beta defaults to DEFAULT_BETA for the beta
-    family. No quadrature runs: the weight integral is exactly 1."""
+    family, and the cauchy family takes none (RangeError otherwise). No
+    quadrature runs: the weight integral is exactly 1."""
     if family == "beta" and beta is None:
         beta = DEFAULT_BETA
-    return KernelSpec(family=family, beta=beta if family == "beta" else None)
+    return KernelSpec(family=family, beta=beta)

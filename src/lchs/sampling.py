@@ -9,6 +9,7 @@ Q nodes each, c = w * g(k)) or from uniform Monte Carlo sampling
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,12 +27,27 @@ NS_MAX = 1_000_000_000
 GENERATOR_ID = "philox4x64-raw-v1"
 
 
+# the abscissae of a plan are compared with their panel layout this many
+# entries at a time
+_LAYOUT_SLICE = 4096
+
+# |c| is summed this many coefficients at a time by coefficient_l1
+_L1_SLICE = 65536
+
+
+@functools.lru_cache(maxsize=Q_MAX)
 def gauss_legendre(Q: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the Q-point Gauss-Legendre rule on
-    (-1, 1), which integrates polynomials of degree <= 2Q - 1 exactly."""
+    (-1, 1), which integrates polynomials of degree <= 2Q - 1 exactly.
+
+    Memoized per Q, since every plan build asks for its rule; the arrays are
+    read-only. A RangeError is raised afresh on every call, not cached."""
     if not (1 <= Q <= Q_MAX):
         raise RangeError(f"Q must lie in [1, {Q_MAX}], got {Q}")
-    return np.polynomial.legendre.leggauss(Q)
+    rule = np.polynomial.legendre.leggauss(Q)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -55,17 +71,25 @@ class SamplingPlan:
         return len(self.k)
 
     def coefficient_l1(self) -> float:
-        return float(np.sum(np.abs(self.c)))
+        """sum |c_j|, in slices of _L1_SLICE terms, so no array the size of
+        the plan is made."""
+        c = np.asarray(self.c)
+        return sum(float(np.abs(c[i : i + _L1_SLICE]).sum()) for i in range(0, len(c), _L1_SLICE))
 
     def validate(self) -> None:
+        """Raise RangeError unless the plan has terms, as many coefficients
+        as abscissae, finite abscissae inside [-K, K] and absolutely summable
+        coefficients. Only O(1) temporaries: the abscissae are read through
+        their minimum and maximum, which a NaN propagates to."""
         if self.size == 0:
             raise RangeError("plan has no terms")
         if len(self.c) != self.size:
             raise RangeError(f"plan has {self.size} abscissae but {len(self.c)} coefficients")
+        lo, hi = np.min(self.k), np.max(self.k)
         # nan > K is False, so a NaN abscissa would pass the window check
-        if not np.all(np.isfinite(self.k)):
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise RangeError("plan abscissae are not finite")
-        if np.max(np.abs(self.k)) > self.K * (1 + 1e-12):
+        if max(-lo, hi) > self.K * (1 + 1e-12):
             raise RangeError("plan abscissae fall outside [-K, K]")
         if not np.isfinite(self.coefficient_l1()):
             raise RangeError("plan coefficients are not absolutely summable")
@@ -97,6 +121,28 @@ def _composite_nodes(K: float, M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.concatenate([-positive[::-1], positive])
     wts = np.broadcast_to(0.5 * h * w, (2 * M, Q)).ravel()
     return k, wts
+
+
+def _composite_panels(plan: SamplingPlan):
+    """(left, off) with k[half + m Q + q] == left[m] + off[q] bitwise over
+    the k > 0 half of plan.k (half = size // 2), when that half is exactly
+    the layout _composite_nodes builds from the plan's K, M and Q: panel left
+    endpoints h * arange(M), h = K / M, and node offsets 0.5 h (x + 1).
+    None otherwise (a Monte Carlo or hand-made plan). off is read from the
+    first panel, which holds it exactly since left[0] = 0, so no rule is
+    computed; the layout is compared _LAYOUT_SLICE entries at a time, so no
+    array the size of the plan is made."""
+    M, Q = plan.meta.get("M"), plan.meta.get("Q")
+    half = plan.size // 2
+    if plan.method != "gaussian" or M is None or Q is None or not 0 < M * Q == half:
+        return None
+    k = plan.k[half:]
+    left, off = (plan.K / M) * np.arange(M), k[:Q]
+    step = max(1, _LAYOUT_SLICE // Q)
+    for m in range(0, M, step):
+        if not np.array_equal(k[m * Q : (m + step) * Q], (left[m : m + step, None] + off).ravel()):
+            return None
+    return left, off
 
 
 def composite_plan(kernel: KernelSpec, K: float, M: int, Q: int) -> SamplingPlan:

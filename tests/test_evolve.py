@@ -1031,6 +1031,68 @@ class TestSharedFold:
         assert peak(p, plan, T) <= unfolded
 
 
+class TestPanelSum:
+    """A composite plan's k > 0 nodes are panel left ends plus node offsets,
+    k = left_m + off_q bitwise, so a shared block sums exp(-i k lam) as
+    exp(-i left_m lam) exp(-i off_q lam), a chunk of panels at a time. The
+    reference is the direct sum over every node, reached by declining the
+    mirror test."""
+
+    @staticmethod
+    def panel_budget(p, plan, panels):
+        """_BATCH_ENTRY_BUDGET for chunks of `panels` panels at p.dim, one
+        term short of the next whole panel so the term and panel chunkings
+        differ."""
+        return p.dim**2 * (plan.meta["Q"] * (panels + 1) - 1)
+
+    @pytest.mark.parametrize("case", ["parabolic1d", "commuting", "two-spans"])
+    def test_panels_match_direct_sum_over_several_chunks(self, case, beta_kernel, monkeypatch, caplog):
+        p, T, normL = TestSharedFold.instance(case)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, T, normL)
+        M, Q = plan.meta["M"], plan.meta["Q"]
+        panels = -(-M // 4)  # four chunks, the last one short
+        monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", self.panel_budget(p, plan, panels))
+        counts = logged_counts(p, plan, T, caplog)
+        assert counts["chunks"] == -(-M // panels) == 4
+        for fn, unwrap in ((lchs_apply, np.asarray), (residual_lemma_check, lambda r: np.array([r]))):
+            factored = unwrap(fn(p, plan, T))
+            direct = unwrap(TestSharedFold.unfolded(monkeypatch, fn, p, plan, T))
+            assert np.linalg.norm(factored - direct) <= 1e-13 * np.linalg.norm(p.u0)
+
+    def test_node_off_the_layout_takes_the_direct_sum(self, beta_kernel, monkeypatch, caplog):
+        # one k > 0 node and its mirror moved one ulp: the plan still
+        # mirrors, but no panel factors it, so every node is summed directly
+        p, T, normL = TestSharedFold.instance("commuting")
+        plan = plan_from_accuracy(beta_kernel, 1e-4, T, normL)
+        half, j = plan.size // 2, 5 * plan.meta["Q"] + 3
+        k = plan.k.copy()
+        k[half + j] = np.nextafter(k[half + j], np.inf)
+        k[half - 1 - j] = -k[half + j]
+        moved = dataclasses.replace(plan, k=k)
+        assert ev._is_mirrored(moved.k)
+        assert ev._composite_panels(moved) is None
+        counts = logged_counts(p, moved, T, caplog)
+        assert counts["chunks"] == -(-moved.size // (ev._BATCH_ENTRY_BUDGET // p.dim**2))
+        out = lchs_apply(p, moved, T)
+        direct = TestSharedFold.unfolded(monkeypatch, lchs_apply, p, moved, T)
+        assert out.tobytes() == direct.tobytes()
+        assert np.linalg.norm(out - lchs_apply(p, plan, T)) <= 1e-13 * np.linalg.norm(p.u0)
+
+    def test_phase_overflow_is_not_hidden_by_the_panels(self, beta_kernel):
+        # k lam overflows at the last nodes (39.7 x 5e306 > 1.8e308) while
+        # left lam and off lam stay finite; the split would hide that
+        L = np.diag([5e306, 4e306]).astype(complex)
+        H = np.diag([1.0, -1.0]).astype(complex)
+        p = ProblemInstance.from_pair(HermitianPair(L=L, H=H), np.ones(2))
+        plan = composite_plan(beta_kernel, 40.0, 4, 4)
+        left, off = ev._composite_panels(plan)
+        with np.errstate(all="ignore"):
+            assert np.isfinite(left[-1] * 5e306) and not np.isfinite(plan.k[-1] * 5e306)
+            for entry in (lchs_apply, residual_lemma_check):
+                with pytest.raises(PropagationError, match="not finite"):
+                    entry(p, plan, 1.0)
+
+
 class TestStreamedReduction:
     # 32,000 entries: chunks of 2,000 terms at dim 4, so the plans below
     # span several chunks without making the test heavy

@@ -123,6 +123,15 @@ class TestConfig:
             RunConfig.from_dict(cfg)
         assert err.value.pointer == pointer
 
+    def test_cauchy_kernel_takes_no_beta(self):
+        # the cauchy family has no exponent: a beta next to it would be
+        # echoed into report.json although the solve never reads it
+        with pytest.raises(ConfigError, match="cauchy family takes no beta, got 0.5") as err:
+            RunConfig.from_dict(base_config(kernel={"family": "cauchy", "beta": 0.5}))
+        assert err.value.pointer == "/kernel/beta"
+        cfg = RunConfig.from_dict(base_config(kernel={"family": "cauchy"}))
+        assert (cfg.kernel_family, cfg.kernel_beta) == ("cauchy", None)
+
     @pytest.mark.parametrize("schema", [CONFIG_SCHEMA, REPORT_SCHEMA], ids=["config", "report"])
     def test_schema_is_valid_2020_12(self, schema):
         # the prebuilt validators never check the schema itself
@@ -749,6 +758,34 @@ class TestCliExitCodes:
         (line,) = [line for line in err.splitlines() if "error:" in line]
         assert line.startswith(prefix)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate-kernel", "--family", "beta", "--beta", "abc"],
+         "argument --beta: beta must be a number, got 'abc'"),
+        (["lemma-check", "config.json", "--levels", "x"],
+         "argument --levels: levels must be an integer, got 'x'"),
+        (["lemma-check", "config.json", "--levels", "2.5"],
+         "argument --levels: levels must be an integer, got '2.5'"),
+    ], ids=["beta-abc", "levels-x", "levels-2.5"])
+    def test_non_numeric_option_names_its_value(self, capsys, argv, message):
+        # argparse names a type function that raises ValueError ("invalid
+        # _beta value"); the message names the option and the bad value
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.endswith(message)
+        assert "_beta" not in err and "_levels" not in err
+
+    def test_cauchy_beta_exits_config(self, tmp_path, capsys):
+        argv = ["validate-kernel", "--family", "cauchy", "--beta", "0.5"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --beta: the cauchy family takes no beta, got 0.5\n"
+        assert main(["validate-kernel", "--family", "cauchy"]) == EXIT_OK
+        assert "family=cauchy beta=None" in capsys.readouterr().out
+        cfg = base_config(tmp_path, kernel={"family": "cauchy", "beta": 0.5})
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "config invalid at /kernel/beta" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("old, new", [
         ('"T": 1.0', '"T": Infinity'),

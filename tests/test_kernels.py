@@ -10,7 +10,7 @@ from lchs import (
     tail_mass,
     weight_g,
 )
-from lchs.kernels import K_MAX, _abs_g_beta, kernel_f
+from lchs.kernels import K_MAX, KernelSpec, _abs_g_beta, kernel_f
 from lchs.sampling import composite_plan
 
 
@@ -89,6 +89,13 @@ class TestMakeKernel:
         monkeypatch.setattr(scipy.integrate, "quad", refuse)
         spec = make_kernel(family, beta)
         assert (spec.family, spec.beta) == (family, beta)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.75, 2.0])
+    def test_cauchy_rejects_a_beta(self, beta):
+        # the cauchy family has no exponent, so a beta is an error, not dropped
+        for make in (KernelSpec, make_kernel):
+            with pytest.raises(RangeError, match=f"cauchy family takes no beta, got {beta}"):
+                make("cauchy", beta)
 
     def test_f_at_pole_of_weight(self):
         # the residue identity rests on f(-i) = 1 / (2 pi) for both families

@@ -19,7 +19,15 @@ from lchs import (
 )
 from lchs.harness import build_problem
 from lchs.kernels import make_kernel
-from lchs.sampling import GENERATOR_ID, NS_MAX, _composite_nodes, quadrature_order
+from lchs.sampling import (
+    GENERATOR_ID,
+    NS_MAX,
+    Q_MAX,
+    SamplingPlan,
+    _composite_nodes,
+    _composite_panels,
+    quadrature_order,
+)
 
 
 def composite_plan_reference(kernel, K, M, Q):
@@ -67,6 +75,33 @@ class TestGaussLegendre:
         for bad in (0, -1, 65):
             with pytest.raises(RangeError):
                 gauss_legendre(bad)
+
+    def test_rule_is_memoized_and_read_only(self, monkeypatch, beta_kernel):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def spy(Q):
+            calls.append(Q)
+            return leggauss(Q)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+        gauss_legendre.cache_clear()
+        first = composite_plan(beta_kernel, 44.25, 174, 7)
+        x, w = gauss_legendre(7)
+        second = composite_plan(beta_kernel, 44.25, 174, 7)
+        assert calls == [7]
+        assert np.array_equal(x, leggauss(7)[0]) and np.array_equal(w, leggauss(7)[1])
+        assert first.k.tobytes() == second.k.tobytes() and first.c.tobytes() == second.c.tobytes()
+        for a in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_range_error_raises_on_every_call(self):
+        gauss_legendre.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RangeError, match="Q must lie in"):
+                gauss_legendre(Q_MAX + 1)
+        assert gauss_legendre.cache_info().currsize == 0
 
 
 class TestCompositePlan:
@@ -144,6 +179,27 @@ class TestCompositePlan:
         assert np.array_equal(a.k, b.k)
         assert np.array_equal(a.c, b.c)
         assert a.meta == b.meta
+
+    @pytest.mark.parametrize("Q", [1, 4, 12])
+    @pytest.mark.parametrize("K, M", [(1.0, 1), (63.81, 261), (44.25, 1500)])
+    def test_panels_factor_the_positive_half_exactly(self, beta_kernel, K, M, Q):
+        # evolve sums a shared block by panels only on this bitwise layout
+        plan = composite_plan(beta_kernel, K, M, Q)
+        left, off = _composite_panels(plan)
+        assert len(left) == M and len(off) == Q and left[0] == 0.0
+        assert np.array_equal((left[:, None] + off).ravel(), plan.k[plan.size // 2 :])
+
+    def test_panels_of_other_plans_are_none(self, beta_kernel):
+        plan = composite_plan(beta_kernel, 44.25, 174, 7)
+        half = plan.size // 2
+        assert _composite_panels(mc_plan(beta_kernel, 44.25, 2 * half, 1)) is None
+        for meta in ({}, {"M": 174}, {"M": 173, "Q": 7}, {"M": 174, "Q": 8}, {"M": 87, "Q": 14}):
+            assert _composite_panels(dataclasses.replace(plan, meta=meta)) is None
+        # one node one ulp off the layout, in the first panel and in a later one
+        for j in (3, 5 * 7 + 2, half - 1):
+            k = plan.k.copy()
+            k[half + j] = np.nextafter(k[half + j], np.inf)
+            assert _composite_panels(dataclasses.replace(plan, k=k)) is None
 
     @pytest.mark.parametrize("M, Q", [(10**12, 8), (NS_MAX // 16 + 1, 8)])
     def test_oversized_plan_rejected(self, beta_kernel, M, Q):
@@ -298,6 +354,34 @@ class TestValidate:
         plan = mc_plan(beta_kernel, 3.0, 8, 1)
         c = np.resize(plan.c, n_c)
         with pytest.raises(RangeError, match="8 abscissae but"):
+            dataclasses.replace(plan, c=c).validate()
+
+
+    def test_validate_makes_no_plan_sized_temporary(self):
+        # 4M terms: abs(k) and abs(c) as whole arrays would be 32 MB each
+        n = 4_000_000
+        plan = SamplingPlan(method="gaussian", k=np.linspace(-1.0, 1.0, n),
+                            c=np.full(n, 1e-7 + 1e-7j), K=1.0)
+        plan.validate()  # warm-up
+        tracemalloc.start()
+        try:
+            plan.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert plan.coefficient_l1() == pytest.approx(n * abs(1e-7 + 1e-7j), rel=1e-12)
+
+    @pytest.mark.parametrize("where", [0, 70_000, -1])
+    def test_window_and_summability_checked_everywhere(self, beta_kernel, where):
+        plan = mc_plan(beta_kernel, 3.0, 140_000, 1)
+        k = plan.k.copy()
+        k[where] = 3.0 * (1 + 1e-9) * (-1 if where == 0 else 1)
+        with pytest.raises(RangeError, match="outside"):
+            dataclasses.replace(plan, k=k).validate()
+        c = plan.c.copy()
+        c[where] = np.inf
+        with pytest.raises(RangeError, match="not absolutely summable"):
             dataclasses.replace(plan, c=c).validate()
 
 
