@@ -32,7 +32,7 @@ import numpy as np
 
 from . import harness
 from .errors import BuildError, ConfigError, LchsError, RangeError
-from .evolve import residual_lemma_check
+from .evolve import _PreparedSum, residual_lemma_check
 from .kernels import check_normalization, choose_truncation, kernel_f, make_kernel
 from .sampling import plan_from_accuracy
 
@@ -110,10 +110,11 @@ def _cmd_lemma_check(args) -> int:
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
     eps_levels = np.logspace(-1, -args.levels, args.levels)
     print(f"instance {problem.label}, T={cfg.T}, lambda0={problem.lambda0:.4g}")
+    prepared = _PreparedSum(problem, cfg.T)  # the schedule is analysed once for every level
     residuals = []
     for eps in eps_levels:
         plan = plan_from_accuracy(kernel, float(eps), cfg.T, float(problem.meta["normL"]))
-        res = residual_lemma_check(problem, plan, cfg.T)
+        res = residual_lemma_check(prepared, plan, cfg.T)
         M, Q = plan.meta["M"], plan.meta["Q"]
         print(f"eps={eps:.1e}: K={plan.K:.4g} M={M} Q={Q} residual={res:.6e}")
         residuals.append(res)

@@ -395,17 +395,20 @@ def _block_labels(spans: list) -> np.ndarray:
 
 
 def _blocks(spans: list, dim: int) -> list:
-    """(idx, spans) of every block: the connected components of the spans'
-    union sparsity pattern, each with the principal sub-matrices of every span.
-    One connected pattern, or no span at all, gives one block on all indices
-    with the spans as given."""
-    if not spans or not (labels := _block_labels(spans)).any():
-        return [(slice(None), spans)]
+    """(idx, spans, basis, tridiagonal, real) of every block: the connected
+    components of the spans' union sparsity pattern, each with the principal
+    sub-matrices of every span, its shared eigenbasis (V, lam, mu) or None,
+    and whether its spans are tridiagonal (tested only without a basis) and
+    real. No span at all (T = 0) gives one block on all indices."""
+    labels = _block_labels(spans) if spans else np.zeros(dim, dtype=int)
     blocks = []
     for first in np.flatnonzero(labels == np.arange(dim)):
         idx = np.flatnonzero(labels == first)
         sub = np.ix_(idx, idx)
-        blocks.append((idx, [(L[sub], H[sub], dt) for L, H, dt in spans]))
+        block = [(L[sub], H[sub], dt) for L, H, dt in spans]
+        basis = _shared_eigenbasis(block, len(idx))
+        tridiagonal = basis is None and _is_tridiagonal(block)
+        blocks.append((idx, block, basis, tridiagonal, _is_real(block)))
     return blocks
 
 
@@ -430,9 +433,10 @@ def _is_mirrored(ks: np.ndarray) -> bool:
     )
 
 
-def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels):
-    """sum_j weights[j] U(ks[j]) u0 over the spans of one block, streamed
-    over chunks of budget / dim^2 terms. When all spans share a certified
+def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels):
+    """sum_j weights[j] U(ks[j]) u0 over the spans of one analysed block,
+    (spans, basis, tridiagonal, real) as _blocks gives it, streamed over
+    chunks of budget / dim^2 terms. When all spans share a certified
     eigenbasis V the sum is V (sum_j weights[j] exp(-i (ks[j] lam + mu)) *
     V^dagger u0); otherwise a per-term path decomposes k L + H term by term.
     A mirrored ks is folded onto its k > 0 half on the shared path when
@@ -443,13 +447,13 @@ def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray,
     time, times exp(-i mu). On a per-term path it is folded over real spans,
     where U(-k) u0 = conj(U(k) conj(u0)). Returns the sum and the block's
     record: size, path, chunk count, step count and decomposition count."""
+    spans, basis, tridiagonal, real = block
     dim = len(u0)
     chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
-    basis = _shared_eigenbasis(spans, dim)
     if basis is not None:
         # where k lam overflows, left lam and off lam may not: the sum must stay non-finite
         by_panels = panels is not None and math.isfinite(ks[-1] * np.abs(basis[1]).max())
-    fold = _is_mirrored(ks) and (by_panels if basis is not None else _is_real(spans))
+    fold = _is_mirrored(ks) and (by_panels if basis is not None else real)
     if fold:
         half = len(ks) // 2
         mirror = weights[half - 1 :: -1]
@@ -474,7 +478,6 @@ def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray,
             mirrored = (A * (B @ minus[s].T.conj())).sum(axis=1)
             return own + mirrored.conj()
     else:
-        tridiagonal = _is_tridiagonal(spans)
         path = "tridiagonal" if tridiagonal else "batched-eigh"
         eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
         steps = len(spans)
@@ -511,10 +514,10 @@ def _block_sum(spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray,
 
 
 def _weighted_unitary_sum(
-    spans: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels=None
+    blocks: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels=None
 ) -> np.ndarray:
-    """sum_j weights[j] U(ks[j]) u0 over the spans, streamed over chunks of
-    terms.
+    """sum_j weights[j] U(ks[j]) u0 over the spans that _blocks split and
+    analysed, streamed over chunks of terms.
 
     The indices are split into the connected components of the spans' union
     sparsity pattern, and each component is summed on its own principal
@@ -529,8 +532,8 @@ def _weighted_unitary_sum(
     """
     out = np.zeros(len(u0), dtype=complex)
     records = []
-    for idx, block_spans in _blocks(spans, len(u0)):
-        out[idx], record = _block_sum(block_spans, ks, weights, u0[idx], panels)
+    for idx, *block in blocks:
+        out[idx], record = _block_sum(block, ks, weights, u0[idx], panels)
         records.append(record)
     _log.debug(
         "weighted unitary sum: path=%s terms=%d decompositions=%d chunks=%d steps=%d "
@@ -542,26 +545,43 @@ def _weighted_unitary_sum(
     return out
 
 
-def _checked_sum(p: ProblemInstance, plan: SamplingPlan, T: float, weigh) -> np.ndarray:
-    """sum_j w_j U(k_j, T) u0 over the plan's own nodes, w = weigh(plan): the
-    one entry of lchs_apply and residual_lemma_check into the weighted sum.
+class _PreparedSum:
+    """The schedule analysis of one instance on [0, T], made once for every
+    sum over it: the spans, split into blocks, each with its shared
+    eigenbasis or its per-term path and realness flag (see _blocks). Nothing
+    changes after construction, so threads may share it. Any failure of the
+    analysis raises PropagationError.
 
-    The plan is validated before weigh reads it, and the positivity gate
-    L >= 0 is required. Any failure inside the sum, and a sum that is
-    not finite, raises PropagationError.
+    sum is the one entry of lchs_apply and residual_lemma_check into the
+    weighted sum. Each call validates the plan before weigh reads it,
+    requires the positivity gate L >= 0, and runs the tests that read the
+    plan (mirror, panels). Any failure inside the sum, and a sum that is not
+    finite, raises PropagationError.
     """
-    plan.validate()
-    p.require_gate()
-    spans = _spans(p.schedule, T)
-    try:
-        out = _weighted_unitary_sum(spans, plan.k, weigh(plan), p.u0, _composite_panels(plan))
-    except PropagationError:
-        raise
-    except Exception as exc:
-        raise PropagationError(f"propagation failed: {exc}") from exc
-    if not np.all(np.isfinite(out)):
-        raise PropagationError("weighted unitary sum is not finite")
-    return out
+
+    def __init__(self, p: ProblemInstance, T: float):
+        self.p = p
+        spans = _spans(p.schedule, T)
+        try:
+            self.blocks = _blocks(spans, p.dim)
+        except Exception as exc:
+            raise PropagationError(f"propagation failed: {exc}") from exc
+
+    def sum(self, plan: SamplingPlan, weigh) -> np.ndarray:
+        """sum_j w_j U(k_j, T) u0 over the plan's own nodes, w = weigh(plan)."""
+        plan.validate()
+        self.p.require_gate()
+        try:
+            out = _weighted_unitary_sum(
+                self.blocks, plan.k, weigh(plan), self.p.u0, _composite_panels(plan)
+            )
+        except PropagationError:
+            raise
+        except Exception as exc:
+            raise PropagationError(f"propagation failed: {exc}") from exc
+        if not np.all(np.isfinite(out)):
+            raise PropagationError("weighted unitary sum is not finite")
+        return out
 
 
 def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:
@@ -570,11 +590,13 @@ def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:
     The schedule is propagated exactly, span by span. The terms are streamed
     in ascending plan order and reduced deterministically (see
     _weighted_unitary_sum). If the pairs record a shift c > 0 the result is
-    multiplied by exp(c T).
+    multiplied by exp(c T). p may also be the instance's _PreparedSum at T,
+    which a caller summing many plans over one schedule builds once.
     """
-    out = _checked_sum(p, plan, T, lambda plan: plan.c)
-    if p.shift > 0:
-        out = out * np.exp(p.shift * T)
+    prepared = p if isinstance(p, _PreparedSum) else _PreparedSum(p, T)
+    out = prepared.sum(plan, lambda plan: plan.c)
+    if prepared.p.shift > 0:
+        out = out * np.exp(prepared.p.shift * T)
     return out
 
 
@@ -597,11 +619,13 @@ def residual_lemma_check(p: ProblemInstance, plan: SamplingPlan, T: float) -> fl
     coefficient is c_j = w_j g(k_j) (w_j the Gauss weight or 2K/Ns), so
     c_j (1 - i k_j) = w_j f(k_j) and the sum is sum_j c_j (1 - i k_j) U(k_j) u0;
     a composite plan realizes the principal value by its symmetric window
-    [-K, K]. Requires the positivity gate L >= 0.
+    [-K, K]. Requires the positivity gate L >= 0. p may also be the
+    instance's _PreparedSum at T, as for lchs_apply.
     """
     if T <= 0:
         raise RangeError(f"T must be positive for the residual check, got {T}")
-    total = _checked_sum(p, plan, T, lambda plan: plan.c * (1 - 1j * plan.k))
+    prepared = p if isinstance(p, _PreparedSum) else _PreparedSum(p, T)
+    total = prepared.sum(plan, lambda plan: plan.c * (1 - 1j * plan.k))
     return float(np.linalg.norm(total))
 
 

@@ -28,7 +28,7 @@ import jsonschema
 import numpy as np
 
 from .errors import BuildError, ConfigError, FitError, LchsError, RangeError
-from .evolve import ProblemInstance, SolveReport, lchs_apply, oracle_solve, solve
+from .evolve import ProblemInstance, SolveReport, _PreparedSum, lchs_apply, oracle_solve, solve
 from .kernels import DEFAULT_BETA, DEFAULT_FAMILY, KernelSpec, choose_truncation, make_kernel
 from .problems import (
     LindbladSpec,
@@ -624,8 +624,10 @@ def run_convergence(
     one, so it reuses a row only for a repeated value. Ns rows therefore
     share their draws, their propagation and their correlation, and the
     wall_s of a carried row is its own increment and reduction. Any other
-    row starts from its full plan. One DEBUG record on lchs.harness per
-    sweep counts the terms propagated and reused.
+    row starts from its full plan. The schedule is analysed once per sweep,
+    by the first row that reaches its sums, and every row and replica shares
+    that analysis. One DEBUG record on lchs.harness per sweep counts the
+    terms propagated and reused, and the analyses made.
 
     Rows that fail are marked with NaN errors and a status note, the carried
     estimates are dropped, and the sweep continues from the next row's full
@@ -668,22 +670,24 @@ def run_convergence(
         if i > 0:
             plan = mc_plan(kernel, plan.K, plan.meta["Ns"], base_seed + i)
         if prev is None or not _extends(plan, prev[0]):
-            return plan, lchs_apply(problem, plan, cfg.T), plan.size
+            return plan, lchs_apply(prepared, plan, cfg.T), plan.size
         n0 = prev[0].size
         u = (n0 / plan.size) * prev[1]
         if plan.size > n0:
-            u = u + lchs_apply(problem, replace(plan, k=plan.k[n0:], c=plan.c[n0:]), cfg.T)
+            u = u + lchs_apply(prepared, replace(plan, k=plan.k[n0:], c=plan.c[n0:]), cfg.T)
         return plan, u, plan.size - n0
 
     # per replica, the (plan, estimate) of the last good row
     carried = [None] * replicas
     propagated = reused = 0
+    prepared = None
     result = SweepResult(axis=axis)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         for value in values:
             t0 = time.perf_counter()
             try:
                 plan = plan_for(value)
+                prepared = prepared or _PreparedSum(problem, cfg.T)
                 states = list(pool.map(replica, range(replicas), [plan] * replicas, carried))
                 carried = [(own, u) for own, u, _ in states]
                 fresh = sum(n for _, _, n in states)
@@ -707,8 +711,8 @@ def run_convergence(
                 }
             result.rows.append(row)
     _log.debug(
-        "sweep: axis=%s rows=%d replicas=%d terms propagated=%d reused=%d",
-        axis, len(values), replicas, propagated, reused,
+        "sweep: axis=%s rows=%d replicas=%d terms propagated=%d reused=%d analyses=%d",
+        axis, len(values), replicas, propagated, reused, prepared is not None,
     )
 
     good = [(r["value"], r["rel_error"]) for r in result.rows

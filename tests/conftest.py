@@ -35,5 +35,5 @@ def random_unitary(rng, dim):
 def propagate(p, k, T):
     """U(k, T) u0 for an instance: the package's weighted unitary sum with
     the single term k and weight 1."""
-    spans = evolve._spans(p.schedule, T)
-    return evolve._weighted_unitary_sum(spans, np.array([float(k)]), np.ones(1), p.u0)
+    blocks = evolve._blocks(evolve._spans(p.schedule, T), p.dim)
+    return evolve._weighted_unitary_sum(blocks, np.array([float(k)]), np.ones(1), p.u0)

@@ -8,16 +8,21 @@ import jsonschema
 import numpy as np
 import pytest
 
+import lchs.evolve as ev
 from lchs import (
     ConfigError,
     FitError,
+    ProblemInstance,
     PropagationError,
     composite_plan,
     harness,
+    hermitian_split,
     lchs_apply,
     make_kernel,
     mc_plan,
     oracle_solve,
+    plan_from_accuracy,
+    residual_lemma_check,
 )
 from lchs.cli import EXIT_BUILD, EXIT_CONFIG, EXIT_OK, EXIT_SOLVE, main
 from lchs.harness import (
@@ -692,6 +697,62 @@ class TestNestedMonteCarlo:
         for row in result.rows:
             assert row["status"] == "ok"
             assert np.isfinite(row["stderr"])
+
+
+def count_analyses(monkeypatch) -> list:
+    """Block sizes of the _shared_eigenbasis calls: a schedule analysis
+    tries one basis per block."""
+    calls = []
+    real = ev._shared_eigenbasis
+    monkeypatch.setattr(
+        ev, "_shared_eigenbasis", lambda spans, dim: calls.append(dim) or real(spans, dim)
+    )
+    return calls
+
+
+class TestOneAnalysisPerSweep:
+    """A sweep or a lemma-check analyses the schedule once and shares the
+    analysis over every row, replica and level. lindblad splits into a 2x2
+    block and two 1x1 blocks, so one analysis tries three bases."""
+
+    def test_mc_sweep_analyses_the_schedule_once(self, monkeypatch, caplog):
+        # the benchmark's mc-sweep: 4 rows x 6 replicas, 24 sums
+        caplog.set_level(logging.DEBUG, logger="lchs")
+        calls = count_analyses(monkeypatch)
+        cfg = mc_config("lindblad", K=44.25, seed=1)
+        result = run_convergence(cfg, "Ns", [2000, 4000, 8000, 16000], mc_seeds=6)
+        assert [r["status"] for r in result.rows] == ["ok"] * 4
+        assert len([r for r in caplog.records if r.name == "lchs.evolve"]) == 24
+        assert sorted(calls) == [1, 1, 2]
+        [summary] = [r.getMessage() for r in caplog.records if r.name == "lchs.harness"]
+        assert summary.endswith(" terms propagated=96000 reused=84000 analyses=1")
+
+    def test_lemma_check_analyses_the_schedule_once(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, base_config(problem={"name": "lindblad"}))
+        calls = count_analyses(monkeypatch)
+        assert main(["lemma-check", path, "--levels", "3"]) == EXIT_OK
+        assert sorted(calls) == [1, 1, 2]
+        # each level prints the residual of its own checked sum
+        printed = re.findall(r"residual=(\S+)", capsys.readouterr().out)
+        problem, kernel = build_problem("lindblad"), make_kernel("beta", 0.75)
+        plans = [plan_from_accuracy(kernel, eps, 1.0, problem.meta["normL"])
+                 for eps in (1e-1, 1e-2, 1e-3)]
+        assert printed == [f"{residual_lemma_check(problem, plan, 1.0):.6e}" for plan in plans]
+
+    def test_gate_violation_gives_error_rows(self, monkeypatch):
+        # the builders shift every L to L >= 0, so the instance is made here:
+        # the gate fails in every row's sums, not out of the sweep
+        pair = hermitian_split(np.array([[-1.0]], dtype=complex))
+        negative = ProblemInstance.from_pair(pair, np.array([1.0 + 0j]), label="negative")
+        monkeypatch.setattr(harness, "build_problem", lambda name, params: negative)
+        result = run_convergence(mc_config(), "Ns", [50, 100, 200, 400], mc_seeds=3)
+        status = (
+            "error:PreconditionError:positivity gate violated: lambda0 = -1.000e+00 "
+            "< -1e-12 ||L|| for instance 'negative'"
+        )
+        assert [r["status"] for r in result.rows] == [status] * 4
+        assert all(np.isnan(r["rel_error"]) and r["N"] == 0 for r in result.rows)
+        assert result.fit is None
 
 
 class TestWorkerCount:
