@@ -573,12 +573,13 @@ class TestTridiagonalPath:
 
     @staticmethod
     def two_span_instance(pairs):
-        u0 = np.array([1.0, 0.5j, -0.25, 0.75])
+        u0 = np.array([1.0, 0.5j, -0.25, 0.75])[: pairs[0].dim]
         return ProblemInstance(schedule=TimeSchedule.piecewise([0.0, 0.1, 1.0], pairs), u0=u0)
 
     @staticmethod
-    def tridiagonal_pairs(*seeds):
-        return [tridiagonal_instance(np.random.default_rng(s), 4).schedule.pairs[0] for s in seeds]
+    def tridiagonal_pairs(*seeds, dim=4):
+        rngs = map(np.random.default_rng, seeds)
+        return [tridiagonal_instance(rng, dim).schedule.pairs[0] for rng in rngs]
 
     def test_one_dense_span_sends_every_span_to_batched_eigh(self, beta_kernel, caplog):
         tri1, tri2 = self.tridiagonal_pairs(14, 15)
@@ -587,8 +588,9 @@ class TestTridiagonalPath:
         for pairs, path in (((tri1, tri2), "tridiagonal"), ((tri1, dense), "batched-eigh")):
             assert logged_path(self.two_span_instance(pairs), plan, self.T, caplog) == path
 
-    def test_spans_match_expm_product(self):
-        pairs = self.tridiagonal_pairs(14, 15)
+    @pytest.mark.parametrize("dim", [2, 4])  # the closed form and dstevd
+    def test_spans_match_expm_product(self, dim):
+        pairs = self.tridiagonal_pairs(14, 15, dim=dim)
         p = self.two_span_instance(pairs)
         k = 2.7
         ref = expm_product([(pairs[0], 0.1), (pairs[1], self.T - 0.1)], k) @ p.u0
@@ -625,23 +627,49 @@ def tridiagonal_branch_calls(monkeypatch):
     return calls
 
 
-def dstevd_reference(L, H, ks, phases=ev._eigh_tridiagonal):
-    """_eigh_tridiagonal with every phase-rotated band decomposed by dstevd,
-    whatever its dim: the reference for the closed form. The phases come
-    from the package routine, bound here so that patching it in with this
-    reference does not recurse."""
-    _, _, d = phases(L, H, ks)
-    diag = ks[:, None] * L.diagonal().real + H.diagonal().real
-    off = np.abs(ks[:, None] * np.diagonal(L, 1) + np.diagonal(H, 1))
-    W, V, info = zip(*map(lapack.dstevd, diag, off))
-    assert not any(info)
-    return np.array(W), np.array(V), d
+def via_eigenpairs(monkeypatch, eig=ev._eigh_tridiagonal):
+    """Propagate tridiagonal blocks of dims 1 and 2 through eig's eigenpairs,
+    phases and batched matmul instead of _expm_closed_form: the reference
+    for the closed form. The default eig decomposes every phase-rotated band
+    by dstevd, whatever its dim."""
+    chunk = ev._propagate_chunk
+    monkeypatch.setattr(
+        ev, "_propagate_chunk",
+        lambda spans, ks, starts, e: chunk(spans, ks, starts, eig if e is None else e),
+    )
+
+
+def closed_form_eigenpairs(L, H, ks):
+    """(W, V, d) of a 2x2 tridiagonal k L + H = D V diag(W) V^T D^dagger in
+    closed form, the decomposition the tridiagonal path propagated dim 2
+    with before _expm_closed_form: after the phase similarity
+    d = (1, conj(e) / |e|), [[a, b], [b, c]] = m I + r [[cos 2phi, sin 2phi],
+    [sin 2phi, -cos 2phi]] with phi = atan2(b, (a - c) / 2) / 2."""
+    a, c = (ks * L[i, i].real + H[i, i].real for i in (0, 1))
+    e = ks * L[0, 1] + H[0, 1]
+    b = np.abs(e)
+    d = np.ones((len(ks), 2), dtype=complex)
+    np.divide(e.conj(), b, out=d[:, 1], where=e != 0)
+    m, h = 0.5 * (a + c), 0.5 * (a - c)
+    r = np.hypot(h, b)
+    phi = 0.5 * np.arctan2(b, h)
+    cos, sin = np.cos(phi), np.sin(phi)
+    V = np.stack([-sin, cos, cos, sin], axis=1).reshape(len(ks), 2, 2)
+    return np.stack([m - r, m + r], axis=1), V, d
+
+
+def closed_form_propagator(pair, k, dt):
+    """exp(-i dt (k L + H)) of a 2x2 pair from _expm_closed_form, applied to
+    the columns of I."""
+    vecs = np.eye(2, dtype=complex)[None, :, :]
+    ev._expm_closed_form(pair.L, pair.H, np.array([k]), dt, vecs, np.empty_like(vecs))
+    return vecs[0]
 
 
 class TestTridiagonalBranches:
-    """Tridiagonal blocks of dims 1 and 2 are decomposed in closed form for
-    all terms at once, larger ones by dstevd term by term; both agree with
-    the batched-eigh path on the same plan."""
+    """Tridiagonal blocks of dims 1 and 2 are propagated by their closed-form
+    exponential for all terms at once, larger ones decomposed by dstevd term
+    by term; both agree with the batched-eigh path on the same plan."""
 
     T = 0.25
 
@@ -680,11 +708,12 @@ class TestTridiagonalBranches:
         k_star = plan.k[plan.size // 3]
         p = self.dim2_instance(case, k_star)
         pair = p.schedule.pairs[0]
-        W, V, d = ev._eigh_tridiagonal(pair.L, pair.H, np.array([k_star]))
-        A = (d[0][:, None] * (V[0] * W[0]) @ V[0].T) * d[0].conj()
-        assert np.linalg.norm(A - (k_star * pair.L + pair.H)) <= 1e-13 * abs(k_star)
+        U = closed_form_propagator(pair, k_star, self.T)
+        ref = expm_product([(pair, self.T)], k_star)
+        assert np.linalg.norm(U - ref) <= 1e-13 * abs(k_star)
         if case == "h=b=0":
-            assert W[0, 0] == W[0, 1]
+            # r = 0: exp(-i T m I) exactly, a multiple of I
+            assert U[0, 1] == U[1, 0] == 0 and U[0, 0] == U[1, 1]
             # k* L + H = m I makes H = m I - k* L commute with L: decline the
             # shared eigenbasis so that the pair takes the tridiagonal path
             monkeypatch.setattr(ev, "_shared_eigenbasis", lambda spans, dim: None)
@@ -692,10 +721,23 @@ class TestTridiagonalBranches:
         calls = tridiagonal_branch_calls(monkeypatch)
         closed = lchs_apply(p, plan, self.T)
         assert calls == []
-        monkeypatch.setattr(ev, "_eigh_tridiagonal", dstevd_reference)
+        via_eigenpairs(monkeypatch)
         looped = lchs_apply(p, plan, self.T)
         assert np.linalg.norm(closed - looped) <= 1e-12 * np.linalg.norm(p.u0)
         assert np.linalg.norm(closed - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    def test_closed_form_at_large_phase(self):
+        # r dt about 1e3: both the closed form and the reference lose about
+        # r dt units of roundoff to the phases, and no more
+        pair = self.dim2_instance("b=0", 0.0).schedule.pairs[0]
+        k, dt = 500.0, 5.0
+        L, H = pair.L, pair.H
+        h = 0.5 * (k * (L[0, 0] - L[1, 1]) + H[0, 0] - H[1, 1]).real
+        r = np.hypot(h, abs(k * L[0, 1] + H[0, 1]))
+        assert 900 <= r * dt <= 1100
+        ref = expm_product([(pair, dt)], k)
+        gap = np.linalg.norm(closed_form_propagator(pair, k, dt) - ref)
+        assert gap <= 8 * r * dt * np.finfo(float).eps
 
     def test_builder_dims_above_cut_off_keep_dstevd(self, beta_kernel, monkeypatch):
         calls = tridiagonal_branch_calls(monkeypatch)
@@ -707,10 +749,10 @@ class TestTridiagonalBranches:
 
     def test_lindblad_decomposes_nothing_larger_than_2x2(self, beta_kernel, monkeypatch):
         dims = []
-        for name in ("_eigh_tridiagonal", "_eigh_dense"):
-            def spy(L, H, ks, real=getattr(ev, name)):
+        for name in ("_expm_closed_form", "_eigh_tridiagonal", "_eigh_dense"):
+            def spy(L, H, ks, *rest, real=getattr(ev, name)):
                 dims.extend([len(L)] * len(ks))
-                return real(L, H, ks)
+                return real(L, H, ks, *rest)
 
             monkeypatch.setattr(ev, name, spy)
         p = build_problem("lindblad", {})
@@ -718,6 +760,48 @@ class TestTridiagonalBranches:
         lchs_apply(p, plan, self.T)
         # the 2x2 block is real and the plan mirrored: one decomposition per |k|
         assert dims == [2] * (plan.size // 2)
+
+    @staticmethod
+    def lindblad_complex_u0():
+        p = build_problem("lindblad", {})
+        rng = np.random.default_rng(3)
+        u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return dataclasses.replace(p, u0=u0 / np.linalg.norm(u0))
+
+    @pytest.mark.parametrize("T", [0.25, 1.0, 16.0])
+    @pytest.mark.parametrize("method", ["gaussian", "monte-carlo"])
+    def test_lindblad_matches_the_eigenpair_propagation(self, T, method, beta_kernel, monkeypatch):
+        # a folded Gaussian plan (u0 and conj(u0) columns) and a Monte Carlo
+        # one; the closed-form eigenpairs, phases and matmul are the reference
+        p = self.lindblad_complex_u0()
+        if method == "gaussian":
+            plan = plan_from_accuracy(beta_kernel, 1e-4, T, p.meta["normL"])
+        else:
+            plan = mc_plan(beta_kernel, 44.25, 16_000, 9)
+        closed = lchs_apply(p, plan, T)
+        via_eigenpairs(monkeypatch, closed_form_eigenpairs)
+        eigenpairs = lchs_apply(p, plan, T)
+        scale = np.linalg.norm(p.u0) * np.exp(p.shift * T)
+        assert np.linalg.norm(closed - eigenpairs) <= 2e-15 * scale
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_closed_form_peaks_no_higher_than_eigenpairs(self, columns):
+        p = self.lindblad_complex_u0()
+        blocks = ev._blocks(ev._spans(p.schedule, 1.0), p.dim)
+        [(idx, block, *_)] = [b for b in blocks if len(b[0]) == 2]
+        ks = np.sort(np.random.default_rng(4).uniform(-44.25, 44.25, 10_000))
+        starts = np.stack([p.u0[idx], p.u0[idx].conj()])[:columns]
+
+        def peak(eig):
+            ev._propagate_chunk(block, ks, starts, eig)  # warm-up
+            tracemalloc.start()
+            try:
+                ev._propagate_chunk(block, ks, starts, eig)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(None) <= peak(closed_form_eigenpairs)
 
 
 def one_block(spans):
