@@ -43,12 +43,20 @@ def _f(family: str, beta: float | None, z):
     """Kernel f(z), vectorized.
 
     The beta family is evaluated as a single exp of a complex argument so that
-    decay underflows to zero instead of overflowing an intermediate.
+    decay underflows to zero instead of overflowing an intermediate. On the
+    real axis, z = k, that argument is formed in real arithmetic, without a
+    complex power: (1 + ik)^b = r e^{i theta} with r = exp(b/2 log1p(k^2))
+    and theta = b atan k, so f = exp(2^b - r cos theta) e^{-i r sin theta}
+    / (2 pi). Decay still underflows, since |theta| < b pi/2 makes
+    cos theta > 0. A complex z takes the complex power.
     """
-    z = np.asarray(z, dtype=complex)
     if family == "cauchy":
-        return 1.0 / (np.pi * (1.0 + 1j * z))
-    return np.exp(2.0**beta - (1.0 + 1j * z) ** beta) / (2.0 * np.pi)
+        return 1.0 / (np.pi * (1.0 + 1j * np.asarray(z)))
+    if np.iscomplexobj(z):
+        return np.exp(2.0**beta - (1.0 + 1j * z) ** beta) / (2.0 * np.pi)
+    r = np.exp(0.5 * beta * np.log1p(z * z))
+    theta = beta * np.arctan(z)
+    return np.exp(2.0**beta - r * np.cos(theta) - 1j * r * np.sin(theta)) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)

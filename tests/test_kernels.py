@@ -50,6 +50,18 @@ class TestWeightG:
         assert g == pytest.approx(f / (1.0 - 1j * k), rel=1e-14)
         assert abs(g) <= 1.0 / np.sqrt(1.0 + k * k)
 
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 0.9, 0.95])
+    def test_beta_real_form_matches_complex_power(self, beta):
+        # the reference is the complex power (1 + ik)^b. Both forms lose
+        # about r = |1 + ik|^b units of roundoff to the phase r sin(b atan k),
+        # so the bound is 8 eps (1 + r): under 1e-13 while r < 56
+        k = np.concatenate([np.linspace(-500.0, 500.0, 20_001), np.geomspace(1e-8, 500.0, 2_000)])
+        k = np.concatenate([k, -k[20_001:]])
+        ref = np.exp(2.0**beta - (1.0 + 1j * k) ** beta) / (2.0 * np.pi) / (1.0 - 1j * k)
+        g = weight_g(make_kernel("beta", beta), k)
+        r = np.abs(1.0 + 1j * k) ** beta
+        assert np.all(np.abs(g - ref) <= 8 * np.finfo(float).eps * (1.0 + r) * np.abs(ref))
+
     def test_g_bound_on_grid(self, beta_kernel, cauchy_kernel):
         ks = np.linspace(-50, 50, 501)
         for spec in (beta_kernel, cauchy_kernel):
