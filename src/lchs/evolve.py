@@ -22,11 +22,16 @@ those matrices and builds no pair.
 Both weighted sums of unitaries take a SamplingPlan and sum over its own
 nodes: lchs_apply weights them by c_j, and residual_lemma_check by
 c_j (1 - i k_j) = w_j f(k_j), the kernel f in place of g = f/(1 - ik). Both
-enter through one checked routine: it validates the plan, requires the
-positivity gate, and raises PropagationError for any failure inside the sum
-and for a sum that is not finite. The sum streams the terms in chunks: a
-chunk is propagated and reduced into the running total before the next one
-starts, so memory stays O(chunk * dim) however large the plan.
+enter through one checked routine, the sum of a _PreparedSum: the analysis
+of one instance's schedule on [0, T] (its spans, blocks and each block's
+path, below), made once and read by every sum over it. lchs_apply and
+residual_lemma_check build one per call, or take one already built:
+run_convergence builds one per sweep and lemma-check one per command. Each
+sum validates the plan, requires the positivity gate, and raises
+PropagationError for any failure inside the analysis or the sum and for a
+sum that is not finite. The sum streams the terms in chunks: a chunk is
+propagated and reduced into the running total before the next one starts,
+so memory stays O(chunk * dim) however large the plan.
 
 The sum is one pipeline. It first splits the indices into blocks: the
 connected components of the union sparsity pattern of |L| + |H| over all
@@ -54,13 +59,16 @@ block then takes one of three paths, in this order.
   arithmetic. With e_j = k L[j, j+1] + H[j, j+1], D = diag(d), d_0 = 1 and
   d_{j+1} = d_j conj(e_j) / |e_j| (1 where e_j = 0), D^dagger (k L + H) D is
   real symmetric tridiagonal with diagonal Re(k L_jj + H_jj) and
-  off-diagonal |e_j|. A 2x2 block [[a, b], [b, c]] has its eigenpairs
-  (W, V) in closed form, V the rotation through phi = atan2(b, (a - c)/2) / 2,
-  and a 1x1 block the pair (diag, 1); dims 3 and up take LAPACK dstevd term
-  by term. The span acts as D V exp(-i dt W) V^T D^dagger, with
-  V^T and V applied by batched real matmul to the float view of the complex
-  vectors. Only the band of L and H is read; the schedule's pairs have
-  checked both matrices are Hermitian.
+  off-diagonal |e_j|, and LAPACK dstevd decomposes it term by term. The
+  span acts as D V exp(-i dt W) V^T D^dagger, with V^T and V applied by
+  batched real matmul to the float view of the complex vectors. A block of
+  dim 1 or 2 is not decomposed: each span applies its closed-form
+  exponential straight to the vectors (_expm_closed_form), the phase
+  exp(-i a dt) at dim 1 and, at dim 2, with m and h the half sum and half
+  difference of the diagonal and r = hypot(h, |e_0|),
+  exp(-i m dt) [cos(r dt) - i (sin(r dt) / r) (k L + H - m I)]. Only the
+  band of L and H is read; the schedule's pairs have checked both matrices
+  are Hermitian.
 * Batched eigh. Any other block is propagated span by span, by stacked
   complex eigendecompositions of k L + H and batched complex matmul.
 
@@ -102,9 +110,9 @@ summation. The result is
 deterministic, so reports are bit-stable for a fixed plan. Each sum logs one
 DEBUG record on lchs.evolve: the path (that of the only block, or "split"),
 the plan's term count, the eigendecompositions done (folded terms x spans
-for a per-term block, 1 for a shared block, 0 for one without spans), the
-chunks and steps (eigendecomposed spans) summed over the blocks, and
-blocks=n with each block's size:path.
+for a per-term block, the closed form included, 1 for a shared block, 0 for
+one without spans), the chunks and steps (propagated spans) summed over the
+blocks, and blocks=n with each block's size:path.
 """
 
 from __future__ import annotations
@@ -459,7 +467,7 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
     (spans, basis, tridiagonal, real) as _blocks gives it, streamed over
     chunks of budget / dim^2 terms. When all spans share a certified
     eigenbasis V the sum is V (sum_j weights[j] exp(-i (ks[j] lam + mu)) *
-    V^dagger u0); otherwise a per-term path decomposes k L + H term by term.
+    V^dagger u0); otherwise a per-term path propagates term by term.
     A mirrored ks is folded onto its k > 0 half on the shared path when
     panels = (left, off) factors that half, ks[half + m Q + q] = left[m] +
     off[q], and K max|lam| is finite: the half sums to
@@ -605,7 +613,7 @@ class _PreparedSum:
         return out
 
 
-def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:
+def lchs_apply(p: ProblemInstance | _PreparedSum, plan: SamplingPlan, T: float) -> np.ndarray:
     """Evaluate sum_j c_j U(k_j, T) u0 and unwind the spectral shift.
 
     The schedule is propagated exactly, span by span. The terms are streamed
@@ -632,7 +640,9 @@ def oracle_solve(p: ProblemInstance, T: float) -> np.ndarray:
     return u
 
 
-def residual_lemma_check(p: ProblemInstance, plan: SamplingPlan, T: float) -> float:
+def residual_lemma_check(
+    p: ProblemInstance | _PreparedSum, plan: SamplingPlan, T: float
+) -> float:
     """Norm of the f-weighted unitary sum over the plan's own nodes, which
     tends to zero as the window and rule are refined.
 

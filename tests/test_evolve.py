@@ -588,9 +588,8 @@ class TestTridiagonalPath:
         for pairs, path in (((tri1, tri2), "tridiagonal"), ((tri1, dense), "batched-eigh")):
             assert logged_path(self.two_span_instance(pairs), plan, self.T, caplog) == path
 
-    @pytest.mark.parametrize("dim", [2, 4])  # the closed form and dstevd
-    def test_spans_match_expm_product(self, dim):
-        pairs = self.tridiagonal_pairs(14, 15, dim=dim)
+    def test_spans_match_expm_product(self):
+        pairs = self.tridiagonal_pairs(14, 15)
         p = self.two_span_instance(pairs)
         k = 2.7
         ref = expm_product([(pairs[0], 0.1), (pairs[1], self.T - 0.1)], k) @ p.u0
@@ -725,6 +724,13 @@ class TestTridiagonalBranches:
         looped = lchs_apply(p, plan, self.T)
         assert np.linalg.norm(closed - looped) <= 1e-12 * np.linalg.norm(p.u0)
         assert np.linalg.norm(closed - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    def test_two_closed_form_spans_match_expm_product(self):
+        pairs = TestTridiagonalPath.tridiagonal_pairs(14, 15, dim=2)
+        p = TestTridiagonalPath.two_span_instance(pairs)
+        k = 2.7
+        ref = expm_product([(pairs[0], 0.1), (pairs[1], self.T - 0.1)], k) @ p.u0
+        assert np.linalg.norm(propagate(p, k, self.T) - ref) <= 1e-12 * np.linalg.norm(p.u0)
 
     def test_closed_form_at_large_phase(self):
         # r dt about 1e3: both the closed form and the reference lose about
