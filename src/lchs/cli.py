@@ -32,7 +32,7 @@ import numpy as np
 
 from . import harness
 from .errors import BuildError, ConfigError, LchsError, RangeError
-from .evolve import _PreparedSum, residual_lemma_check
+from .evolve import _PreparedSum
 from .kernels import check_normalization, choose_truncation, kernel_f, make_kernel
 from .sampling import plan_from_accuracy
 
@@ -50,7 +50,7 @@ def _cmd_solve(args) -> int:
         f"abs_error={report.abs_error:.6e} N={report.plan_size} "
         f"steps={report.propagator_steps} shift_unwound={report.shift_unwound}"
     )
-    if cfg.output:
+    if cfg.output and "json" in cfg.emit:
         print(f"report written to {os.path.join(cfg.output, 'report.json')}")
     if report.eps_met is False:
         print(
@@ -114,7 +114,7 @@ def _cmd_lemma_check(args) -> int:
     residuals = []
     for eps in eps_levels:
         plan = plan_from_accuracy(kernel, float(eps), cfg.T, float(problem.meta["normL"]))
-        res = residual_lemma_check(prepared, plan, cfg.T)
+        res = prepared.residual(plan)
         M, Q = plan.meta["M"], plan.meta["Q"]
         print(f"eps={eps:.1e}: K={plan.K:.4g} M={M} Q={Q} residual={res:.6e}")
         residuals.append(res)

@@ -22,12 +22,13 @@ those matrices and builds no pair.
 Both weighted sums of unitaries take a SamplingPlan and sum over its own
 nodes: lchs_apply weights them by c_j, and residual_lemma_check by
 c_j (1 - i k_j) = w_j f(k_j), the kernel f in place of g = f/(1 - ik). Both
-enter through one checked routine, the sum of a _PreparedSum: the analysis
-of one instance's schedule on [0, T] (its spans, blocks and each block's
-path, below), made once and read by every sum over it. lchs_apply and
-residual_lemma_check build one per call, or take one already built:
-run_convergence builds one per sweep and lemma-check one per command. Each
-sum validates the plan, requires the positivity gate, and raises
+are one call on a fresh _PreparedSum(p, T), the one entry into the sum: the
+analysis of one instance's schedule on [0, T] (its horizon, its spans,
+blocks and each block's path, below), made once and read by every sum over
+it. Its apply unwinds the shift at its own T and its residual weighs by f,
+so a sum and its unwinding cannot disagree on T. solve builds one per solve,
+run_convergence one per sweep and lemma-check one per command. Building it
+requires the positivity gate, once; each sum validates the plan and raises
 PropagationError for any failure inside the analysis or the sum and for a
 sum that is not finite. The sum streams the terms in chunks: a chunk is
 propagated and reduced into the running total before the next one starts,
@@ -162,10 +163,10 @@ class ProblemInstance:
     dim, shift (the scalar already added to every L in the schedule) and
     lambda0 (the certified post-shift lower bound) are read from the
     schedule. The positivity gate L >= 0, lambda0 >= -SEMIDEFINITE_TOL ||L||,
-    is enforced where the unitary-combination identity is used (the one
-    checked sum behind lchs_apply and residual_lemma_check), not at
-    construction, so that oracle_solve remains available for any Hermitian
-    pair.
+    is enforced where the unitary-combination identity is used (when the
+    _PreparedSum behind lchs_apply and residual_lemma_check is built), not
+    at construction, so that oracle_solve remains available for any
+    Hermitian pair.
     """
 
     schedule: TimeSchedule
@@ -542,91 +543,89 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
     return total, (dim, path, -(-n // chunk), steps, decompositions)
 
 
-def _weighted_unitary_sum(
-    blocks: list, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels=None
-) -> np.ndarray:
-    """sum_j weights[j] U(ks[j]) u0 over the spans that _blocks split and
-    analysed, streamed over chunks of terms.
-
-    The indices are split into the connected components of the spans' union
-    sparsity pattern, and each component is summed on its own principal
-    sub-matrices, by its own path and with its own chunk size; the entries
-    between components are exactly zero. Each chunk is propagated and
-    reduced into the running total before the next one starts, so memory is
-    O(chunk * dim) for any number of terms. Within a chunk the reduction is
-    one pairwise numpy sum over the terms; chunk partials are added in
-    ascending order with compensation. Every step is deterministic, so a
-    fixed input gives the same bytes each call. panels, the (left, off)
-    factors of the k > 0 half of ks, lets a shared block fold a mirrored ks.
-    """
-    out = np.zeros(len(u0), dtype=complex)
-    records = []
-    for idx, *block in blocks:
-        out[idx], record = _block_sum(block, ks, weights, u0[idx], panels)
-        records.append(record)
-    _log.debug(
-        "weighted unitary sum: path=%s terms=%d decompositions=%d chunks=%d steps=%d "
-        "blocks=%d [%s]",
-        records[0][1] if len(records) == 1 else "split", len(ks),
-        sum(r[4] for r in records), sum(r[2] for r in records), sum(r[3] for r in records),
-        len(records), " ".join(f"{r[0]}:{r[1]}" for r in records),
-    )
-    return out
-
-
 class _PreparedSum:
     """The schedule analysis of one instance on [0, T], made once for every
-    sum over it: the spans, split into blocks, each with its shared
-    eigenbasis or its per-term path and realness flag (see _blocks). Nothing
-    changes after construction, so threads may share it. Any failure of the
-    analysis raises PropagationError.
+    sum over it: the horizon T, the spans (steps counts them), split into
+    blocks, each with its shared eigenbasis or its per-term path and realness
+    flag (see _blocks). The positivity gate L >= 0 is required first, so an
+    instance that fails it raises PreconditionError and is not analysed; any
+    failure of the analysis raises PropagationError. Nothing changes after
+    construction, so threads may share it.
 
-    sum is the one entry of lchs_apply and residual_lemma_check into the
-    weighted sum. Each call validates the plan before weigh reads it,
-    requires the positivity gate L >= 0, and runs the tests that read the
-    plan (mirror, panels). Any failure inside the sum, and a sum that is not
-    finite, raises PropagationError.
+    sum is the one entry into the weighted sum; apply and residual weigh it
+    for lchs_apply and residual_lemma_check, at the analysis's own T.
     """
 
     def __init__(self, p: ProblemInstance, T: float):
-        self.p = p
+        p.require_gate()
+        self.p, self.T = p, T
         spans = _spans(p.schedule, T)
+        self.steps = len(spans)
         try:
             self.blocks = _blocks(spans, p.dim)
         except Exception as exc:
             raise PropagationError(f"propagation failed: {exc}") from exc
 
     def sum(self, plan: SamplingPlan, weigh) -> np.ndarray:
-        """sum_j w_j U(k_j, T) u0 over the plan's own nodes, w = weigh(plan)."""
+        """sum_j w_j U(k_j, T) u0 over the plan's own nodes, w = weigh(plan).
+
+        The plan is validated before weigh reads it. Each block is summed on
+        its own principal sub-matrices, by its own path and with its own
+        chunk size (_block_sum); the entries between blocks are exactly zero.
+        panels, the (left, off) factors of the plan's k > 0 half, lets a
+        shared block fold a mirrored plan. Every step is deterministic, so a
+        fixed plan gives the same bytes each call. Any failure inside the
+        sum, and a sum that is not finite, raises PropagationError.
+        """
         plan.validate()
-        self.p.require_gate()
+        u0 = self.p.u0
+        out = np.zeros(len(u0), dtype=complex)
+        records = []
         try:
-            out = _weighted_unitary_sum(
-                self.blocks, plan.k, weigh(plan), self.p.u0, _composite_panels(plan)
-            )
+            weights, panels = weigh(plan), _composite_panels(plan)
+            for idx, *block in self.blocks:
+                out[idx], record = _block_sum(block, plan.k, weights, u0[idx], panels)
+                records.append(record)
         except PropagationError:
             raise
         except Exception as exc:
             raise PropagationError(f"propagation failed: {exc}") from exc
+        _log.debug(
+            "weighted unitary sum: path=%s terms=%d decompositions=%d chunks=%d steps=%d "
+            "blocks=%d [%s]",
+            records[0][1] if len(records) == 1 else "split", plan.size,
+            sum(r[4] for r in records), sum(r[2] for r in records), sum(r[3] for r in records),
+            len(records), " ".join(f"{r[0]}:{r[1]}" for r in records),
+        )
         if not np.all(np.isfinite(out)):
             raise PropagationError("weighted unitary sum is not finite")
         return out
 
+    def apply(self, plan: SamplingPlan) -> np.ndarray:
+        """sum_j c_j U(k_j, T) u0, times exp(c T) if the pairs record a shift
+        c > 0."""
+        out = self.sum(plan, lambda plan: plan.c)
+        if self.p.shift > 0:
+            out = out * np.exp(self.p.shift * self.T)
+        return out
 
-def lchs_apply(p: ProblemInstance | _PreparedSum, plan: SamplingPlan, T: float) -> np.ndarray:
+    def residual(self, plan: SamplingPlan) -> float:
+        """|| sum_j c_j (1 - i k_j) U(k_j, T) u0 ||; T must be positive."""
+        if self.T <= 0:
+            raise RangeError(f"T must be positive for the residual check, got {self.T}")
+        return float(np.linalg.norm(self.sum(plan, lambda plan: plan.c * (1 - 1j * plan.k))))
+
+
+def lchs_apply(p: ProblemInstance, plan: SamplingPlan, T: float) -> np.ndarray:
     """Evaluate sum_j c_j U(k_j, T) u0 and unwind the spectral shift.
 
     The schedule is propagated exactly, span by span. The terms are streamed
     in ascending plan order and reduced deterministically (see
-    _weighted_unitary_sum). If the pairs record a shift c > 0 the result is
-    multiplied by exp(c T). p may also be the instance's _PreparedSum at T,
-    which a caller summing many plans over one schedule builds once.
+    _PreparedSum.sum). If the pairs record a shift c > 0 the result is
+    multiplied by exp(c T). A caller summing many plans over one schedule
+    builds the _PreparedSum once and calls its apply.
     """
-    prepared = p if isinstance(p, _PreparedSum) else _PreparedSum(p, T)
-    out = prepared.sum(plan, lambda plan: plan.c)
-    if prepared.p.shift > 0:
-        out = out * np.exp(prepared.p.shift * T)
-    return out
+    return _PreparedSum(p, T).apply(plan)
 
 
 def oracle_solve(p: ProblemInstance, T: float) -> np.ndarray:
@@ -640,9 +639,7 @@ def oracle_solve(p: ProblemInstance, T: float) -> np.ndarray:
     return u
 
 
-def residual_lemma_check(
-    p: ProblemInstance | _PreparedSum, plan: SamplingPlan, T: float
-) -> float:
+def residual_lemma_check(p: ProblemInstance, plan: SamplingPlan, T: float) -> float:
     """Norm of the f-weighted unitary sum over the plan's own nodes, which
     tends to zero as the window and rule are refined.
 
@@ -650,14 +647,9 @@ def residual_lemma_check(
     coefficient is c_j = w_j g(k_j) (w_j the Gauss weight or 2K/Ns), so
     c_j (1 - i k_j) = w_j f(k_j) and the sum is sum_j c_j (1 - i k_j) U(k_j) u0;
     a composite plan realizes the principal value by its symmetric window
-    [-K, K]. Requires the positivity gate L >= 0. p may also be the
-    instance's _PreparedSum at T, as for lchs_apply.
+    [-K, K]. Requires the positivity gate L >= 0 and T > 0.
     """
-    if T <= 0:
-        raise RangeError(f"T must be positive for the residual check, got {T}")
-    prepared = p if isinstance(p, _PreparedSum) else _PreparedSum(p, T)
-    total = prepared.sum(plan, lambda plan: plan.c * (1 - 1j * plan.k))
-    return float(np.linalg.norm(total))
+    return _PreparedSum(p, T).residual(plan)
 
 
 def solve(p: ProblemInstance, plan: SamplingPlan, T: float) -> SolveReport:
@@ -669,8 +661,8 @@ def solve(p: ProblemInstance, plan: SamplingPlan, T: float) -> SolveReport:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    n = max(1, len(_spans(p.schedule, T)))
-    u_lchs = lchs_apply(p, plan, T)
+    prepared = _PreparedSum(p, T)
+    u_lchs = prepared.apply(plan)
     timings["lchs_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -686,7 +678,7 @@ def solve(p: ProblemInstance, plan: SamplingPlan, T: float) -> SolveReport:
         rel_error=float(diff / nrm) if nrm > 0 else float("inf"),
         abs_error=float(diff),
         plan_size=plan.size,
-        propagator_steps=n,
+        propagator_steps=max(1, prepared.steps),
         wall_times=timings,
         shift_unwound=p.shift > 0,
         norm_ratio=float(np.linalg.norm(p.u0) / nlchs) if nlchs > 0 else float("inf"),

@@ -28,7 +28,7 @@ import jsonschema
 import numpy as np
 
 from .errors import BuildError, ConfigError, FitError, LchsError, RangeError
-from .evolve import ProblemInstance, SolveReport, _PreparedSum, lchs_apply, oracle_solve, solve
+from .evolve import ProblemInstance, SolveReport, _PreparedSum, oracle_solve, solve
 from .kernels import DEFAULT_BETA, DEFAULT_FAMILY, KernelSpec, choose_truncation, make_kernel
 from .problems import (
     LindbladSpec,
@@ -463,9 +463,10 @@ def run_solve(cfg: RunConfig) -> SolveReport:
     """Build the problem and plan, solve, and persist the report.
 
     For an eps-driven config the report's eps_met says whether the measured
-    error meets the contract abs_error <= eps ||u0||. Writes report.json
-    (deterministic), timing.json (wall clock), and optionally plan.csv with
-    the (k, |c|) table.
+    error meets the contract abs_error <= eps ||u0||. Into the output
+    directory, emit "json" writes report.json (deterministic) and
+    timing.json (wall clock), and emit "csv" writes plan.csv, the (k, |c|)
+    table.
     """
     problem = build_problem(cfg.problem_name, cfg.problem_params)
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
@@ -474,7 +475,7 @@ def run_solve(cfg: RunConfig) -> SolveReport:
     if "eps" in cfg.accuracy:
         bound = float(cfg.accuracy["eps"]) * float(np.linalg.norm(problem.u0))
         report.eps_met = report.abs_error <= bound
-    if cfg.output:
+    if cfg.output and "json" in cfg.emit:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "config": cfg.to_dict(),
@@ -493,13 +494,13 @@ def run_solve(cfg: RunConfig) -> SolveReport:
                 {"wall_times_s": report.wall_times}, indent=2, sort_keys=True, allow_nan=False
             ) + "\n",
         )
-        if "csv" in cfg.emit:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["k", "abs_c"])
-            for kj, cj in zip(plan.k, plan.c):
-                writer.writerow([repr(float(kj)), repr(float(abs(cj)))])
-            _atomic_write(os.path.join(cfg.output, "plan.csv"), buf.getvalue())
+    if cfg.output and "csv" in cfg.emit:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["k", "abs_c"])
+        for kj, cj in zip(plan.k, plan.c):
+            writer.writerow([repr(float(kj)), repr(float(abs(cj)))])
+        _atomic_write(os.path.join(cfg.output, "plan.csv"), buf.getvalue())
     return report
 
 
@@ -670,11 +671,11 @@ def run_convergence(
         if i > 0:
             plan = mc_plan(kernel, plan.K, plan.meta["Ns"], base_seed + i)
         if prev is None or not _extends(plan, prev[0]):
-            return plan, lchs_apply(prepared, plan, cfg.T), plan.size
+            return plan, prepared.apply(plan), plan.size
         n0 = prev[0].size
         u = (n0 / plan.size) * prev[1]
         if plan.size > n0:
-            u = u + lchs_apply(prepared, replace(plan, k=plan.k[n0:], c=plan.c[n0:]), cfg.T)
+            u = u + prepared.apply(replace(plan, k=plan.k[n0:], c=plan.c[n0:]))
         return plan, u, plan.size - n0
 
     # per replica, the (plan, estimate) of the last good row

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lchs import evolve, make_kernel
+from lchs import SamplingPlan, evolve, make_kernel
 
 
 @pytest.fixture(scope="session")
@@ -35,5 +35,5 @@ def random_unitary(rng, dim):
 def propagate(p, k, T):
     """U(k, T) u0 for an instance: the package's weighted unitary sum with
     the single term k and weight 1."""
-    blocks = evolve._blocks(evolve._spans(p.schedule, T), p.dim)
-    return evolve._weighted_unitary_sum(blocks, np.array([float(k)]), np.ones(1), p.u0)
+    plan = SamplingPlan("monte-carlo", k=np.array([float(k)]), c=np.ones(1), K=abs(float(k)))
+    return evolve._PreparedSum(p, T).sum(plan, lambda plan: plan.c)

@@ -2,7 +2,8 @@
 every module-level function or class of the package, private ones included,
 is used by the package itself, a demo or the benchmark, so the package holds
 nothing that only tests call. Every dataclass field of a public class is read
-there too, so no public class stores state that nothing reads."""
+there too, so no public class stores state that nothing reads. No public
+function names a private type in its signature."""
 
 import ast
 import dataclasses
@@ -83,6 +84,26 @@ def dataclass_fields() -> list[str]:
     )
 
 
+def public_functions() -> list[str]:
+    """Each function in lchs.__all__."""
+    return sorted(name for name in lchs.__all__ if inspect.isfunction(getattr(lchs, name)))
+
+
+def annotation_names(fn) -> set[str]:
+    """Every identifier in the annotations of fn's signature, read by parsing
+    each annotation string (a type object is parsed as its qualified name)."""
+    names = set()
+    for annotation in inspect.get_annotations(fn).values():
+        if not isinstance(annotation, str):
+            annotation = inspect.formatannotation(annotation)
+        for node in ast.walk(ast.parse(annotation, mode="eval")):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
 def module_level_definitions() -> list[str]:
     """module.name for each function and class defined at the top level of a
     module in src/lchs."""
@@ -115,3 +136,9 @@ def test_module_level_definition_is_used_outside_tests(definition):
 def test_dataclass_field_is_read_outside_tests(field):
     attr = field.split(".")[1]
     assert attr in attributes_read(), f"{field} is stored but nothing outside tests reads it"
+
+
+@pytest.mark.parametrize("name", public_functions())
+def test_public_signature_names_no_private_type(name):
+    private = sorted(n for n in annotation_names(getattr(lchs, name)) if n.startswith("_"))
+    assert not private, f"{name} names the private {private} in its signature"

@@ -54,8 +54,11 @@ def random_gated_instance(rng, dim, lam_lo=0.2, lam_hi=1.2, h_scale=1.0):
 
 class TestPropagateUnitary:
     def test_k_zero_diagonal_H(self):
+        # at k = 0 the coupled L drops out; it is semidefinite, as the gate
+        # that every weighted sum requires asks
         rng = np.random.default_rng(0)
-        L = random_hermitian(rng, 2, scale=3.0)
+        W = random_hermitian(rng, 2, scale=3.0)
+        L = W @ W
         H = np.diag([1.0, 2.0]).astype(complex)
         pair = HermitianPair(L=L, H=H)
         u0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -335,6 +338,26 @@ class TestCheckedSum:
         )
         solve(scalar_instance(1.0), composite_plan(beta_kernel, 4.0, 4, 4), 1.0)
         assert calls == [1]
+
+    def test_gate_runs_before_the_analysis(self, monkeypatch):
+        p = ProblemInstance.from_pair(hermitian_split(np.array([[-0.5 + 0.3j]])), np.ones(1))
+        monkeypatch.setattr(ev, "_spans", lambda *args: pytest.fail("analysed a gate-failing instance"))
+        with pytest.raises(PreconditionError):
+            ev._PreparedSum(p, 1.0)
+
+    def test_shift_unwound_at_the_analysis_horizon(self, beta_kernel):
+        p = build_problem("lindblad", {})
+        assert p.shift > 0
+        T = 0.75
+        plan = plan_from_accuracy(beta_kernel, 1e-3, T, p.meta["normL"])
+        prepared = ev._PreparedSum(p, T)
+        unwound = prepared.sum(plan, lambda plan: plan.c) * np.exp(p.shift * T)
+        assert prepared.apply(plan).tobytes() == unwound.tobytes()
+        assert lchs_apply(p, plan, T).tobytes() == unwound.tobytes()
+
+    def test_residual_needs_positive_T(self, beta_kernel):
+        with pytest.raises(RangeError, match="must be positive"):
+            residual_lemma_check(scalar_instance(1.0), composite_plan(beta_kernel, 4.0, 4, 4), 0.0)
 
 
 def commuting_instance(rng, lam, mu):

@@ -391,6 +391,15 @@ class TestRunSolve:
         assert lines[0] == "k,abs_c"
         assert len(lines) > 100
 
+    @pytest.mark.parametrize("emit, written", [(["csv"], ["plan.csv"]), ([], [])])
+    def test_json_written_only_when_emitted(self, emit, written, tmp_path, capsys):
+        # the config sits beside the output directory, which holds only what emit asks for
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, emit=emit))
+        assert main(["solve", path]) == EXIT_OK
+        assert sorted(os.listdir(out) if out.exists() else []) == written
+        assert "report written to" not in capsys.readouterr().out
+
     def test_t_zero(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(tmp_path, T=0.0))
         report = run_solve(cfg)
@@ -657,14 +666,14 @@ class TestNestedMonteCarlo:
 
     def test_failed_row_restarts_from_full_plan(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="lchs")
-        real_apply = harness.lchs_apply
+        real_apply = ev._PreparedSum.apply
 
-        def failing_apply(problem, plan, T):
+        def failing_apply(prepared, plan):
             if plan.meta["Ns"] == 200:
                 raise PropagationError("injected failure")
-            return real_apply(problem, plan, T)
+            return real_apply(prepared, plan)
 
-        monkeypatch.setattr(harness, "lchs_apply", failing_apply)
+        monkeypatch.setattr(ev._PreparedSum, "apply", failing_apply)
         cfg = mc_config(seed=2)
         result = run_convergence(cfg, "Ns", [50, 100, 200, 400], mc_seeds=3)
         assert [r["status"] for r in result.rows[:2]] == ["ok"] * 2
