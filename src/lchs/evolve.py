@@ -32,17 +32,21 @@ requires the positivity gate, once; each sum validates the plan and raises
 PropagationError for any failure inside the analysis or the sum and for a
 sum that is not finite. The sum streams the terms in chunks: a chunk is
 propagated and reduced into the running total before the next one starts,
-so memory stays O(chunk * dim) however large the plan.
+so its working set stays near one fixed budget of _BATCH_ENTRY_BUDGET
+entries (1 MiB, cache-sized) however large the plan. The budget is divided
+by what one term holds on its path: a per-term chunk of budget / dim^2
+terms holds chunk * dim^2 eigenvector entries, a shared-eigenbasis chunk of
+budget / dim terms holds chunk * dim phases.
 
 The sum is one pipeline. It first splits the indices into blocks: the
 connected components of the union sparsity pattern of |L| + |H| over all
 spans. No span couples two blocks, so each block evolves on its own
-principal sub-matrices, with its own path and its own chunk of budget / d_b^2
-terms, and the entries between blocks are exactly zero. One connected
+principal sub-matrices, with its own path and a chunk size for its dim and
+path, and the entries between blocks are exactly zero. One connected
 pattern, or no span at all (T = 0), gives one block on all indices with the
-spans as given. The default lindblad pair couples only indices 0 and 3, so
-it takes a 2x2 tridiagonal block and two 1x1 shared-eigenbasis blocks. Each
-block then takes one of three paths, in this order.
+spans as given, not copied. The default lindblad pair couples only indices
+0 and 3, so it takes a 2x2 tridiagonal block and two 1x1 shared-eigenbasis
+blocks. Each block then takes one of three paths, in this order.
 
 * Shared eigenbasis. When every span's L and H commute with one basis, one
   eigendecomposition of a generic combination of the first span's L and H
@@ -86,7 +90,7 @@ c_+; it is decided once per block.
   exp(-i left_m lam) exp(-i off_q lam) up to one rounding of the node, and
   S(w) = sum_m A_m (sum_q w[m, q] B_q) with A = exp(-i left lam) and
   B = exp(-i off lam): M + Q exponentials per eigenvalue instead of one per
-  term. B is formed once per block and A a chunk of budget / (dim^2 Q)
+  term. B is formed once per block and A a chunk of budget / (dim Q)
   panels at a time. exp(-i mu) is common to every term and is applied once,
   to V^dagger u0. Where K max|lam| overflows the split phases could stay
   finite while k lam does not, so the sum is then direct, and not finite.
@@ -138,9 +142,11 @@ from .sampling import SamplingPlan, _composite_panels
 
 _log = logging.getLogger(__name__)
 
-# chunk size (in matrix entries) for batched eigendecompositions; the
-# weighted sum streams its terms in chunks of budget / dim^2
-_BATCH_ENTRY_BUDGET = 4_000_000
+# working set of one chunk of the weighted sum, in float64 entries: 2**17 is
+# 1 MiB, so a chunk stays in a 2 MiB L2 cache. A per-term path holds one
+# eigenvector matrix per term and takes budget / dim^2 terms a chunk; the
+# shared eigenbasis holds dim phases per term and takes budget / dim
+_BATCH_ENTRY_BUDGET = 2**17
 
 # weight of H in the generic combination L/||L|| + _MIX H/||H|| whose
 # eigenbasis is tried as a shared one; an irrational value makes accidental
@@ -427,15 +433,17 @@ def _block_labels(spans: list) -> np.ndarray:
 def _blocks(spans: list, dim: int) -> list:
     """(idx, spans, basis, tridiagonal, real) of every block: the connected
     components of the spans' union sparsity pattern, each with the principal
-    sub-matrices of every span, its shared eigenbasis (V, lam, mu) or None,
-    and whether its spans are tridiagonal (tested only without a basis) and
-    real. No span at all (T = 0) gives one block on all indices."""
+    sub-matrices of every span (the spans themselves for a block on all
+    indices), its shared eigenbasis (V, lam, mu) or None, and whether its
+    spans are tridiagonal (tested only without a basis) and real. No span at
+    all (T = 0) gives one block on all indices."""
     labels = _block_labels(spans) if spans else np.zeros(dim, dtype=int)
     blocks = []
     for first in np.flatnonzero(labels == np.arange(dim)):
         idx = np.flatnonzero(labels == first)
         sub = np.ix_(idx, idx)
-        block = [(L[sub], H[sub], dt) for L, H, dt in spans]
+        # a block on all indices keeps the spans: no copy of L and H is held
+        block = spans if len(idx) == dim else [(L[sub], H[sub], dt) for L, H, dt in spans]
         basis = _shared_eigenbasis(block, len(idx))
         tridiagonal = basis is None and _is_tridiagonal(block)
         blocks.append((idx, block, basis, tridiagonal, _is_real(block)))
@@ -466,12 +474,15 @@ def _is_mirrored(ks: np.ndarray) -> bool:
 def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels):
     """sum_j weights[j] U(ks[j]) u0 over the spans of one analysed block,
     (spans, basis, tridiagonal, real) as _blocks gives it, streamed over
-    chunks of budget / dim^2 terms. When all spans share a certified
-    eigenbasis V the sum is V (sum_j weights[j] exp(-i (ks[j] lam + mu)) *
-    V^dagger u0); otherwise a per-term path propagates term by term.
-    A mirrored ks is folded onto its k > 0 half on the shared path when
-    panels = (left, off) factors that half, ks[half + m Q + q] = left[m] +
-    off[q], and K max|lam| is finite: the half sums to
+    chunks of budget / dim terms on the shared path, where a term holds dim
+    phases, and of budget / dim^2 terms on a per-term path, where it holds
+    a dim x dim eigenvector matrix (the closed form at dims 1 and 2 counts
+    the same). When all spans share a certified eigenbasis V the sum is
+    V (sum_j weights[j] exp(-i (ks[j] lam + mu)) * V^dagger u0); otherwise a
+    per-term path propagates term by term. A mirrored ks is folded onto its
+    k > 0 half on the shared path when panels = (left, off) factors that
+    half, ks[half + m Q + q] = left[m] + off[q], and K max|lam| is finite:
+    the half sums to
     S(c_+) + conj(S(conj(c_-))) with S(w) = sum_m A_m (sum_q w[m, q] B_q),
     A = exp(-i left lam), B = exp(-i off lam), summed a chunk of panels at a
     time, times exp(-i mu). On a per-term path it is folded over real spans,
@@ -479,7 +490,9 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
     record: size, path, chunk count, step count and decomposition count."""
     spans, basis, tridiagonal, real = block
     dim = len(u0)
-    chunk = max(1, _BATCH_ENTRY_BUDGET // (dim * dim))
+    # what one term holds: dim phases on the shared path, a dim x dim
+    # eigenvector matrix (or its closed form) on a per-term one
+    chunk = max(1, _BATCH_ENTRY_BUDGET // (dim if basis is not None else dim * dim))
     if basis is not None:
         # where k lam overflows, left lam and off lam may not: the sum must stay non-finite
         by_panels = panels is not None and math.isfinite(ks[-1] * np.abs(basis[1]).max())

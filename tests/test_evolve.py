@@ -503,7 +503,10 @@ class TestSharedEigenbasis:
             caplog.clear()
             lchs_apply(p, plan, 0.25)
             path = blocks[0][1] if len(blocks) == 1 else "split"
-            chunks = sum(-(-(plan.size // fold) // (4000 // size**2)) for size, _, fold in blocks)
+            chunks = sum(
+                -(-(plan.size // fold) // (4000 // (size if b == shared else size**2)))
+                for size, b, fold in blocks
+            )
             decompositions = sum(1 if b == shared else plan.size // fold for _, b, fold in blocks)
             steps = sum(b != shared for _, b, _ in blocks)
             listed = " ".join(f"{size}:{b}" for size, b, _ in blocks)
@@ -1126,10 +1129,10 @@ class TestSharedFold:
         assert lchs_apply(p, plan, T).tobytes() == expected.tobytes()
 
     def test_fold_peaks_no_higher_than_unfolded(self, beta_kernel, monkeypatch):
-        # the heat plan: 16,512 terms, one chunk at dim 15
+        # the heat plan: 688 panels of 12 nodes, folded in one chunk at dim 15
         p, T, normL = self.instance("parabolic1d")
         plan = plan_from_accuracy(beta_kernel, 1e-4, T, normL)
-        assert plan.size <= ev._BATCH_ENTRY_BUDGET // p.dim**2
+        assert plan.meta["M"] <= ev._BATCH_ENTRY_BUDGET // p.dim // plan.meta["Q"]
 
         def peak(*args):
             lchs_apply(*args)  # warm-up
@@ -1153,10 +1156,11 @@ class TestPanelSum:
 
     @staticmethod
     def panel_budget(p, plan, panels):
-        """_BATCH_ENTRY_BUDGET for chunks of `panels` panels at p.dim, one
-        term short of the next whole panel so the term and panel chunkings
-        differ."""
-        return p.dim**2 * (plan.meta["Q"] * (panels + 1) - 1)
+        """_BATCH_ENTRY_BUDGET for chunks of `panels` panels at p.dim (a
+        shared block takes budget // dim terms, budget // dim // Q panels),
+        one term short of the next whole panel so the term and panel
+        chunkings differ."""
+        return p.dim * (plan.meta["Q"] * (panels + 1) - 1)
 
     @pytest.mark.parametrize("case", ["parabolic1d", "commuting", "two-spans"])
     def test_panels_match_direct_sum_over_several_chunks(self, case, beta_kernel, monkeypatch, caplog):
@@ -1185,7 +1189,7 @@ class TestPanelSum:
         assert ev._is_mirrored(moved.k)
         assert ev._composite_panels(moved) is None
         counts = logged_counts(p, moved, T, caplog)
-        assert counts["chunks"] == -(-moved.size // (ev._BATCH_ENTRY_BUDGET // p.dim**2))
+        assert counts["chunks"] == -(-moved.size // (ev._BATCH_ENTRY_BUDGET // p.dim))
         out = lchs_apply(p, moved, T)
         direct = TestSharedFold.unfolded(monkeypatch, lchs_apply, p, moved, T)
         assert out.tobytes() == direct.tobytes()
@@ -1207,8 +1211,9 @@ class TestPanelSum:
 
 
 class TestStreamedReduction:
-    # 32,000 entries: chunks of 2,000 terms at dim 4, so the plans below
-    # span several chunks without making the test heavy
+    # 32,000 entries: at dim 4, chunks of 2,000 terms on a per-term path
+    # (budget // dim^2) and of 8,000 on the shared one (budget // dim), so
+    # the plans below span several chunks without making the test heavy
     BUDGET = 32_000
 
     @staticmethod
@@ -1236,6 +1241,21 @@ class TestStreamedReduction:
         p = self.dim4_instance(commuting)
         self.assert_peak_independent_of_plan_size(p, beta_kernel, monkeypatch)
 
+    @pytest.mark.parametrize("name, T, ns, path, power", [
+        ("cap", 0.25, 2_000, "tridiagonal", 2),
+        ("parabolic1d", 1.0 / 256.0, 20_000, "shared-eigenbasis", 1),
+    ])
+    def test_chunk_is_budget_over_what_a_term_holds(
+        self, name, T, ns, path, power, beta_kernel, caplog
+    ):
+        # a per-term path holds a dim x dim eigenvector matrix per term, the
+        # shared eigenbasis dim phases; a Monte Carlo plan is not folded
+        p = build_problem(name, {})
+        plan = mc_plan(beta_kernel, 44.25, ns, 3)
+        assert logged_path(p, plan, T, caplog) == path
+        chunks = logged_counts(p, plan, T, caplog)["chunks"]
+        assert chunks == -(-ns // (ev._BATCH_ENTRY_BUDGET // p.dim**power)) > 1
+
     def test_peak_memory_independent_of_plan_size_tridiagonal(self, beta_kernel, monkeypatch):
         p = tridiagonal_instance(np.random.default_rng(8), 4)
         assert shared_basis(p) is None
@@ -1245,10 +1265,12 @@ class TestStreamedReduction:
     def test_tridiagonal_peak_is_eigenvectors_plus_buffers(
         self, name, folded, columns, beta_kernel, caplog
     ):
-        # O(chunk * dim): one chunk's real eigenvector stack plus a fixed
-        # number of (chunk, dim, columns) complex buffers. The propagation
-        # that copied its vectors at every step peaked at 3.8 (mm1) and 5.5
-        # (cap) such buffers above the eigenvectors; 6 admits both.
+        # O(chunk * dim^2): one chunk's real eigenvector stack, one dstevd
+        # call (its V and W for one term, and its LAPACK workspace of
+        # 1 + 4 dim + dim^2 doubles and 3 + 5 dim ints) plus a fixed number
+        # of (chunk, dim, columns) complex buffers. The propagation that
+        # copied its vectors at every step peaked at 3.8 (mm1) and 5.5 (cap)
+        # such buffers above the eigenvectors; 6 admits both.
         T = 0.25
         p = build_problem(name, {})
         if columns == 2:  # a complex u0 propagates u0 and conj(u0)
@@ -1259,6 +1281,7 @@ class TestStreamedReduction:
         assert logged_path(p, plan, T, caplog) == "tridiagonal"
         chunk = min(plan.size // 2 if folded else plan.size, ev._BATCH_ENTRY_BUDGET // p.dim**2)
         eigenvectors = chunk * p.dim**2 * 8
+        dstevd = (p.dim**2 + p.dim) * 8 + (1 + 4 * p.dim + p.dim**2) * 8 + (3 + 5 * p.dim) * 4
         buffer = chunk * p.dim * columns * 16
         tracemalloc.start()
         try:
@@ -1266,7 +1289,7 @@ class TestStreamedReduction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= eigenvectors + 6 * buffer
+        assert peak <= eigenvectors + dstevd + 6 * buffer
 
     @pytest.mark.parametrize("commuting", [False, True])
     def test_reduction_matches_fsum(self, commuting, beta_kernel, monkeypatch):

@@ -1,8 +1,16 @@
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.integrate
 
+import lchs.kernels as kernels
 from lchs import (
+    QuadratureError,
     RangeError,
     check_normalization,
     choose_truncation,
@@ -10,7 +18,7 @@ from lchs import (
     tail_mass,
     weight_g,
 )
-from lchs.kernels import K_MAX, KernelSpec, _abs_g_beta, kernel_f
+from lchs.kernels import K_MAX, KernelSpec, _abs_g_beta, _beta_tail_remainder, kernel_f
 from lchs.sampling import composite_plan
 
 
@@ -96,9 +104,9 @@ class TestMakeKernel:
         # the weight integral is 2 pi f(-i) = 1 by the residue theorem, so
         # construction never integrates
         def refuse(*args, **kwargs):
-            raise AssertionError("make_kernel called scipy.integrate.quad")
+            raise AssertionError("make_kernel called the quadrature")
 
-        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        monkeypatch.setattr(kernels, "_gauss_kronrod", refuse)
         spec = make_kernel(family, beta)
         assert (spec.family, spec.beta) == (family, beta)
 
@@ -265,9 +273,10 @@ class TestTailMass:
 
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 0.9, 0.95])
     def test_scalar_integrand_matches_abs_weight(self, beta):
+        # the real-form integrand of the tail quadrature, on an array
         spec = make_kernel("beta", beta)
         ks = np.linspace(0.0, 500.0, 4001)
-        scalar = np.array([_abs_g_beta(float(k), beta) for k in ks])
+        scalar = _abs_g_beta(ks, beta)
         reference = np.abs(weight_g(spec, ks))
         assert np.all(reference > 0)
         assert np.max(np.abs(scalar - reference) / reference) <= 1e-13
@@ -286,3 +295,84 @@ class TestTailMass:
                 lambda k: np.abs(weight_g(beta_kernel, k)), K, K + 400.0, limit=400
             )
             assert bound >= 2.0 * numeric
+
+    @pytest.mark.parametrize("family, beta", [("cauchy", None), ("beta", 0.75)])
+    def test_K_must_be_positive(self, family, beta):
+        # NaN fails K > 0 too, instead of giving a NaN mass
+        spec = make_kernel(family, beta)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(RangeError, match="K must be positive"):
+                tail_mass(spec, bad)
+
+    @pytest.mark.parametrize("family, beta", [("cauchy", None), ("beta", 0.75)])
+    def test_infinite_K_has_no_tail(self, family, beta):
+        # the beta quadrature runs on the empty [inf, inf]
+        assert tail_mass(make_kernel(family, beta), math.inf) == 0.0
+
+
+def quad_tail_mass(spec, K):
+    """tail_mass of the beta family with QUADPACK's qags (scipy) in place of
+    the package's Gauss-Kronrod routine, at the same tolerances."""
+    K_cut = max(4.0 * K, K + 200.0)
+    main, _ = scipy.integrate.quad(
+        lambda k: _abs_g_beta(k, spec.beta), K, K_cut, limit=400, epsabs=1e-16, epsrel=1e-12
+    )
+    return 2.0 * main + _beta_tail_remainder(spec, K_cut)
+
+
+class TestGaussKronrod:
+    """The adaptive 7/15-point Gauss-Kronrod routine behind tail_mass and
+    check_normalization."""
+
+    def test_rules_exact_on_polynomials(self):
+        # Gauss on 7 nodes is exact to degree 13, Kronrod on 15 to degree 22
+        x = kernels._GK_NODES
+        for degree in range(24):
+            exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+            assert abs(kernels._GK_KRONROD @ x**degree - exact) <= 1e-15
+            if degree <= 13:
+                assert abs(kernels._GK_GAUSS @ x**degree - exact) <= 1e-15
+
+    def test_smooth_integral(self):
+        value, err = kernels._gauss_kronrod(np.sin, 0.0, 3.0)
+        assert abs(value - (1.0 - np.cos(3.0))) <= 1e-14
+        assert err <= 1e-12 * value
+
+    def test_interval_limit_raises(self):
+        # about 160,000 periods: 400 subintervals of 15 nodes cannot resolve them
+        with pytest.raises(QuadratureError, match="more than 400 subintervals"):
+            kernels._gauss_kronrod(lambda x: np.cos(1e3 * x), 0.0, 1e3)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.4, 0.5, 0.6, 0.75, 0.8, 0.9, 0.95])
+    def test_windows_match_qags(self, monkeypatch, beta):
+        # the same search on a QUADPACK tail mass gives the same K bit for
+        # bit, and a tail mass within 1e-11 relative, for eps_tail from
+        # 10^-1 / 3 down to 10^-13 / 3
+        spec = make_kernel("beta", beta)
+        eps_tails = [10.0 ** (-j / 2) / 3.0 for j in range(2, 27)]
+        ours = [choose_truncation.__wrapped__(spec, eps) for eps in eps_tails]
+        monkeypatch.setattr(kernels, "tail_mass", quad_tail_mass)
+        for eps, t in zip(eps_tails, ours):
+            ref = choose_truncation.__wrapped__(spec, eps)
+            assert t.K == ref.K
+            assert abs(t.epsilon_tail - ref.epsilon_tail) <= 1e-11 * ref.epsilon_tail
+
+
+def test_solve_path_loads_no_quadrature_library():
+    # a window, a plan and one weighted sum on cap, in a fresh interpreter
+    script = textwrap.dedent("""
+        import sys
+        import lchs
+        from lchs.harness import build_problem
+        kernel = lchs.make_kernel("beta", 0.75)
+        lchs.choose_truncation(kernel, 1e-4 / 3)
+        p = build_problem("cap", {})
+        plan = lchs.plan_from_accuracy(kernel, 1e-4, 0.25, p.meta["normL"])
+        lchs.lchs_apply(p, plan, 0.25)
+        print("scipy.integrate" in sys.modules)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"]
