@@ -95,14 +95,30 @@ c_+; it is decided once per block.
   to V^dagger u0. Where K max|lam| overflows the split phases could stay
   finite while k lam does not, so the sum is then direct, and not finite.
   Any other plan, mirrored or not, is summed directly, term by term.
-* Per-term paths, only over a real generator: when every span's L is real
-  and its H purely imaginary, exactly (the PDE, queue and lindblad
-  builders), conj(k L + H) = -(-k L + H), so U(-k) = conj U(k) span by span.
-  Each |k| is decomposed once, and the sum is
-  sum c_+ U(|k|) u0 + conj(sum conj(c_-) U(|k|) conj(u0)): half the
-  decompositions. A complex u0 propagates two columns, u0 and conj(u0); a
-  real u0 is its own conjugate, so it propagates the one column u0 and the
-  mirrored half is the conjugate of that column.
+* Per-term paths, by one of two mirror symmetries of the block, decided
+  once per block (_mirror_symmetry); "real" is tested first, so a block
+  with both keeps the real fold. Each |k| is decomposed once: half the
+  decompositions.
+  - Real: every span's L is real and its H purely imaginary, exactly (the
+    PDE, queue and lindblad builders). Then conj(k L + H) = -(-k L + H), so
+    U(-k) = conj U(k) span by span, and the sum is
+    sum c_+ U(|k|) u0 + conj(sum conj(c_-) U(|k|) conj(u0)). A complex u0
+    propagates two columns, u0 and conj(u0); a real u0 is its own
+    conjugate, so it propagates the one column u0 and the mirrored half is
+    the conjugate of that column.
+  - Chiral: a tridiagonal block of dim >= 3 (decomposed by dstevd) whose
+    every span has a diagonal L and an H of constant diagonal h0_s, exactly
+    (cap with a potential uniform in space, whose H is real). S =
+    diag((-1)^j) flips the sign of the band off the diagonal, so with
+    U'_s(k) = exp(-i dt_s (k L + H_s - h0_s I)),
+    U(-k) = exp(-i sum_s h0_s dt_s) S [U'_s(k)^dagger, applied in span
+    order] S. Each span decomposes k L + H_s - h0_s I, whose phases stay
+    small (cap's h0 T is 1,024 at T = 1/4), and the one decomposition
+    propagates u0 by exp(-i dt W) and S u0 by exp(+i dt W): two columns,
+    whatever u0. The sum is exp(-i sum h0 dt) (sum c_+ U'(|k|) u0 +
+    S sum c_- U'(|k|)^dagger S u0), the factor applied once to the block's
+    sum. Dims 1 and 2 (closed form) and batched-eigh blocks are not folded
+    this way.
 
 The mirror test compares the two halves a slice at a time and stops at the
 first slice that differs, so a Monte Carlo plan, which is not mirrored, costs
@@ -369,14 +385,19 @@ def _expm_closed_form(L: np.ndarray, H: np.ndarray, ks: np.ndarray, dt: float, v
     vecs[...] = amp
 
 
-def _propagate_chunk(spans: list, ks: np.ndarray, starts: np.ndarray, eig) -> np.ndarray:
+def _propagate_chunk(
+    spans: list, ks: np.ndarray, starts: np.ndarray, eig, adjoint: bool = False
+) -> np.ndarray:
     """Product of exp(-i dt (k L + H)) over the spans, applied to every row of
     starts for every k in ks: each eigendecomposition serves all the start
     vectors. eig(L, H, ks) gives eigenvalues W, eigenvectors V and phases d
     (None when there are none) with k L + H = D V diag(W) V^dagger D^dagger,
     D = diag(d), per k; eig None applies each span by _expm_closed_form, for
-    tridiagonal blocks of dims 1 and 2. Returns a (len(starts), dim, len(ks))
-    array whose [s, :, j] is the propagation of starts[s] at ks[j].
+    tridiagonal blocks of dims 1 and 2. With adjoint, the last row of starts
+    is propagated by the adjoints exp(+i dt (k L + H)) instead, in the same
+    span order and from the same decompositions: its phases are conjugated.
+    Returns a (len(starts), dim, len(ks)) array whose [s, :, j] is the
+    propagation of starts[s] at ks[j].
 
     The vectors live in two (len(ks), dim, len(starts)) buffers that every
     span updates in place, and the result is written into the memory of one
@@ -386,6 +407,7 @@ def _propagate_chunk(spans: list, ks: np.ndarray, starts: np.ndarray, eig) -> np
     vecs = np.empty((len(ks), starts.shape[1], len(starts)), dtype=complex)
     vecs[...] = starts.T
     amp = np.empty_like(vecs)
+    forward = len(starts) - adjoint
     for L, H, dt in spans:
         if eig is None:
             _expm_closed_form(L, H, ks, dt, vecs, amp)
@@ -397,14 +419,17 @@ def _propagate_chunk(spans: list, ks: np.ndarray, starts: np.ndarray, eig) -> np
             # conj(V^T conj(v)) = V^dagger v without a conjugated copy of V
             np.matmul(V.transpose(0, 2, 1), np.conjugate(vecs, out=vecs), out=amp)
             np.conjugate(amp, out=amp)
-            amp *= phases
-            np.matmul(V, amp, out=vecs)
         else:
             # d is this call's own array: conjugated in place for D^dagger and back for D
             d = np.conjugate(d, out=d)[:, :, None]
             vecs *= d
             np.matmul(V.transpose(0, 2, 1), vecs.view(float), out=amp.view(float))
-            amp *= phases
+        amp[:, :, :forward] *= phases
+        if adjoint:
+            amp[:, :, forward:] *= np.conjugate(phases, out=phases)
+        if d is None:
+            np.matmul(V, amp, out=vecs)
+        else:
             np.matmul(V, amp.view(float), out=vecs.view(float))
             vecs *= np.conjugate(d, out=d)
     out = amp.reshape(len(starts), starts.shape[1], len(ks))
@@ -431,12 +456,14 @@ def _block_labels(spans: list) -> np.ndarray:
 
 
 def _blocks(spans: list, dim: int) -> list:
-    """(idx, spans, basis, tridiagonal, real) of every block: the connected
-    components of the spans' union sparsity pattern, each with the principal
-    sub-matrices of every span (the spans themselves for a block on all
-    indices), its shared eigenbasis (V, lam, mu) or None, and whether its
-    spans are tridiagonal (tested only without a basis) and real. No span at
-    all (T = 0) gives one block on all indices."""
+    """(idx, spans, basis, tridiagonal, symmetry) of every block: the
+    connected components of the spans' union sparsity pattern, each with the
+    principal sub-matrices of every span (the spans themselves for a block
+    on all indices), its shared eigenbasis (V, lam, mu) or None, whether its
+    spans are tridiagonal (tested only without a basis) and the mirror
+    symmetry a per-term path folds it by (_mirror_symmetry), the chiral one
+    only for a tridiagonal block of dim >= 3, which dstevd decomposes. No
+    span at all (T = 0) gives one block on all indices."""
     labels = _block_labels(spans) if spans else np.zeros(dim, dtype=int)
     blocks = []
     for first in np.flatnonzero(labels == np.arange(dim)):
@@ -446,14 +473,29 @@ def _blocks(spans: list, dim: int) -> list:
         block = spans if len(idx) == dim else [(L[sub], H[sub], dt) for L, H, dt in spans]
         basis = _shared_eigenbasis(block, len(idx))
         tridiagonal = basis is None and _is_tridiagonal(block)
-        blocks.append((idx, block, basis, tridiagonal, _is_real(block)))
+        symmetry = _mirror_symmetry(block, tridiagonal and len(idx) > 2)
+        blocks.append((idx, block, basis, tridiagonal, symmetry))
     return blocks
 
 
-def _is_real(spans: list) -> bool:
-    """True when every span's L is real and its H purely imaginary, exactly.
-    Then conj(k L + H) = -(-k L + H), so conj U(k) = U(-k) span by span."""
-    return all(not np.any(L.imag) and not np.any(H.real) for L, H, _ in spans)
+def _mirror_symmetry(spans: list, dstevd: bool):
+    """How U(-k) follows from U(k) on a block, or None; "real" is tested first.
+
+    "real": every span's L is real and its H purely imaginary, exactly. Then
+    conj(k L + H) = -(-k L + H), so U(-k) = conj U(k) span by span.
+    "chiral": the block is decomposed by dstevd, every span's L is diagonal
+    and its H has a constant diagonal h0, exactly. With S = diag((-1)^j),
+    which flips the sign of a tridiagonal band off its diagonal,
+    S (k L + H - h0 I) S = -(-k L + H - h0 I), so the shifted span
+    exponentials satisfy U'(-k) = S U'(k)^dagger S."""
+    if all(not np.any(L.imag) and not np.any(H.real) for L, H, _ in spans):
+        return "real"
+    if dstevd and all(
+        np.array_equal(L, np.diag(np.diagonal(L))) and np.all(np.diagonal(H) == H[0, 0])
+        for L, H, _ in spans
+    ):
+        return "chiral"
+    return None
 
 
 def _is_mirrored(ks: np.ndarray) -> bool:
@@ -473,7 +515,7 @@ def _is_mirrored(ks: np.ndarray) -> bool:
 
 def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels):
     """sum_j weights[j] U(ks[j]) u0 over the spans of one analysed block,
-    (spans, basis, tridiagonal, real) as _blocks gives it, streamed over
+    (spans, basis, tridiagonal, symmetry) as _blocks gives it, streamed over
     chunks of budget / dim terms on the shared path, where a term holds dim
     phases, and of budget / dim^2 terms on a per-term path, where it holds
     a dim x dim eigenvector matrix (the closed form at dims 1 and 2 counts
@@ -485,10 +527,15 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
     the half sums to
     S(c_+) + conj(S(conj(c_-))) with S(w) = sum_m A_m (sum_q w[m, q] B_q),
     A = exp(-i left lam), B = exp(-i off lam), summed a chunk of panels at a
-    time, times exp(-i mu). On a per-term path it is folded over real spans,
-    where U(-k) u0 = conj(U(k) conj(u0)). Returns the sum and the block's
-    record: size, path, chunk count, step count and decomposition count."""
-    spans, basis, tridiagonal, real = block
+    time, times exp(-i mu). On a per-term path it is folded by the block's
+    mirror symmetry: over real spans U(-k) u0 = conj(U(k) conj(u0)); over
+    chiral ones each span decomposes k L + H - h0 I, u0 and S u0 are
+    propagated by the span exponentials and their adjoints, and
+    U(-k) u0 = exp(-i sum h0 dt) S (adjoint column), the factor
+    exp(-i sum h0 dt) applied once to the block's sum. Returns the sum and
+    the block's record: size, path, chunk count, step count and
+    decomposition count."""
+    spans, basis, tridiagonal, symmetry = block
     dim = len(u0)
     # what one term holds: dim phases on the shared path, a dim x dim
     # eigenvector matrix (or its closed form) on a per-term one
@@ -496,7 +543,8 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
     if basis is not None:
         # where k lam overflows, left lam and off lam may not: the sum must stay non-finite
         by_panels = panels is not None and math.isfinite(ks[-1] * np.abs(basis[1]).max())
-    fold = _is_mirrored(ks) and (by_panels if basis is not None else real)
+    fold = _is_mirrored(ks) and (by_panels if basis is not None else symmetry is not None)
+    chiral = fold and symmetry == "chiral"
     if fold:
         half = len(ks) // 2
         mirror = weights[half - 1 :: -1]
@@ -525,15 +573,27 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
         eig = (_eigh_tridiagonal if dim > 2 else None) if tridiagonal else _eigh_dense
         steps = len(spans)
         starts = u0[None, :]
-        if fold and np.any(u0.imag):
+        if chiral:
+            # h0 leaves the decompositions, so their phases stay small
+            turn = np.exp(-1j * sum(H[0, 0].real * dt for _, H, dt in spans))
+            spans = [(L, H - H[0, 0].real * np.eye(dim), dt) for L, H, dt in spans]
+            starts = np.stack([u0, u0])
+            np.negative(starts[1, 1::2], out=starts[1, 1::2])
+        elif fold and np.any(u0.imag):
             starts = np.stack([u0, u0.conj()])
 
         def chunk_sum(s):
-            cols = _propagate_chunk(spans, ks[s], starts, eig)
-            if fold:
+            cols = _propagate_chunk(spans, ks[s], starts, eig, chiral)
+            if chiral:
+                # U(-k) u0 = exp(-i sum h0 dt) S U'(k)^dagger S u0: the last
+                # column propagated S u0 by the adjoints; S negates its odd rows
+                minus = cols[-1]
+                np.negative(minus[1::2], out=minus[1::2])
+            elif fold:
                 # U(-k) u0 = conj(U(k) conj(u0)). The last column propagated
                 # conj(u0); for real u0 it is the u0 column, conjugated into a copy
                 minus = np.conjugate(cols[-1], out=cols[-1] if len(cols) > 1 else None)
+            if fold:
                 minus *= mirror[s]
             cols[0] *= weights[s]
             if fold:
@@ -553,14 +613,16 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
         if fold:
             coeff = np.exp(-1j * mu) * coeff
         total = V @ (total * coeff)
+    elif chiral:
+        total = turn * total
     return total, (dim, path, -(-n // chunk), steps, decompositions)
 
 
 class _PreparedSum:
     """The schedule analysis of one instance on [0, T], made once for every
     sum over it: the horizon T, the spans (steps counts them), split into
-    blocks, each with its shared eigenbasis or its per-term path and realness
-    flag (see _blocks). The positivity gate L >= 0 is required first, so an
+    blocks, each with its shared eigenbasis or its per-term path and mirror
+    symmetry (see _blocks). The positivity gate L >= 0 is required first, so an
     instance that fails it raises PreconditionError and is not analysed; any
     failure of the analysis raises PropagationError. Nothing changes after
     construction, so threads may share it.

@@ -199,20 +199,29 @@ def build_cap_schrodinger(
 
     V_R(x, t) is the real potential and V_I(x) <= 0 the absorbing potential
     with compact support, on a uniform Dirichlet grid of N_grid >= 3 points
-    over domain, with Planck-like scale hbar > 0. Without u0 the state is a
-    Gaussian packet; packet overrides its x0, sigma and p0.
+    over domain, with Planck-like scale 0 < hbar < inf. Without u0 the state
+    is a Gaussian packet; packet overrides its x0, sigma and p0, which must
+    be finite, with sigma > 0. Every scalar is checked before anything is
+    evaluated, and a bad one raises RangeError naming it.
 
     L = -(1/hbar) diag(V_I) is diagonal and positive semidefinite (it vanishes
     off the layer), so it passes the positivity gate with lambda0 = 0 and is
     not shifted.
     """
-    if hbar <= 0:
-        raise RangeError(f"hbar must be positive, got {hbar}")
+    if not 0 < hbar < math.inf:
+        raise RangeError(f"hbar must be positive and finite, got {hbar}")
     if N_grid < 3:
         raise RangeError(f"N_grid must be >= 3, got {N_grid}")
     if not domain[1] > domain[0]:
         raise RangeError(f"empty domain {domain}")
     x_lo, x_hi = domain
+    pk = {"x0": x_lo + 0.35 * (x_hi - x_lo), "sigma": 0.05 * (x_hi - x_lo), "p0": 0.0}
+    pk.update(packet or {})
+    if not 0 < pk["sigma"] < math.inf:
+        raise RangeError(f"packet sigma must be positive and finite, got {pk['sigma']}")
+    for key in ("x0", "p0"):
+        if not math.isfinite(pk[key]):
+            raise RangeError(f"packet {key} must be finite, got {pk[key]}")
     h = (x_hi - x_lo) / (N_grid - 1)
     nodes = x_lo + h * np.arange(1, N_grid - 1)
     N = len(nodes)
@@ -238,11 +247,7 @@ def build_cap_schrodinger(
         return HermitianPair(L=L, H=H)
 
     if u0 is None:
-        pk = dict(packet or {})
-        x0 = pk.get("x0", x_lo + 0.35 * (x_hi - x_lo))
-        sigma = pk.get("sigma", 0.05 * (x_hi - x_lo))
-        p0 = pk.get("p0", 0.0)
-        u0 = gaussian_packet(nodes, x0, sigma, p0, hbar)
+        u0 = gaussian_packet(nodes, pk["x0"], pk["sigma"], pk["p0"], hbar)
 
     pairs, breakpoints = _time_slices(pair_at, T, time_slices)
     return _finalize(

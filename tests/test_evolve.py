@@ -7,6 +7,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import lapack
 
 import lchs.evolve as ev
@@ -490,13 +491,13 @@ class TestSharedEigenbasis:
         # and H couple indices 0 and 3 only: a 2x2 tridiagonal block and two
         # 1x1 blocks, each with its own chunk size. The third entry is the
         # fold: the shared blocks sum the mirrored plan over its k > 0 half,
-        # the real lindblad block and mm1 decompose each |k| once, cap (H
-        # not imaginary) every k.
+        # the real lindblad block and mm1 decompose each |k| once, and so
+        # does cap by its chiral symmetry.
         shared = "shared-eigenbasis"
         for name, blocks in (
             ("blackhole", [(1, shared, 2), (1, shared, 2)]),
             ("lindblad", [(2, "tridiagonal", 2), (1, shared, 2), (1, shared, 2)]),
-            ("cap", [(63, "tridiagonal", 1)]), ("mm1", [(16, "tridiagonal", 2)]),
+            ("cap", [(63, "tridiagonal", 2)]), ("mm1", [(16, "tridiagonal", 2)]),
         ):
             p = build_problem(name, {})
             plan = plan_from_accuracy(beta_kernel, 1e-3, 0.25, p.meta["normL"])
@@ -660,7 +661,7 @@ def via_eigenpairs(monkeypatch, eig=ev._eigh_tridiagonal):
     chunk = ev._propagate_chunk
     monkeypatch.setattr(
         ev, "_propagate_chunk",
-        lambda spans, ks, starts, e: chunk(spans, ks, starts, eig if e is None else e),
+        lambda spans, ks, starts, e, *rest: chunk(spans, ks, starts, e or eig, *rest),
     )
 
 
@@ -942,14 +943,19 @@ class TestBlockSplit:
         assert not np.any(ev._block_labels(ev._spans(p.schedule, 0.25)))
 
 
-def logged_counts(p, plan, T, caplog):
-    """The integer fields (terms, decompositions, chunks, steps, blocks) of
-    the debug record of one lchs_apply."""
+def counted_apply(p, plan, T, caplog):
+    """lchs_apply and the integer fields (terms, decompositions, chunks,
+    steps, blocks) of its debug record."""
     caplog.set_level(logging.DEBUG, logger="lchs.evolve")
     caplog.clear()
-    lchs_apply(p, plan, T)
+    out = lchs_apply(p, plan, T)
     (record,) = caplog.records
-    return {key: int(value) for key, value in re.findall(r"(\w+)=(\d+)", record.getMessage())}
+    return out, {key: int(value) for key, value in re.findall(r"(\w+)=(\d+)", record.getMessage())}
+
+
+def logged_counts(p, plan, T, caplog):
+    """The integer fields of the debug record of one lchs_apply."""
+    return counted_apply(p, plan, T, caplog)[1]
 
 
 def real_dense_pair(rng, dim):
@@ -959,6 +965,10 @@ def real_dense_pair(rng, dim):
     L = (Q * rng.uniform(0.2, 1.2, dim)) @ Q.T
     S = rng.standard_normal((dim, dim))
     return HermitianPair(L=(0.5 * (L + L.T)).astype(complex), H=0.5j * (S - S.T))
+
+
+# a spatially varying real potential: cap's H then has no constant diagonal
+VARYING_V_R = {"kind": "gaussian", "amplitude": 50.0, "center": 0.5, "width": 0.1}
 
 
 class TestMirrorFold:
@@ -1002,7 +1012,7 @@ class TestMirrorFold:
         counts = logged_counts(p, plan, self.T, caplog)
         assert counts["decompositions"] == plan.size // 2 * spans + shared_blocks
         folded = lchs_apply(p, plan, self.T)
-        monkeypatch.setattr(ev, "_is_real", lambda spans: False)
+        monkeypatch.setattr(ev, "_mirror_symmetry", lambda spans, dstevd: None)
         counts = logged_counts(p, plan, self.T, caplog)
         assert counts["decompositions"] == plan.size * spans + shared_blocks
         unfolded = lchs_apply(p, plan, self.T)
@@ -1013,9 +1023,9 @@ class TestMirrorFold:
         columns = []
         propagate_chunk = ev._propagate_chunk
 
-        def spy(spans, ks, starts, eig):
+        def spy(spans, ks, starts, eig, *rest):
             columns.append(len(starts))
-            return propagate_chunk(spans, ks, starts, eig)
+            return propagate_chunk(spans, ks, starts, eig, *rest)
 
         monkeypatch.setattr(ev, "_propagate_chunk", spy)
         p = build_problem("mm1", {})
@@ -1028,8 +1038,8 @@ class TestMirrorFold:
         assert columns and set(columns) == {2}
         # propagating conj(u0) = u0 as a column of its own gives the same bytes
 
-        def both(spans, ks, starts, eig):
-            return propagate_chunk(spans, ks, np.concatenate([starts, starts.conj()]), eig)
+        def both(spans, ks, starts, eig, *rest):
+            return propagate_chunk(spans, ks, np.concatenate([starts, starts.conj()]), eig, *rest)
 
         monkeypatch.setattr(ev, "_propagate_chunk", both)
         assert lchs_apply(p, plan, self.T).tobytes() == one.tobytes()
@@ -1040,17 +1050,28 @@ class TestMirrorFold:
         plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, p.meta["normL"])
         args = (p, plan, 1.0)
         folded = residual_lemma_check(*args)
-        monkeypatch.setattr(ev, "_is_real", lambda spans: False)
+        monkeypatch.setattr(ev, "_mirror_symmetry", lambda spans, dstevd: None)
         assert folded == pytest.approx(residual_lemma_check(*args), rel=0, abs=1e-14)
 
-    @pytest.mark.parametrize("case", ["cap", "blackhole", "mc-mm1", "mc-two-span"])
+    @pytest.mark.parametrize(
+        "case", ["cap-varying-V_R", "coupled-L", "blackhole", "mc-mm1", "mc-two-span"]
+    )
     def test_unfolded_cases_decompose_every_term(self, case, beta_kernel, monkeypatch, caplog):
-        # cap's and this blackhole's H are not imaginary; a Monte Carlo plan
-        # is not mirrored. blackhole's L = gamma I commutes with H, so the
-        # shared eigenbasis is declined to reach a per-term path.
-        if case == "cap":
-            p = build_problem("cap", {})
+        # neither symmetry holds: this cap's and this blackhole's H are not
+        # imaginary and have no constant diagonal, and the coupled-L pair's
+        # H is real with a constant diagonal but its L has an off-diagonal;
+        # a Monte Carlo plan is not mirrored. blackhole's L = gamma I
+        # commutes with H, so the shared eigenbasis is declined to reach a
+        # per-term path.
+        if case == "cap-varying-V_R":
+            p = build_problem("cap", {"V_R": VARYING_V_R})
             plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
+        elif case == "coupled-L":
+            L = hermitian_band([1.2, 1.5, 1.9, 1.4, 1.6], [0.3, 0.2, 0.35, 0.25])
+            H = hermitian_band([0.7] * 5, [-1.0] * 4)
+            p = ProblemInstance.from_pair(HermitianPair(L=L, H=H), np.ones(5))
+            assert shared_basis(p) is None
+            plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, 2.5)
         elif case == "blackhole":
             p = build_problem("blackhole", {"H": {"re": [[1.0, 0.3], [0.3, -1.0]]}})
             plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
@@ -1062,6 +1083,88 @@ class TestMirrorFold:
         assert counts["blocks"] == 1
         assert counts["decompositions"] == plan.size * counts["steps"]
         assert counts["steps"] == len(ev._spans(p.schedule, self.T))
+
+
+class TestChiralFold:
+    """On a tridiagonal block of dim >= 3 whose spans have a diagonal L and
+    an H of constant diagonal h0 (cap, whose H is real), S = diag((-1)^j)
+    flips the sign of H - h0 I, so U(-k) = exp(-i sum h0 dt) S U'(k)^dagger S
+    with U'(k) the product of the span exponentials of k L + H - h0 I. A
+    per-term path decomposes each |k| of a mirrored plan once and propagates
+    u0 and S u0. The reference is the same sum with the fold declined."""
+
+    T = 0.25
+
+    @staticmethod
+    def instance(case):
+        """cap's default, the same with a complex u0, or three slices of a
+        cap whose V_R is uniform in space and varies in time, so that every
+        span has its own h0."""
+        if case == "three-slices":
+            return build_cap_schrodinger(
+                V_R=lambda x, t: 25.0 + 100.0 * t, V_I=absorbing_layer(5.0, 0.7, 0.9),
+                hbar=1.0, N_grid=17, T=TestChiralFold.T, time_slices=3,
+            )
+        p = build_problem("cap", {})
+        if case == "complex-u0":
+            rng = np.random.default_rng(23)
+            u0 = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
+            p = dataclasses.replace(p, u0=u0 / np.linalg.norm(u0))
+        return p
+
+    @staticmethod
+    def unfolded(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(ev, "_mirror_symmetry", lambda spans, dstevd: None)
+            return fn(*args)
+
+    @pytest.mark.parametrize("case", ["cap", "complex-u0", "three-slices"])
+    def test_folded_matches_unfolded(self, case, beta_kernel, monkeypatch, caplog):
+        p = self.instance(case)
+        spans = ev._spans(p.schedule, self.T)
+        assert len(spans) == (3 if case == "three-slices" else 1)
+        assert len({H[0, 0] for _, H, _ in spans}) == len(spans)
+        [(_, _, _, tridiagonal, symmetry)] = ev._blocks(spans, p.dim)
+        assert tridiagonal and symmetry == "chiral"
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
+        folded, counts = counted_apply(p, plan, self.T, caplog)
+        assert counts["decompositions"] == plan.size // 2 * len(spans)
+        unfolded, counts = self.unfolded(monkeypatch, counted_apply, p, plan, self.T, caplog)
+        assert counts["decompositions"] == plan.size * len(spans)
+        scale = np.linalg.norm(p.u0)
+        assert np.linalg.norm(folded - unfolded) <= 1e-12 * scale
+        assert np.linalg.norm(folded - oracle_solve(p, self.T)) <= 1e-4 * scale
+        residual = residual_lemma_check(p, plan, self.T)
+        reference = self.unfolded(monkeypatch, residual_lemma_check, p, plan, self.T)
+        assert abs(residual - reference) <= 1e-12 * scale
+
+    def test_adjoint_column_matches_expm(self):
+        # one span at k = 2.7 from one decomposition: the first column by
+        # exp(-i dt M), the adjoint last column by exp(+i dt M)
+        p = self.instance("three-slices")
+        L, H, _ = ev._spans(p.schedule, self.T)[0]
+        H = H - H[0, 0].real * np.eye(p.dim)
+        M, dt = 2.7 * L + H, 0.1
+        starts = np.stack([p.u0, p.u0[::-1]])
+        eig = ev._eigh_tridiagonal
+        cols = ev._propagate_chunk([(L, H, dt)], np.array([2.7]), starts, eig, True)
+        assert np.linalg.norm(cols[0, :, 0] - scipy.linalg.expm(-1j * dt * M) @ starts[0]) <= 1e-13
+        assert np.linalg.norm(cols[1, :, 0] - scipy.linalg.expm(1j * dt * M) @ starts[1]) <= 1e-13
+
+
+class TestFoldCoverage:
+    # eigendecompositions of each builder default at eps 1e-4, T = 1/4: the
+    # shared blocks decompose once per block; mm1, mmc, lindblad's 2x2 block
+    # (real) and cap (chiral) once per |k| of the mirrored plan. A change
+    # that drops a fold changes its count.
+    @pytest.mark.parametrize("name, decompositions", [
+        ("parabolic1d", 1), ("mm1", 3096), ("mmc", 3096), ("cap", 2604), ("lindblad", 2090),
+        ("blackhole", 2),
+    ])
+    def test_builder_defaults_keep_their_folds(self, name, decompositions, beta_kernel, caplog):
+        p = build_problem(name, {})
+        plan = plan_from_accuracy(beta_kernel, 1e-4, 0.25, p.meta["normL"])
+        assert logged_counts(p, plan, 0.25, caplog)["decompositions"] == decompositions
 
 
 class TestSharedFold:
@@ -1261,7 +1364,7 @@ class TestStreamedReduction:
         assert shared_basis(p) is None
         self.assert_peak_independent_of_plan_size(p, beta_kernel, monkeypatch)
 
-    @pytest.mark.parametrize("name, folded, columns", [("mm1", True, 2), ("cap", False, 1)])
+    @pytest.mark.parametrize("name, folded, columns", [("mm1", True, 2), ("cap", True, 2)])
     def test_tridiagonal_peak_is_eigenvectors_plus_buffers(
         self, name, folded, columns, beta_kernel, caplog
     ):
@@ -1269,11 +1372,12 @@ class TestStreamedReduction:
         # call (its V and W for one term, and its LAPACK workspace of
         # 1 + 4 dim + dim^2 doubles and 3 + 5 dim ints) plus a fixed number
         # of (chunk, dim, columns) complex buffers. The propagation that
-        # copied its vectors at every step peaked at 3.8 (mm1) and 5.5 (cap)
-        # such buffers above the eigenvectors; 6 admits both.
+        # copied its vectors at every step peaked at 3.8 (mm1) and 5.5 (cap,
+        # unfolded, one column) such buffers above the eigenvectors; 6 admits
+        # both. A chiral block (cap) always propagates u0 and S u0.
         T = 0.25
         p = build_problem(name, {})
-        if columns == 2:  # a complex u0 propagates u0 and conj(u0)
+        if name == "mm1":  # a complex u0 propagates u0 and conj(u0)
             rng = np.random.default_rng(5)
             u0 = rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)
             p = dataclasses.replace(p, u0=u0)

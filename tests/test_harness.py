@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import re
+import warnings
 
 import jsonschema
 import numpy as np
@@ -14,6 +15,7 @@ from lchs import (
     FitError,
     ProblemInstance,
     PropagationError,
+    RangeError,
     composite_plan,
     harness,
     hermitian_split,
@@ -342,6 +344,18 @@ class TestBuildProblem:
             L.diagonal().real - inst.shift, [-fn(x, 0.0) for x in inst.meta["grid"]],
             rtol=0, atol=1e-12,
         )
+
+    @pytest.mark.parametrize("params, name", [
+        ({"hbar": float("nan")}, "hbar"), ({"hbar": float("inf")}, "hbar"),
+        ({"packet": {"sigma": 0}}, "packet sigma"), ({"packet": {"sigma": -0.05}}, "packet sigma"),
+        ({"packet": {"x0": float("nan")}}, "packet x0"), ({"packet": {"p0": float("nan")}}, "packet p0"),
+    ], ids=["hbar-nan", "hbar-inf", "sigma-0", "sigma-negative", "x0-nan", "p0-nan"])
+    def test_cap_bad_scalar_named(self, params, name):
+        # the builder names the parameter; numpy warns of nothing on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match=f"^{name} must be"):
+                build_problem("cap", params)
 
     def test_unknown_param_exit_code(self, tmp_path, capsys):
         cfg = base_config(problem={"name": "mm1", "params": {"n_truc": 8}})

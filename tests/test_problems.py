@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -213,6 +215,24 @@ class TestCap:
         assert norms_or[0] > norms_or[1] > norms_or[2]  # strictly absorbing
         for a, b in zip(norms_or, norms_lchs):
             assert abs(a - b) / a <= 1e-2
+
+    @pytest.mark.parametrize("hbar, packet, name", [
+        (float("nan"), None, "hbar"), (float("inf"), None, "hbar"), (0.0, None, "hbar"),
+        (1.0, {"sigma": 0.0}, "packet sigma"), (1.0, {"sigma": -0.05}, "packet sigma"),
+        (1.0, {"sigma": float("nan")}, "packet sigma"), (1.0, {"sigma": float("inf")}, "packet sigma"),
+        (1.0, {"x0": float("nan")}, "packet x0"), (1.0, {"x0": float("inf")}, "packet x0"),
+        (1.0, {"p0": float("nan")}, "packet p0"), (1.0, {"p0": -float("inf")}, "packet p0"),
+    ], ids=["hbar-nan", "hbar-inf", "hbar-0", "sigma-0", "sigma-negative", "sigma-nan", "sigma-inf",
+            "x0-nan", "x0-inf", "p0-nan", "p0-minus-inf"])
+    def test_bad_scalar_named_before_evaluation(self, hbar, packet, name):
+        # neither potential is evaluated and numpy warns of nothing
+        def never(*args):
+            raise AssertionError("potential evaluated")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match=f"^{name} must be"):
+                build_cap_schrodinger(V_R=never, V_I=never, hbar=hbar, N_grid=17, packet=packet)
 
     def test_kinetic_sign(self):
         # H must be -(hbar/2) * discrete Laplacian + V_R / hbar
