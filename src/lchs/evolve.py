@@ -57,7 +57,10 @@ blocks. Each block then takes one of three paths, in this order.
   V (sum_j c_j exp(-i (k_j lam + mu)) * V^dagger u0): the plan's transfer
   function at the integrated eigenvalues instead of one eigendecomposition
   per term, for any number of spans. A composite plan is summed by panels
-  (below).
+  (below). The transfer values sum_j c_j exp(-i (k_j lam + mu)) do not
+  depend on u0, so a shared block whose spans are bitwise equal to an
+  earlier block's (its twin, marked once per analysis) reuses that block's
+  values (lindblad's two 1x1 coherence blocks).
 * Tridiagonal. When every span's L and H are zero outside the tridiagonal
   band (nearest-neighbour operators: the PDE and queue builders), k L + H is
   made real by a diagonal phase similarity and decomposed in real
@@ -67,11 +70,13 @@ blocks. Each block then takes one of three paths, in this order.
   off-diagonal |e_j|, and LAPACK dstevd decomposes it term by term. The
   span acts as D V exp(-i dt W) V^T D^dagger, with V^T and V applied by
   batched real matmul to the float view of the complex vectors. A block of
-  dim 1 or 2 is not decomposed: each span applies its closed-form
-  exponential straight to the vectors (_expm_closed_form), the phase
-  exp(-i a dt) at dim 1 and, at dim 2, with m and h the half sum and half
-  difference of the diagonal and r = hypot(h, |e_0|),
-  exp(-i m dt) [cos(r dt) - i (sin(r dt) / r) (k L + H - m I)]. Only the
+  dim 2 is not decomposed, and sums matrices, not vectors: each term's span
+  has the closed-form exponential (_expm_closed_form), with m and h the
+  half sum and half difference of the diagonal and r = hypot(h, |e_0|),
+  exp(-i m dt) [cos(r dt) - i (sin(r dt) / r) (k L + H - m I)]; a chunk
+  multiplies each term's 2x2 matrices across the spans, reduces the
+  weighted entries to one 2x2 matrix and applies it to u0 once. A 1x1 block
+  always has a shared eigenbasis, so the path starts at dim 2. Only the
   band of L and H is read; the schedule's pairs have checked both matrices
   are Hermitian.
 * Batched eigh. Any other block is propagated span by span, by stacked
@@ -80,7 +85,8 @@ blocks. Each block then takes one of three paths, in this order.
 One fold rule serves every path. When the abscissae mirror bitwise,
 k_j = -k_{N-1-j} (every composite Gauss plan does), the sum runs over the
 k > 0 half, each term carrying its mirror's coefficient c_- next to its own
-c_+; it is decided once per block.
+c_+. The mirror test runs once per sum; whether a block folds is decided
+per block.
 
 * Shared eigenbasis, for a composite plan: lam is real, so
   exp(+i k lam) = conj exp(-i k lam) for any spans, and the sum is
@@ -105,7 +111,8 @@ c_+; it is decided once per block.
     sum c_+ U(|k|) u0 + conj(sum conj(c_-) U(|k|) conj(u0)). A complex u0
     propagates two columns, u0 and conj(u0); a real u0 is its own
     conjugate, so it propagates the one column u0 and the mirrored half is
-    the conjugate of that column.
+    the conjugate of that column. A dim-2 block applies
+    sum c_+ U + conj(sum conj(c_-) U) to u0.
   - Chiral: a tridiagonal block of dim >= 3 (decomposed by dstevd) whose
     every span has a diagonal L and an H of constant diagonal h0_s, exactly
     (cap with a potential uniform in space, whose H is real). S =
@@ -117,7 +124,7 @@ c_+; it is decided once per block.
     propagates u0 by exp(-i dt W) and S u0 by exp(+i dt W): two columns,
     whatever u0. The sum is exp(-i sum h0 dt) (sum c_+ U'(|k|) u0 +
     S sum c_- U'(|k|)^dagger S u0), the factor applied once to the block's
-    sum. Dims 1 and 2 (closed form) and batched-eigh blocks are not folded
+    sum. Closed-form blocks of dim 2 and batched-eigh blocks are not folded
     this way.
 
 The mirror test compares the two halves a slice at a time and stops at the
@@ -131,9 +138,11 @@ summation. The result is
 deterministic, so reports are bit-stable for a fixed plan. Each sum logs one
 DEBUG record on lchs.evolve: the path (that of the only block, or "split"),
 the plan's term count, the eigendecompositions done (folded terms x spans
-for a per-term block, the closed form included, 1 for a shared block, 0 for
-one without spans), the chunks and steps (propagated spans) summed over the
-blocks, and blocks=n with each block's size:path.
+for a per-term block, the closed form included, 1 for a shared block, a
+twin included, 0 for one without spans), the chunks and steps (propagated
+spans) summed over the blocks, and blocks=n with each block's size:path. A
+twin's record is the one its sum would have, though its transfer values are
+not summed again.
 """
 
 from __future__ import annotations
@@ -334,8 +343,8 @@ def _eigh_tridiagonal(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
     """(W, V, d) with k L + H = D V diag(W) V^T D^dagger, D = diag(d), for
     every k in ks, with V real: the phase similarity D makes k L + H real
     symmetric tridiagonal, which dstevd decomposes term by term. The path
-    sends dims 1 and 2 to _expm_closed_form instead. Only the band of L and
-    H is read. Raises PropagationError if dstevd fails."""
+    sums dim 2 by _expm_closed_form instead. Only the band of L and H is
+    read. Raises PropagationError if dstevd fails."""
     n, dim = len(ks), len(L)
     diag = ks[:, None] * L.diagonal().real + H.diagonal().real
     e = ks[:, None] * np.diagonal(L, 1) + np.diagonal(H, 1)
@@ -354,20 +363,16 @@ def _eigh_tridiagonal(L: np.ndarray, H: np.ndarray, ks: np.ndarray):
     return W, V, d
 
 
-def _expm_closed_form(L: np.ndarray, H: np.ndarray, ks: np.ndarray, dt: float, vecs, amp) -> None:
-    """Apply exp(-i dt M), M = k L + H of dim 1 or 2, to vecs[j] for every
-    k = ks[j], in closed form (Higham, Functions of Matrices, 2008, ch. 10).
-    With a, c the diagonal of M (real parts), e = M[0, 1], m = (a + c) / 2,
-    h = (a - c) / 2 and r = hypot(h, |e|), M - m I = [[h, e], [conj(e), -h]]
-    squares to r^2 I, so u maps to
-    exp(-i m dt) [cos(r dt) u - i (sin(r dt) / r) (M - m I) u], with
-    sin(r dt) / r = dt at r = 0; dim 1 is u -> exp(-i a dt) u. Only the band
-    of L and H is read. No eigenvector, phase similarity or matmul is formed,
-    only a few vectors over ks; amp, a buffer of vecs's shape, receives the
-    new rows, which are then copied into vecs."""
-    if len(L) == 1:
-        vecs *= np.exp(-1j * dt * (ks * L[0, 0].real + H[0, 0].real))[:, None, None]
-        return
+def _expm_closed_form(L: np.ndarray, H: np.ndarray, ks: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt M), M = k L + H of dim 2, for every k in ks, in closed form
+    (Higham, Functions of Matrices, 2008, ch. 10): a (2, 2, len(ks)) array
+    whose [:, :, j] is the exponential at ks[j]. With a, c the diagonal of M
+    (real parts), e = M[0, 1], m = (a + c) / 2, h = (a - c) / 2 and
+    r = hypot(h, |e|), M - m I = [[h, e], [conj(e), -h]] squares to r^2 I, so
+    exp(-i dt M) = exp(-i m dt) [cos(r dt) I - i (sin(r dt) / r) (M - m I)],
+    with sin(r dt) / r = dt at r = 0. Only the band of L and H is read. No
+    eigenvector, phase similarity or matmul is formed, only a few vectors
+    over ks."""
     m = ks * (0.5 * (L[0, 0] + L[1, 1]).real) + 0.5 * (H[0, 0] + H[1, 1]).real
     h = ks * (0.5 * (L[0, 0] - L[1, 1]).real) + 0.5 * (H[0, 0] - H[1, 1]).real
     e = ks * L[0, 1] + H[0, 1]
@@ -377,12 +382,8 @@ def _expm_closed_form(L: np.ndarray, H: np.ndarray, ks: np.ndarray, dt: float, v
     p = np.exp(-1j * dt * m)
     t = -1j * p * np.divide(np.sin(dt * r), r, out=np.full_like(r, dt), where=r != 0)
     p *= np.cos(dt * r)
-    u, v = vecs[:, 0], vecs[:, 1]
-    np.multiply(u, (p + t * h)[:, None], out=amp[:, 0])
-    amp[:, 0] += (t * e)[:, None] * v
-    np.multiply(v, (p - t * h)[:, None], out=amp[:, 1])
-    amp[:, 1] += (t * e.conj())[:, None] * u
-    vecs[...] = amp
+    th = t * h
+    return np.array([[p + th, t * e], [t * e.conj(), p - th]])
 
 
 def _propagate_chunk(
@@ -392,8 +393,7 @@ def _propagate_chunk(
     starts for every k in ks: each eigendecomposition serves all the start
     vectors. eig(L, H, ks) gives eigenvalues W, eigenvectors V and phases d
     (None when there are none) with k L + H = D V diag(W) V^dagger D^dagger,
-    D = diag(d), per k; eig None applies each span by _expm_closed_form, for
-    tridiagonal blocks of dims 1 and 2. With adjoint, the last row of starts
+    D = diag(d), per k. With adjoint, the last row of starts
     is propagated by the adjoints exp(+i dt (k L + H)) instead, in the same
     span order and from the same decompositions: its phases are conjugated.
     Returns a (len(starts), dim, len(ks)) array whose [s, :, j] is the
@@ -409,9 +409,6 @@ def _propagate_chunk(
     amp = np.empty_like(vecs)
     forward = len(starts) - adjoint
     for L, H, dt in spans:
-        if eig is None:
-            _expm_closed_form(L, H, ks, dt, vecs, amp)
-            continue
         W, V, d = eig(L, H, ks)
         phases = np.multiply(W, -1j * dt)
         phases = np.exp(phases, out=phases)[:, :, None]
@@ -456,14 +453,18 @@ def _block_labels(spans: list) -> np.ndarray:
 
 
 def _blocks(spans: list, dim: int) -> list:
-    """(idx, spans, basis, tridiagonal, symmetry) of every block: the
+    """(idx, spans, basis, tridiagonal, symmetry, twin) of every block: the
     connected components of the spans' union sparsity pattern, each with the
     principal sub-matrices of every span (the spans themselves for a block
     on all indices), its shared eigenbasis (V, lam, mu) or None, whether its
-    spans are tridiagonal (tested only without a basis) and the mirror
-    symmetry a per-term path folds it by (_mirror_symmetry), the chiral one
-    only for a tridiagonal block of dim >= 3, which dstevd decomposes. No
-    span at all (T = 0) gives one block on all indices."""
+    spans are tridiagonal (tested only without a basis, from dim 2, since a
+    1x1 block always has one), the mirror symmetry a per-term path folds it
+    by (_mirror_symmetry), the chiral one only for a tridiagonal block of
+    dim >= 3, which dstevd decomposes, and its twin: the position of the
+    first earlier block with a shared basis whose spans are bitwise equal to
+    this one's, whose transfer values this block reuses (_block_sum), or
+    None. Only a block with a shared basis has a twin. No span at all
+    (T = 0) gives one block on all indices."""
     labels = _block_labels(spans) if spans else np.zeros(dim, dtype=int)
     blocks = []
     for first in np.flatnonzero(labels == np.arange(dim)):
@@ -472,10 +473,24 @@ def _blocks(spans: list, dim: int) -> list:
         # a block on all indices keeps the spans: no copy of L and H is held
         block = spans if len(idx) == dim else [(L[sub], H[sub], dt) for L, H, dt in spans]
         basis = _shared_eigenbasis(block, len(idx))
-        tridiagonal = basis is None and _is_tridiagonal(block)
+        tridiagonal = basis is None and len(idx) > 1 and _is_tridiagonal(block)
         symmetry = _mirror_symmetry(block, tridiagonal and len(idx) > 2)
-        blocks.append((idx, block, basis, tridiagonal, symmetry))
+        twin = None if basis is None else next(
+            (j for j, (_, spans_j, basis_j, *_) in enumerate(blocks)
+             if basis_j is not None and _equal_spans(spans_j, block)),
+            None,
+        )
+        blocks.append((idx, block, basis, tridiagonal, symmetry, twin))
     return blocks
+
+
+def _equal_spans(a: list, b: list) -> bool:
+    """True when the spans of two blocks are bitwise equal, matrix by matrix.
+    The blocks of one analysis share their durations."""
+    return all(
+        X.shape == Y.shape and X.tobytes() == Y.tobytes()
+        for (La, Ha, _), (Lb, Hb, _) in zip(a, b) for X, Y in ((La, Lb), (Ha, Hb))
+    )
 
 
 def _mirror_symmetry(spans: list, dstevd: bool):
@@ -513,28 +528,44 @@ def _is_mirrored(ks: np.ndarray) -> bool:
     )
 
 
-def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels):
+def _block_sum(
+    block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels, mirrored: bool,
+    transfer=None,
+):
     """sum_j weights[j] U(ks[j]) u0 over the spans of one analysed block,
     (spans, basis, tridiagonal, symmetry) as _blocks gives it, streamed over
     chunks of budget / dim terms on the shared path, where a term holds dim
     phases, and of budget / dim^2 terms on a per-term path, where it holds
-    a dim x dim eigenvector matrix (the closed form at dims 1 and 2 counts
-    the same). When all spans share a certified eigenbasis V the sum is
-    V (sum_j weights[j] exp(-i (ks[j] lam + mu)) * V^dagger u0); otherwise a
-    per-term path propagates term by term. A mirrored ks is folded onto its
-    k > 0 half on the shared path when panels = (left, off) factors that
-    half, ks[half + m Q + q] = left[m] + off[q], and K max|lam| is finite:
-    the half sums to
-    S(c_+) + conj(S(conj(c_-))) with S(w) = sum_m A_m (sum_q w[m, q] B_q),
-    A = exp(-i left lam), B = exp(-i off lam), summed a chunk of panels at a
-    time, times exp(-i mu). On a per-term path it is folded by the block's
-    mirror symmetry: over real spans U(-k) u0 = conj(U(k) conj(u0)); over
-    chiral ones each span decomposes k L + H - h0 I, u0 and S u0 are
-    propagated by the span exponentials and their adjoints, and
-    U(-k) u0 = exp(-i sum h0 dt) S (adjoint column), the factor
-    exp(-i sum h0 dt) applied once to the block's sum. Returns the sum and
-    the block's record: size, path, chunk count, step count and
-    decomposition count."""
+    a dim x dim eigenvector matrix (or, at dim 2, its closed-form
+    exponential). mirrored says whether ks mirror bitwise (_is_mirrored),
+    decided once per sum for every block.
+
+    When all spans share a certified eigenbasis V the sum is V (t * V^dagger
+    u0) with the transfer values t = sum_j weights[j] exp(-i (ks[j] lam + mu)),
+    which do not depend on u0: transfer, the values a block with bitwise-equal
+    spans returned for the same plan and weights, is used in place of
+    summing them again. A mirrored ks is folded onto its k > 0 half on the
+    shared path when panels = (left, off) factors that half,
+    ks[half + m Q + q] = left[m] + off[q], and K max|lam| is finite: the half
+    sums to S(c_+) + conj(S(conj(c_-))) with
+    S(w) = sum_m A_m (sum_q w[m, q] B_q), A = exp(-i left lam),
+    B = exp(-i off lam), summed a chunk of panels at a time, and exp(-i mu)
+    joins V^dagger u0.
+
+    Otherwise a per-term path propagates term by term. A tridiagonal block of
+    dim 2 sums matrices, not vectors: each chunk forms every term's
+    closed-form propagator (_expm_closed_form, multiplied across the spans),
+    reduces the weighted entries to one 2x2 matrix, or to sum c_+ U and
+    sum conj(c_-) U when folded, and applies it to u0. Any other per-term
+    block propagates u0 (_propagate_chunk). On a per-term path a mirrored ks
+    is folded by the block's mirror symmetry: over real spans
+    U(-k) = conj U(k); over chiral ones each span decomposes
+    k L + H - h0 I, u0 and S u0 are propagated by the span exponentials and
+    their adjoints, and U(-k) u0 = exp(-i sum h0 dt) S (adjoint column), the
+    factor exp(-i sum h0 dt) applied once to the block's sum. Returns the
+    sum, the block's record (size, path, chunk count, step count and
+    decomposition count) and its transfer values (None on a per-term
+    path)."""
     spans, basis, tridiagonal, symmetry = block
     dim = len(u0)
     # what one term holds: dim phases on the shared path, a dim x dim
@@ -543,7 +574,7 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
     if basis is not None:
         # where k lam overflows, left lam and off lam may not: the sum must stay non-finite
         by_panels = panels is not None and math.isfinite(ks[-1] * np.abs(basis[1]).max())
-    fold = _is_mirrored(ks) and (by_panels if basis is not None else symmetry is not None)
+    fold = mirrored and (by_panels if basis is not None else symmetry is not None)
     chiral = fold and symmetry == "chiral"
     if fold:
         half = len(ks) // 2
@@ -566,12 +597,27 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
                 return terms.sum(axis=1)
             A = np.exp(-1j * np.multiply.outer(lam, left[s]))
             own = (A * (B @ plus[s].T)).sum(axis=1)
-            mirrored = (A * (B @ minus[s].T.conj())).sum(axis=1)
-            return own + mirrored.conj()
+            reflected = (A * (B @ minus[s].T.conj())).sum(axis=1)
+            return own + reflected.conj()
+    elif tridiagonal and dim == 2:
+        path, steps = "tridiagonal", len(spans)
+        decompositions = n * steps
+
+        def chunk_sum(s):
+            U = None
+            for L, H, dt in spans:
+                step = _expm_closed_form(L, H, ks[s], dt)
+                U = step if U is None else np.einsum("ijn,jkn->ikn", step, U)
+            total = (U * weights[s]).sum(axis=2)
+            if fold:
+                # U(-k) = conj U(k): sum c_- U(-k) = conj(sum conj(c_-) U(k))
+                total += (U * mirror[s].conj()).sum(axis=2).conj()
+            return total @ u0
     else:
         path = "tridiagonal" if tridiagonal else "batched-eigh"
-        eig = (_eigh_tridiagonal if dim > 2 else None) if tridiagonal else _eigh_dense
+        eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
         steps = len(spans)
+        decompositions = n * steps
         starts = u0[None, :]
         if chiral:
             # h0 leaves the decompositions, so their phases stay small
@@ -599,23 +645,23 @@ def _block_sum(block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray
             if fold:
                 cols[0] += minus
             return cols[0].sum(axis=1)
-        decompositions = len(ks) * steps
 
-    total = np.zeros(dim, dtype=complex)
-    comp = np.zeros_like(total)
-    for start in range(0, n, chunk):
-        term = chunk_sum(slice(start, start + chunk)) - comp
-        tmp = total + term
-        comp = (tmp - total) - term
-        total = tmp
+    record = (dim, path, -(-n // chunk), steps, decompositions)
+    total = transfer
+    if total is None:
+        total = np.zeros(dim, dtype=complex)
+        comp = np.zeros_like(total)
+        for start in range(0, n, chunk):
+            term = chunk_sum(slice(start, start + chunk)) - comp
+            tmp = total + term
+            comp = (tmp - total) - term
+            total = tmp
     if basis is not None:
         coeff = V.conj().T @ u0
         if fold:
             coeff = np.exp(-1j * mu) * coeff
-        total = V @ (total * coeff)
-    elif chiral:
-        total = turn * total
-    return total, (dim, path, -(-n // chunk), steps, decompositions)
+        return V @ (total * coeff), record, total
+    return (turn * total if chiral else total), record, None
 
 
 class _PreparedSum:
@@ -625,7 +671,7 @@ class _PreparedSum:
     symmetry (see _blocks). The positivity gate L >= 0 is required first, so an
     instance that fails it raises PreconditionError and is not analysed; any
     failure of the analysis raises PropagationError. Nothing changes after
-    construction, so threads may share it.
+    construction.
 
     sum is the one entry into the weighted sum; apply and residual weigh it
     for lchs_apply and residual_lemma_check, at the analysis's own T.
@@ -648,7 +694,9 @@ class _PreparedSum:
         its own principal sub-matrices, by its own path and with its own
         chunk size (_block_sum); the entries between blocks are exactly zero.
         panels, the (left, off) factors of the plan's k > 0 half, lets a
-        shared block fold a mirrored plan. Every step is deterministic, so a
+        shared block fold a mirrored plan; whether the plan mirrors is tested
+        once here, for every block. A block with a twin takes its twin's
+        transfer values from this sum. Every step is deterministic, so a
         fixed plan gives the same bytes each call. Any failure inside the
         sum, and a sum that is not finite, raises PropagationError.
         """
@@ -656,11 +704,16 @@ class _PreparedSum:
         u0 = self.p.u0
         out = np.zeros(len(u0), dtype=complex)
         records = []
+        transfers = []
         try:
-            weights, panels = weigh(plan), _composite_panels(plan)
-            for idx, *block in self.blocks:
-                out[idx], record = _block_sum(block, plan.k, weights, u0[idx], panels)
+            weights, panels, mirrored = weigh(plan), _composite_panels(plan), _is_mirrored(plan.k)
+            for idx, *block, twin in self.blocks:
+                out[idx], record, transfer = _block_sum(
+                    block, plan.k, weights, u0[idx], panels, mirrored,
+                    None if twin is None else transfers[twin],
+                )
                 records.append(record)
+                transfers.append(transfer)
         except PropagationError:
             raise
         except Exception as exc:

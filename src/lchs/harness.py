@@ -5,15 +5,17 @@ written deterministically (identical config and seed give byte-identical
 bytes); wall-clock timings go to a separate timing file so they never perturb
 the report itself. All files are written atomically (temp + rename).
 
-A convergence sweep builds one plan per axis value and runs every row
-through one replica routine: one replica for a Gaussian config, mc_seeds
-for a Monte Carlo one. SWEEP_AXES is the one table of sweep axes and the
+A convergence sweep sizes one plan per axis value and runs every row
+through one replica routine, on the calling thread: one replica for a
+Gaussian config, mc_seeds for a Monte Carlo one, each of which draws only
+the terms its carried sum does not hold yet. SWEEP_AXES is the one table of sweep axes and the
 type of their values; an axis is eps or a key of the config's accuracy.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -21,7 +23,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import jsonschema
@@ -44,6 +45,7 @@ from .problems import (
 )
 from .sampling import (
     SamplingPlan,
+    _mc_terms,
     composite_plan,
     mc_plan,
     mc_size_from_accuracy,
@@ -53,7 +55,6 @@ from .sampling import (
 _log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-WORKERS_ENV = "LCHS_WORKERS"
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -418,6 +419,16 @@ def build_problem(name: str, params: dict | None = None) -> ProblemInstance:
     return build_lindblad(spec, rho0=rho)
 
 
+def _mc_size(cfg: RunConfig, kernel: KernelSpec) -> tuple[float, int]:
+    """(K, Ns) of a Monte Carlo config's plan, sized from its eps or as given."""
+    acc = cfg.accuracy
+    if "eps" in acc:
+        eps = float(acc["eps"])
+        K = choose_truncation(kernel, eps / 3.0).K
+        return K, mc_size_from_accuracy(eps / 3.0, K)
+    return float(acc["K"]), int(acc["Ns"])
+
+
 def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> SamplingPlan:
     """Build the sampling plan a config describes, accuracy-driven or explicit."""
     acc = cfg.accuracy
@@ -426,15 +437,10 @@ def make_plan(cfg: RunConfig, problem: ProblemInstance, kernel: KernelSpec) -> S
             normL = float(problem.meta["normL"])
             return plan_from_accuracy(kernel, float(acc["eps"]), cfg.T, normL)
         return composite_plan(kernel, float(acc["K"]), int(acc["M"]), int(acc["Q"]))
-    # monte-carlo
+    plan = mc_plan(kernel, *_mc_size(cfg, kernel), int(acc.get("seed", 0)))
     if "eps" in acc:
-        eps = float(acc["eps"])
-        K = choose_truncation(kernel, eps / 3.0).K
-        Ns = mc_size_from_accuracy(eps / 3.0, K)
-        plan = mc_plan(kernel, K, Ns, int(acc.get("seed", 0)))
-        plan.meta["eps"] = eps
-        return plan
-    return mc_plan(kernel, float(acc["K"]), int(acc["Ns"]), int(acc["seed"]))
+        plan.meta["eps"] = float(acc["eps"])
+    return plan
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -567,14 +573,9 @@ class SweepResult:
 
 
 def worker_count() -> int:
-    """Threads of a sweep's replica pool: LCHS_WORKERS when it is set and not
-    empty, which must then be a positive integer, else os.cpu_count()."""
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-    return int(env)
+    """Threads a sweep runs on: 1. Every sweep runs its rows and replicas on
+    the calling thread."""
+    return 1
 
 
 # every sweep axis and the type of its values
@@ -591,18 +592,14 @@ def _axis_value(axis: str, value):
         raise ConfigError(f"axis {axis} takes {cast.__name__} values, got {value!r}") from None
 
 
-def _extends(plan: SamplingPlan, prev: SamplingPlan) -> bool:
-    """True when plan's first prev.size terms are prev's: the same window,
-    seed and generator, and bit-identical abscissae. The Philox stream is
-    counter-based, so this holds along an Ns axis and fails when K changes.
-    A composite plan ascends and mirrors, so an equal first node means an
-    equal last node: it extends only an identical plan."""
-    return (
-        plan.K == prev.K
-        and plan.size >= prev.size
-        and all(plan.meta.get(key) == prev.meta.get(key) for key in ("seed", "generator"))
-        and np.array_equal(plan.k[: prev.size], prev.k)
-    )
+def _extends(key: tuple, size: int, prev) -> bool:
+    """True when a row's plan of this carry key and size extends prev's, the
+    (key, size, estimate) a replica carries from its last good row: the same
+    key and no more terms. A Monte Carlo key is K: the Philox stream is
+    counter-based, so a plan of the same K, seed and generator starts with
+    the terms of any smaller one. A Gaussian key is (K, M, Q): a composite
+    plan ascends and mirrors, so it extends only an identical plan."""
+    return prev is not None and prev[0] == key and prev[1] <= size
 
 
 def run_convergence(
@@ -613,22 +610,26 @@ def run_convergence(
     The axis is eps or a key of the config's accuracy block, and its values
     take the SWEEP_AXES type of the axis. Every row runs one replica routine:
     a Gaussian row has one replica, a Monte Carlo row mc_seeds >= 2 replicas
-    (seed, seed+1, ...) run concurrently. A row reports each replica's
-    relative error in replica_errors, their mean as rel_error and its
-    standard error as stderr (0 for one replica).
+    (seed, seed+1, ...), run one after another on the calling thread. A row
+    reports each replica's relative error in replica_errors, their mean as
+    rel_error and its standard error as stderr (0 for one replica).
 
     Each replica carries its estimate from its last good row. When the
-    row's plan extends that row's (same K, seed and generator, and the old
-    abscissae as its prefix, as along the Ns axis), only the new terms are
+    row's plan extends that row's, only the new terms are drawn and
     propagated and the carried estimate is rescaled to the new size; a
-    repeated value adds no terms. A Gaussian plan extends only an identical
-    one, so it reuses a row only for a repeated value. Ns rows therefore
-    share their draws, their propagation and their correlation, and the
-    wall_s of a carried row is its own increment and reduction. Any other
-    row starts from its full plan. The schedule is analysed once per sweep,
-    by the first row that reaches its sums, and every row and replica shares
-    that analysis. One DEBUG record on lchs.harness per sweep counts the
-    terms propagated and reused, and the analyses made.
+    repeated value adds no terms. A Monte Carlo plan extends one of the same
+    K and no more terms (as along the Ns axis): its Philox stream is
+    counter-based, so the new terms [n0, Ns) are drawn by skipping the
+    carried ones, and g is evaluated on them only. A Gaussian row builds its
+    full plan, which extends only an identical one (same K, M and Q), so it
+    reuses a row only for a repeated value. Ns rows therefore share their
+    draws, their propagation and their correlation, and the wall_s of a
+    carried row is its own increment and reduction. Any other row starts
+    from its full plan. The schedule is analysed once per sweep, by the
+    first row that reaches its sums, and every row and replica shares that
+    analysis. One DEBUG record on lchs.harness per sweep counts the terms
+    propagated and reused, the analyses made and the draws: the kernel
+    evaluations g(k) of the plans the sweep built.
 
     Rows that fail are marked with NaN errors and a status note, the carried
     estimates are dropped, and the sweep continues from the next row's full
@@ -643,11 +644,12 @@ def run_convergence(
         raise ConfigError(f"need >= 4 axis values, got {len(values)}")
     if sorted(values) != values:
         raise ConfigError("axis values must be sorted ascending")
-    if cfg.method == "monte-carlo" and mc_seeds < 2:
+    monte_carlo = cfg.method == "monte-carlo"
+    if monte_carlo and mc_seeds < 2:
         raise ConfigError(
             f"a monte-carlo sweep needs mc_seeds >= 2 for its standard error, got {mc_seeds}"
         )
-    replicas = mc_seeds if cfg.method == "monte-carlo" else 1
+    replicas = mc_seeds if monte_carlo else 1
 
     problem = build_problem(cfg.problem_name, cfg.problem_params)
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_beta)
@@ -655,65 +657,76 @@ def run_convergence(
     ref_norm = np.linalg.norm(u_ref)
     base_seed = int(cfg.accuracy.get("seed", 0))
 
-    def plan_for(value) -> SamplingPlan:
-        acc = {"eps": value, "seed": base_seed} if axis == "eps" else {**cfg.accuracy, axis: value}
-        return make_plan(replace(cfg, accuracy=acc), problem, kernel)
+    def replica(seed: int, key: tuple, size: int, draw, prev):
+        """(key, size, estimate) of the replica of this seed in a row whose
+        plan has carry key key and size terms, and the terms it propagated.
+        prev is the replica's (key, size, estimate) from the last good row,
+        or None. draw(seed, start) gives the row's terms [start, size) for
+        this seed. When the row's plan extends prev's (_extends), only the
+        new terms are drawn and propagated: a Monte Carlo c_j is
+        (2K/Ns) g(k_j), so the shared terms sum to prev's estimate rescaled
+        to this row's Ns, and the shift unwinding is a scalar. A Gaussian
+        plan extends only an identical one, whose rescale factor is exactly
+        1."""
+        n0 = prev[1] if _extends(key, size, prev) else 0
+        if n0 == 0:
+            u = prepared.apply(draw(seed, 0))
+        else:
+            u = (n0 / size) * prev[2]
+            if size > n0:
+                u = u + prepared.apply(draw(seed, n0))
+        return (key, size, u), size - n0
 
-    def replica(i: int, plan: SamplingPlan, prev):
-        """(plan, estimate, terms propagated) of replica i (seed base_seed + i)
-        in the row whose base-seed plan is plan. prev is the replica's
-        (plan, estimate) from the last good row, or None. When this row's
-        plan extends prev's, only the new terms are propagated: a Monte
-        Carlo c_j is (2K/Ns) g(k_j), so the shared terms sum to prev's
-        estimate rescaled to this row's Ns, and the shift unwinding is a
-        scalar. A Gaussian plan extends only an identical one, whose
-        rescale factor is exactly 1."""
-        if i > 0:
-            plan = mc_plan(kernel, plan.K, plan.meta["Ns"], base_seed + i)
-        if prev is None or not _extends(plan, prev[0]):
-            return plan, prepared.apply(plan), plan.size
-        n0 = prev[0].size
-        u = (n0 / plan.size) * prev[1]
-        if plan.size > n0:
-            u = u + prepared.apply(replace(plan, k=plan.k[n0:], c=plan.c[n0:]))
-        return plan, u, plan.size - n0
-
-    # per replica, the (plan, estimate) of the last good row
+    # per replica, the (key, size, estimate) of the last good row
     carried = [None] * replicas
-    propagated = reused = 0
+    propagated = reused = draws = 0
     prepared = None
     result = SweepResult(axis=axis)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for value in values:
-            t0 = time.perf_counter()
-            try:
-                plan = plan_for(value)
-                prepared = prepared or _PreparedSum(problem, cfg.T)
-                states = list(pool.map(replica, range(replicas), [plan] * replicas, carried))
-                carried = [(own, u) for own, u, _ in states]
-                fresh = sum(n for _, _, n in states)
-                propagated += fresh
-                reused += replicas * plan.size - fresh
-                errs = np.array([np.linalg.norm(u - u_ref) / ref_norm for _, u in carried])
-                row = {
-                    "value": value, "N": plan.size,
-                    "rel_error": float(errs.mean()),
-                    "stderr": float(errs.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0,
-                    "wall_s": time.perf_counter() - t0,
-                    "status": "ok",
-                    "replica_errors": errs.tolist(),
-                }
-            except LchsError as exc:
-                carried = [None] * replicas
-                row = {
-                    "value": value, "N": 0, "rel_error": float("nan"),
-                    "stderr": float("nan"), "wall_s": time.perf_counter() - t0,
-                    "status": f"error:{type(exc).__name__}:{exc}",
-                }
-            result.rows.append(row)
+    for value in values:
+        t0 = time.perf_counter()
+        try:
+            row_cfg = replace(cfg, accuracy={"eps": value, "seed": base_seed} if axis == "eps"
+                              else {**cfg.accuracy, axis: value})
+            if monte_carlo:
+                K, size = _mc_size(row_cfg, kernel)
+                key, draw = (K,), functools.partial(_mc_terms, kernel, K, size)
+            else:
+                plan = make_plan(row_cfg, problem, kernel)
+                key, size = (plan.K, plan.meta["M"], plan.meta["Q"]), plan.size
+                draw = lambda seed, start: plan
+                # composite_plan evaluates g on the k > 0 half
+                draws += size // 2
+            prepared = prepared or _PreparedSum(problem, cfg.T)
+            states = [
+                replica(base_seed + i, key, size, draw, prev) for i, prev in enumerate(carried)
+            ]
+            carried = [state for state, _ in states]
+            fresh = sum(n for _, n in states)
+            propagated += fresh
+            reused += replicas * size - fresh
+            if monte_carlo:
+                draws += fresh
+            errs = np.array([np.linalg.norm(u - u_ref) / ref_norm for _, _, u in carried])
+            row = {
+                "value": value, "N": size,
+                "rel_error": float(errs.mean()),
+                "stderr": float(errs.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0,
+                "wall_s": time.perf_counter() - t0,
+                "status": "ok",
+                "replica_errors": errs.tolist(),
+            }
+        except LchsError as exc:
+            carried = [None] * replicas
+            row = {
+                "value": value, "N": 0, "rel_error": float("nan"),
+                "stderr": float("nan"), "wall_s": time.perf_counter() - t0,
+                "status": f"error:{type(exc).__name__}:{exc}",
+            }
+        result.rows.append(row)
     _log.debug(
-        "sweep: axis=%s rows=%d replicas=%d terms propagated=%d reused=%d analyses=%d",
-        axis, len(values), replicas, propagated, reused, prepared is not None,
+        "sweep: axis=%s rows=%d replicas=%d terms propagated=%d reused=%d analyses=%d "
+        "draws=%d",
+        axis, len(values), replicas, propagated, reused, prepared is not None, draws,
     )
 
     good = [(r["value"], r["rel_error"]) for r in result.rows

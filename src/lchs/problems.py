@@ -199,10 +199,11 @@ def build_cap_schrodinger(
 
     V_R(x, t) is the real potential and V_I(x) <= 0 the absorbing potential
     with compact support, on a uniform Dirichlet grid of N_grid >= 3 points
-    over domain, with Planck-like scale 0 < hbar < inf. Without u0 the state
-    is a Gaussian packet; packet overrides its x0, sigma and p0, which must
-    be finite, with sigma > 0. Every scalar is checked before anything is
-    evaluated, and a bad one raises RangeError naming it.
+    over domain, whose endpoints and width x_hi - x_lo > 0 must be finite,
+    with Planck-like scale 0 < hbar < inf. Without u0 the state is a Gaussian
+    packet; packet overrides its x0, sigma and p0, which must be finite, with
+    sigma > 0. Every scalar is checked before anything is evaluated, and a
+    bad one raises RangeError naming it.
 
     L = -(1/hbar) diag(V_I) is diagonal and positive semidefinite (it vanishes
     off the layer), so it passes the positivity gate with lambda0 = 0 and is
@@ -212,9 +213,11 @@ def build_cap_schrodinger(
         raise RangeError(f"hbar must be positive and finite, got {hbar}")
     if N_grid < 3:
         raise RangeError(f"N_grid must be >= 3, got {N_grid}")
-    if not domain[1] > domain[0]:
-        raise RangeError(f"empty domain {domain}")
     x_lo, x_hi = domain
+    # x_hi > x_lo is False for a NaN endpoint; a finite width rules out both
+    # infinite endpoints and a width that overflows, as [-1e308, 1e308] does
+    if not (x_hi > x_lo and math.isfinite(x_hi - x_lo)):
+        raise RangeError(f"domain must be finite and nonempty with a finite width, got {domain}")
     pk = {"x0": x_lo + 0.35 * (x_hi - x_lo), "sigma": 0.05 * (x_hi - x_lo), "p0": 0.0}
     pk.update(packet or {})
     if not 0 < pk["sigma"] < math.inf:

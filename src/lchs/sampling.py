@@ -209,26 +209,38 @@ def _uniform_from_raw(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
-def mc_plan(kernel: KernelSpec, K: float, Ns: int, seed: int) -> SamplingPlan:
-    """Uniform Monte Carlo plan: Ns i.i.d. abscissae on [-K, K] from the
-    pinned Philox stream, coefficients (2K/Ns) * g(xi)."""
+def _mc_terms(kernel: KernelSpec, K: float, Ns: int, seed: int, start: int) -> SamplingPlan:
+    """The terms [start, Ns) of mc_plan(kernel, K, Ns, seed), bit for bit, as
+    a plan of Ns - start terms; g is evaluated on those terms only. Its meta
+    is mc_plan's, plus start when start > 0.
+
+    The Philox stream is counter-based, so the skipped words are not drawn:
+    one counter step yields four 64-bit words, so advance(start // 4) skips
+    4 (start // 4) words and the remaining start % 4 are drawn and dropped."""
     if not 0 < K < math.inf:
         raise RangeError(f"K must be positive and finite, got {K}")
     if Ns < 1:
         raise RangeError(f"Ns must be >= 1, got {Ns}")
     if seed < 0:
         raise RangeError(f"seed must be >= 0, got {seed}")
+    if not 0 <= start < Ns:
+        raise RangeError(f"start must lie in [0, Ns) = [0, {Ns}), got {start}")
     bitgen = np.random.Philox(seed)
-    raw = bitgen.random_raw(Ns)
+    meta = {"Ns": int(Ns), "seed": int(seed), "generator": GENERATOR_ID}
+    if start:
+        bitgen.advance(start // 4)
+        bitgen.random_raw(start % 4)
+        meta["start"] = int(start)
+    raw = bitgen.random_raw(Ns - start)
     xi = K * (2.0 * _uniform_from_raw(raw) - 1.0)
     c = (2.0 * K / Ns) * np.asarray(weight_g(kernel, xi), dtype=complex)
-    return SamplingPlan(
-        method="monte-carlo",
-        k=xi,
-        c=c,
-        K=float(K),
-        meta={"Ns": int(Ns), "seed": int(seed), "generator": GENERATOR_ID},
-    )
+    return SamplingPlan(method="monte-carlo", k=xi, c=c, K=float(K), meta=meta)
+
+
+def mc_plan(kernel: KernelSpec, K: float, Ns: int, seed: int) -> SamplingPlan:
+    """Uniform Monte Carlo plan: Ns i.i.d. abscissae on [-K, K] from the
+    pinned Philox stream, coefficients (2K/Ns) * g(xi)."""
+    return _mc_terms(kernel, K, Ns, seed, 0)
 
 
 def mc_size_from_accuracy(eps: float, K: float) -> int:

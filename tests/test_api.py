@@ -3,7 +3,8 @@ every module-level function or class of the package, private ones included,
 is used by the package itself, a demo or the benchmark, so the package holds
 nothing that only tests call. Every dataclass field of a public class is read
 there too, so no public class stores state that nothing reads. No public
-function names a private type in its signature."""
+function names a private type in its signature. No module of the package
+imports a thread or process pool: every sweep runs on the calling thread."""
 
 import ast
 import dataclasses
@@ -142,3 +143,17 @@ def test_dataclass_field_is_read_outside_tests(field):
 def test_public_signature_names_no_private_type(name):
     private = sorted(n for n in annotation_names(getattr(lchs, name)) if n.startswith("_"))
     assert not private, f"{name} names the private {private} in its signature"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in (ROOT / "src" / "lchs").glob("*.py")))
+def test_module_imports_no_threads_or_processes(module):
+    nodes = list(ast.walk(ast.parse((ROOT / "src" / "lchs" / f"{module}.py").read_text())))
+    imported = {
+        alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names
+    }
+    imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module}
+    banned = sorted(
+        name for name in imported
+        if name.split(".")[0] in ("concurrent", "threading", "multiprocessing")
+    )
+    assert not banned, f"lchs.{module} imports {banned}"

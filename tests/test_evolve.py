@@ -653,16 +653,24 @@ def tridiagonal_branch_calls(monkeypatch):
     return calls
 
 
-def via_eigenpairs(monkeypatch, eig=ev._eigh_tridiagonal):
-    """Propagate tridiagonal blocks of dims 1 and 2 through eig's eigenpairs,
-    phases and batched matmul instead of _expm_closed_form: the reference
-    for the closed form. The default eig decomposes every phase-rotated band
-    by dstevd, whatever its dim."""
-    chunk = ev._propagate_chunk
-    monkeypatch.setattr(
-        ev, "_propagate_chunk",
-        lambda spans, ks, starts, e, *rest: chunk(spans, ks, starts, e or eig, *rest),
-    )
+def eigenpair_sum(p, plan, T, eig=ev._eigh_tridiagonal):
+    """The reference for the closed-form matrix sum: (idx, sum) with idx the
+    indices of p's 2x2 tridiagonal block and sum = sum_j c_j U(k_j, T) u0 on
+    it, unwound by exp(shift T). Every term of the plan, unfolded, carries
+    its own vector, propagated span by span through eig's eigenpairs
+    k L + H = D V diag(W) V^T D^dagger, phases and matmul, and the terms are
+    summed pairwise. The default eig decomposes each phase-rotated band by
+    dstevd."""
+    blocks = ev._blocks(ev._spans(p.schedule, T), p.dim)
+    [(idx, spans)] = [
+        (idx, spans) for idx, spans, _, tridiagonal, *_ in blocks if tridiagonal and len(idx) == 2
+    ]
+    u = np.repeat(p.u0[idx][:, None], plan.size, axis=1)
+    for L, H, dt in spans:
+        W, V, d = eig(L, H, plan.k)
+        u = np.einsum("nji,jn->in", V, d.T.conj() * u)
+        u = d.T * np.einsum("nij,jn->in", V, np.exp(-1j * dt * W.T) * u)
+    return idx, (u * plan.c).sum(axis=1) * np.exp(p.shift * T)
 
 
 def closed_form_eigenpairs(L, H, ks):
@@ -685,11 +693,8 @@ def closed_form_eigenpairs(L, H, ks):
 
 
 def closed_form_propagator(pair, k, dt):
-    """exp(-i dt (k L + H)) of a 2x2 pair from _expm_closed_form, applied to
-    the columns of I."""
-    vecs = np.eye(2, dtype=complex)[None, :, :]
-    ev._expm_closed_form(pair.L, pair.H, np.array([k]), dt, vecs, np.empty_like(vecs))
-    return vecs[0]
+    """exp(-i dt (k L + H)) of a 2x2 pair from _expm_closed_form."""
+    return ev._expm_closed_form(pair.L, pair.H, np.array([k]), dt)[:, :, 0]
 
 
 class TestTridiagonalBranches:
@@ -747,10 +752,41 @@ class TestTridiagonalBranches:
         calls = tridiagonal_branch_calls(monkeypatch)
         closed = lchs_apply(p, plan, self.T)
         assert calls == []
-        via_eigenpairs(monkeypatch)
-        looped = lchs_apply(p, plan, self.T)
-        assert np.linalg.norm(closed - looped) <= 1e-12 * np.linalg.norm(p.u0)
+        idx, looped = eigenpair_sum(p, plan, self.T)
+        assert np.linalg.norm(closed[idx] - looped) <= 1e-12 * np.linalg.norm(p.u0)
         assert np.linalg.norm(closed - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    @staticmethod
+    def real_two_span_instance():
+        """Two spans of 2x2 pairs with a real L and a purely imaginary H, so
+        that a mirrored plan folds, and a complex u0."""
+        pairs = [
+            HermitianPair(L=hermitian_band(l_diag, [l_sup]), H=hermitian_band([0.0, 0.0], [h_sup]))
+            for l_diag, l_sup, h_sup in (([1.2, 1.6], 0.3, 0.5j), ([1.9, 1.1], -0.2, -0.8j))
+        ]
+        u0 = np.array([0.6 - 0.2j, -0.3 + 0.7j])
+        return ProblemInstance(schedule=TimeSchedule.piecewise([0.0, 0.1, 1.0], pairs), u0=u0)
+
+    @pytest.mark.parametrize("case", ["two-span", "h=0", "b=0", "h=b=0"])
+    def test_matrix_sum_matches_eigenpairs_on_special_pairs(
+        self, case, beta_kernel, monkeypatch, caplog
+    ):
+        # two real spans, folded (each |k| once, u0 and conj(u0) from one
+        # matrix per term), and the degenerate pairs, complex and so unfolded
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, 2.8)
+        if case == "two-span":
+            p, terms = self.real_two_span_instance(), plan.size // 2
+        else:
+            p, terms = self.dim2_instance(case, plan.k[plan.size // 3]), plan.size
+            if case == "h=b=0":
+                monkeypatch.setattr(ev, "_shared_eigenbasis", lambda spans, dim: None)
+        spans = len(ev._spans(p.schedule, self.T))
+        assert spans == (2 if case == "two-span" else 1)
+        closed, counts = counted_apply(p, plan, self.T, caplog)
+        assert counts["decompositions"] == terms * spans
+        idx, eigenpairs = eigenpair_sum(p, plan, self.T, closed_form_eigenpairs)
+        scale = np.linalg.norm(p.u0) * np.exp(p.shift * self.T)
+        assert np.linalg.norm(closed[idx] - eigenpairs) <= 2e-15 * scale
 
     def test_two_closed_form_spans_match_expm_product(self):
         pairs = TestTridiagonalPath.tridiagonal_pairs(14, 15, dim=2)
@@ -803,7 +839,7 @@ class TestTridiagonalBranches:
 
     @pytest.mark.parametrize("T", [0.25, 1.0, 16.0])
     @pytest.mark.parametrize("method", ["gaussian", "monte-carlo"])
-    def test_lindblad_matches_the_eigenpair_propagation(self, T, method, beta_kernel, monkeypatch):
+    def test_lindblad_matches_the_eigenpair_propagation(self, T, method, beta_kernel):
         # a folded Gaussian plan (u0 and conj(u0) columns) and a Monte Carlo
         # one; the closed-form eigenpairs, phases and matmul are the reference
         p = self.lindblad_complex_u0()
@@ -812,29 +848,40 @@ class TestTridiagonalBranches:
         else:
             plan = mc_plan(beta_kernel, 44.25, 16_000, 9)
         closed = lchs_apply(p, plan, T)
-        via_eigenpairs(monkeypatch, closed_form_eigenpairs)
-        eigenpairs = lchs_apply(p, plan, T)
+        idx, eigenpairs = eigenpair_sum(p, plan, T, closed_form_eigenpairs)
         scale = np.linalg.norm(p.u0) * np.exp(p.shift * T)
-        assert np.linalg.norm(closed - eigenpairs) <= 2e-15 * scale
+        assert np.linalg.norm(closed[idx] - eigenpairs) <= 2e-15 * scale
 
     @pytest.mark.parametrize("columns", [1, 2])
     def test_closed_form_peaks_no_higher_than_eigenpairs(self, columns):
+        # 10,000 terms in one chunk: the whole closed-form matrix sum against
+        # the eigenpair propagation of one column over every k (unfolded) or
+        # of u0 and conj(u0) over the 5,000 k > 0 of a mirrored plan (folded)
         p = self.lindblad_complex_u0()
-        blocks = ev._blocks(ev._spans(p.schedule, 1.0), p.dim)
-        [(idx, block, *_)] = [b for b in blocks if len(b[0]) == 2]
+        [(idx, *analysed, _)] = [
+            b for b in ev._blocks(ev._spans(p.schedule, 1.0), p.dim) if len(b[0]) == 2
+        ]
         ks = np.sort(np.random.default_rng(4).uniform(-44.25, 44.25, 10_000))
+        if columns == 2:
+            ks = np.concatenate([-ks[5_000:][::-1], ks[5_000:]])
+        weights = np.full(len(ks), 1e-4 + 0j)
         starts = np.stack([p.u0[idx], p.u0[idx].conj()])[:columns]
 
-        def peak(eig):
-            ev._propagate_chunk(block, ks, starts, eig)  # warm-up
+        def peak(fn, *args):
+            fn(*args)  # warm-up
             tracemalloc.start()
             try:
-                ev._propagate_chunk(block, ks, starts, eig)
+                fn(*args)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(None) <= peak(closed_form_eigenpairs)
+        closed = peak(ev._block_sum, analysed, ks, weights, p.u0[idx], None, columns == 2)
+        propagated = ks[len(ks) // 2 :] if columns == 2 else ks
+        eigenpairs = peak(
+            ev._propagate_chunk, analysed[0], propagated, starts, closed_form_eigenpairs
+        )
+        assert closed <= eigenpairs
 
 
 def one_block(spans):
@@ -941,6 +988,44 @@ class TestBlockSplit:
     def test_connected_builders_stay_whole(self, name):
         p = build_problem(name, {})
         assert not np.any(ev._block_labels(ev._spans(p.schedule, 0.25)))
+
+    @staticmethod
+    def twin_instance():
+        """dim 4 with one commuting 2x2 pair on indices (0, 2) and the same
+        pair, bitwise, on (1, 3), and a complex u0."""
+        L2 = np.array([[1.0, 0.3], [0.3, 1.4]], dtype=complex)
+        H2 = 0.5 * L2 - 0.2 * np.eye(2)
+        L, H = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+        for idx in ([0, 2], [1, 3]):
+            L[np.ix_(idx, idx)], H[np.ix_(idx, idx)] = L2, H2
+        u0 = np.array([0.5 + 0.1j, -0.3j, 0.7, 0.2 - 0.4j])
+        return ProblemInstance.from_pair(HermitianPair(L=L, H=H), u0)
+
+    @pytest.mark.parametrize("method", ["gaussian", "monte-carlo"])
+    @pytest.mark.parametrize("name", ["lindblad", "twin-pairs"])
+    def test_equal_shared_blocks_share_their_transfer_values(
+        self, name, method, beta_kernel, monkeypatch, caplog
+    ):
+        # lindblad's two 1x1 coherence blocks are equal; so are the two 2x2
+        # blocks of the twin pairs. The later block reuses the earlier one's
+        # transfer values, with the same bytes and the same record as
+        # summing them again.
+        T = 0.5
+        p = build_problem("lindblad", {}) if name == "lindblad" else self.twin_instance()
+        twins = [None, None, 1] if name == "lindblad" else [None, 0]
+        assert [b[-1] for b in ev._blocks(ev._spans(p.schedule, T), p.dim)] == twins
+        if method == "gaussian":
+            plan = plan_from_accuracy(beta_kernel, 1e-4, T, p.schedule.pairs[0].normL)
+        else:
+            plan = mc_plan(beta_kernel, 44.25, 3_000, 5)
+        reused, counts = counted_apply(p, plan, T, caplog)
+        monkeypatch.setattr(ev, "_equal_spans", lambda a, b: False)
+        assert [b[-1] for b in ev._blocks(ev._spans(p.schedule, T), p.dim)] == [None] * len(twins)
+        summed, summed_counts = counted_apply(p, plan, T, caplog)
+        assert reused.tobytes() == summed.tobytes()
+        assert counts == summed_counts
+        if method == "gaussian":
+            assert np.linalg.norm(reused - oracle_solve(p, T)) <= 1e-4 * np.linalg.norm(p.u0)
 
 
 def counted_apply(p, plan, T, caplog):
@@ -1124,7 +1209,7 @@ class TestChiralFold:
         spans = ev._spans(p.schedule, self.T)
         assert len(spans) == (3 if case == "three-slices" else 1)
         assert len({H[0, 0] for _, H, _ in spans}) == len(spans)
-        [(_, _, _, tridiagonal, symmetry)] = ev._blocks(spans, p.dim)
+        [(_, _, _, tridiagonal, symmetry, _)] = ev._blocks(spans, p.dim)
         assert tridiagonal and symmetry == "chiral"
         plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
         folded, counts = counted_apply(p, plan, self.T, caplog)

@@ -656,6 +656,30 @@ class TestNestedMonteCarlo:
             ref = independent_errors(cfg, row["value"], range(4, 7))
             np.testing.assert_allclose(row["replica_errors"], ref, rtol=1e-12, atol=0)
 
+    def test_replica_draws_are_mc_plan_bytes(self, monkeypatch):
+        # each row draws only its new terms, and they are bitwise the terms
+        # [start, Ns) of the replica seed's mc_plan at that row's Ns
+        seen = {}
+        real_apply = ev._PreparedSum.apply
+
+        def spy(prepared, plan):
+            seen.setdefault(plan.meta["seed"], []).append(plan)
+            return real_apply(prepared, plan)
+
+        monkeypatch.setattr(ev._PreparedSum, "apply", spy)
+        cfg = mc_config("lindblad", K=44.25, seed=7)
+        run_convergence(cfg, "Ns", [50, 150, 400, 1000], mc_seeds=3)
+        kernel = make_kernel("beta", 0.75)
+        assert sorted(seen) == [7, 8, 9]
+        for seed, plans in seen.items():
+            assert [(p.meta.get("start", 0), p.meta["Ns"]) for p in plans] == \
+                [(0, 50), (50, 150), (150, 400), (400, 1000)]
+            for p in plans:
+                row = mc_plan(kernel, 44.25, p.meta["Ns"], seed)
+                start = p.meta.get("start", 0)
+                assert p.k.tobytes() == row.k[start:].tobytes()
+                assert p.c.tobytes() == row.c[start:].tobytes()
+
     def test_ns_axis_propagates_each_draw_once(self, caplog):
         caplog.set_level(logging.DEBUG, logger="lchs")
         run_convergence(mc_config(), "Ns", [50, 100, 200, 400], mc_seeds=4)
@@ -748,7 +772,8 @@ class TestOneAnalysisPerSweep:
         assert len([r for r in caplog.records if r.name == "lchs.evolve"]) == 24
         assert sorted(calls) == [1, 1, 2]
         [summary] = [r.getMessage() for r in caplog.records if r.name == "lchs.harness"]
-        assert summary.endswith(" terms propagated=96000 reused=84000 analyses=1")
+        # each replica draws its 16,000 terms once, and g is evaluated on them only
+        assert summary.endswith(" terms propagated=96000 reused=84000 analyses=1 draws=96000")
 
     def test_lemma_check_analyses_the_schedule_once(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, base_config(problem={"name": "lindblad"}))
@@ -779,21 +804,14 @@ class TestOneAnalysisPerSweep:
 
 
 class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LCHS_WORKERS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("LCHS_WORKERS", "")
-        assert worker_count() == (os.cpu_count() or 1)
-        monkeypatch.delenv("LCHS_WORKERS")
-        assert worker_count() == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-    def test_malformed_env_rejected(self, monkeypatch, value):
-        # a cap the user set is never replaced by the core count
-        monkeypatch.setenv("LCHS_WORKERS", value)
-        expected = f"LCHS_WORKERS must be a positive integer, got '{re.escape(value)}'"
-        with pytest.raises(ConfigError, match=expected):
-            worker_count()
+    @pytest.mark.parametrize("value", ["3", "", "abc", "0", "-1", "1.5", None])
+    def test_env_is_ignored(self, monkeypatch, value):
+        # sweeps run on the calling thread; LCHS_WORKERS is not read
+        if value is None:
+            monkeypatch.delenv("LCHS_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("LCHS_WORKERS", value)
+        assert worker_count() == 1
 
 
 class TestCliExitCodes:

@@ -234,6 +234,27 @@ class TestCap:
             with pytest.raises(RangeError, match=f"^{name} must be"):
                 build_cap_schrodinger(V_R=never, V_I=never, hbar=hbar, N_grid=17, packet=packet)
 
+    @pytest.mark.parametrize("domain", [
+        (0.0, float("inf")), (-float("inf"), 1.0), (-1e308, 1e308), (float("nan"), 1.0),
+        (0.0, float("nan")), (1.0, 1.0), (1.0, 0.0),
+    ], ids=["hi-inf", "lo-minus-inf", "width-overflows", "lo-nan", "hi-nan", "empty", "reversed"])
+    def test_bad_domain_named_before_evaluation(self, domain):
+        # with a packet given, an infinite domain reached numpy's invalid-value
+        # warning before; it is now a RangeError naming domain, from the
+        # builder and through build_problem
+        def never(*args):
+            raise AssertionError("potential evaluated")
+
+        packet = {"x0": 0.5, "sigma": 0.1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="^domain must be finite"):
+                build_cap_schrodinger(
+                    V_R=never, V_I=never, hbar=1.0, N_grid=17, domain=domain, packet=packet
+                )
+            with pytest.raises(RangeError, match="^domain must be finite"):
+                build_problem("cap", {"domain": list(domain), "packet": packet})
+
     def test_kinetic_sign(self):
         # H must be -(hbar/2) * discrete Laplacian + V_R / hbar
         inst = build_cap_schrodinger(V_R=one, V_I=lambda x: 0.0, hbar=2.0, N_grid=5)

@@ -26,6 +26,7 @@ from lchs.sampling import (
     SamplingPlan,
     _composite_nodes,
     _composite_panels,
+    _mc_terms,
     quadrature_order,
 )
 
@@ -327,6 +328,39 @@ class TestMonteCarlo:
         # numpy's Philox raises a bare ValueError for it
         with pytest.raises(RangeError, match="seed must be >= 0, got -1"):
             mc_plan(beta_kernel, 3.0, 8, -1)
+
+
+class TestMonteCarloTerms:
+    """_mc_terms(kernel, K, Ns, seed, start) is the terms [start, Ns) of
+    mc_plan(kernel, K, Ns, seed), drawn without drawing the first start."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_terms_match_the_full_plan_bitwise(self, seed, beta_kernel):
+        full = mc_plan(beta_kernel, 44.25, 1000, seed)
+        # every residue of start mod 4: a Philox counter step yields four words
+        for start in (0, 1, 2, 3, 4, 5, 6, 7, 500, 997, 998, 999):
+            terms = _mc_terms(beta_kernel, 44.25, 1000, seed, start)
+            assert terms.k.tobytes() == full.k[start:].tobytes()
+            assert terms.c.tobytes() == full.c[start:].tobytes()
+            assert terms.K == full.K and terms.method == full.method
+            assert terms.meta == ({**full.meta, "start": start} if start else full.meta)
+
+    def test_evaluates_g_on_the_new_terms_only(self, beta_kernel, monkeypatch):
+        import lchs.sampling as sampling
+
+        sizes = []
+        real = sampling.weight_g
+        monkeypatch.setattr(
+            sampling, "weight_g", lambda kernel, k: sizes.append(len(k)) or real(kernel, k)
+        )
+        _mc_terms(beta_kernel, 44.25, 16_000, 1, 8_000)
+        assert sizes == [8_000]
+
+    @pytest.mark.parametrize("start", [-1, 1000, 1001])
+    def test_start_outside_the_plan_rejected(self, start, beta_kernel):
+        expected = re.escape(f"start must lie in [0, Ns) = [0, 1000), got {start}")
+        with pytest.raises(RangeError, match=expected):
+            _mc_terms(beta_kernel, 44.25, 1000, 3, start)
 
 
 class TestValidate:
