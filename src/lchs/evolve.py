@@ -131,18 +131,41 @@ The mirror test compares the two halves a slice at a time and stops at the
 first slice that differs, so a Monte Carlo plan, which is not mirrored, costs
 one slice, and its sum is unchanged.
 
+A block that decomposes each term (dstevd from dim 3, or batched eigh) sums
+over a Chebyshev proxy of its terms, once the fold is decided. The function
+it sums, k -> U(k, T) v (v = u0, or conj(u0) and S u0 for the mirrored half
+of a fold, whose U'(k)^dagger continues to exp(+i dt (k L + H')) in k), is
+entire, and off the real axis ||U(k, T)|| <= exp(|Im k| tau) with
+tau = sum_s dt_s ||L_s|| from the pairs' certified normL (a block's L is a
+principal sub-matrix, no larger in norm). On [min k, max k], of half-width h,
+its interpolant in the d + 1 Chebyshev points of the second kind is then
+within min over rho > 1 of 4 exp(tau h (rho - 1/rho) / 2) rho^-d / (rho - 1)
+of it, relative to ||v|| (Trefethen, Approximation Theory and Approximation
+Practice, Thm 8.2, on the Bernstein ellipse E_rho). d is the smallest degree
+whose certificate is at most _PROXY_TOL (1e-15), so sum_j w_j U(k_j) v is
+sum_m W_m U(x_m) v, W_m = sum_j w_j l_m(k_j) with l_m the barycentric
+Lagrange basis, to within that certificate times sum |w| ||u0||: the same
+chunk loop, fold and reduction over d + 1 nodes instead of the plan's terms.
+d is set by T ||L|| and K, not by the plan size: on cap at T = 1/4 and
+eps 1e-4, 80 nodes replace 2,604 folded terms. A block keeps its own terms
+when d + 1 is not below their count, and its sum is then the direct one,
+bytewise. The shared eigenbasis and the dim-2 closed form never take the
+proxy: there a term costs less than its row of barycentric weights.
+
 Within a chunk the terms (the +-k pairs of a folded sum, the panels of a
 shared one) are reduced by pairwise numpy sums; the chunk partials are added
 in ascending plan order (ascending |k| when folded) with compensated
 summation. The result is
 deterministic, so reports are bit-stable for a fixed plan. Each sum logs one
 DEBUG record on lchs.evolve: the path (that of the only block, or "split"),
-the plan's term count, the eigendecompositions done (folded terms x spans
-for a per-term block, the closed form included, 1 for a shared block, a
-twin included, 0 for one without spans), the chunks and steps (propagated
-spans) summed over the blocks, and blocks=n with each block's size:path. A
-twin's record is the one its sum would have, though its transfer values are
-not summed again.
+the plan's term count, the eigendecompositions done (proxy nodes or folded
+terms x spans for a per-term block, the closed form included, 1 for a shared
+block, a twin included, 0 for one without spans), the chunks and steps
+(propagated spans) summed over the blocks, blocks=n with each block's
+size:path, and last bound=, the largest certified proxy error of its blocks
+relative to sum |w| ||u0||, or 0 when every block summed its terms directly.
+A twin's record is the one its sum would have, though its transfer values
+are not summed again.
 """
 
 from __future__ import annotations
@@ -184,6 +207,15 @@ _SHARED_BASIS_ULPS = 64
 
 # the mirror test of a plan's abscissae compares this many entries at a time
 _MIRROR_SLICE = 4096
+
+# a per-term block is summed over its Chebyshev proxy when the certified
+# interpolation error is at most this, relative to sum |w| ||u0||
+_PROXY_TOL = 1e-15
+
+# the proxy certificate is minimized over rho = exp(s), s in (0, _LOG_RHO_MAX],
+# by this many bisections of its convex logarithm's derivative
+_LOG_RHO_MAX = 64.0
+_BISECTIONS = 60
 
 
 @dataclass(frozen=True)
@@ -309,20 +341,25 @@ def _shared_eigenbasis(spans: list, dim: int):
     return V, lam, mu
 
 
-def _spans(schedule: TimeSchedule, T: float) -> list:
-    """The schedule on [0, T] as (L, H, duration) spans of plain matrices,
-    each propagated exactly; empty for T = 0. These are its own spans clipped
-    to [0, T], the last pair extending past the final breakpoint, so a
-    constant schedule gives the single span (pair.L, pair.H, T).
-    """
+def _intervals(schedule: TimeSchedule, T: float) -> list:
+    """The schedule on [0, T] as (pair, duration) intervals; empty for T = 0.
+    These are its own intervals clipped to [0, T], the last pair extending
+    past the final breakpoint, so a constant schedule gives (pair, T)."""
     if not T >= 0.0:
         raise RangeError(f"T must be nonnegative, got {T}")
     if T == 0.0:
         return []
     ends = np.minimum(np.append(schedule.breakpoints[1:-1], np.inf), T)
     starts = np.minimum(schedule.breakpoints[:-1], T)
-    intervals = zip(schedule.pairs, starts, ends)
-    return [(pair.L, pair.H, float(b - a)) for pair, a, b in intervals if b > a]
+    return [(pair, float(b - a)) for pair, a, b in zip(schedule.pairs, starts, ends) if b > a]
+
+
+def _spans(schedule: TimeSchedule, T: float) -> list:
+    """The schedule on [0, T] as (L, H, duration) spans of plain matrices,
+    each propagated exactly (_intervals); a constant schedule gives the
+    single span (pair.L, pair.H, T).
+    """
+    return [(pair.L, pair.H, dt) for pair, dt in _intervals(schedule, T)]
 
 
 def _is_tridiagonal(spans: list) -> bool:
@@ -528,17 +565,119 @@ def _is_mirrored(ks: np.ndarray) -> bool:
     )
 
 
+def _chebyshev_bound(degree: int, spread: float) -> float:
+    """min over rho > 1 of 4 exp(spread (rho - 1/rho) / 2) rho^-degree / (rho - 1).
+
+    A function f of k on [c - h, c + h] that is entire with
+    ||f(k)|| <= exp(tau |Im k|) M0 is bounded by exp(tau h (rho - 1/rho) / 2) M0
+    on the Bernstein ellipse E_rho of the interval, so its degree-d
+    interpolant in Chebyshev points is within 4 M rho^-d / (rho - 1) of f
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2):
+    with spread = tau h, this bound times M0. In s = log rho the logarithm of
+    the bound is convex, so its minimum is found by bisecting the derivative
+    spread cosh s - degree - e^s / (e^s - 1) on (0, _LOG_RHO_MAX]; any rho
+    gives a valid bound, so the bisection's precision only decides how tight
+    it is. An overflowing bound is infinite."""
+    lo, hi = 0.0, _LOG_RHO_MAX
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if spread * math.cosh(mid) - degree + 1.0 / math.expm1(-mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    log_bound = math.log(4.0) + spread * math.sinh(hi) - degree * hi - math.log(math.expm1(hi))
+    return math.exp(log_bound) if log_bound < 700.0 else math.inf
+
+
+def _chebyshev_degree(spread: float, tol: float, most: int):
+    """The smallest degree d in [1, most] with _chebyshev_bound(d, spread) <= tol,
+    or None. The bound falls with d, so d is found by bisection; the degree
+    returned always meets tol."""
+    if most < 1 or not _chebyshev_bound(most, spread) <= tol:
+        return None
+    lo, hi = 0, most
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _chebyshev_bound(mid, spread) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _chebyshev_proxy(ks: np.ndarray, weight_sets: tuple, growth: float):
+    """(nodes, mapped, bound): the Chebyshev proxy of the sums
+    sum_j w_j f(ks[j]) for each w in weight_sets, or None when it would not
+    have fewer terms.
+
+    f is k -> U(k, T) v, entire with ||U(k, T)|| <= exp(|Im k| growth),
+    growth = sum dt ||L|| over the spans. On [min ks, max ks], of half-width
+    h, its interpolant in the d + 1 Chebyshev points of the second kind
+    (nodes, ascending) is within bound = _chebyshev_bound(d, growth h) of
+    it, relative to ||v||, at the smallest d whose bound is at most
+    _PROXY_TOL. So sum_j w_j f(ks[j]) = sum_m W_m f(nodes[m]), with
+    W_m = sum_j w_j l_m(ks[j]) and l_m the barycentric Lagrange basis
+    (Berrut & Trefethen, SIAM Rev. 46, 501, 2004), to within
+    bound sum |w| ||v||. mapped holds one complex W per weight set. None
+    when d + 1 is not below len(ks), or when every k is the same.
+
+    The basis is real: l_m(k) = b_m C(k, m) / s(k), with the Cauchy matrix
+    C(k, m) = 1 / (k - x_m), s(k) = sum_i b_i C(k, i) and b_m = (-1)^m,
+    halved at both ends, so W_m = b_m sum_j C(k_j, m) w_j / s(k_j). C is
+    formed a slice of budget / (d + 1) terms at a time in one reused real
+    buffer, and the real and imaginary parts of every weight set over s
+    are multiplied by it in one real product. A term on a node (the ends
+    always are) takes l = delta, with no division by zero."""
+    lo, hi = float(ks.min()), float(ks.max())
+    half_width = 0.5 * (hi - lo)
+    if not half_width > 0:
+        return None
+    degree = _chebyshev_degree(growth * half_width, _PROXY_TOL, len(ks) - 2)
+    if degree is None:
+        return None
+    m = np.arange(degree + 1)
+    nodes = 0.5 * (lo + hi) - half_width * np.cos(np.pi * m / degree)
+    nodes[0], nodes[-1] = lo, hi
+    b = np.where(m % 2, -1.0, 1.0)
+    b[[0, -1]] *= 0.5
+    rows = max(1, _BATCH_ENTRY_BUDGET // (degree + 1))
+    cauchy = np.empty((min(rows, len(ks)), degree + 1))
+    parts = np.empty((2 * len(weight_sets), len(cauchy)))
+    total = np.zeros((len(parts), degree + 1))
+    for start in range(0, len(ks), rows):
+        k = ks[start : start + rows]
+        C, v = cauchy[: len(k)], parts[:, : len(k)]
+        near = np.minimum(np.searchsorted(nodes, k), degree)
+        exact = np.flatnonzero(nodes[near] == k)
+        np.subtract.outer(k, nodes, out=C)
+        C[exact] = 1.0
+        np.reciprocal(C, out=C)
+        # a term on node m: the row e_m gives l = b_m e_m / b_m = delta
+        C[exact] = 0.0
+        C[exact, near[exact]] = 1.0
+        s = C @ b
+        for i, w in enumerate(weight_sets):
+            w = w[start : start + rows]
+            np.divide(w.real, s, out=v[2 * i])
+            np.divide(w.imag, s, out=v[2 * i + 1])
+        total += v @ C
+    total *= b
+    mapped = [re + 1j * im for re, im in zip(total[0::2], total[1::2])]
+    return nodes, mapped, _chebyshev_bound(degree, growth * half_width)
+
+
 def _block_sum(
     block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels, mirrored: bool,
-    transfer=None,
+    growth: float, transfer=None,
 ):
     """sum_j weights[j] U(ks[j]) u0 over the spans of one analysed block,
-    (spans, basis, tridiagonal, symmetry) as _blocks gives it, streamed over
-    chunks of budget / dim terms on the shared path, where a term holds dim
-    phases, and of budget / dim^2 terms on a per-term path, where it holds
-    a dim x dim eigenvector matrix (or, at dim 2, its closed-form
-    exponential). mirrored says whether ks mirror bitwise (_is_mirrored),
-    decided once per sum for every block.
+    (spans, basis, tridiagonal, symmetry) as _blocks gives it, whose
+    ||U(k)|| grows at most like exp(|Im k| growth) off the real axis,
+    streamed over chunks of budget / dim terms on the shared path, where a
+    term holds dim phases, and of budget / dim^2 terms on a per-term path,
+    where it holds a dim x dim eigenvector matrix (or, at dim 2, its
+    closed-form exponential). mirrored says whether ks mirror bitwise
+    (_is_mirrored), decided once per sum for every block.
 
     When all spans share a certified eigenbasis V the sum is V (t * V^dagger
     u0) with the transfer values t = sum_j weights[j] exp(-i (ks[j] lam + mu)),
@@ -562,12 +701,23 @@ def _block_sum(
     U(-k) = conj U(k); over chiral ones each span decomposes
     k L + H - h0 I, u0 and S u0 are propagated by the span exponentials and
     their adjoints, and U(-k) u0 = exp(-i sum h0 dt) S (adjoint column), the
-    factor exp(-i sum h0 dt) applied once to the block's sum. Returns the
-    sum, the block's record (size, path, chunk count, step count and
-    decomposition count) and its transfer values (None on a per-term
+    factor exp(-i sum h0 dt) applied once to the block's sum.
+
+    A block that propagates u0 (dstevd or batched eigh) then replaces its
+    terms, folded or not, by their Chebyshev proxy (_chebyshev_proxy): the
+    d + 1 Chebyshev points on [min ks, max ks], each weight set (weights,
+    and mirror when folded) mapped to W_m = sum_j w_j l_m(ks[j]). Every
+    column it propagates is entire in k with ||U(k)|| <= exp(|Im k| growth),
+    growth = sum dt ||L|| over the spans, so the sum moves by at most the
+    certificate times sum |w| ||u0||, and the certificate is at most
+    _PROXY_TOL. With d + 1 not below the term count the terms stay, and the
+    sum is the direct one. Returns the sum, the block's record (size, path,
+    chunk count, step count, decomposition count and certified proxy bound,
+    0 without the proxy) and its transfer values (None on a per-term
     path)."""
     spans, basis, tridiagonal, symmetry = block
     dim = len(u0)
+    bound = 0.0
     # what one term holds: dim phases on the shared path, a dim x dim
     # eigenvector matrix (or its closed form) on a per-term one
     chunk = max(1, _BATCH_ENTRY_BUDGET // (dim if basis is not None else dim * dim))
@@ -616,6 +766,11 @@ def _block_sum(
     else:
         path = "tridiagonal" if tridiagonal else "batched-eigh"
         eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
+        proxy = _chebyshev_proxy(ks, (weights, mirror) if fold else (weights,), growth)
+        if proxy is not None:
+            ks, mapped, bound = proxy
+            weights, mirror = mapped if fold else (*mapped, None)
+            n = len(ks)
         steps = len(spans)
         decompositions = n * steps
         starts = u0[None, :]
@@ -646,7 +801,7 @@ def _block_sum(
                 cols[0] += minus
             return cols[0].sum(axis=1)
 
-    record = (dim, path, -(-n // chunk), steps, decompositions)
+    record = (dim, path, -(-n // chunk), steps, decompositions, bound)
     total = transfer
     if total is None:
         total = np.zeros(dim, dtype=complex)
@@ -680,8 +835,11 @@ class _PreparedSum:
     def __init__(self, p: ProblemInstance, T: float):
         p.require_gate()
         self.p, self.T = p, T
-        spans = _spans(p.schedule, T)
+        intervals = _intervals(p.schedule, T)
+        spans = [(pair.L, pair.H, dt) for pair, dt in intervals]
         self.steps = len(spans)
+        # ||U(k, T)|| <= exp(|Im k| growth) off the real axis, from the pairs' certified normL
+        self.growth = sum(pair.normL * dt for pair, dt in intervals)
         try:
             self.blocks = _blocks(spans, p.dim)
         except Exception as exc:
@@ -709,7 +867,7 @@ class _PreparedSum:
             weights, panels, mirrored = weigh(plan), _composite_panels(plan), _is_mirrored(plan.k)
             for idx, *block, twin in self.blocks:
                 out[idx], record, transfer = _block_sum(
-                    block, plan.k, weights, u0[idx], panels, mirrored,
+                    block, plan.k, weights, u0[idx], panels, mirrored, self.growth,
                     None if twin is None else transfers[twin],
                 )
                 records.append(record)
@@ -720,10 +878,10 @@ class _PreparedSum:
             raise PropagationError(f"propagation failed: {exc}") from exc
         _log.debug(
             "weighted unitary sum: path=%s terms=%d decompositions=%d chunks=%d steps=%d "
-            "blocks=%d [%s]",
+            "blocks=%d [%s] bound=%.3g",
             records[0][1] if len(records) == 1 else "split", plan.size,
             sum(r[4] for r in records), sum(r[2] for r in records), sum(r[3] for r in records),
-            len(records), " ".join(f"{r[0]}:{r[1]}" for r in records),
+            len(records), " ".join(f"{r[0]}:{r[1]}" for r in records), max(r[5] for r in records),
         )
         if not np.all(np.isfinite(out)):
             raise PropagationError("weighted unitary sum is not finite")

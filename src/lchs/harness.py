@@ -25,7 +25,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
-import jsonschema
 import numpy as np
 
 from .errors import BuildError, ConfigError, FitError, LchsError, RangeError
@@ -148,17 +147,26 @@ REPORT_SCHEMA = {
 }
 
 
-# Built once: jsonschema.validate checks the schema itself against the
-# 2020-12 metaschema on every call, which costs far more than the document.
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+@functools.cache
+def _validator(what: str):
+    """The validator of the "config" or "report" schema, built on first use
+    and kept. jsonschema is imported here, not with the module, so that
+    importing lchs and solving load none of it. Built once, because
+    jsonschema.validate checks the schema itself against the 2020-12
+    metaschema on every call, which costs far more than the document."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator({"config": CONFIG_SCHEMA, "report": REPORT_SCHEMA}[what])
 
 
-def _check_schema(document: dict, validator: jsonschema.Draft202012Validator, what: str) -> None:
-    """Validate document with a schema's validator; a violation is a
-    ConfigError whose pointer is the JSON pointer of the offending value. The
-    error reported is best_match's, the one jsonschema.validate raises."""
-    exc = jsonschema.exceptions.best_match(validator.iter_errors(document))
+def _check_schema(document: dict, what: str) -> None:
+    """Validate document against the schema named what ("config" or
+    "report"); a violation is a ConfigError whose pointer is the JSON pointer
+    of the offending value. The error reported is best_match's, the one
+    jsonschema.validate raises."""
+    import jsonschema
+
+    exc = jsonschema.exceptions.best_match(_validator(what).iter_errors(document))
     if exc is not None:
         pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
         raise ConfigError(f"{what} invalid at {pointer}: {exc.message}", pointer=pointer)
@@ -166,7 +174,7 @@ def _check_schema(document: dict, validator: jsonschema.Draft202012Validator, wh
 
 def validate_report(payload: dict) -> None:
     """Check an emitted report document against the published schema."""
-    _check_schema(payload, _REPORT_VALIDATOR, "report")
+    _check_schema(payload, "report")
 
 
 def _check_finite(value, pointer: str = "") -> None:
@@ -205,7 +213,7 @@ class RunConfig:
         and an explicit plan in accuracy against the method: {K, M, Q} is
         Gaussian, {K, Ns, seed} Monte Carlo."""
         _check_finite(d)
-        _check_schema(d, _CONFIG_VALIDATOR, "config")
+        _check_schema(d, "config")
         acc = d["accuracy"]
         if "eps" not in acc and ("M" in acc) != (d["method"] == "gaussian"):
             raise ConfigError(

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,12 @@ def paths_agree(p, plan, T, monkeypatch, tol, test="_shared_eigenbasis"):
     return fast
 
 
+def decline_proxy(m):
+    """Sum every per-term block directly, over the plan's own terms: m (a
+    monkeypatch or its context) stubs the Chebyshev proxy to decline."""
+    m.setattr(ev, "_chebyshev_proxy", lambda *args: None)
+
+
 class TestSharedEigenbasis:
     @pytest.mark.parametrize("name, T", [("parabolic1d", 1.0 / 256.0), ("blackhole", 1.0)])
     def test_matches_batched_eigh_on_default_builders(self, name, T, beta_kernel, monkeypatch):
@@ -480,12 +487,15 @@ class TestSharedEigenbasis:
         out = lchs_apply(p, plan, 0.0)
         assert [r.getMessage() for r in caplog.records] == [
             f"weighted unitary sum: path=shared-eigenbasis terms={plan.size} "
-            "decompositions=0 chunks=1 steps=0 blocks=1 [6:shared-eigenbasis]"
+            "decompositions=0 chunks=1 steps=0 blocks=1 [6:shared-eigenbasis] bound=0"
         ]
         assert np.linalg.norm(out - plan.c.sum() * p.u0) <= 1e-14 * np.linalg.norm(p.u0)
 
     def test_one_debug_record_per_sum(self, beta_kernel, caplog, monkeypatch):
+        # the fold and chunk counts of the direct sums; the proxy's are
+        # pinned by test_record_counts_the_proxy_nodes
         monkeypatch.setattr(ev, "_BATCH_ENTRY_BUDGET", 4000)
+        decline_proxy(monkeypatch)
         caplog.set_level(logging.DEBUG, logger="lchs.evolve")
         # blackhole's diagonal pair splits into two 1x1 blocks. lindblad's L
         # and H couple indices 0 and 3 only: a 2x2 tridiagonal block and two
@@ -514,7 +524,7 @@ class TestSharedEigenbasis:
             assert [r.getMessage() for r in caplog.records] == [
                 f"weighted unitary sum: path={path} terms={plan.size} "
                 f"decompositions={decompositions} chunks={chunks} "
-                f"steps={steps} blocks={len(blocks)} [{listed}]"
+                f"steps={steps} blocks={len(blocks)} [{listed}] bound=0"
             ]
 
 
@@ -713,6 +723,7 @@ class TestTridiagonalBranches:
         )
         assert logged_path(p, plan, self.T, caplog) == "tridiagonal"
         calls = tridiagonal_branch_calls(monkeypatch)
+        decline_proxy(monkeypatch)
         # the complex pair is not folded: one dstevd call per term above dim 2
         out = paths_agree(p, plan, self.T, monkeypatch, 1e-12, test="_is_tridiagonal")
         assert calls == ([] if dim == 2 else [dim] * plan.size)
@@ -810,6 +821,7 @@ class TestTridiagonalBranches:
 
     def test_builder_dims_above_cut_off_keep_dstevd(self, beta_kernel, monkeypatch):
         calls = tridiagonal_branch_calls(monkeypatch)
+        decline_proxy(monkeypatch)
         p = build_problem("mm1", {})
         plan = plan_from_accuracy(beta_kernel, 1e-3, self.T, p.meta["normL"])
         lchs_apply(p, plan, self.T)
@@ -876,7 +888,8 @@ class TestTridiagonalBranches:
             finally:
                 tracemalloc.stop()
 
-        closed = peak(ev._block_sum, analysed, ks, weights, p.u0[idx], None, columns == 2)
+        growth = p.schedule.normL * 1.0
+        closed = peak(ev._block_sum, analysed, ks, weights, p.u0[idx], None, columns == 2, growth)
         propagated = ks[len(ks) // 2 :] if columns == 2 else ks
         eigenpairs = peak(
             ev._propagate_chunk, analysed[0], propagated, starts, closed_form_eigenpairs
@@ -919,8 +932,9 @@ class TestBlockSplit:
         caplog.clear()
         split = lchs_apply(p, plan, T)
         (record,) = caplog.records
-        assert record.getMessage().endswith(
-            "blocks=3 [3:batched-eigh 4:tridiagonal 1:shared-eigenbasis]"
+        assert re.search(
+            r"blocks=3 \[3:batched-eigh 4:tridiagonal 1:shared-eigenbasis\] bound=\S+$",
+            record.getMessage(),
         )
         monkeypatch.setattr(ev, "_block_labels", one_block)
         assert logged_path(p, plan, T, caplog) == "batched-eigh"
@@ -943,7 +957,7 @@ class TestBlockSplit:
         # only the second span couples (0, 1) to (2, 3)
         p = ProblemInstance(schedule=TimeSchedule.piecewise([0.0, 0.1, 1.0], [first, second]), u0=u0)
         assert logged_path(p, plan, 1.0, caplog) == "tridiagonal"
-        assert caplog.records[0].getMessage().endswith("blocks=1 [4:tridiagonal]")
+        assert re.search(r"blocks=1 \[4:tridiagonal\] bound=\S+$", caplog.records[0].getMessage())
         out = lchs_apply(p, plan, 1.0)
         assert np.linalg.norm(out - oracle_solve(p, 1.0)) <= 1e-4 * np.linalg.norm(u0)
 
@@ -1090,6 +1104,8 @@ class TestMirrorFold:
          ("real-dense", "batched-eigh"), ("two-span", "batched-eigh")],
     )
     def test_folded_matches_unfolded(self, setup, path, complex_u0, beta_kernel, monkeypatch, caplog):
+        # the fold itself, over the plan's own terms
+        decline_proxy(monkeypatch)
         p, normL, shared_blocks = self.instance(setup, complex_u0)
         plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, normL)
         spans = len(ev._spans(p.schedule, self.T))
@@ -1142,6 +1158,7 @@ class TestMirrorFold:
         "case", ["cap-varying-V_R", "coupled-L", "blackhole", "mc-mm1", "mc-two-span"]
     )
     def test_unfolded_cases_decompose_every_term(self, case, beta_kernel, monkeypatch, caplog):
+        decline_proxy(monkeypatch)
         # neither symmetry holds: this cap's and this blackhole's H are not
         # imaginary and have no constant diagonal, and the coupled-L pair's
         # H is real with a constant diagonal but its L has an off-diagonal;
@@ -1205,6 +1222,8 @@ class TestChiralFold:
 
     @pytest.mark.parametrize("case", ["cap", "complex-u0", "three-slices"])
     def test_folded_matches_unfolded(self, case, beta_kernel, monkeypatch, caplog):
+        # the fold itself, over the plan's own terms
+        decline_proxy(monkeypatch)
         p = self.instance(case)
         spans = ev._spans(p.schedule, self.T)
         assert len(spans) == (3 if case == "three-slices" else 1)
@@ -1239,17 +1258,171 @@ class TestChiralFold:
 
 class TestFoldCoverage:
     # eigendecompositions of each builder default at eps 1e-4, T = 1/4: the
-    # shared blocks decompose once per block; mm1, mmc, lindblad's 2x2 block
-    # (real) and cap (chiral) once per |k| of the mirrored plan. A change
-    # that drops a fold changes its count.
+    # shared blocks decompose once per block; lindblad's 2x2 block (real)
+    # once per |k| of the mirrored plan; mm1, mmc (real) and cap (chiral)
+    # once per node of the Chebyshev proxy on the k > 0 half. A change that
+    # drops a fold changes its count: the unfolded proxy spans [-K, K].
     @pytest.mark.parametrize("name, decompositions", [
-        ("parabolic1d", 1), ("mm1", 3096), ("mmc", 3096), ("cap", 2604), ("lindblad", 2090),
+        ("parabolic1d", 1), ("mm1", 90), ("mmc", 90), ("cap", 80), ("lindblad", 2090),
         ("blackhole", 2),
     ])
     def test_builder_defaults_keep_their_folds(self, name, decompositions, beta_kernel, caplog):
         p = build_problem(name, {})
         plan = plan_from_accuracy(beta_kernel, 1e-4, 0.25, p.meta["normL"])
         assert logged_counts(p, plan, 0.25, caplog)["decompositions"] == decompositions
+
+
+def logged_bound(message):
+    """The bound= field that ends a debug record."""
+    return float(re.search(r" bound=(\S+)$", message).group(1))
+
+
+class TestChebyshevProxy:
+    """A per-term block sums k -> U(k, T) v over the Chebyshev points of
+    [min k, max k] with barycentric weights, at the smallest degree whose
+    certified interpolation error is at most _PROXY_TOL sum |w| ||u0||. The
+    reference is the direct sum over the plan's own terms, with the proxy
+    declined."""
+
+    T = 0.25
+
+    @staticmethod
+    def case(name, beta_kernel):
+        """(instance, plan, T) for one case."""
+        T = 4.0 if name == "mm1-T4" else TestChebyshevProxy.T
+        if name.startswith("cap"):
+            p = TestChiralFold.instance(name[4:])
+            if name == "cap-real-u0":
+                u0 = np.random.default_rng(29).standard_normal(p.dim)
+                p = dataclasses.replace(p, u0=u0 / np.linalg.norm(u0))
+        elif name in ("mm1", "mm1-T4"):
+            p = TestMirrorFold.instance("mm1", True)[0]
+        elif name == "two-span":
+            p = TestMirrorFold.instance("two-span", True)[0]
+        elif name == "mc-mm1":
+            return build_problem("mm1", {}), mc_plan(beta_kernel, 44.25, 3_000, 2), T
+        else:  # mc-cap
+            return build_problem("cap", {}), mc_plan(beta_kernel, 44.25, 3_000, 2), T
+        return p, plan_from_accuracy(beta_kernel, 1e-4, T, p.schedule.normL), T
+
+    @staticmethod
+    def proxy_and_direct(p, plan, T, weigh, monkeypatch, caplog):
+        """The weighted sum over the proxy with its debug record, and the
+        direct sum over the plan's own terms."""
+        caplog.set_level(logging.DEBUG, logger="lchs.evolve")
+        caplog.clear()
+        proxy = ev._PreparedSum(p, T).sum(plan, weigh)
+        (record,) = caplog.records
+        with monkeypatch.context() as m:
+            decline_proxy(m)
+            direct = ev._PreparedSum(p, T).sum(plan, weigh)
+        return proxy, direct, record.getMessage()
+
+    @pytest.mark.parametrize("name, terms, weights", [
+        ("cap-real-u0", 2, "c"), ("cap-complex-u0", 2, "c"), ("cap-three-slices", 2, "c"),
+        ("mm1", 2, "c"), ("mm1-T4", 2, "c"), ("two-span", 2, "c"), ("mc-mm1", 1, "c"),
+        ("mc-cap", 1, "c"), ("cap-complex-u0", 2, "residual"), ("mm1", 2, "residual"),
+        ("two-span", 2, "residual"), ("mc-cap", 1, "residual"),
+    ])
+    def test_matches_the_direct_sum(self, name, terms, weights, beta_kernel, monkeypatch, caplog):
+        # terms: 2 when the plan folds onto its k > 0 half, 1 for a Monte
+        # Carlo plan, which does not; weights c, or c (1 - ik) of the
+        # residual check
+        p, plan, T = self.case(name, beta_kernel)
+        weigh = (lambda plan: plan.c) if weights == "c" else (lambda plan: plan.c * (1 - 1j * plan.k))
+        proxy, direct, message = self.proxy_and_direct(p, plan, T, weigh, monkeypatch, caplog)
+        counts = {key: int(value) for key, value in re.findall(r"(\w+)=(\d+)", message)}
+        spans = len(ev._spans(p.schedule, T))
+        assert counts["decompositions"] < plan.size // terms * spans
+        assert counts["decompositions"] % spans == 0
+        assert 0 < logged_bound(message) <= ev._PROXY_TOL
+        scale = np.abs(weigh(plan)).sum() * np.linalg.norm(p.u0)
+        assert np.linalg.norm(proxy - direct) <= 1e-13 * scale
+
+    def test_small_plan_keeps_the_direct_bytes(self, beta_kernel, monkeypatch, caplog):
+        # 32 k > 0 terms, fewer than the proxy's 80 nodes on cap
+        p = build_problem("cap", {})
+        plan = composite_plan(beta_kernel, 44.25, 8, 8)
+        out, counts = counted_apply(p, plan, self.T, caplog)
+        assert counts["decompositions"] == plan.size // 2
+        assert logged_bound(caplog.records[0].getMessage()) == 0
+        decline_proxy(monkeypatch)
+        assert lchs_apply(p, plan, self.T).tobytes() == out.tobytes()
+
+    def test_proxy_needs_fewer_terms(self):
+        # d + 1 nodes replace the terms only when there are more of them
+        growth = 2.0
+        degree = ev._chebyshev_degree(growth * 4.0, ev._PROXY_TOL, 400)
+        weights = np.ones(degree + 2, dtype=complex)
+        few = np.linspace(1.0, 9.0, degree + 1)
+        assert ev._chebyshev_proxy(few, (weights[:-1],), growth) is None
+        more = np.linspace(1.0, 9.0, degree + 2)
+        nodes, (mapped,), bound = ev._chebyshev_proxy(more, (weights,), growth)
+        assert len(nodes) == len(mapped) == degree + 1
+        assert bound == ev._chebyshev_bound(degree, growth * 4.0) <= ev._PROXY_TOL
+
+    def test_record_counts_the_proxy_nodes(self, beta_kernel, caplog):
+        for name, nodes, chunks, bound in (("cap", 80, 3, "8.05e-16"), ("mm1", 90, 1, "7.92e-16")):
+            p = build_problem(name, {})
+            plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
+            logged_path(p, plan, self.T, caplog)
+            assert caplog.records[0].getMessage() == (
+                f"weighted unitary sum: path=tridiagonal terms={plan.size} "
+                f"decompositions={nodes} chunks={chunks} steps=1 blocks=1 "
+                f"[{p.dim}:tridiagonal] bound={bound}"
+            )
+
+    @pytest.mark.parametrize("spread", [0.0, 0.3, 5.0, 40.0, 300.0])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-15])
+    def test_degree_matches_a_scan_over_rho(self, spread, tol):
+        # the certificate on a fine grid of s = log rho in (0, 64]
+        s = np.linspace(0.0, ev._LOG_RHO_MAX, 2_000_001)[1:]
+        base = math.log(4.0) + spread * np.sinh(s) - np.log(np.expm1(s))
+
+        def scanned(degree):
+            return float(np.exp(np.min(base - degree * s)))
+
+        degree = ev._chebyshev_degree(spread, tol, 10_000)
+        assert scanned(degree) <= tol * (1 + 1e-9)
+        assert degree == 1 or scanned(degree - 1) > tol
+        for d in (degree - 1, degree, degree + 7):
+            if d >= 1:
+                assert ev._chebyshev_bound(d, spread) == pytest.approx(scanned(d), rel=1e-6)
+
+    def test_degree_is_monotone(self):
+        spreads = [0.0, 0.1, 1.0, 3.0, 10.0, 31.9, 100.0, 1000.0]
+        degrees = [ev._chebyshev_degree(x, ev._PROXY_TOL, 100_000) for x in spreads]
+        assert degrees == sorted(degrees) and degrees[-1] > degrees[0]
+        tols = [1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-18]
+        degrees = [ev._chebyshev_degree(31.9, tol, 100_000) for tol in tols]
+        assert degrees == sorted(degrees) and degrees[-1] > degrees[0]
+        assert ev._chebyshev_degree(1000.0, ev._PROXY_TOL, 100) is None
+
+    def test_weights_reproduce_polynomials(self):
+        # sum_j w_j q(k_j) = sum_m W_m q(x_m) for q of degree at most d
+        rng = np.random.default_rng(12)
+        ks = rng.uniform(1.0, 9.0, 500)
+        weights = (rng.standard_normal(500) + 1j * rng.standard_normal(500), rng.standard_normal(500))
+        nodes, mapped, _ = ev._chebyshev_proxy(ks, weights, 0.5)
+        q = np.polynomial.Chebyshev(rng.standard_normal(len(nodes)), domain=[ks.min(), ks.max()])
+        for w, W in zip(weights, mapped):
+            assert abs(w @ q(ks) - W @ q(nodes)) <= 1e-13 * np.abs(w).sum() * np.abs(q.coef).sum()
+
+    def test_term_on_a_node_takes_the_delta(self):
+        # the ends of the interval are always nodes; an interior term on a
+        # node adds its weight to that node alone, with no division by zero
+        ks = np.linspace(1.0, 9.0, 300)
+        nodes, (before,), _ = ev._chebyshev_proxy(ks, (np.ones(300),), 0.5)
+        j = len(nodes) // 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, (after,), _ = ev._chebyshev_proxy(
+                np.append(ks, nodes[j]), (np.append(np.ones(300), 2.5),), 0.5
+            )
+        step = np.zeros(len(nodes))
+        step[j] = 2.5
+        assert np.all(np.isfinite(after))
+        assert np.abs(after - before - step).max() <= 1e-13
 
 
 class TestSharedFold:
@@ -1434,10 +1607,12 @@ class TestStreamedReduction:
         ("parabolic1d", 1.0 / 256.0, 20_000, "shared-eigenbasis", 1),
     ])
     def test_chunk_is_budget_over_what_a_term_holds(
-        self, name, T, ns, path, power, beta_kernel, caplog
+        self, name, T, ns, path, power, beta_kernel, monkeypatch, caplog
     ):
         # a per-term path holds a dim x dim eigenvector matrix per term, the
-        # shared eigenbasis dim phases; a Monte Carlo plan is not folded
+        # shared eigenbasis dim phases; a Monte Carlo plan is not folded.
+        # The per-term chunks are those of the plan's own terms.
+        decline_proxy(monkeypatch)
         p = build_problem(name, {})
         plan = mc_plan(beta_kernel, 44.25, ns, 3)
         assert logged_path(p, plan, T, caplog) == path

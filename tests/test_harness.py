@@ -3,6 +3,9 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import jsonschema
@@ -161,6 +164,25 @@ class TestConfig:
             RunConfig.from_dict(cfg)
         assert str(err.value) == f"config invalid at {pointer}: {reference.value.message}"
         assert err.value.pointer == pointer
+
+    def test_solve_path_loads_no_schema_library(self):
+        # a plan and one weighted sum on cap, in a fresh interpreter: the
+        # validators are built on first use, so jsonschema stays unloaded
+        script = textwrap.dedent("""
+            import sys
+            import lchs
+            from lchs.harness import build_problem
+            kernel = lchs.make_kernel("beta", 0.75)
+            p = build_problem("cap", {})
+            plan = lchs.plan_from_accuracy(kernel, 1e-4, 0.25, p.meta["normL"])
+            lchs.lchs_apply(p, plan, 0.25)
+            print("jsonschema" in sys.modules)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["False"]
 
 
 class TestBuildProblem:
