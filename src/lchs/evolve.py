@@ -134,23 +134,31 @@ one slice, and its sum is unchanged.
 A block that decomposes each term (dstevd from dim 3, or batched eigh) sums
 over a Chebyshev proxy of its terms, once the fold is decided. The function
 it sums, k -> U(k, T) v (v = u0, or conj(u0) and S u0 for the mirrored half
-of a fold, whose U'(k)^dagger continues to exp(+i dt (k L + H')) in k), is
-entire, and off the real axis ||U(k, T)|| <= exp(|Im k| tau) with
-tau = sum_s dt_s ||L_s|| from the pairs' certified normL (a block's L is a
-principal sub-matrix, no larger in norm). On [min k, max k], of half-width h,
-its interpolant in the d + 1 Chebyshev points of the second kind is then
+of a fold, whose column is k -> U(-k, T) u0 up to a constant factor), is
+entire. Off the real axis the Hermitian part of -i (k L + H) is Im k L, so
+||U(k, T)|| <= exp(Im k hi) above the axis and exp(Im k lo) below it, with
+[lo, hi] = [sum dt lambda0, sum dt ||L||] the bounds of L's spectrum
+integrated over the spans, from the pairs' certified lambda0 and normL (a
+block's L is a principal sub-matrix, whose spectrum lies within). The proxy
+centres that spectrum: it interpolates F(k) = exp(i k sigma) U(k, T) v
+(exp(-i k sigma) for the mirrored column), sigma = (lo + hi) / 2, which
+grows at most like exp(|Im k| tau) in both half-planes with
+tau = (hi - lo) / 2; with L >= 0 that is at most half of sum dt ||L||, since
+U is a contraction below the axis. On [min k, max k], of half-width h, the
+interpolant of F in the d + 1 Chebyshev points of the second kind is then
 within min over rho > 1 of 4 exp(tau h (rho - 1/rho) / 2) rho^-d / (rho - 1)
 of it, relative to ||v|| (Trefethen, Approximation Theory and Approximation
 Practice, Thm 8.2, on the Bernstein ellipse E_rho). d is the smallest degree
 whose certificate is at most _PROXY_TOL (1e-15), so sum_j w_j U(k_j) v is
-sum_m W_m U(x_m) v, W_m = sum_j w_j l_m(k_j) with l_m the barycentric
-Lagrange basis, to within that certificate times sum |w| ||u0||: the same
-chunk loop, fold and reduction over d + 1 nodes instead of the plan's terms.
-d is set by T ||L|| and K, not by the plan size: on cap at T = 1/4 and
-eps 1e-4, 80 nodes replace 2,604 folded terms. A block keeps its own terms
-when d + 1 is not below their count, and its sum is then the direct one,
-bytewise. The shared eigenbasis and the dim-2 closed form never take the
-proxy: there a term costs less than its row of barycentric weights.
+sum_m W_m U(x_m) v, W_m = exp(i x_m sigma) sum_j w_j exp(-i k_j sigma)
+l_m(k_j) with l_m the barycentric Lagrange basis, to within that certificate
+times sum |w| ||u0||: the same chunk loop, fold and reduction over d + 1
+nodes instead of the plan's terms. d is set by T ||L|| and K, not by the
+plan size: on cap at T = 1/4 and eps 1e-4, 53 nodes replace 2,604 folded
+terms (80 uncentred). A block keeps its own terms when d + 1 is not below
+their count, and its sum is then the direct one, bytewise. The shared
+eigenbasis and the dim-2 closed form never take the proxy: there a term
+costs less than its row of barycentric weights.
 
 Within a chunk the terms (the +-k pairs of a folded sum, the panels of a
 shared one) are reduced by pairwise numpy sums; the chunk partials are added
@@ -213,9 +221,10 @@ _MIRROR_SLICE = 4096
 _PROXY_TOL = 1e-15
 
 # the proxy certificate is minimized over rho = exp(s), s in (0, _LOG_RHO_MAX],
-# by this many bisections of its convex logarithm's derivative
+# by bisecting its convex logarithm's derivative down to a bracket of this
+# relative width
 _LOG_RHO_MAX = 64.0
-_BISECTIONS = 60
+_S_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -477,16 +486,27 @@ def _block_labels(spans: list) -> np.ndarray:
     different components are never coupled by any span, so each component
     evolves on its own."""
     pattern = sum(np.abs(L) + np.abs(H) for L, H, _ in spans) != 0
-    reach = pattern | np.eye(len(pattern), dtype=bool)
-    # repeated squaring: each pass doubles the path length reach covers. A
-    # boolean matmul runs in numpy's own loop; a float one would page in BLAS
-    # code (about 0.4 MB of resident memory) for a few microseconds saved.
-    while True:
-        wider = reach @ reach
-        if np.array_equal(wider, reach):
+    # union-find over the coupled pairs, each root the smallest index of its
+    # tree, in Python and stopping once all indices are joined: no matrix
+    # product (a float one would page in BLAS code, about 0.4 MB of resident
+    # memory). The pattern is symmetric: L and H are Hermitian.
+    root = list(range(len(pattern)))
+    joins = len(root) - 1
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    rows, cols = np.nonzero(np.triu(pattern, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not joins:
             break
-        reach = wider
-    return reach.argmax(axis=1)
+        a, b = find(i), find(j)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+            joins -= 1
+    return np.array([find(i) for i in range(len(root))])
 
 
 def _blocks(spans: list, dim: int) -> list:
@@ -575,11 +595,12 @@ def _chebyshev_bound(degree: int, spread: float) -> float:
     (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2):
     with spread = tau h, this bound times M0. In s = log rho the logarithm of
     the bound is convex, so its minimum is found by bisecting the derivative
-    spread cosh s - degree - e^s / (e^s - 1) on (0, _LOG_RHO_MAX]; any rho
-    gives a valid bound, so the bisection's precision only decides how tight
-    it is. An overflowing bound is infinite."""
+    spread cosh s - degree - e^s / (e^s - 1) on (0, _LOG_RHO_MAX], down to a
+    bracket of relative width _S_RTOL; the bound is taken at the bracket's
+    upper end, a rho > 1, so it is valid whatever the precision, which only
+    decides how tight it is. An overflowing bound is infinite."""
     lo, hi = 0.0, _LOG_RHO_MAX
-    for _ in range(_BISECTIONS):
+    while hi - lo > _S_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if spread * math.cosh(mid) - degree + 1.0 / math.expm1(-mid) > 0:
             hi = mid
@@ -591,43 +612,69 @@ def _chebyshev_bound(degree: int, spread: float) -> float:
 
 def _chebyshev_degree(spread: float, tol: float, most: int):
     """The smallest degree d in [1, most] with _chebyshev_bound(d, spread) <= tol,
-    or None. The bound falls with d, so d is found by bisection; the degree
-    returned always meets tol."""
+    or None; the degree returned always meets tol.
+
+    At s = log rho the certificate meets tol from the degree
+    q(s) = (log(4 / tol) + spread sinh s - log(e^s - 1)) / s on, so the
+    answer is ceil(min q) up to rounding. The numerator N is convex, so q is
+    quasiconvex and its minimum is found by bisecting the sign of
+    s N'(s) - N(s), which rises with s, on (0, _LOG_RHO_MAX]; q at the upper
+    end of the bracket starts the search, and stepping d by one while the
+    bound decides settles the rounding, a step or two."""
     if most < 1 or not _chebyshev_bound(most, spread) <= tol:
         return None
-    lo, hi = 0, most
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _chebyshev_bound(mid, spread) <= tol:
+    top = math.log(4.0 / tol)
+
+    def numerator(s):
+        return top + spread * math.sinh(s) - math.log(math.expm1(s))
+
+    lo, hi = 0.0, _LOG_RHO_MAX
+    while hi - lo > _S_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        slope = spread * math.cosh(mid) + 1.0 / math.expm1(-mid)
+        if mid * slope - numerator(mid) > 0:
             hi = mid
         else:
             lo = mid
-    return hi
+    degree = min(most, max(1, math.ceil(numerator(hi) / hi)))
+    while not _chebyshev_bound(degree, spread) <= tol:
+        degree += 1
+    while degree > 1 and _chebyshev_bound(degree - 1, spread) <= tol:
+        degree -= 1
+    return degree
 
 
-def _chebyshev_proxy(ks: np.ndarray, weight_sets: tuple, growth: float):
+def _chebyshev_proxy(ks: np.ndarray, weight_sets: tuple, growth: float, centre: float):
     """(nodes, mapped, bound): the Chebyshev proxy of the sums
     sum_j w_j f(ks[j]) for each w in weight_sets, or None when it would not
     have fewer terms.
 
-    f is k -> U(k, T) v, entire with ||U(k, T)|| <= exp(|Im k| growth),
-    growth = sum dt ||L|| over the spans. On [min ks, max ks], of half-width
-    h, its interpolant in the d + 1 Chebyshev points of the second kind
-    (nodes, ascending) is within bound = _chebyshev_bound(d, growth h) of
-    it, relative to ||v||, at the smallest d whose bound is at most
-    _PROXY_TOL. So sum_j w_j f(ks[j]) = sum_m W_m f(nodes[m]), with
-    W_m = sum_j w_j l_m(ks[j]) and l_m the barycentric Lagrange basis
-    (Berrut & Trefethen, SIAM Rev. 46, 501, 2004), to within
-    bound sum |w| ||v||. mapped holds one complex W per weight set. None
-    when d + 1 is not below len(ks), or when every k is the same.
+    weight_sets is (weights,), weighing f(k) = U(k, T) v, or
+    (weights, mirror), the mirror weighing f(k) = U(-k, T) v' (up to a
+    constant factor). The function interpolated is the phased
+    F(k) = exp(i k centre) f(k), exp(-i k centre) f(k) for the mirror, which
+    is entire with ||F(k)|| <= exp(|Im k| growth) ||v|| (_block_sum). On
+    [min ks, max ks], of half-width h, its interpolant in the d + 1
+    Chebyshev points of the second kind (nodes, ascending) is within
+    bound = _chebyshev_bound(d, growth h) of it, relative to ||v||, at the
+    smallest d whose bound is at most _PROXY_TOL. So
+    sum_j w_j f(ks[j]) = sum_j (w_j exp(-i ks[j] centre)) F(ks[j])
+    = sum_m W_m f(nodes[m]), with W_m = exp(i nodes[m] centre)
+    sum_j w_j exp(-i ks[j] centre) l_m(ks[j]) (the mirror's phases of the
+    other sign) and l_m the barycentric Lagrange basis (Berrut & Trefethen,
+    SIAM Rev. 46, 501, 2004), to within bound sum |w| ||v||: the phases have
+    modulus 1 on the real axis. mapped holds one complex W per weight set.
+    With centre = 0 the map is that of f itself. None when d + 1 is not
+    below len(ks), or when every k is the same.
 
     The basis is real: l_m(k) = b_m C(k, m) / s(k), with the Cauchy matrix
     C(k, m) = 1 / (k - x_m), s(k) = sum_i b_i C(k, i) and b_m = (-1)^m,
     halved at both ends, so W_m = b_m sum_j C(k_j, m) w_j / s(k_j). C is
     formed a slice of budget / (d + 1) terms at a time in one reused real
-    buffer, and the real and imaginary parts of every weight set over s
-    are multiplied by it in one real product. A term on a node (the ends
-    always are) takes l = delta, with no division by zero."""
+    buffer; each slice of a weight set is phased there, and the real and
+    imaginary parts of every weight set over s are multiplied by it in one
+    real product. A term on a node (the ends always are) takes l = delta,
+    with no division by zero."""
     lo, hi = float(ks.min()), float(ks.max())
     half_width = 0.5 * (hi - lo)
     if not half_width > 0:
@@ -640,6 +687,8 @@ def _chebyshev_proxy(ks: np.ndarray, weight_sets: tuple, growth: float):
     nodes[0], nodes[-1] = lo, hi
     b = np.where(m % 2, -1.0, 1.0)
     b[[0, -1]] *= 0.5
+    # the weights of the first set take exp(-i k centre), the mirror's exp(+i k centre)
+    signs = (-1j, 1j)[: len(weight_sets)]
     rows = max(1, _BATCH_ENTRY_BUDGET // (degree + 1))
     cauchy = np.empty((min(rows, len(ks)), degree + 1))
     parts = np.empty((2 * len(weight_sets), len(cauchy)))
@@ -656,25 +705,28 @@ def _chebyshev_proxy(ks: np.ndarray, weight_sets: tuple, growth: float):
         C[exact] = 0.0
         C[exact, near[exact]] = 1.0
         s = C @ b
-        for i, w in enumerate(weight_sets):
-            w = w[start : start + rows]
+        for i, (w, sign) in enumerate(zip(weight_sets, signs)):
+            w = w[start : start + rows] * np.exp(sign * centre * k)
             np.divide(w.real, s, out=v[2 * i])
             np.divide(w.imag, s, out=v[2 * i + 1])
         total += v @ C
     total *= b
     mapped = [re + 1j * im for re, im in zip(total[0::2], total[1::2])]
+    for W, sign in zip(mapped, signs):
+        W *= np.exp(-sign * centre * nodes)
     return nodes, mapped, _chebyshev_bound(degree, growth * half_width)
 
 
 def _block_sum(
     block: tuple, ks: np.ndarray, weights: np.ndarray, u0: np.ndarray, panels, mirrored: bool,
-    growth: float, transfer=None,
+    spectrum: tuple, transfer=None,
 ):
     """sum_j weights[j] U(ks[j]) u0 over the spans of one analysed block,
-    (spans, basis, tridiagonal, symmetry) as _blocks gives it, whose
-    ||U(k)|| grows at most like exp(|Im k| growth) off the real axis,
-    streamed over chunks of budget / dim terms on the shared path, where a
-    term holds dim phases, and of budget / dim^2 terms on a per-term path,
+    (spans, basis, tridiagonal, symmetry) as _blocks gives it, with
+    spectrum = (lo, hi) = (sum dt lambda0, sum dt ||L||) the bounds of L's
+    spectrum integrated over the spans, streamed over chunks of budget / dim
+    terms on the shared path, where a term holds dim phases, and of
+    budget / dim^2 terms on a per-term path,
     where it holds a dim x dim eigenvector matrix (or, at dim 2, its
     closed-form exponential). mirrored says whether ks mirror bitwise
     (_is_mirrored), decided once per sum for every block.
@@ -706,15 +758,26 @@ def _block_sum(
     A block that propagates u0 (dstevd or batched eigh) then replaces its
     terms, folded or not, by their Chebyshev proxy (_chebyshev_proxy): the
     d + 1 Chebyshev points on [min ks, max ks], each weight set (weights,
-    and mirror when folded) mapped to W_m = sum_j w_j l_m(ks[j]). Every
-    column it propagates is entire in k with ||U(k)|| <= exp(|Im k| growth),
-    growth = sum dt ||L|| over the spans, so the sum moves by at most the
-    certificate times sum |w| ||u0||, and the certificate is at most
-    _PROXY_TOL. With d + 1 not below the term count the terms stay, and the
-    sum is the direct one. Returns the sum, the block's record (size, path,
-    chunk count, step count, decomposition count and certified proxy bound,
-    0 without the proxy) and its transfer values (None on a per-term
-    path)."""
+    and mirror when folded) mapped to the nodes. Every column it propagates
+    is entire in k: U(k) v, or, for the mirrored column, U(-k) v' up to the
+    constant factor of its fold. Off the real axis a span
+    exp(-i dt (k L + H)) has the logarithmic norm dt Im k lambda, lambda
+    L's largest eigenvalue above the axis and its smallest below (the
+    Hermitian part of the generator is Im k L), so ||U(k)|| <= exp(Im k hi)
+    for Im k >= 0 and exp(Im k lo) for Im k <= 0: with L >= 0, U is a
+    contraction below the axis. The proxy interpolates each column times
+    the phase exp(+i k sigma), exp(-i k sigma) for the mirror, with the
+    centre sigma = (lo + hi) / 2 (sum dt ||L|| / 2 when lambda0 = 0). That
+    scalar shifts L's spectrum to [-(hi - lo) / 2, (hi - lo) / 2], so the
+    phased column grows at most like exp(|Im k| (hi - lo) / 2) in both
+    half-planes, half the uncentred sum dt ||L||; only L >= 0 is needed
+    for that halving, not any symmetry of the block. The sum moves by at
+    most the certificate at that rate times sum |w| ||u0||, and the
+    certificate is at most _PROXY_TOL. With d + 1 not below the term count
+    the terms stay, and the sum is the direct one. Returns the sum, the
+    block's record (size, path, chunk count, step count, decomposition count
+    and certified proxy bound, 0 without the proxy) and its transfer values
+    (None on a per-term path)."""
     spans, basis, tridiagonal, symmetry = block
     dim = len(u0)
     bound = 0.0
@@ -766,7 +829,10 @@ def _block_sum(
     else:
         path = "tridiagonal" if tridiagonal else "batched-eigh"
         eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
-        proxy = _chebyshev_proxy(ks, (weights, mirror) if fold else (weights,), growth)
+        lo, hi = spectrum
+        proxy = _chebyshev_proxy(
+            ks, (weights, mirror) if fold else (weights,), 0.5 * (hi - lo), 0.5 * (lo + hi)
+        )
         if proxy is not None:
             ks, mapped, bound = proxy
             weights, mirror = mapped if fold else (*mapped, None)
@@ -823,10 +889,15 @@ class _PreparedSum:
     """The schedule analysis of one instance on [0, T], made once for every
     sum over it: the horizon T, the spans (steps counts them), split into
     blocks, each with its shared eigenbasis or its per-term path and mirror
-    symmetry (see _blocks). The positivity gate L >= 0 is required first, so an
-    instance that fails it raises PreconditionError and is not analysed; any
-    failure of the analysis raises PropagationError. Nothing changes after
-    construction.
+    symmetry (see _blocks), and spectrum, the bounds [lo, hi] of L's spectrum
+    integrated over the spans, (sum dt lambda0, sum dt ||L||). A per-term
+    block's Chebyshev proxy interpolates exp(i k sigma) U(k, T) v with
+    sigma = (lo + hi) / 2, which grows at most like exp(|Im k| (hi - lo) / 2)
+    off the real axis (_block_sum); the gate L >= 0 makes lo about 0, so the
+    rate is about half of sum dt ||L||, the growth of U itself above the
+    axis. The positivity gate is required first, so an instance that fails
+    it raises PreconditionError and is not analysed; any failure of the
+    analysis raises PropagationError. Nothing changes after construction.
 
     sum is the one entry into the weighted sum; apply and residual weigh it
     for lchs_apply and residual_lemma_check, at the analysis's own T.
@@ -838,8 +909,12 @@ class _PreparedSum:
         intervals = _intervals(p.schedule, T)
         spans = [(pair.L, pair.H, dt) for pair, dt in intervals]
         self.steps = len(spans)
-        # ||U(k, T)|| <= exp(|Im k| growth) off the real axis, from the pairs' certified normL
-        self.growth = sum(pair.normL * dt for pair, dt in intervals)
+        # L's spectrum lies in [lambda0, normL], integrated over the spans:
+        # ||U(k, T)|| <= exp(Im k hi) above the real axis and exp(Im k lo) below it
+        self.spectrum = (
+            sum(pair.lambda0 * dt for pair, dt in intervals),
+            sum(pair.normL * dt for pair, dt in intervals),
+        )
         try:
             self.blocks = _blocks(spans, p.dim)
         except Exception as exc:
@@ -867,7 +942,7 @@ class _PreparedSum:
             weights, panels, mirrored = weigh(plan), _composite_panels(plan), _is_mirrored(plan.k)
             for idx, *block, twin in self.blocks:
                 out[idx], record, transfer = _block_sum(
-                    block, plan.k, weights, u0[idx], panels, mirrored, self.growth,
+                    block, plan.k, weights, u0[idx], panels, mirrored, self.spectrum,
                     None if twin is None else transfers[twin],
                 )
                 records.append(record)

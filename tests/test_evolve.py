@@ -888,8 +888,8 @@ class TestTridiagonalBranches:
             finally:
                 tracemalloc.stop()
 
-        growth = p.schedule.normL * 1.0
-        closed = peak(ev._block_sum, analysed, ks, weights, p.u0[idx], None, columns == 2, growth)
+        spectrum = (0.0, p.schedule.normL * 1.0)
+        closed = peak(ev._block_sum, analysed, ks, weights, p.u0[idx], None, columns == 2, spectrum)
         propagated = ks[len(ks) // 2 :] if columns == 2 else ks
         eigenpairs = peak(
             ev._propagate_chunk, analysed[0], propagated, starts, closed_form_eigenpairs
@@ -997,6 +997,29 @@ class TestBlockSplit:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         lchs_apply(p, plan, 0.25)
         assert calls == []
+
+    @pytest.mark.parametrize("case, groups", [
+        ("path", [range(9)]),
+        ("two-components", [range(4), range(4, 9)]),
+        ("dense", [range(9)]),
+        ("isolated", [range(3), [3], range(4, 9)]),
+        ("permuted", [[6, 1, 4], [0, 8], [7, 2, 5, 3]]),
+    ])
+    def test_labels_are_the_smallest_index_of_each_component(self, case, groups):
+        # each group is coupled as a path, or fully when dense; its couplings
+        # alternate between L and H and between two spans, so only their
+        # union joins a group
+        pattern = [np.zeros((9, 9), dtype=complex) for _ in range(4)]
+        edges = [(i, j) for g in groups for i in g for j in g if i < j] if case == "dense" else [
+            (a, b) for g in groups for a, b in zip(list(g), list(g)[1:])
+        ]
+        for n, (i, j) in enumerate(edges):
+            pattern[n % 4][i, j] = pattern[n % 4][j, i] = 1.0 + 0.5j * (n % 4 // 2)
+        spans = [(pattern[0], pattern[2], 0.5), (pattern[1], pattern[3], 0.5)]
+        expected = np.empty(9, dtype=int)
+        for g in groups:
+            expected[list(g)] = min(g)
+        assert ev._block_labels(spans).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("name", ["cap", "mm1", "mmc"])
     def test_connected_builders_stay_whole(self, name):
@@ -1261,9 +1284,10 @@ class TestFoldCoverage:
     # shared blocks decompose once per block; lindblad's 2x2 block (real)
     # once per |k| of the mirrored plan; mm1, mmc (real) and cap (chiral)
     # once per node of the Chebyshev proxy on the k > 0 half. A change that
-    # drops a fold changes its count: the unfolded proxy spans [-K, K].
+    # drops a fold changes its count: the unfolded proxy spans [-K, K]; so
+    # does one that drops the proxy's centring of L's spectrum (90, 90, 80).
     @pytest.mark.parametrize("name, decompositions", [
-        ("parabolic1d", 1), ("mm1", 90), ("mmc", 90), ("cap", 80), ("lindblad", 2090),
+        ("parabolic1d", 1), ("mm1", 58), ("mmc", 58), ("cap", 53), ("lindblad", 2090),
         ("blackhole", 2),
     ])
     def test_builder_defaults_keep_their_folds(self, name, decompositions, beta_kernel, caplog):
@@ -1288,21 +1312,18 @@ class TestChebyshevProxy:
 
     @staticmethod
     def case(name, beta_kernel):
-        """(instance, plan, T) for one case."""
-        T = 4.0 if name == "mm1-T4" else TestChebyshevProxy.T
+        """(instance, plan, T) for one case; a suffix -T1 or -T4 sets T."""
+        name, _, horizon = name.partition("-T")
+        T = float(horizon) if horizon else TestChebyshevProxy.T
         if name.startswith("cap"):
             p = TestChiralFold.instance(name[4:])
             if name == "cap-real-u0":
                 u0 = np.random.default_rng(29).standard_normal(p.dim)
                 p = dataclasses.replace(p, u0=u0 / np.linalg.norm(u0))
-        elif name in ("mm1", "mm1-T4"):
-            p = TestMirrorFold.instance("mm1", True)[0]
-        elif name == "two-span":
-            p = TestMirrorFold.instance("two-span", True)[0]
-        elif name == "mc-mm1":
-            return build_problem("mm1", {}), mc_plan(beta_kernel, 44.25, 3_000, 2), T
-        else:  # mc-cap
-            return build_problem("cap", {}), mc_plan(beta_kernel, 44.25, 3_000, 2), T
+        elif name in ("mm1", "mmc", "two-span"):  # complex u0
+            p = TestMirrorFold.instance(name, True)[0]
+        else:  # mc-<builder>: a Monte Carlo plan, not mirrored
+            return build_problem(name[3:], {}), mc_plan(beta_kernel, 44.25, 3_000, 2), T
         return p, plan_from_accuracy(beta_kernel, 1e-4, T, p.schedule.normL), T
 
     @staticmethod
@@ -1322,7 +1343,9 @@ class TestChebyshevProxy:
         ("cap-real-u0", 2, "c"), ("cap-complex-u0", 2, "c"), ("cap-three-slices", 2, "c"),
         ("mm1", 2, "c"), ("mm1-T4", 2, "c"), ("two-span", 2, "c"), ("mc-mm1", 1, "c"),
         ("mc-cap", 1, "c"), ("cap-complex-u0", 2, "residual"), ("mm1", 2, "residual"),
-        ("two-span", 2, "residual"), ("mc-cap", 1, "residual"),
+        ("two-span", 2, "residual"), ("mc-cap", 1, "residual"), ("mmc", 2, "c"),
+        ("cap-complex-u0-T1", 2, "c"), ("cap-real-u0-T1", 2, "c"), ("mm1-T1", 2, "c"),
+        ("mmc-T1", 2, "c"), ("mc-mmc", 1, "c"), ("mc-mm1-T1", 1, "c"), ("mc-mmc-T1", 1, "c"),
     ])
     def test_matches_the_direct_sum(self, name, terms, weights, beta_kernel, monkeypatch, caplog):
         # terms: 2 when the plan folds onto its k > 0 half, 1 for a Monte
@@ -1339,10 +1362,24 @@ class TestChebyshevProxy:
         scale = np.abs(weigh(plan)).sum() * np.linalg.norm(p.u0)
         assert np.linalg.norm(proxy - direct) <= 1e-13 * scale
 
+    def test_unfolded_cap_at_t1_is_within_the_node_roundoff(self, beta_kernel, monkeypatch, caplog):
+        # dstevd propagates cap at T = 1 to within about 3e-13 of expm per
+        # node (1.2e-12 at most); the 166 nodes of this unfolded Monte Carlo
+        # plan average those errors less than its 3,000 terms do, so here the
+        # proxy lies 1.5e-13 from the direct sum, above the 1e-13 of the
+        # other cases, while the interpolation itself is certified to 9.4e-16
+        p, plan, T = self.case("mc-cap-T1", beta_kernel)
+        proxy, direct, message = self.proxy_and_direct(
+            p, plan, T, lambda plan: plan.c, monkeypatch, caplog
+        )
+        assert 0 < logged_bound(message) <= ev._PROXY_TOL
+        scale = np.abs(plan.c).sum() * np.linalg.norm(p.u0)
+        assert np.linalg.norm(proxy - direct) <= 2e-13 * scale
+
     def test_small_plan_keeps_the_direct_bytes(self, beta_kernel, monkeypatch, caplog):
-        # 32 k > 0 terms, fewer than the proxy's 80 nodes on cap
+        # 32 k > 0 terms, fewer than the proxy's 43 nodes on cap
         p = build_problem("cap", {})
-        plan = composite_plan(beta_kernel, 44.25, 8, 8)
+        plan = composite_plan(beta_kernel, 44.25, 4, 8)
         out, counts = counted_apply(p, plan, self.T, caplog)
         assert counts["decompositions"] == plan.size // 2
         assert logged_bound(caplog.records[0].getMessage()) == 0
@@ -1355,14 +1392,14 @@ class TestChebyshevProxy:
         degree = ev._chebyshev_degree(growth * 4.0, ev._PROXY_TOL, 400)
         weights = np.ones(degree + 2, dtype=complex)
         few = np.linspace(1.0, 9.0, degree + 1)
-        assert ev._chebyshev_proxy(few, (weights[:-1],), growth) is None
+        assert ev._chebyshev_proxy(few, (weights[:-1],), growth, 0.0) is None
         more = np.linspace(1.0, 9.0, degree + 2)
-        nodes, (mapped,), bound = ev._chebyshev_proxy(more, (weights,), growth)
+        nodes, (mapped,), bound = ev._chebyshev_proxy(more, (weights,), growth, 0.0)
         assert len(nodes) == len(mapped) == degree + 1
         assert bound == ev._chebyshev_bound(degree, growth * 4.0) <= ev._PROXY_TOL
 
     def test_record_counts_the_proxy_nodes(self, beta_kernel, caplog):
-        for name, nodes, chunks, bound in (("cap", 80, 3, "8.05e-16"), ("mm1", 90, 1, "7.92e-16")):
+        for name, nodes, chunks, bound in (("cap", 53, 2, "2.38e-16"), ("mm1", 58, 1, "4.38e-16")):
             p = build_problem(name, {})
             plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
             logged_path(p, plan, self.T, caplog)
@@ -1389,6 +1426,14 @@ class TestChebyshevProxy:
             if d >= 1:
                 assert ev._chebyshev_bound(d, spread) == pytest.approx(scanned(d), rel=1e-6)
 
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 1e-3])
+    def test_degree_is_the_smallest_that_meets_tol(self, tol):
+        # on 400 spreads over [0.01, 2000]: the bound at d meets tol, at d - 1 not
+        for spread in np.geomspace(0.01, 2000.0, 400):
+            degree = ev._chebyshev_degree(spread, tol, 100_000)
+            assert ev._chebyshev_bound(degree, spread) <= tol
+            assert degree == 1 or ev._chebyshev_bound(degree - 1, spread) > tol
+
     def test_degree_is_monotone(self):
         spreads = [0.0, 0.1, 1.0, 3.0, 10.0, 31.9, 100.0, 1000.0]
         degrees = [ev._chebyshev_degree(x, ev._PROXY_TOL, 100_000) for x in spreads]
@@ -1403,7 +1448,7 @@ class TestChebyshevProxy:
         rng = np.random.default_rng(12)
         ks = rng.uniform(1.0, 9.0, 500)
         weights = (rng.standard_normal(500) + 1j * rng.standard_normal(500), rng.standard_normal(500))
-        nodes, mapped, _ = ev._chebyshev_proxy(ks, weights, 0.5)
+        nodes, mapped, _ = ev._chebyshev_proxy(ks, weights, 0.5, 0.0)
         q = np.polynomial.Chebyshev(rng.standard_normal(len(nodes)), domain=[ks.min(), ks.max()])
         for w, W in zip(weights, mapped):
             assert abs(w @ q(ks) - W @ q(nodes)) <= 1e-13 * np.abs(w).sum() * np.abs(q.coef).sum()
@@ -1412,17 +1457,66 @@ class TestChebyshevProxy:
         # the ends of the interval are always nodes; an interior term on a
         # node adds its weight to that node alone, with no division by zero
         ks = np.linspace(1.0, 9.0, 300)
-        nodes, (before,), _ = ev._chebyshev_proxy(ks, (np.ones(300),), 0.5)
+        nodes, (before,), _ = ev._chebyshev_proxy(ks, (np.ones(300),), 0.5, 0.0)
         j = len(nodes) // 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, (after,), _ = ev._chebyshev_proxy(
-                np.append(ks, nodes[j]), (np.append(np.ones(300), 2.5),), 0.5
+                np.append(ks, nodes[j]), (np.append(np.ones(300), 2.5),), 0.5, 0.0
             )
         step = np.zeros(len(nodes))
         step[j] = 2.5
         assert np.all(np.isfinite(after))
         assert np.abs(after - before - step).max() <= 1e-13
+
+
+class TestCentredCertificate:
+    """The proxy interpolates exp(i k sigma) U(k, T) v with sigma the centre
+    of L's spectrum integrated over the spans, [lo, hi] =
+    _PreparedSum.spectrum, which grows at most like
+    exp(|Im k| (hi - lo) / 2) off the real axis: at most half the uncentred
+    rate sum dt ||L||, since L >= 0."""
+
+    @staticmethod
+    def instance(name):
+        """(instance, T): cap, mm1, the two-span batched-eigh pair or a dense
+        complex pair on the batched-eigh path."""
+        if name in ("cap", "mm1"):
+            return build_problem(name, {}), 0.25
+        if name == "two-span":
+            return TestMirrorFold.instance("two-span", True)[0], 1.0
+        return random_gated_instance(np.random.default_rng(17), 5), 1.0
+
+    @pytest.mark.parametrize("name", ["cap", "mm1", "two-span", "dense"])
+    def test_phased_propagator_meets_the_centred_growth(self, name):
+        p, T = self.instance(name)
+        lo, hi = ev._PreparedSum(p, T).spectrum
+        centre, rate = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        assert lo >= -1e-12 * hi and rate <= 0.5 * hi * (1 + 1e-12)
+
+        def norm(k):
+            U = np.eye(p.dim, dtype=complex)
+            for L, H, dt in ev._spans(p.schedule, T):
+                U = scipy.linalg.expm(-1j * dt * (k * L + H)) @ U
+            return np.linalg.norm(U, 2)
+
+        rng = np.random.default_rng(3)
+        ks = np.concatenate([rng.uniform(-10, 10, 8) + 1j * rng.uniform(-2, 2, 8), [2j, -2j]])
+        for k in ks:
+            assert abs(np.exp(1j * k * centre)) * norm(k) <= math.exp(abs(k.imag) * rate) * (1 + 1e-10)
+        # without the phase the centred rate fails far enough above the axis
+        assert norm(40j / T) > math.exp(40 / T * rate)
+
+    @pytest.mark.parametrize("name", ["parabolic1d", "mm1", "mmc", "cap", "lindblad", "blackhole"])
+    @pytest.mark.parametrize("T", [0.25, 1.0])
+    def test_centred_degree_is_at_most_the_uncentred(self, name, T, beta_kernel):
+        p = build_problem(name, {})
+        plan = plan_from_accuracy(beta_kernel, 1e-4, T, p.meta["normL"])
+        half = plan.k[plan.size // 2 :]
+        h = 0.5 * (half.max() - half.min())
+        lo, hi = ev._PreparedSum(p, T).spectrum
+        centred = ev._chebyshev_degree(0.5 * (hi - lo) * h, ev._PROXY_TOL, 1_000_000)
+        assert centred <= ev._chebyshev_degree(hi * h, ev._PROXY_TOL, 1_000_000)
 
 
 class TestSharedFold:
