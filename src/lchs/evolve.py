@@ -75,7 +75,8 @@ blocks. Each block then takes one of three paths, in this order.
   half sum and half difference of the diagonal and r = hypot(h, |e_0|),
   exp(-i m dt) [cos(r dt) - i (sin(r dt) / r) (k L + H - m I)]; a chunk
   multiplies each term's 2x2 matrices across the spans, reduces the
-  weighted entries to one 2x2 matrix and applies it to u0 once. A 1x1 block
+  weighted entries to one 2x2 matrix per weight set (two when folded,
+  below) and applies it to that set's start vector once. A 1x1 block
   always has a shared eigenbasis, so the path starts at dim 2. Only the
   band of L and H is read; the schedule's pairs have checked both matrices
   are Hermitian.
@@ -101,31 +102,28 @@ per block.
   to V^dagger u0. Where K max|lam| overflows the split phases could stay
   finite while k lam does not, so the sum is then direct, and not finite.
   Any other plan, mirrored or not, is summed directly, term by term.
-* Per-term paths, by one of two mirror symmetries of the block, decided
-  once per block (_mirror_symmetry); "real" is tested first, so a block
-  with both keeps the real fold. Each |k| is decomposed once: half the
-  decompositions.
-  - Real: every span's L is real and its H purely imaginary, exactly (the
-    PDE, queue and lindblad builders). Then conj(k L + H) = -(-k L + H), so
-    U(-k) = conj U(k) span by span, and the sum is
-    sum c_+ U(|k|) u0 + conj(sum conj(c_-) U(|k|) conj(u0)). A complex u0
-    propagates two columns, u0 and conj(u0); a real u0 is its own
-    conjugate, so it propagates the one column u0 and the mirrored half is
-    the conjugate of that column. A dim-2 block applies
-    sum c_+ U + conj(sum conj(c_-) U) to u0.
-  - Chiral: a tridiagonal block of dim >= 3 (decomposed by dstevd) whose
-    every span has a diagonal L and an H of constant diagonal h0_s, exactly
-    (cap with a potential uniform in space, whose H is real). S =
-    diag((-1)^j) flips the sign of the band off the diagonal, so with
-    U'_s(k) = exp(-i dt_s (k L + H_s - h0_s I)),
-    U(-k) = exp(-i sum_s h0_s dt_s) S [U'_s(k)^dagger, applied in span
-    order] S. Each span decomposes k L + H_s - h0_s I, whose phases stay
-    small (cap's h0 T is 1,024 at T = 1/4), and the one decomposition
-    propagates u0 by exp(-i dt W) and S u0 by exp(+i dt W): two columns,
-    whatever u0. The sum is exp(-i sum h0 dt) (sum c_+ U'(|k|) u0 +
-    S sum c_- U'(|k|)^dagger S u0), the factor applied once to the block's
-    sum. Closed-form blocks of dim 2 and batched-eigh blocks are not folded
-    this way.
+* Per-term paths, by one rule for every path (closed form, dstevd and
+  batched eigh), with the block's mirror class P, I or S = diag((-1)^j),
+  decided once per block (_mirror_symmetry; P = I is tested first). With
+  h0 = Re H[0, 0] per span, the block is of class P when every span has
+  P conj(L) P = L and P conj(H - h0 I) P = -(H - h0 I), exactly. Then
+  P conj(k L + H - h0 I) P = -(-k L + H - h0 I), so with U'(k) the product
+  over the spans of exp(-i dt (k L + H - h0 I)),
+  U(-k) = turn P conj(U'(k)) P, turn = exp(-i sum h0 dt). P = I takes a
+  real L and an H that is h0 I plus an imaginary matrix (the PDE, queue
+  and lindblad builders, with h0 = 0); P = S takes a diagonal L and a real
+  tridiagonal H of constant diagonal (cap with a potential uniform in
+  space). With w = P conj(u0) the folded sum is
+  turn (sum c_+ U'(|k|) u0 + P conj(sum conj(c_-) U'(|k|) w)): each chunk
+  returns the two forward sums, c_+ on u0 and conj(c_-) on w, and the fold
+  combines them once, after the reduction. Each |k| is decomposed once,
+  half the decompositions, and each span decomposes k L + H - h0 I, whose
+  phases stay small (cap's h0 T is 1,024 at T = 1/4). A u0 that is its own
+  w (a real u0 with P = I) propagates one column for both sums; any other
+  propagates u0 and w. The rule does not take a block whose L is diagonal
+  and whose tridiagonal H has a constant diagonal but a non-real band,
+  which S U'(k)^dagger S would fold; no builder makes one, and it is
+  summed unfolded.
 
 The mirror test compares the two halves a slice at a time and stops at the
 first slice that differs, so a Monte Carlo plan, which is not mirrored, costs
@@ -133,15 +131,15 @@ one slice, and its sum is unchanged.
 
 A block that decomposes each term (dstevd from dim 3, or batched eigh) sums
 over a Chebyshev proxy of its terms, once the fold is decided. The function
-it sums, k -> U(k, T) v (v = u0, or conj(u0) and S u0 for the mirrored half
-of a fold, whose column is k -> U(-k, T) u0 up to a constant factor), is
+it sums, k -> U(k, T) v (v = u0, or w for the mirrored half of a fold, over
+the spans less h0 I, which changes U only by a constant factor), is
 entire. Off the real axis the Hermitian part of -i (k L + H) is Im k L, so
 ||U(k, T)|| <= exp(Im k hi) above the axis and exp(Im k lo) below it, with
 [lo, hi] = [sum dt lambda0, sum dt ||L||] the bounds of L's spectrum
 integrated over the spans, from the pairs' certified lambda0 and normL (a
 block's L is a principal sub-matrix, whose spectrum lies within). The proxy
-centres that spectrum: it interpolates F(k) = exp(i k sigma) U(k, T) v
-(exp(-i k sigma) for the mirrored column), sigma = (lo + hi) / 2, which
+centres that spectrum: it interpolates F(k) = exp(i k sigma) U(k, T) v,
+for every column alike, sigma = (lo + hi) / 2, which
 grows at most like exp(|Im k| tau) in both half-planes with
 tau = (hi - lo) / 2; with L >= 0 that is at most half of sum dt ||L||, since
 U is a contraction below the axis. On [min k, max k], of half-width h, the
@@ -160,10 +158,10 @@ their count, and its sum is then the direct one, bytewise. The shared
 eigenbasis and the dim-2 closed form never take the proxy: there a term
 costs less than its row of barycentric weights.
 
-Within a chunk the terms (the +-k pairs of a folded sum, the panels of a
-shared one) are reduced by pairwise numpy sums; the chunk partials are added
-in ascending plan order (ascending |k| when folded) with compensated
-summation. The result is
+Within a chunk the terms (the k > 0 terms of each weight set of a folded
+sum, the panels of a shared one) are reduced by pairwise numpy sums; the
+chunk partials are added in ascending plan order (ascending |k| when folded)
+with compensated summation, each weight set's on its own. The result is
 deterministic, so reports are bit-stable for a fixed plan. Each sum logs one
 DEBUG record on lchs.evolve: the path (that of the only block, or "split"),
 the plan's term count, the eigendecompositions done (proxy nodes or folded
@@ -251,6 +249,8 @@ class ProblemInstance:
         object.__setattr__(self, "u0", u0)
         if u0.shape != (self.dim,):
             raise DimensionError(f"u0 shape {u0.shape} != (dim,) = ({self.dim},)")
+        if not np.all(np.isfinite(u0)):
+            raise RangeError("u0 must be finite")
         if not np.linalg.norm(u0) > 0:
             raise RangeError("u0 must be nonzero")
 
@@ -432,18 +432,15 @@ def _expm_closed_form(L: np.ndarray, H: np.ndarray, ks: np.ndarray, dt: float) -
     return np.array([[p + th, t * e], [t * e.conj(), p - th]])
 
 
-def _propagate_chunk(
-    spans: list, ks: np.ndarray, starts: np.ndarray, eig, adjoint: bool = False
-) -> np.ndarray:
+def _propagate_chunk(spans: list, ks: np.ndarray, starts: np.ndarray, eig) -> np.ndarray:
     """Product of exp(-i dt (k L + H)) over the spans, applied to every row of
     starts for every k in ks: each eigendecomposition serves all the start
     vectors. eig(L, H, ks) gives eigenvalues W, eigenvectors V and phases d
     (None when there are none) with k L + H = D V diag(W) V^dagger D^dagger,
-    D = diag(d), per k. With adjoint, the last row of starts
-    is propagated by the adjoints exp(+i dt (k L + H)) instead, in the same
-    span order and from the same decompositions: its phases are conjugated.
-    Returns a (len(starts), dim, len(ks)) array whose [s, :, j] is the
-    propagation of starts[s] at ks[j].
+    D = diag(d), per k. Every row is propagated forward: the mirrored column
+    of a fold is a start vector of its own (_block_sum). Returns a
+    (len(starts), dim, len(ks)) array whose [s, :, j] is the propagation of
+    starts[s] at ks[j].
 
     The vectors live in two (len(ks), dim, len(starts)) buffers that every
     span updates in place, and the result is written into the memory of one
@@ -453,7 +450,6 @@ def _propagate_chunk(
     vecs = np.empty((len(ks), starts.shape[1], len(starts)), dtype=complex)
     vecs[...] = starts.T
     amp = np.empty_like(vecs)
-    forward = len(starts) - adjoint
     for L, H, dt in spans:
         W, V, d = eig(L, H, ks)
         phases = np.multiply(W, -1j * dt)
@@ -467,9 +463,7 @@ def _propagate_chunk(
             d = np.conjugate(d, out=d)[:, :, None]
             vecs *= d
             np.matmul(V.transpose(0, 2, 1), vecs.view(float), out=amp.view(float))
-        amp[:, :, :forward] *= phases
-        if adjoint:
-            amp[:, :, forward:] *= np.conjugate(phases, out=phases)
+        amp *= phases
         if d is None:
             np.matmul(V, amp, out=vecs)
         else:
@@ -515,13 +509,13 @@ def _blocks(spans: list, dim: int) -> list:
     principal sub-matrices of every span (the spans themselves for a block
     on all indices), its shared eigenbasis (V, lam, mu) or None, whether its
     spans are tridiagonal (tested only without a basis, from dim 2, since a
-    1x1 block always has one), the mirror symmetry a per-term path folds it
-    by (_mirror_symmetry), the chiral one only for a tridiagonal block of
-    dim >= 3, which dstevd decomposes, and its twin: the position of the
-    first earlier block with a shared basis whose spans are bitwise equal to
-    this one's, whose transfer values this block reuses (_block_sum), or
-    None. Only a block with a shared basis has a twin. No span at all
-    (T = 0) gives one block on all indices."""
+    1x1 block always has one), the mirror class a per-term path folds it by
+    (_mirror_symmetry, tested only without a basis, since only a per-term
+    path reads it), and its twin: the position of the first earlier block
+    with a shared basis whose spans are bitwise equal to this one's, whose
+    transfer values this block reuses (_block_sum), or None. Only a block
+    with a shared basis has a twin. No span at all (T = 0) gives one block
+    on all indices."""
     labels = _block_labels(spans) if spans else np.zeros(dim, dtype=int)
     blocks = []
     for first in np.flatnonzero(labels == np.arange(dim)):
@@ -531,7 +525,7 @@ def _blocks(spans: list, dim: int) -> list:
         block = spans if len(idx) == dim else [(L[sub], H[sub], dt) for L, H, dt in spans]
         basis = _shared_eigenbasis(block, len(idx))
         tridiagonal = basis is None and len(idx) > 1 and _is_tridiagonal(block)
-        symmetry = _mirror_symmetry(block, tridiagonal and len(idx) > 2)
+        symmetry = None if basis is not None else _mirror_symmetry(block)
         twin = None if basis is None else next(
             (j for j, (_, spans_j, basis_j, *_) in enumerate(blocks)
              if basis_j is not None and _equal_spans(spans_j, block)),
@@ -550,24 +544,50 @@ def _equal_spans(a: list, b: list) -> bool:
     )
 
 
-def _mirror_symmetry(spans: list, dstevd: bool):
-    """How U(-k) follows from U(k) on a block, or None; "real" is tested first.
+# a matrix's four quarters by the parity of row and column: S M S, with
+# S = diag((-1)^j), keeps the first two (i + j even) and negates the others
+_EVEN, _ODD = slice(0, None, 2), slice(1, None, 2)
+_QUARTERS = ((_EVEN, _EVEN), (_ODD, _ODD), (_EVEN, _ODD), (_ODD, _EVEN))
 
-    "real": every span's L is real and its H purely imaginary, exactly. Then
-    conj(k L + H) = -(-k L + H), so U(-k) = conj U(k) span by span.
-    "chiral": the block is decomposed by dstevd, every span's L is diagonal
-    and its H has a constant diagonal h0, exactly. With S = diag((-1)^j),
-    which flips the sign of a tridiagonal band off its diagonal,
-    S (k L + H - h0 I) S = -(-k L + H - h0 I), so the shifted span
-    exponentials satisfy U'(-k) = S U'(k)^dagger S."""
-    if all(not np.any(L.imag) and not np.any(H.real) for L, H, _ in spans):
-        return "real"
-    if dstevd and all(
-        np.array_equal(L, np.diag(np.diagonal(L))) and np.all(np.diagonal(H) == H[0, 0])
-        for L, H, _ in spans
-    ):
-        return "chiral"
+
+def _mirror_symmetry(spans: list):
+    """The class P of a block's mirror symmetry: 1 for P = I, -1 for
+    P = S = diag((-1)^j), or None; P = I is tested first.
+
+    With h0 = Re H[0, 0] for each span, the block is of class P when every
+    span has P conj(L) P = L and P conj(H - h0 I) P = -(H - h0 I), exactly.
+    Entry by entry (P conj(M) P)_ij = p_i p_j conj(M_ij), so L is real on the
+    entries P keeps and imaginary on those it negates, and H - h0 I the
+    other way round: H's diagonal is h0 throughout. Then
+    P conj(k L + H - h0 I) P = -(-k L + H - h0 I) for every real k, and with
+    U'(k) the product of the span exponentials exp(-i dt (k L + H - h0 I)),
+    U(-k) = turn P conj(U'(k)) P with turn = exp(-i sum h0 dt). P = I takes
+    a real L and an H that is h0 I plus an imaginary matrix (parabolic1d,
+    mm1, mmc and the lindblad 2x2 block, all with h0 = 0); P = S takes cap's
+    diagonal L and real tridiagonal H of constant diagonal. A block whose L
+    is diagonal and whose tridiagonal H has a constant diagonal but a
+    non-real band is in neither class, though S U'(k)^dagger S would fold
+    it: no builder makes one, and it is summed unfolded, which stays exact.
+    The entries are read through the quarters, slices with no mask."""
+    for parity, kept, negated in ((1, _QUARTERS, ()), (-1, _QUARTERS[:2], _QUARTERS[2:])):
+        if all(
+            np.all(np.diagonal(H).real == H[0, 0].real)
+            # the diagonal, all h0, is the only real part H keeps
+            and sum(np.count_nonzero(H[s].real) for s in kept) == len(H) * (H[0, 0].real != 0)
+            and not any(np.any(L[s].imag) for s in kept)
+            and not any(np.any(L[s].real) or np.any(H[s].imag) for s in negated)
+            for L, H, _ in spans
+        ):
+            return parity
     return None
+
+
+def _reflect(v: np.ndarray, parity: int) -> np.ndarray:
+    """P conj(v), with P = I for parity 1 and S = diag((-1)^j) for -1."""
+    out = np.conjugate(v)
+    if parity < 0:
+        np.negative(out[1::2], out=out[1::2])
+    return out
 
 
 def _is_mirrored(ks: np.ndarray) -> bool:
@@ -649,23 +669,23 @@ def _chebyshev_proxy(ks: np.ndarray, weight_sets: tuple, growth: float, centre: 
     sum_j w_j f(ks[j]) for each w in weight_sets, or None when it would not
     have fewer terms.
 
-    weight_sets is (weights,), weighing f(k) = U(k, T) v, or
-    (weights, mirror), the mirror weighing f(k) = U(-k, T) v' (up to a
-    constant factor). The function interpolated is the phased
-    F(k) = exp(i k centre) f(k), exp(-i k centre) f(k) for the mirror, which
-    is entire with ||F(k)|| <= exp(|Im k| growth) ||v|| (_block_sum). On
-    [min ks, max ks], of half-width h, its interpolant in the d + 1
-    Chebyshev points of the second kind (nodes, ascending) is within
+    Each weight set weighs forward columns f(k) = U(k, T) v, up to a
+    constant factor (a fold's mirrored half weighs U'(k) w, _block_sum), so
+    every set is mapped alike. The function interpolated is the phased
+    F(k) = exp(i k centre) f(k), which is entire with
+    ||F(k)|| <= exp(|Im k| growth) ||v|| (_block_sum). On [min ks, max ks],
+    of half-width h, its interpolant in the d + 1 Chebyshev points of the
+    second kind (nodes, ascending) is within
     bound = _chebyshev_bound(d, growth h) of it, relative to ||v||, at the
     smallest d whose bound is at most _PROXY_TOL. So
     sum_j w_j f(ks[j]) = sum_j (w_j exp(-i ks[j] centre)) F(ks[j])
     = sum_m W_m f(nodes[m]), with W_m = exp(i nodes[m] centre)
-    sum_j w_j exp(-i ks[j] centre) l_m(ks[j]) (the mirror's phases of the
-    other sign) and l_m the barycentric Lagrange basis (Berrut & Trefethen,
-    SIAM Rev. 46, 501, 2004), to within bound sum |w| ||v||: the phases have
-    modulus 1 on the real axis. mapped holds one complex W per weight set.
-    With centre = 0 the map is that of f itself. None when d + 1 is not
-    below len(ks), or when every k is the same.
+    sum_j w_j exp(-i ks[j] centre) l_m(ks[j]) and l_m the barycentric
+    Lagrange basis (Berrut & Trefethen, SIAM Rev. 46, 501, 2004), to within
+    bound sum |w| ||v||: the phases have modulus 1 on the real axis. mapped
+    holds one complex W per weight set. With centre = 0 the map is that of
+    f itself. None when d + 1 is not below len(ks), or when every k is the
+    same.
 
     The basis is real: l_m(k) = b_m C(k, m) / s(k), with the Cauchy matrix
     C(k, m) = 1 / (k - x_m), s(k) = sum_i b_i C(k, i) and b_m = (-1)^m,
@@ -687,8 +707,6 @@ def _chebyshev_proxy(ks: np.ndarray, weight_sets: tuple, growth: float, centre: 
     nodes[0], nodes[-1] = lo, hi
     b = np.where(m % 2, -1.0, 1.0)
     b[[0, -1]] *= 0.5
-    # the weights of the first set take exp(-i k centre), the mirror's exp(+i k centre)
-    signs = (-1j, 1j)[: len(weight_sets)]
     rows = max(1, _BATCH_ENTRY_BUDGET // (degree + 1))
     cauchy = np.empty((min(rows, len(ks)), degree + 1))
     parts = np.empty((2 * len(weight_sets), len(cauchy)))
@@ -705,15 +723,15 @@ def _chebyshev_proxy(ks: np.ndarray, weight_sets: tuple, growth: float, centre: 
         C[exact] = 0.0
         C[exact, near[exact]] = 1.0
         s = C @ b
-        for i, (w, sign) in enumerate(zip(weight_sets, signs)):
-            w = w[start : start + rows] * np.exp(sign * centre * k)
+        phase = np.exp(-1j * centre * k)
+        for i, w in enumerate(weight_sets):
+            w = w[start : start + rows] * phase
             np.divide(w.real, s, out=v[2 * i])
             np.divide(w.imag, s, out=v[2 * i + 1])
         total += v @ C
     total *= b
-    mapped = [re + 1j * im for re, im in zip(total[0::2], total[1::2])]
-    for W, sign in zip(mapped, signs):
-        W *= np.exp(-sign * centre * nodes)
+    phase = np.exp(1j * centre * nodes)
+    mapped = [(re + 1j * im) * phase for re, im in zip(total[0::2], total[1::2])]
     return nodes, mapped, _chebyshev_bound(degree, growth * half_width)
 
 
@@ -746,28 +764,33 @@ def _block_sum(
     Otherwise a per-term path propagates term by term. A tridiagonal block of
     dim 2 sums matrices, not vectors: each chunk forms every term's
     closed-form propagator (_expm_closed_form, multiplied across the spans),
-    reduces the weighted entries to one 2x2 matrix, or to sum c_+ U and
-    sum conj(c_-) U when folded, and applies it to u0. Any other per-term
-    block propagates u0 (_propagate_chunk). On a per-term path a mirrored ks
-    is folded by the block's mirror symmetry: over real spans
-    U(-k) = conj U(k); over chiral ones each span decomposes
-    k L + H - h0 I, u0 and S u0 are propagated by the span exponentials and
-    their adjoints, and U(-k) u0 = exp(-i sum h0 dt) S (adjoint column), the
-    factor exp(-i sum h0 dt) applied once to the block's sum.
+    reduces the weighted entries to one 2x2 matrix per weight set and
+    applies it to that set's start vector. Any other per-term block
+    propagates its start vectors (_propagate_chunk). On a per-term path a
+    mirrored ks is folded by the one rule of the block's mirror class P
+    (_mirror_symmetry): U(-k) = turn P conj(U'(k)) P, U' over the spans less
+    h0 I and turn = exp(-i sum h0 dt), so with w = P conj(u0)
+    sum c_+ U(k) u0 + sum c_- U(-k) u0
+    = turn (sum c_+ U'(k) u0 + P conj(sum conj(c_-) U'(k) w)).
+    Each chunk returns the two forward sums, c_+ on u0 and conj(c_-) on w,
+    and the fold combines them once, after the reduction. A u0 that is its
+    own w (real, with P = I) propagates one column for both. Each span
+    decomposes k L + H - h0 I, so the phases stay small (cap's h0 T is
+    1,024 at T = 1/4).
 
-    A block that propagates u0 (dstevd or batched eigh) then replaces its
-    terms, folded or not, by their Chebyshev proxy (_chebyshev_proxy): the
-    d + 1 Chebyshev points on [min ks, max ks], each weight set (weights,
-    and mirror when folded) mapped to the nodes. Every column it propagates
-    is entire in k: U(k) v, or, for the mirrored column, U(-k) v' up to the
-    constant factor of its fold. Off the real axis a span
+    A block that propagates its start vectors (dstevd or batched eigh) then
+    replaces its terms, folded or not, by their Chebyshev proxy
+    (_chebyshev_proxy): the d + 1 Chebyshev points on [min ks, max ks], each
+    weight set mapped to the nodes. Every column it propagates is
+    k -> U'(k) v, which is U(k) v up to the constant factor exp(i sum h0 dt)
+    and entire in k. Off the real axis a span
     exp(-i dt (k L + H)) has the logarithmic norm dt Im k lambda, lambda
     L's largest eigenvalue above the axis and its smallest below (the
     Hermitian part of the generator is Im k L), so ||U(k)|| <= exp(Im k hi)
     for Im k >= 0 and exp(Im k lo) for Im k <= 0: with L >= 0, U is a
     contraction below the axis. The proxy interpolates each column times
-    the phase exp(+i k sigma), exp(-i k sigma) for the mirror, with the
-    centre sigma = (lo + hi) / 2 (sum dt ||L|| / 2 when lambda0 = 0). That
+    the phase exp(+i k sigma), with the centre sigma = (lo + hi) / 2
+    (sum dt ||L|| / 2 when lambda0 = 0). That
     scalar shifts L's spectrum to [-(hi - lo) / 2, (hi - lo) / 2], so the
     phased column grows at most like exp(|Im k| (hi - lo) / 2) in both
     half-planes, half the uncentred sum dt ||L||; only L >= 0 is needed
@@ -788,7 +811,6 @@ def _block_sum(
         # where k lam overflows, left lam and off lam may not: the sum must stay non-finite
         by_panels = panels is not None and math.isfinite(ks[-1] * np.abs(basis[1]).max())
     fold = mirrored and (by_panels if basis is not None else symmetry is not None)
-    chiral = fold and symmetry == "chiral"
     if fold:
         half = len(ks) // 2
         mirror = weights[half - 1 :: -1]
@@ -812,66 +834,49 @@ def _block_sum(
             own = (A * (B @ plus[s].T)).sum(axis=1)
             reflected = (A * (B @ minus[s].T.conj())).sum(axis=1)
             return own + reflected.conj()
-    elif tridiagonal and dim == 2:
-        path, steps = "tridiagonal", len(spans)
-        decompositions = n * steps
-
-        def chunk_sum(s):
-            U = None
-            for L, H, dt in spans:
-                step = _expm_closed_form(L, H, ks[s], dt)
-                U = step if U is None else np.einsum("ijn,jkn->ikn", step, U)
-            total = (U * weights[s]).sum(axis=2)
-            if fold:
-                # U(-k) = conj U(k): sum c_- U(-k) = conj(sum conj(c_-) U(k))
-                total += (U * mirror[s].conj()).sum(axis=2).conj()
-            return total @ u0
     else:
-        path = "tridiagonal" if tridiagonal else "batched-eigh"
-        eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
-        lo, hi = spectrum
-        proxy = _chebyshev_proxy(
-            ks, (weights, mirror) if fold else (weights,), 0.5 * (hi - lo), 0.5 * (lo + hi)
-        )
-        if proxy is not None:
-            ks, mapped, bound = proxy
-            weights, mirror = mapped if fold else (*mapped, None)
-            n = len(ks)
-        steps = len(spans)
-        decompositions = n * steps
-        starts = u0[None, :]
-        if chiral:
-            # h0 leaves the decompositions, so their phases stay small
-            turn = np.exp(-1j * sum(H[0, 0].real * dt for _, H, dt in spans))
-            spans = [(L, H - H[0, 0].real * np.eye(dim), dt) for L, H, dt in spans]
-            starts = np.stack([u0, u0])
-            np.negative(starts[1, 1::2], out=starts[1, 1::2])
-        elif fold and np.any(u0.imag):
-            starts = np.stack([u0, u0.conj()])
+        # one forward sum per weight set: c_+ on u0 and, when folded,
+        # conj(c_-) on w = P conj(u0), over the spans less h0 I
+        weight_sets, starts, steps = (weights,), u0[None, :], len(spans)
+        if fold:
+            h0 = [H[0, 0].real for _, H, _ in spans]
+            turn = np.exp(-1j * sum(h * dt for h, (_, _, dt) in zip(h0, spans)))
+            spans = [(L, H - h * np.eye(dim), dt) for h, (L, H, dt) in zip(h0, spans)]
+            weight_sets = (weights, mirror.conj())
+            w = _reflect(u0, symmetry)
+            if not np.array_equal(w, u0):
+                starts = np.stack([u0, w])
+        if tridiagonal and dim == 2:
+            path = "tridiagonal"
 
-        def chunk_sum(s):
-            cols = _propagate_chunk(spans, ks[s], starts, eig, chiral)
-            if chiral:
-                # U(-k) u0 = exp(-i sum h0 dt) S U'(k)^dagger S u0: the last
-                # column propagated S u0 by the adjoints; S negates its odd rows
-                minus = cols[-1]
-                np.negative(minus[1::2], out=minus[1::2])
-            elif fold:
-                # U(-k) u0 = conj(U(k) conj(u0)). The last column propagated
-                # conj(u0); for real u0 it is the u0 column, conjugated into a copy
-                minus = np.conjugate(cols[-1], out=cols[-1] if len(cols) > 1 else None)
-            if fold:
-                minus *= mirror[s]
-            cols[0] *= weights[s]
-            if fold:
-                cols[0] += minus
-            return cols[0].sum(axis=1)
+            def chunk_sum(s):
+                U = None
+                for L, H, dt in spans:
+                    step = _expm_closed_form(L, H, ks[s], dt)
+                    U = step if U is None else np.einsum("ijn,jkn->ikn", step, U)
+                return np.stack([
+                    (U * c[s]).sum(axis=2) @ v for c, v in zip(weight_sets, (starts[0], starts[-1]))
+                ])
+        else:
+            path = "tridiagonal" if tridiagonal else "batched-eigh"
+            eig = _eigh_tridiagonal if tridiagonal else _eigh_dense
+            lo, hi = spectrum
+            proxy = _chebyshev_proxy(ks, weight_sets, 0.5 * (hi - lo), 0.5 * (lo + hi))
+            if proxy is not None:
+                ks, weight_sets, bound = proxy
+                n = len(ks)
+
+            def chunk_sum(s):
+                cols = _propagate_chunk(spans, ks[s], starts, eig)
+                return np.stack([
+                    (col * c[s]).sum(axis=1) for c, col in zip(weight_sets, (cols[0], cols[-1]))
+                ])
+        decompositions = n * steps
 
     record = (dim, path, -(-n // chunk), steps, decompositions, bound)
     total = transfer
     if total is None:
-        total = np.zeros(dim, dtype=complex)
-        comp = np.zeros_like(total)
+        total = comp = 0.0
         for start in range(0, n, chunk):
             term = chunk_sum(slice(start, start + chunk)) - comp
             tmp = total + term
@@ -882,7 +887,9 @@ def _block_sum(
         if fold:
             coeff = np.exp(-1j * mu) * coeff
         return V @ (total * coeff), record, total
-    return (turn * total if chiral else total), record, None
+    if fold:
+        return turn * (total[0] + _reflect(total[1], symmetry)), record, None
+    return total[0], record, None
 
 
 class _PreparedSum:

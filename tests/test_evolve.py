@@ -325,6 +325,13 @@ class TestCheckedSum:
                 with pytest.raises(PropagationError, match="not finite"):
                     entry(p, plan, 0.25)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
+    def test_non_finite_u0_rejected_at_construction(self, bad):
+        u0 = np.array([1.0, bad, 0.5])
+        pair = HermitianPair(L=np.eye(3, dtype=complex), H=np.zeros((3, 3), dtype=complex))
+        with pytest.raises(RangeError, match="u0 must be finite"):
+            ProblemInstance.from_pair(pair, u0)
+
     def test_plan_validated_before_weights_are_formed(self, beta_kernel):
         plan = composite_plan(beta_kernel, 4.0, 4, 4)
         short = dataclasses.replace(plan, c=plan.c[:-1])
@@ -502,7 +509,7 @@ class TestSharedEigenbasis:
         # 1x1 blocks, each with its own chunk size. The third entry is the
         # fold: the shared blocks sum the mirrored plan over its k > 0 half,
         # the real lindblad block and mm1 decompose each |k| once, and so
-        # does cap by its chiral symmetry.
+        # does cap by its mirror class P = S.
         shared = "shared-eigenbasis"
         for name, blocks in (
             ("blackhole", [(1, shared, 2), (1, shared, 2)]),
@@ -1094,8 +1101,8 @@ VARYING_V_R = {"kind": "gaussian", "amplitude": 50.0, "center": 0.5, "width": 0.
 
 
 class TestMirrorFold:
-    """For a real generator (L real, H purely imaginary) U(-k) = conj U(k)
-    span by span, so a per-term path decomposes each |k| of a mirrored plan
+    """For a real generator (L real, H purely imaginary: the mirror class
+    P = I with h0 = 0) U(-k) = conj U(k) span by span, so a per-term path decomposes each |k| of a mirrored plan
     once and applies it to u0 and conj(u0). The reference is the same sum
     with the fold declined."""
 
@@ -1136,7 +1143,7 @@ class TestMirrorFold:
         counts = logged_counts(p, plan, self.T, caplog)
         assert counts["decompositions"] == plan.size // 2 * spans + shared_blocks
         folded = lchs_apply(p, plan, self.T)
-        monkeypatch.setattr(ev, "_mirror_symmetry", lambda spans, dstevd: None)
+        monkeypatch.setattr(ev, "_mirror_symmetry", lambda spans: None)
         counts = logged_counts(p, plan, self.T, caplog)
         assert counts["decompositions"] == plan.size * spans + shared_blocks
         unfolded = lchs_apply(p, plan, self.T)
@@ -1147,9 +1154,9 @@ class TestMirrorFold:
         columns = []
         propagate_chunk = ev._propagate_chunk
 
-        def spy(spans, ks, starts, eig, *rest):
+        def spy(spans, ks, starts, eig):
             columns.append(len(starts))
-            return propagate_chunk(spans, ks, starts, eig, *rest)
+            return propagate_chunk(spans, ks, starts, eig)
 
         monkeypatch.setattr(ev, "_propagate_chunk", spy)
         p = build_problem("mm1", {})
@@ -1162,8 +1169,8 @@ class TestMirrorFold:
         assert columns and set(columns) == {2}
         # propagating conj(u0) = u0 as a column of its own gives the same bytes
 
-        def both(spans, ks, starts, eig, *rest):
-            return propagate_chunk(spans, ks, np.concatenate([starts, starts.conj()]), eig, *rest)
+        def both(spans, ks, starts, eig):
+            return propagate_chunk(spans, ks, np.concatenate([starts, starts.conj()]), eig)
 
         monkeypatch.setattr(ev, "_propagate_chunk", both)
         assert lchs_apply(p, plan, self.T).tobytes() == one.tobytes()
@@ -1174,7 +1181,7 @@ class TestMirrorFold:
         plan = plan_from_accuracy(beta_kernel, 1e-4, 1.0, p.meta["normL"])
         args = (p, plan, 1.0)
         folded = residual_lemma_check(*args)
-        monkeypatch.setattr(ev, "_mirror_symmetry", lambda spans, dstevd: None)
+        monkeypatch.setattr(ev, "_mirror_symmetry", lambda spans: None)
         assert folded == pytest.approx(residual_lemma_check(*args), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize(
@@ -1211,12 +1218,12 @@ class TestMirrorFold:
 
 
 class TestChiralFold:
-    """On a tridiagonal block of dim >= 3 whose spans have a diagonal L and
-    an H of constant diagonal h0 (cap, whose H is real), S = diag((-1)^j)
-    flips the sign of H - h0 I, so U(-k) = exp(-i sum h0 dt) S U'(k)^dagger S
-    with U'(k) the product of the span exponentials of k L + H - h0 I. A
-    per-term path decomposes each |k| of a mirrored plan once and propagates
-    u0 and S u0. The reference is the same sum with the fold declined."""
+    """cap's spans have a diagonal L and a real tridiagonal H of constant
+    diagonal h0, the mirror class P = S = diag((-1)^j): S conj(H - h0 I) S =
+    -(H - h0 I), so U(-k) = exp(-i sum h0 dt) S conj(U'(k)) S with U'(k) the
+    product of the span exponentials of k L + H - h0 I. A per-term path
+    decomposes each |k| of a mirrored plan once and propagates u0 and
+    w = S conj(u0). The reference is the same sum with the fold declined."""
 
     T = 0.25
 
@@ -1240,7 +1247,7 @@ class TestChiralFold:
     @staticmethod
     def unfolded(monkeypatch, fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(ev, "_mirror_symmetry", lambda spans, dstevd: None)
+            m.setattr(ev, "_mirror_symmetry", lambda spans: None)
             return fn(*args)
 
     @pytest.mark.parametrize("case", ["cap", "complex-u0", "three-slices"])
@@ -1252,7 +1259,7 @@ class TestChiralFold:
         assert len(spans) == (3 if case == "three-slices" else 1)
         assert len({H[0, 0] for _, H, _ in spans}) == len(spans)
         [(_, _, _, tridiagonal, symmetry, _)] = ev._blocks(spans, p.dim)
-        assert tridiagonal and symmetry == "chiral"
+        assert tridiagonal and symmetry == -1
         plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.meta["normL"])
         folded, counts = counted_apply(p, plan, self.T, caplog)
         assert counts["decompositions"] == plan.size // 2 * len(spans)
@@ -1265,24 +1272,138 @@ class TestChiralFold:
         reference = self.unfolded(monkeypatch, residual_lemma_check, p, plan, self.T)
         assert abs(residual - reference) <= 1e-12 * scale
 
-    def test_adjoint_column_matches_expm(self):
-        # one span at k = 2.7 from one decomposition: the first column by
-        # exp(-i dt M), the adjoint last column by exp(+i dt M)
-        p = self.instance("three-slices")
-        L, H, _ = ev._spans(p.schedule, self.T)[0]
-        H = H - H[0, 0].real * np.eye(p.dim)
-        M, dt = 2.7 * L + H, 0.1
-        starts = np.stack([p.u0, p.u0[::-1]])
-        eig = ev._eigh_tridiagonal
-        cols = ev._propagate_chunk([(L, H, dt)], np.array([2.7]), starts, eig, True)
-        assert np.linalg.norm(cols[0, :, 0] - scipy.linalg.expm(-1j * dt * M) @ starts[0]) <= 1e-13
-        assert np.linalg.norm(cols[1, :, 0] - scipy.linalg.expm(1j * dt * M) @ starts[1]) <= 1e-13
+
+def mirror_class_pair(rng, dim, parity, h0, band=False):
+    """A gated pair of mirror class P, P = I for parity 1 and
+    S = diag((-1)^j) for -1: L = (X + P conj(X) P) / 2 lifted to
+    lambda0 = 0.2 and H = h0 I + (Y - P conj(Y) P) / 2, for random Hermitian
+    X and Y, tridiagonal when band. Every entry of L is then exactly real
+    or imaginary, as P asks, and so is every entry of H - h0 I."""
+    p = np.where(np.arange(dim) % 2, parity, 1)
+    sign = np.outer(p, p)
+    X, Y = (random_hermitian(rng, dim) for _ in range(2))
+    if band:
+        X, Y = (np.triu(np.tril(M, 1), -1) for M in (X, Y))
+    L = 0.5 * (X + sign * X.conj())
+    L = L + (0.2 - np.linalg.eigvalsh(L)[0]) * np.eye(dim)
+    return HermitianPair(L=L, H=h0 * np.eye(dim) + 0.5 * (Y - sign * Y.conj()))
+
+
+class TestOneFoldRule:
+    """Every per-term block of mirror class P (P = I or S = diag((-1)^j))
+    folds by U(-k) = turn P conj(U'(k)) P, with U' the product of the span
+    exponentials of k L + H - h0 I and turn = exp(-i sum h0 dt): on the
+    closed form of dim 2, on dstevd and on batched eigh, for any h0."""
+
+    T = 0.25
+
+    @staticmethod
+    def spans(path, parity):
+        """Two spans of class P with h0 = 3.0 and -1.25 on one path's block."""
+        dim, band = {"closed-form": (2, True), "dstevd": (5, True), "eigh": (4, False)}[path]
+        rng = np.random.default_rng(17 + parity)
+        pairs = [mirror_class_pair(rng, dim, parity, h0, band) for h0 in (3.0, -1.25)]
+        return [(pair.L, pair.H, dt) for pair, dt in zip(pairs, (0.1, 0.15))]
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    @pytest.mark.parametrize("path", ["closed-form", "dstevd", "eigh"])
+    def test_mirror_column_matches_expm(self, path, parity):
+        # U(-k) v = turn P conj(U'(k) P conj(v)) from the decompositions at
+        # +k, against expm of each span's -i dt (-k L + H)
+        spans = self.spans(path, parity)
+        assert ev._mirror_symmetry(spans) == parity
+        dim, k = len(spans[0][0]), 2.7
+        P = np.diag(np.where(np.arange(dim) % 2, parity, 1)).astype(float)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        turn = np.exp(-1j * sum(H[0, 0].real * dt for _, H, dt in spans))
+        shifted = [(L, H - H[0, 0].real * np.eye(dim), dt) for L, H, dt in spans]
+        w = P @ v.conj()
+        if path == "closed-form":
+            column = w
+            for L, H, dt in shifted:
+                column = ev._expm_closed_form(L, H, np.array([k]), dt)[:, :, 0] @ column
+        else:
+            eig = ev._eigh_tridiagonal if path == "dstevd" else ev._eigh_dense
+            column = ev._propagate_chunk(shifted, np.array([k]), w[None, :], eig)[0, :, 0]
+        expected = v
+        for L, H, dt in spans:
+            expected = scipy.linalg.expm(-1j * dt * (-k * L + H)) @ expected
+        assert np.linalg.norm(turn * P @ column.conj() - expected) <= 1e-13
+
+    def test_symmetry_tested_only_without_a_shared_basis(self, monkeypatch):
+        # lindblad's 2x2 block is per-term, its two 1x1 blocks and
+        # parabolic1d's one block share an eigenbasis
+        tested = []
+        mirror_symmetry = ev._mirror_symmetry
+        monkeypatch.setattr(
+            ev, "_mirror_symmetry", lambda spans: tested.append(len(spans[0][0])) or mirror_symmetry(spans)
+        )
+        for name, sizes in (("lindblad", [2]), ("parabolic1d", [])):
+            tested.clear()
+            p = build_problem(name, {})
+            ev._blocks(ev._spans(p.schedule, self.T), p.dim)
+            assert tested == sizes
+
+    @staticmethod
+    def instance(case):
+        """The instance of one case: S-class of dim 2 (the closed
+        form), dense, or dense over two spans; dense I-class with h0 != 0;
+        or the dense S-class pair with one diagonal entry of H moved off h0."""
+        rng = np.random.default_rng(29)
+        parity = 1 if case == "I-dense" else -1
+        dim = 2 if case == "S-dim2" else 5
+        pairs = [mirror_class_pair(rng, dim, parity, 2.5)]
+        if case == "S-dense-two-span":
+            pairs.append(mirror_class_pair(rng, dim, parity, -4.0))
+        if case == "S-one-entry-off":
+            H = pairs[0].H.copy()
+            H[2, 2] += 0.25
+            pairs = [HermitianPair(L=pairs[0].L, H=H)]
+        schedule = TimeSchedule.piecewise([0.0, 0.1, 1.0], pairs) if len(pairs) == 2 else (
+            TimeSchedule.constant(pairs[0])
+        )
+        u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return ProblemInstance(schedule=schedule, u0=u0 / np.linalg.norm(u0))
+
+    @pytest.mark.parametrize("case, path", [
+        ("S-dim2", "tridiagonal"), ("S-dense", "batched-eigh"),
+        ("S-dense-two-span", "batched-eigh"), ("I-dense", "batched-eigh"),
+    ])
+    def test_added_classes_fold(self, case, path, beta_kernel, monkeypatch, caplog):
+        p = self.instance(case)
+        spans = ev._spans(p.schedule, self.T)
+        assert all(H[0, 0].real != 0 for _, H, _ in spans)
+        [(_, _, basis, _, symmetry, _)] = ev._blocks(spans, p.dim)
+        assert basis is None and symmetry == (1 if case == "I-dense" else -1)
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.schedule.normL)
+        assert logged_path(p, plan, self.T, caplog) == path
+        folded, counts = counted_apply(p, plan, self.T, caplog)
+        with monkeypatch.context() as m:
+            m.setattr(ev, "_mirror_symmetry", lambda spans: None)
+            unfolded, unfolded_counts = counted_apply(p, plan, self.T, caplog)
+        assert counts["decompositions"] < unfolded_counts["decompositions"]
+        scale = np.abs(plan.c).sum() * np.linalg.norm(p.u0) * np.exp(p.shift * self.T)
+        assert np.linalg.norm(folded - unfolded) <= 1e-13 * scale
+        assert np.linalg.norm(folded - oracle_solve(p, self.T)) <= 1e-4 * np.linalg.norm(p.u0)
+
+    def test_one_entry_off_stays_unfolded(self, beta_kernel, monkeypatch, caplog):
+        p = self.instance("S-one-entry-off")
+        spans = ev._spans(p.schedule, self.T)
+        assert ev._mirror_symmetry(spans) is None
+        plan = plan_from_accuracy(beta_kernel, 1e-4, self.T, p.schedule.normL)
+        out, counts = counted_apply(p, plan, self.T, caplog)
+        with monkeypatch.context() as m:
+            m.setattr(ev, "_mirror_symmetry", lambda spans: None)
+            unfolded, unfolded_counts = counted_apply(p, plan, self.T, caplog)
+        assert counts == unfolded_counts
+        assert out.tobytes() == unfolded.tobytes()
 
 
 class TestFoldCoverage:
     # eigendecompositions of each builder default at eps 1e-4, T = 1/4: the
-    # shared blocks decompose once per block; lindblad's 2x2 block (real)
-    # once per |k| of the mirrored plan; mm1, mmc (real) and cap (chiral)
+    # shared blocks decompose once per block; lindblad's 2x2 block (P = I)
+    # once per |k| of the mirrored plan; mm1, mmc (P = I) and cap (P = S)
     # once per node of the Chebyshev proxy on the k > 0 half. A change that
     # drops a fold changes its count: the unfolded proxy spans [-K, K]; so
     # does one that drops the proxy's centring of L's spectrum (90, 90, 80).
@@ -1728,7 +1849,7 @@ class TestStreamedReduction:
         # of (chunk, dim, columns) complex buffers. The propagation that
         # copied its vectors at every step peaked at 3.8 (mm1) and 5.5 (cap,
         # unfolded, one column) such buffers above the eigenvectors; 6 admits
-        # both. A chiral block (cap) always propagates u0 and S u0.
+        # both. cap (P = S) always propagates u0 and S conj(u0).
         T = 0.25
         p = build_problem(name, {})
         if name == "mm1":  # a complex u0 propagates u0 and conj(u0)
